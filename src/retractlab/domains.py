@@ -1,24 +1,54 @@
 """Exact coefficient domains: rationals, integers, and prime fields.
 
-Every coefficient is stored in a canonical form chosen by its domain:
-Fraction for QQ, int for ZZ, and the least nonnegative residue for GF(p).
+Every coefficient is stored in a canonical form chosen by its domain: for
+QQ an int when the value is integral and a Fraction in lowest terms
+otherwise, int for ZZ, and the least nonnegative residue for GF(p).  Since
+Fraction(k) == k and both hash alike, the QQ form changes no comparison or
+printed output; it lets ring products run on plain ints (see `ring`).
 All arithmetic is arbitrary precision; no floats anywhere.
 """
 
 from fractions import Fraction
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
 
 def _is_prime(p):
+    """Deterministic primality test for p < MAX_MODULUS."""
+    if p >= MAX_MODULUS:
+        raise ValueError("prime-field modulus %d too large (the limit is %d)"
+                         % (p, MAX_MODULUS - 1))
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _qq(c):
+    """The canonical QQ form of an int or Fraction value."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
 class Domain:
@@ -80,7 +110,7 @@ class Domain:
         if den == 0:
             raise ValueError("zero denominator")
         if self.kind == "rationals":
-            return Fraction(num, den)
+            return _qq(Fraction(num, den))
         if self.kind == "integers":
             q = Fraction(num, den)
             if q.denominator != 1:
@@ -94,7 +124,7 @@ class Domain:
     def coerce(self, value):
         """Normalize a Python int / Fraction into this domain's canonical form."""
         if self.kind == "rationals":
-            return Fraction(value)
+            return _qq(Fraction(value))
         if self.kind == "integers":
             if isinstance(value, Fraction):
                 if value.denominator != 1:
@@ -107,17 +137,20 @@ class Domain:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def reduce(self, c):
+        """Canonical form of a sum or product of canonical elements."""
+        if self.kind == "prime-field":
+            return c % self.p
+        return _qq(c) if self.kind == "rationals" else c
+
     def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "prime-field" else c
+        return self.reduce(a + b)
 
     def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == "prime-field" else c
+        return self.reduce(a - b)
 
     def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "prime-field" else c
+        return self.reduce(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime-field" else -a
@@ -135,7 +168,7 @@ class Domain:
         if not self.is_unit(a):
             raise ValueError("%s is not a unit in %r" % (a, self))
         if self.kind == "rationals":
-            return 1 / Fraction(a)
+            return _qq(1 / Fraction(a))
         if self.kind == "integers":
             return a
         return pow(a, -1, self.p)

@@ -11,8 +11,7 @@ import random
 from fractions import Fraction
 
 from .intlinalg import decompose, solve_in_lattice
-from .endo import apply, monomial_part, require_valid, is_idempotent, \
-    idempotency_defect
+from .endo import apply, monomial_part, require_valid, idempotency_defect
 from .ring import RingSignature
 
 
@@ -32,16 +31,18 @@ class YVariable:
     """A new Laurent coordinate y = normalizer^-1 · x^exponent.
 
     Fixed coordinates satisfy phi(y) = y; killed ones satisfy phi(y) = 1
-    after dividing out the normalizing unit scalar.
+    after dividing out the normalizing unit scalar.  `verified` records the
+    outcome of that exact check when it was run.
     """
 
-    __slots__ = ("exponent", "normalizer", "kind", "poly")
+    __slots__ = ("exponent", "normalizer", "kind", "poly", "verified")
 
-    def __init__(self, exponent, normalizer, kind, poly):
+    def __init__(self, exponent, normalizer, kind, poly, verified=False):
         self.exponent = tuple(exponent)
         self.normalizer = normalizer
         self.kind = kind  # "fixed" | "killed"
         self.poly = poly  # the element of B: normalizer^-1 · x^exponent
+        self.verified = verified
 
 
 class ClassificationVerdict:
@@ -83,12 +84,16 @@ class RetractReport:
 def compute_y_variables(phi, decomposition=None):
     """New Laurent coordinates from the unit-lattice summand decomposition.
 
-    Verifies exactly, before returning, that phi fixes each fixed y and
-    sends each normalized killed y to 1.
+    Verifies exactly, first, that phi is idempotent (naming the first
+    variable with phi²(x) != phi(x)) and, before returning, that phi fixes
+    each fixed y and sends each normalized killed y to 1.
     """
     require_valid(phi)
-    if not is_idempotent(phi):
-        raise NotIdempotentError("endomorphism is not idempotent")
+    defect = idempotency_defect(phi)
+    for name, delta in zip(phi.ring.names, defect):
+        if not delta.is_zero():
+            raise NotIdempotentError(
+                "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
     ring = phi.ring
     d = ring.laurent
     if decomposition is None:
@@ -100,11 +105,13 @@ def compute_y_variables(phi, decomposition=None):
         mono = ring.monomial(exp)
         image = apply(phi, mono)
         if i < dec.r:
-            if image != mono:
+            fixed = image == mono
+            if not fixed:
                 raise CertificateError(
                     "phi does not fix the fixed-lattice monomial x^%s" % (exp,),
                     {"expected": str(mono), "got": str(image)})
-            yvars.append(YVariable(exp, ring.domain.one(), "fixed", mono))
+            yvars.append(YVariable(exp, ring.domain.one(), "fixed", mono,
+                                   verified=fixed))
         else:
             if not image.is_constant():
                 raise CertificateError(
@@ -116,11 +123,12 @@ def compute_y_variables(phi, decomposition=None):
                     "normalizer of x^%s is not a unit scalar" % (exp,),
                     {"got": str(image)})
             y = mono.scale(ring.domain.invert(lam))
-            if apply(phi, y) != ring.one():
+            killed = apply(phi, y) == ring.one()
+            if not killed:
                 raise CertificateError(
                     "normalized killed coordinate is not sent to 1",
                     {"y": str(y)})
-            yvars.append(YVariable(exp, lam, "killed", y))
+            yvars.append(YVariable(exp, lam, "killed", y, verified=killed))
     return dec, yvars
 
 
@@ -294,7 +302,9 @@ def classify(n, d, r, trdeg, domain):
         return ClassificationVerdict("LaurentTensorPoly", r=r, s=n - d)
     # intermediate value; impossible when d >= n-1 since the window has
     # width n-d <= 1
-    assert d < n - 1, "intermediate trdeg with d >= n-1 is impossible"
+    if d >= n - 1:
+        raise ValueError("intermediate trdeg %d with d=%d >= n-1=%d"
+                         % (trdeg, d, n - 1))
     if n - d == 2 and domain.is_ufd:
         return ClassificationVerdict("UFDClassified", r=r, s=trdeg - r,
                                      generatorsExplicit=False)
@@ -343,18 +353,9 @@ def _generators_witness_shape(quotient_gens, r, s):
 def analyze(phi, sample_seed=0):
     """Run the whole pipeline on an idempotent endomorphism and return a
     RetractReport with exact certificates."""
-    require_valid(phi)
-    defect = idempotency_defect(phi)
-    if any(not delta.is_zero() for delta in defect):
-        bad = next(i for i, delta in enumerate(defect) if not delta.is_zero())
-        raise NotIdempotentError(
-            "phi²(%s) - phi(%s) = %s != 0"
-            % (phi.ring.names[bad], phi.ring.names[bad], defect[bad]))
+    dec, yvars = compute_y_variables(phi)
     ring = phi.ring
     n, d = ring.n, ring.laurent
-    md = monomial_part(phi)
-    dec = decompose(md.matrix)
-    dec, yvars = compute_y_variables(phi, dec)
     r = dec.r
 
     generators = [y.poly for y in yvars[:r]] + \
@@ -375,11 +376,12 @@ def analyze(phi, sample_seed=0):
     certificates = {
         "matrix_idempotent": dec.M * dec.M == dec.M,
         "unimodular_basis": dec.det_sign in (1, -1),
-        "fixed_y_images": True,   # verified inside compute_y_variables
-        "killed_y_images": True,  # verified inside compute_y_variables
+        "fixed_y_images": all(y.verified for y in yvars if y.kind == "fixed"),
+        "killed_y_images": all(y.verified for y in yvars
+                               if y.kind == "killed"),
         "ideal_killed": _ideal_killed(phi, yvars, sample_seed),
         "image_lattice_membership": all(
-            solve_in_lattice(md.matrix.column(i), dec.fixed_basis) is not None
+            solve_in_lattice(dec.M.column(i), dec.fixed_basis) is not None
             for i in range(d)),
     }
     if not all(certificates.values()):

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import time
 
 from retractlab.cli import run_cli
 
@@ -78,3 +81,29 @@ def test_selftest(capsys):
     assert run_cli(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out and "PASS" in out
+
+
+def test_large_prime_modulus(tmp_path, capsys):
+    ok = tmp_path / "big.ring"
+    ok.write_text("ring GF(1000000000000000003)[x^±]\nx -> x\n")
+    start = time.perf_counter()
+    assert run_cli(["check", str(ok)]) == 0
+    assert time.perf_counter() - start < 1.0
+    bad = tmp_path / "composite.ring"
+    bad.write_text("ring GF(1000000000000000001)[x^±]\nx -> x\n")
+    assert run_cli(["check", str(bad)]) == 2
+    assert "prime" in capsys.readouterr().err
+    huge = tmp_path / "huge.ring"
+    huge.write_text("ring GF(%d)[x^±]\nx -> x\n" % (10 ** 30 + 57))
+    assert run_cli(["check", str(huge)]) == 2
+    assert "too large" in capsys.readouterr().err
+
+
+def test_python_m_entry_point():
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "retractlab", "check", path("e1.ring")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "ok" in done.stdout

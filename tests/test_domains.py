@@ -1,8 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from retractlab import QQ, ZZ, GF
+from retractlab.domains import MAX_MODULUS
 
 
 def test_flags():
@@ -19,6 +21,20 @@ def test_prime_check():
         GF(1)
     GF(2)
     GF(97)
+
+
+def test_prime_check_large_moduli():
+    start = time.perf_counter()
+    GF(1000000000000000003)
+    GF(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    for composite in (10 ** 18 + 1, 3215031751, 3825123056546413051,
+                      1000003 * 1000000007 * 1000000009):
+        with pytest.raises(ValueError, match="must be prime"):
+            GF(composite)
+    # past the range where the Miller-Rabin bases are proven
+    with pytest.raises(ValueError, match="too large"):
+        GF(MAX_MODULUS)
 
 
 @pytest.mark.parametrize("c,dom,expected", [
@@ -50,3 +66,15 @@ def test_format_lowest_terms():
     assert QQ.format(Fraction(4, 6)) == "2/3"
     assert QQ.format(Fraction(-4, 2)) == "-2"
     assert GF(5).format(4) == "4"
+
+
+def test_rationals_canonical_form():
+    # int when integral, Fraction otherwise; equal and hashed alike
+    for value in (QQ.coerce(Fraction(4, 2)), QQ.from_fraction(6, 3),
+                  QQ.add(Fraction(1, 2), Fraction(1, 2)),
+                  QQ.mul(Fraction(2, 3), Fraction(3, 2)),
+                  QQ.invert(Fraction(1, 5))):
+        assert type(value) is int
+    assert QQ.sub(Fraction(1, 2), 1) == Fraction(-1, 2)
+    assert hash(Fraction(7)) == hash(7) and Fraction(7) == 7
+    assert QQ.format(QQ.coerce(Fraction(-8, 4))) == "-2"

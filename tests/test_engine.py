@@ -232,3 +232,65 @@ def test_scalar_fixedness_and_injectivity_samples():
         if not img.is_zero():
             q = quotient_mod_J(img, rep.decomposition, rep.y_variables)
             assert not q.is_zero()
+
+
+def _count_compositions(monkeypatch):
+    from retractlab import endo
+    calls = []
+    compose = endo.compose
+
+    def counting(phi, psi):
+        calls.append((phi, psi))
+        return compose(phi, psi)
+    monkeypatch.setattr(endo, "compose", counting)
+    return calls
+
+
+def test_analyze_composes_phi_once(monkeypatch):
+    from retractlab.generator import GeneratorSpec, gen_random_idempotent
+    generated = gen_random_idempotent(GeneratorSpec(4, 2, 1, 7, 2, QQ))
+    for phi in (e1(), generated):
+        calls = _count_compositions(monkeypatch)
+        rep = analyze(phi)
+        assert all(rep.certificates.values())
+        assert calls == [(phi, phi)]
+        monkeypatch.undo()
+
+
+def test_compute_y_variables_alone_names_the_defect():
+    R = RingSignature(["x1", "x2"], 2, QQ)
+    swap = Endomorphism(R, [R.variable(1), R.variable(0)])
+    with pytest.raises(NotIdempotentError, match="x1"):
+        compute_y_variables(swap)
+
+
+def test_y_image_certificates_record_the_checks(monkeypatch):
+    from retractlab import engine
+    from retractlab.engine import CertificateError
+    _, ys = compute_y_variables(e1())
+    assert [y.verified for y in ys] == [True, True]
+
+    def unchecked(phi):
+        dec, ys = compute_y_variables(phi)
+        ys[1].verified = False  # as if the killed-image check never ran
+        return dec, ys
+    monkeypatch.setattr(engine, "compute_y_variables", unchecked)
+    with pytest.raises(CertificateError) as exc:
+        analyze(e1())
+    assert exc.value.evidence["fixed_y_images"] is True
+    assert exc.value.evidence["killed_y_images"] is False
+
+
+def test_classify_never_asserts():
+    # every consistent input gets a verdict; with d >= n-1 the trdeg window
+    # [r, r+n-d] has no interior, so the verdict is exact
+    for n in range(7):
+        for d in range(n + 1):
+            for r in range(d + 1):
+                for t in range(r, r + n - d + 1):
+                    v = classify(n, d, r, t, QQ)
+                    if d >= n - 1:
+                        assert v.tag != "BoundsOnly"
+    for bad in [(3, 2, 1, 0), (2, 3, 1, 1), (4, 3, 1, 3), (3, 3, 1, (1, 2))]:
+        with pytest.raises(ValueError):
+            classify(*bad, QQ)

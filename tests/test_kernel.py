@@ -1,0 +1,160 @@
+"""The degree-sliced product kernel against the plain algorithms it replaced.
+
+`reference_mul` is the nested-loop product with domain arithmetic and one
+final sort; `reference_substitute` adds the substituted terms one at a time.
+Both build their results through the checked public constructors, so they
+share nothing with the kernel but the canonical form.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from retractlab import QQ, ZZ, GF, RingSignature, MixedPoly
+
+
+def reference_mul(p, q):
+    dom = p.ring.domain
+    acc = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = dom.mul(c1, c2)
+            acc[e] = dom.add(acc[e], c) if e in acc else c
+    return MixedPoly(p.ring, tuple(
+        (e, c) for e, c in acc.items() if not dom.is_zero(c)))
+
+
+def reference_pow(p, k):
+    if k < 0:
+        return reference_pow(p.invert_unit(), -k)
+    result = p.ring.one()
+    for _ in range(k):
+        result = reference_mul(result, p)
+    return result
+
+
+def reference_substitute(p, images):
+    target = images[0].ring
+    result = target.zero()
+    for exp, c in p.terms:
+        term = target.constant(c)
+        for i, e in enumerate(exp):
+            if e:
+                term = reference_mul(term, reference_pow(images[i], e))
+        result = result + term
+    return result
+
+
+DOMAINS = [QQ, ZZ, GF(5), GF(32003)]
+
+
+def random_coeff(dom, rng):
+    if dom is QQ:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    if dom.kind == "prime-field":
+        return rng.randrange(dom.p)
+    return rng.randint(-9, 9)
+
+
+def random_unit(dom, rng):
+    c = 0
+    while not dom.is_unit(c):
+        c = dom.coerce(rng.choice([-1, 1]) * random_coeff(dom, rng))
+    return c
+
+
+def random_poly(ring, rng, max_terms=6, max_exp=3):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        exp = tuple(rng.randint(-max_exp if i < ring.laurent else 0, max_exp)
+                    for i in range(ring.n))
+        terms.append((exp, random_coeff(ring.domain, rng)))
+    return ring.from_terms(terms)
+
+
+def assert_canonical_qq(p):
+    for _, c in p.terms:
+        assert type(c) is int or c.denominator != 1
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_mul_matches_reference(dom):
+    rng = random.Random(2024)
+    for n, laurent in ((1, 1), (3, 2), (4, 0), (5, 3)):
+        R = RingSignature(["x%d" % i for i in range(n)], laurent, dom)
+        for _ in range(60):
+            p, q = random_poly(R, rng), random_poly(R, rng)
+            got = p * q
+            assert got.terms == reference_mul(p, q).terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_pow_matches_reference(dom):
+    rng = random.Random(7)
+    R = RingSignature(["x", "y", "z"], 2, dom)
+    for _ in range(20):
+        p = random_poly(R, rng, max_terms=3, max_exp=2)
+        k = rng.randint(0, 5)
+        assert (p ** k).terms == reference_pow(p, k).terms
+    u = R.monomial((2, -1, 0), random_unit(dom, rng))
+    assert (u ** -3).terms == reference_pow(u, -3).terms
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_substitute_matches_reference(dom):
+    rng = random.Random(99)
+    R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
+    for _ in range(25):
+        # Laurent variables go to units, so negative exponents invert
+        images = [R.monomial((rng.randint(-2, 2), rng.randint(-2, 2), 0, 0),
+                             random_unit(dom, rng)) for _ in range(2)]
+        images += [random_poly(R, rng, max_terms=3, max_exp=2)
+                   for _ in range(2)]
+        p = random_poly(R, rng, max_exp=2)
+        got = p.substitute(images)
+        assert got.terms == reference_substitute(p, images).terms
+        if dom is QQ:
+            assert_canonical_qq(got)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_cancellation(dom):
+    R = RingSignature(["x", "y"], 1, dom)
+    x, y = R.variable(0), R.variable(1)
+    inv = R.monomial((-1, 0))
+    half = R.constant(dom.from_fraction(1, 2)) if dom.is_field else R.one()
+    a, b = (x + inv) * half, y * half
+    # middle terms cancel inside the product
+    got = (a + b) * (a - b)
+    assert got.terms == reference_mul(a + b, a - b).terms
+    assert got == a * a - b * b
+    # the product with zero, and a substitution that cancels to zero
+    assert (R.zero() * a).terms == () and (a * R.zero()).terms == ()
+    assert (x - y).substitute([y, y]).is_zero()
+    g = a * a - b * b  # b -> a under y -> x + x^-1
+    assert not g.is_zero()
+    assert g.substitute([x, x + inv]).is_zero()
+    assert reference_substitute(g, [x, x + inv]).is_zero()
+
+
+def test_cancellation_mod_p():
+    # (x + 1)^5 = x^5 + 1 over GF(5): the binomial coefficients vanish
+    R = RingSignature(["x"], 1, GF(5))
+    p = R.variable(0) + R.one()
+    assert (p ** 5).terms == (((5,), 1), ((0,), 1))
+    assert (p ** 5).terms == reference_pow(p, 5).terms
+    assert (p * p.scale(-1) + p * p).is_zero()
+
+
+def test_integral_fractions_come_out_as_int():
+    # the checked constructor accepts Fraction(k); products still give int
+    R = RingSignature(["x", "y"], 1, QQ)
+    p = MixedPoly(R, (((1, 0), Fraction(2)), ((0, 1), Fraction(1, 2))))
+    q = p * p
+    assert q.terms == reference_mul(p, p).terms
+    assert_canonical_qq(q)
+    assert [type(c) for _, c in q.terms] == [int, int, Fraction]
