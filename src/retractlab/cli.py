@@ -6,13 +6,13 @@ Subcommands:
     gen                   emit reproducible random idempotent problem files
     selftest              run the embedded acceptance checks
 
-Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error,
-3 internal certificate failure.
+Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error, unreadable
+input (missing, a directory, not UTF-8) or unwritable output, 3 internal
+certificate failure.
 """
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .domains import QQ, ZZ, GF
 from .endo import validate, idempotency_defect
@@ -26,9 +26,19 @@ EXIT_PARSE = 2
 EXIT_CERTIFICATE = 3
 
 
+class InputReadError(Exception):
+    pass
+
+
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputReadError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputReadError("%s is not UTF-8 text: %s"
+                             % (path, exc)) from None
 
 
 def _parse_domain(text):
@@ -78,11 +88,7 @@ def _cmd_gen(args):
     specs = [GeneratorSpec(args.n, args.d, args.r, args.seed + k,
                            args.complexity, domain)
              for k in range(args.count)]
-    if args.threads > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            texts = list(pool.map(problem_text, specs))
-    else:
-        texts = [problem_text(s) for s in specs]
+    texts = [problem_text(s) for s in specs]
     if args.out_dir:
         import os
         os.makedirs(args.out_dir, exist_ok=True)
@@ -98,7 +104,7 @@ def _cmd_gen(args):
 
 def _cmd_selftest(args):
     from .selftest import run_selftest
-    ok = run_selftest(threads=args.threads)
+    ok = run_selftest()
     return EXIT_OK if ok else EXIT_CERTIFICATE
 
 
@@ -128,11 +134,9 @@ def build_parser():
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--domain", default="QQ")
     p.add_argument("--out-dir")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("selftest", help="run the embedded acceptance checks")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_selftest)
     return parser
 
@@ -145,8 +149,11 @@ def run_cli(argv=None):
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except InputReadError as exc:
         print("cannot read input: %s" % exc, file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:
+        print("cannot write output: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except NotIdempotentError as exc:
         print("not idempotent: %s" % exc, file=sys.stderr)

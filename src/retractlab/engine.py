@@ -170,14 +170,10 @@ def quotient_mod_J(p, decomposition, y_variables, target=None):
     return target.from_terms(terms)
 
 
-def jacobian_rank(generators, ring):
-    """Rank of the Jacobian (∂g_i/∂x_j) over the fraction field, by
-    division-free elimination with exact polynomial arithmetic.
-
-    Each row is first multiplied by a monomial clearing its Laurent
-    denominators; monomials are units of the fraction field, so the rank is
-    unchanged.
-    """
+def _jacobian_rows(generators, ring):
+    """The Jacobian rows (∂g/∂x_j)_j, each multiplied by the monomial that
+    clears its Laurent denominators.  Monomials are units of the fraction
+    field, so the rank is unchanged, and every exponent is nonnegative."""
     n = ring.n
     rows = []
     for g in generators:
@@ -189,6 +185,13 @@ def jacobian_rank(generators, ring):
                     shift[v] = min(shift[v], exp[v])
         clear = ring.monomial(tuple(-s for s in shift))
         rows.append([entry * clear for entry in row])
+    return rows
+
+
+def _polynomial_rank(rows, n):
+    """Rank over the fraction field of a matrix of ring elements, by
+    division-free elimination with exact polynomial arithmetic."""
+    rows = list(rows)
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, len(rows))
@@ -207,31 +210,57 @@ def jacobian_rank(generators, ring):
     return rank
 
 
-def jacobian_rank_at_random_point(generators, ring, rng=None, retries=3):
-    """Rank of the Jacobian via evaluation at random rational points
-    (Laurent coordinates kept nonzero).  Evaluation can only underestimate
-    the rank, so the fast path is trusted only when it reaches the
-    dimension cap; otherwise it falls back to the exact computation.
+def jacobian_rank(generators, ring):
+    """Rank of the Jacobian (∂g_i/∂x_j) over the fraction field, by
+    division-free elimination with exact polynomial arithmetic."""
+    return _polynomial_rank(_jacobian_rows(generators, ring), ring.n)
+
+
+def jacobian_rank_at_random_point(generators, ring, rng=None, retries=2):
+    """Rank of the Jacobian over the fraction field, certified at a point
+    where possible; characteristic 0 only.
+
+    The monomial-cleared Jacobian (`_jacobian_rows`) has polynomial entries,
+    so it is evaluated at random integer points and its rank there computed
+    over QQ.  A minor that is nonzero at a point is a nonzero polynomial, so
+    rank at a point <= generic rank <= the cap, min(#nonzero rows, #nonzero
+    columns): when the point rank reaches the cap it is the exact rank.
+    Otherwise the rank comes from exact elimination on the same rows.  Each
+    coordinate is drawn from about 2^17 integers, so a nonzero minor of
+    degree D vanishes at the point with probability at most D/2^17
+    (Schwartz-Zippel): a full-rank input rarely needs a second point.
     """
+    if ring.domain.characteristic:
+        raise ValueError("the point-rank certificate needs characteristic 0")
     if rng is None:
         rng = random.Random(0)
     n = ring.n
-    entries = [[g.partial_derivative(j) for j in range(n)] for g in generators]
-    cap = min(len(generators), n)
+    # zero rows (constant generators) and zero columns add nothing to the rank
+    rows = [row for row in _jacobian_rows(generators, ring)
+            if not all(entry.is_zero() for entry in row)]
+    columns = sum(1 for j in range(n)
+                  if not all(row[j].is_zero() for row in rows))
+    cap = min(len(rows), columns)
     for _ in range(retries):
-        point = []
-        for i in range(n):
-            if i < ring.laurent:
-                v = 0
-                while v == 0:
-                    v = rng.randint(-20, 20)
-            else:
-                v = rng.randint(-20, 20)
-            point.append(ring.domain.from_fraction(v, rng.randint(1, 7)))
-        num = [[e.evaluate(point) for e in row] for row in entries]
-        if _rational_rank(num) == cap:
+        point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16)
+                 if i < ring.laurent else rng.randint(-1 << 16, 1 << 16)
+                 for i in range(n)]
+        values = [[_value_at(entry, point) for entry in row] for row in rows]
+        if _rational_rank(values) == cap:
             return cap
-    return jacobian_rank(generators, ring)
+    return _polynomial_rank(rows, n)
+
+
+def _value_at(p, point):
+    """p at an integer point, in plain int (and Fraction, for QQ)
+    arithmetic; every exponent of p must be nonnegative."""
+    total = 0
+    for exp, c in p.terms:
+        for v, e in zip(point, exp):
+            if e:
+                c *= v ** e
+        total += c
+    return total
 
 
 def _rational_rank(rows):
@@ -258,15 +287,17 @@ def _rational_rank(rows):
 def transcendence_degree(generators, ring, unit_rank=None):
     """Transcendence degree of the subring generated by the given elements.
 
-    Characteristic 0: the Jacobian rank over the rational function field,
-    computed exactly.  Characteristic p: the Jacobian criterion is unsound
-    (inseparability), so the result is the interval [r, r + n - d], except
-    that a pure Laurent ring forces the exact value r.
+    Characteristic 0: the Jacobian rank over the rational function field.
+    It is certified at a random integer point when the rank there reaches
+    min(#generators, n), and computed by exact elimination otherwise (see
+    `jacobian_rank_at_random_point`).  Characteristic p: the Jacobian
+    criterion is unsound (inseparability), so the result is the interval
+    [r, r + n - d], except that a pure Laurent ring forces the exact value r.
     """
     if not generators:
         return 0
     if ring.domain.characteristic == 0:
-        return jacobian_rank(generators, ring)
+        return jacobian_rank_at_random_point(generators, ring)
     if unit_rank is None:
         raise ValueError("positive characteristic needs the unit rank r")
     if ring.laurent == ring.n:

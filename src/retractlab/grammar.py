@@ -8,9 +8,9 @@ Grammar:
     x3 -> x3 + x2 - 1
 
 Expressions use + - * ^ ( ), integer or a/b coefficients, and negative
-exponents only on Laurent variables.  Whitespace-insensitive; comments start
-with '#'.  The ASCII spelling ^+- is accepted for ^±; the printer always
-emits ^±.
+exponents only on Laurent variables; parentheses nest at most `MAX_NESTING`
+deep.  Whitespace-insensitive; comments start with '#'.  The ASCII spelling
+^+- is accepted for ^±; the printer always emits ^±.
 """
 
 import json
@@ -87,42 +87,37 @@ class _Token:
         self.col = col
 
 
+# a number with an optional /denominator, an identifier, an operator, or
+# any other non-space character (an error)
+_TOKEN_RE = re.compile(
+    r"(\d+)(/\d*)?|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S)")
+
+
 def _tokenize(text, lineno):
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            num = int(text[i:j])
-            den = None
-            if j < len(text) and text[j] == "/":
-                k = j + 1
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/'", lineno, j + 2)
-                den = int(text[j + 1:k])
-                j = k
-            tokens.append(_Token("number", (num, den), col))
-            i = j
-        elif c.isalpha() or c == "_":
-            m = _IDENT_RE.match(text, i)
-            tokens.append(_Token("ident", m.group(0), col))
-            i = m.end()
-        elif c in "+-*^()":
-            tokens.append(_Token(c, c, col))
-            i += 1
+    for m in _TOKEN_RE.finditer(text):
+        num, den, ident, op, other = m.groups()
+        col = m.start() + 1
+        if num is not None:
+            if den is not None:
+                if den == "/":
+                    raise ParseError("expected digits after '/'", lineno,
+                                     m.end() + 1)
+                den = int(den[1:])
+            tokens.append(_Token("number", (int(num), den), col))
+        elif ident is not None:
+            tokens.append(_Token("ident", ident, col))
+        elif op is not None:
+            tokens.append(_Token(op, op, col))
         else:
-            raise ParseError("unexpected character %r" % c, lineno, col)
+            raise ParseError("unexpected character %r" % other, lineno, col)
     tokens.append(_Token("end", None, len(text) + 1))
     return tokens
+
+
+# Each level of parentheses takes five stack frames of the recursive-descent
+# parser; this limit stays well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class _ExprParser:
@@ -132,6 +127,7 @@ class _ExprParser:
         self.lineno = lineno
         self.tokens = _tokenize(text, lineno)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -154,11 +150,16 @@ class _ExprParser:
 
     def expr(self):
         value = self.term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        # canonicalize the whole sum once; adding one summand at a time
+        # would re-sort the partial sum each time
+        terms = list(value.terms)
         while self.peek().kind in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
+            terms.extend(rhs.terms if op.kind == "+" else (-rhs).terms)
+        return self.ring.from_terms(terms)
 
     def term(self):
         value = self.unary()
@@ -168,10 +169,12 @@ class _ExprParser:
         return value
 
     def unary(self):
-        if self.peek().kind == "-":
+        negate = False
+        while self.peek().kind == "-":
             self.take()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
 
     def power(self):
         base = self.atom()
@@ -217,7 +220,12 @@ class _ExprParser:
             return self.ring.variable(self.ring.names.index(tok.value))
         if tok.kind == "(":
             self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d"
+                                 % MAX_NESTING, self.lineno, tok.col)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.take(")")
             return value
         raise ParseError("expected a term, found %r" % tok.value,

@@ -15,6 +15,15 @@ first: the term pairs of one output degree are summed in a small dict,
 whose sorted nonzero entries are the next run of the canonical result.  So
 the working set is one slice of the output (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007).
+
+`substitute` runs in two stages.  Images with at most one term (units,
+scalars, zero), such as the images of the Laurent block under an
+endomorphism, only move exponents and scale coefficients, so they are
+applied by exponent arithmetic, term by term.  The terms are then grouped by
+their exponents on the remaining variables, and only a group that does not
+cancel is multiplied by its product of powers of multi-term images.  The
+large powers that a full expansion would build, and that then cancel, are
+never formed.
 """
 
 from fractions import Fraction
@@ -154,6 +163,10 @@ def _finish(c, mod, den):
 def _product_terms(ring, f, g):
     """Canonical terms of f·g for canonical term tuples f and g."""
     dom = ring.domain
+    if len(f) == 1 and len(g) == 1:
+        # monomial times monomial: the domains have no zero divisors
+        (e1, c1), (e2, c2) = f[0], g[0]
+        return ((_exponent_adder(ring.n)(e1, e2), dom.reduce(c1 * c2)),)
     mod = dom.p if dom.kind == "prime-field" else 0
     den_f, f = _integer_terms(f)
     den_g, g = _integer_terms(g)
@@ -179,6 +192,19 @@ def _product_terms(ring, f, g):
             if c:
                 out.append((e, c))
     return tuple(out)
+
+
+def _single_term_power(p, e):
+    """The term (exponent, coefficient) of p**e for p with at most one term;
+    the coefficient is 0 when p is zero.  A negative e inverts p, raising
+    NonUnitError as p**e does."""
+    if e < 0:
+        p = p.invert_unit()
+        e = -e
+    if not p.terms:
+        return (0,) * p.ring.n, 0
+    exp, c = p.terms[0]
+    return tuple(x * e for x in exp), p.ring.domain.pow(c, e)
 
 
 class MixedPoly:
@@ -226,7 +252,7 @@ class MixedPoly:
         return self.terms[0][1]
 
     def _require_same_ring(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError("operands live in different rings")
 
     # -- ring operations -----------------------------------------------------
@@ -258,6 +284,10 @@ class MixedPoly:
             self.ring, tuple((e, dom.mul(k, c)) for e, k in self.terms))
 
     def __pow__(self, k):
+        if len(self.terms) == 1:
+            exp, c = _single_term_power(self, k)
+            return MixedPoly._trusted(self.ring,
+                                      ((exp, self.ring.domain.reduce(c)),))
         if k < 0:
             return self.invert_unit() ** (-k)
         result = self.ring.one()
@@ -299,7 +329,16 @@ class MixedPoly:
         """Apply the R-algebra homomorphism x_i ↦ images[i].
 
         Images of Laurent-block variables must be units wherever a negative
-        exponent needs inverting.
+        exponent needs inverting.  A negative exponent on an image that is
+        not a unit raises NonUnitError, even where its term would vanish or
+        cancel.
+
+        Two stages.  Images with at most one term (units, scalars, zero) act
+        on exponents: each term of self adds their exponent vectors,
+        multiplies their coefficients, and goes into a bucket keyed by its
+        exponents β on the variables whose images have several terms.  Each
+        bucket that does not cancel is then multiplied by ∏ images[i]^β_i,
+        so that product is built only for the buckets that need it.
         """
         if len(images) != self.ring.n:
             raise ValueError("expected %d images, got %d" % (self.ring.n, len(images)))
@@ -309,31 +348,76 @@ class MixedPoly:
             else:
                 target_ring = self.ring
         for img in images:
-            if img.ring != target_ring:
+            if img.ring is not target_ring and img.ring != target_ring:
                 raise RingMismatchError("images live in different rings")
-        power_cache = {}
-
-        def var_power(i, e):
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
         dom = target_ring.domain
-        coerce = dom.coerce if dom != self.ring.domain else None
-        one = target_ring.one()
-        acc = {}
+        source = self.ring.domain
+        coerce = dom.coerce if dom is not source and dom != source else None
+        add = _exponent_adder(target_ring.n)
+        multi = [len(img.terms) > 1 for img in images]
+        multi_indices = [i for i, m in enumerate(multi) if m]
+        zero_exp = (0,) * target_ring.n
+        single_powers = {}
+
+        # stage 1: exponent arithmetic for the single-term images
+        buckets = {}
         for exp, c in self.terms:
             if coerce is not None:
                 c = coerce(c)
-            term = one
+            shift = zero_exp
             for i, e in enumerate(exp):
-                if e:
-                    power = var_power(i, e)
-                    term = power if term is one else term * power
-            for e, k in term.terms:
-                acc[e] = acc.get(e, 0) + c * k
+                if not e:
+                    continue
+                if multi[i]:
+                    if e < 0:
+                        images[i].invert_unit()  # raises: not a unit
+                    continue
+                power = single_powers.get((i, e))
+                if power is None:
+                    power = _single_term_power(images[i], e)
+                    single_powers[i, e] = power
+                m, k = power
+                shift = m if shift is zero_exp else add(shift, m)
+                if k != 1:
+                    c = c * k
+            if not c:
+                continue  # a zero image
+            beta = tuple([exp[i] for i in multi_indices])
+            bucket = buckets.get(beta)
+            if bucket is None:
+                bucket = buckets[beta] = {}
+            bucket[shift] = bucket.get(shift, 0) + c
+
+        # stage 2: multiply each bucket that does not cancel by its product
+        # of multi-term image powers
         reduce = dom.reduce
+        acc = buckets.pop((0,) * len(multi_indices), None) or {}
+        power_cache = {}
+        for beta, bucket in buckets.items():
+            terms = []
+            for e, c in bucket.items():
+                c = reduce(c)
+                if c:
+                    terms.append((e, c))
+            if not terms:
+                continue
+            product = None
+            for i, b in zip(multi_indices, beta):
+                if b:
+                    power = power_cache.get((i, b))
+                    if power is None:
+                        power = power_cache[i, b] = images[i] ** b
+                    product = power if product is None else product * power
+            if len(terms) == 1:
+                e0, c0 = terms[0]
+                for e, k in product.terms:
+                    e = add(e0, e)
+                    acc[e] = acc.get(e, 0) + c0 * k
+            else:
+                terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
+                part = MixedPoly._trusted(target_ring, tuple(terms)) * product
+                for e, k in part.terms:
+                    acc[e] = acc.get(e, 0) + k
         terms = []
         for e, c in acc.items():
             c = reduce(c)

@@ -5,8 +5,6 @@ worked examples plus a sweep of generated instances with every certificate
 checked exactly.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .domains import QQ, GF
 from .engine import analyze
 from .generator import GeneratorSpec, gen_random_idempotent
@@ -64,7 +62,7 @@ def _check_report_determinism():
     return a == b
 
 
-def run_selftest(threads=1):
+def run_selftest():
     checks = [
         ("worked-example-e1", _check_e1),
         ("classification-table", _check_table),
@@ -72,11 +70,7 @@ def run_selftest(threads=1):
         ("generated-pure-laurent-GF5", lambda: _check_generated(GF(5), 20, 200)),
         ("report-determinism", _check_report_determinism),
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c[1](), checks))
-    else:
-        results = [fn() for _, fn in checks]
+    results = [fn() for _, fn in checks]
     ok = True
     for (name, _), passed in zip(checks, results):
         print("%s %s" % ("PASS" if passed else "FAIL", name))

@@ -68,13 +68,38 @@ def test_gen_output_is_checkable(tmp_path, capsys):
     out = tmp_path / "gen"
     assert run_cli(["gen", "--n", "2", "--d", "2", "--r", "1", "--seed", "3",
                     "--complexity", "2", "--count", "3", "--domain", "GF(5)",
-                    "--out-dir", str(out), "--threads", "2"]) == 0
+                    "--out-dir", str(out)]) == 0
     capsys.readouterr()
     files = sorted(os.listdir(out))
     assert len(files) == 3
     for name in files:
         assert run_cli(["check", str(out / name)]) == 0
         capsys.readouterr()
+
+
+def test_deep_parentheses_are_a_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.ring"
+    deep.write_text("ring QQ[x^±]\nx -> %sx%s\n" % ("(" * 5000, ")" * 5000))
+    assert run_cli(["check", str(deep)]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+
+
+def test_directory_input_is_a_read_error(tmp_path, capsys):
+    assert run_cli(["analyze", str(tmp_path)]) == 2
+    assert "cannot read input" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert run_cli(["analyze", path("e1.ring"), "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_read_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.ring"
+    bad.write_bytes("ring QQ[x^±]\nx -> x  # caf\u00e9\n".encode("latin-1"))
+    assert run_cli(["check", str(bad)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_selftest(capsys):

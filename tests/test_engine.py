@@ -81,11 +81,24 @@ def test_transcendence_degree_char_p():
 
 def test_jacobian_rank_probabilistic_cross_check():
     rng = random.Random(0)
-    for seed in range(10):
-        R = RingSignature(["x1", "x2", "x3"], 2, QQ)
-        gens = [random_element(R, random.Random(seed)) for _ in range(2)]
-        assert jacobian_rank_at_random_point(gens, R, rng) == \
-            jacobian_rank(gens, R)
+    for dom in (QQ, ZZ):
+        for laurent in (2, 3):
+            R = RingSignature(["x1", "x2", "x3"], laurent, dom)
+            for seed in range(10):
+                source = random.Random(seed)
+                gens = [random_element(R, source) for _ in range(2)]
+                assert jacobian_rank_at_random_point(gens, R, rng) == \
+                    jacobian_rank(gens, R)
+        # rank 1 < min(#generators, n) = 2: only elimination can return it
+        R = RingSignature(["x1", "x2"], 1, dom)
+        x1 = R.variable(0)
+        for gens in ([x1, x1 ** 2], [x1 ** -1, x1 + x1 ** -2]):
+            assert jacobian_rank(gens, R) == 1
+            assert jacobian_rank_at_random_point(gens, R, rng) == 1
+    # integer point values say nothing about the rank mod p
+    F = RingSignature(["x1"], 1, GF(5))
+    with pytest.raises(ValueError, match="characteristic 0"):
+        jacobian_rank_at_random_point([F.variable(0)], F)
 
 
 @pytest.mark.parametrize("n,d,r,t,domain,tag,params", [

@@ -36,6 +36,22 @@ def test_parse_gf():
     assert phi.images[0] == ring.monomial((1, -1), 2)
 
 
+def test_long_sum_parses_in_one_pass():
+    ring = RingSignature(["x1", "x2", "x3"], 2, QQ)
+    rng = random.Random(3)
+    terms = [((rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(0, 4)),
+              rng.randint(-9, 9)) for _ in range(2000)]
+    pieces = ["%d*x1^%d*x2^%d*x3^%d" % ((c,) + exp) for exp, c in terms]
+    expected = ring.from_terms(terms)
+    got = parse_expression(ring, " + ".join(pieces))
+    assert got == expected
+    assert parse_expression(ring, str(got)) == got
+    # -(a - b - c ...) = -a + b + c ...
+    negated = parse_expression(ring, "-(%s)" % " - ".join(pieces))
+    assert negated == ring.from_terms([(terms[0][0], -terms[0][1])]
+                                      + terms[1:])
+
+
 def test_parse_errors():
     with pytest.raises(ParseError, match="undeclared"):
         parse_problem(load("undeclared.ring"))
@@ -51,6 +67,12 @@ def test_parse_errors():
         parse_problem("ring QQ[x,y^±]\nx -> x\ny -> y\n")
     with pytest.raises(ParseError, match="not an integer"):
         parse_problem("ring ZZ[x^±]\nx -> 1/2*x\n")
+    for text in ("x -> \u00e9", "x -> x^\u00b2", "x -> x $ 1"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_problem("ring QQ[x^±]\n%s\n" % text)
+    with pytest.raises(ParseError, match="digits after") as exc:
+        parse_problem("ring QQ[x^±]\nx -> 3/ * x\n")
+    assert exc.value.col == 4
 
 
 def test_parse_error_carries_location():

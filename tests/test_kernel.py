@@ -1,7 +1,9 @@
-"""The degree-sliced product kernel against the plain algorithms it replaced.
+"""The degree-sliced product kernel and the two-stage substitute against
+the plain algorithms they replaced.
 
 `reference_mul` is the nested-loop product with domain arithmetic and one
-final sort; `reference_substitute` adds the substituted terms one at a time.
+final sort; `reference_substitute` expands every image power and adds the
+substituted terms one at a time.
 Both build their results through the checked public constructors, so they
 share nothing with the kernel but the canonical form.
 """
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from retractlab import QQ, ZZ, GF, RingSignature, MixedPoly
+from retractlab import QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError
 
 
 def reference_mul(p, q):
@@ -35,8 +37,8 @@ def reference_pow(p, k):
     return result
 
 
-def reference_substitute(p, images):
-    target = images[0].ring
+def reference_substitute(p, images, target=None):
+    target = images[0].ring if target is None else target
     result = target.zero()
     for exp, c in p.terms:
         term = target.constant(c)
@@ -104,21 +106,75 @@ def test_pow_matches_reference(dom):
     assert (u ** -3).terms == reference_pow(u, -3).terms
 
 
+def random_image(target, rng, laurent_source):
+    """An image for one source variable: a unit or unit scalar for a
+    Laurent one (negative exponents invert it); otherwise zero, a scalar, a
+    single term or a sum of terms."""
+    dom = target.domain
+    kind = rng.randrange(2 if laurent_source else 4)
+    if kind == 0:
+        exp = tuple(rng.randint(-2, 2) if i < target.laurent else 0
+                    for i in range(target.n))
+        return target.monomial(exp, random_unit(dom, rng))
+    if kind == 1:
+        return target.constant(random_unit(dom, rng) if laurent_source
+                               else random_coeff(dom, rng))
+    if kind == 2:
+        return random_poly(target, rng, max_terms=1, max_exp=2)
+    return random_poly(target, rng, max_terms=3, max_exp=2)
+
+
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_substitute_matches_reference(dom):
     rng = random.Random(99)
     R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
-    for _ in range(25):
-        # Laurent variables go to units, so negative exponents invert
-        images = [R.monomial((rng.randint(-2, 2), rng.randint(-2, 2), 0, 0),
-                             random_unit(dom, rng)) for _ in range(2)]
-        images += [random_poly(R, rng, max_terms=3, max_exp=2)
-                   for _ in range(2)]
-        p = random_poly(R, rng, max_exp=2)
-        got = p.substitute(images)
-        assert got.terms == reference_substitute(p, images).terms
-        if dom is QQ:
-            assert_canonical_qq(got)
+    # substitute also maps into rings other than the source
+    S = RingSignature(["u", "v", "w"], 1, dom)
+    for target in (R, S):
+        for _ in range(40):
+            images = [random_image(target, rng, i < R.laurent)
+                      for i in range(R.n)]
+            p = random_poly(R, rng, max_exp=2)
+            if rng.random() < 0.5:
+                # x1 -> 1 makes every bucket of (x1 - 1)·q cancel
+                images[0] = target.one()
+                q = random_poly(R, rng, max_terms=4, max_exp=2)
+                p = p + q * (R.variable(0) - R.one())
+            got = p.substitute(images, target)
+            assert got.terms == reference_substitute(p, images, target).terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+
+
+def test_substitute_cancelling_buckets():
+    R = RingSignature(["x1", "x2", "x3"], 1, QQ)
+    x1, x2, x3 = (R.variable(i) for i in range(3))
+    images = [R.one(), x2 + x3, x3]
+    # each exponent of x2 meets x1^0 and x1^1 with opposite signs
+    p = (x1 - R.one()) * (x2 ** 3 + x2 * x3 + R.one())
+    assert p.substitute(images).is_zero()
+    assert reference_substitute(p, images).is_zero()
+    got = (p + x2).substitute(images)
+    assert got == x2 + x3 == reference_substitute(p + x2, images)
+
+
+def test_substitute_non_unit_errors_match_reference():
+    R = RingSignature(["x1", "x2", "x3"], 2, QQ)
+    x1, x2, x3 = (R.variable(i) for i in range(3))
+    inv = R.monomial((-1, 0, 0))
+    # a negative exponent on a multi-term image, in a bucket that cancels
+    images = [x1 + x3, x2, R.one()]
+    cancelling = inv * x3 - inv
+    assert not cancelling.is_zero()
+    # a zero image ahead of a negative exponent on another zero image
+    zeros = [R.zero(), R.zero(), x3]
+    for p, imgs in ((cancelling, images),
+                    (x1 * R.monomial((0, -1, 0)), zeros)):
+        with pytest.raises(NonUnitError) as expected:
+            reference_substitute(p, imgs)
+        with pytest.raises(NonUnitError) as got:
+            p.substitute(imgs)
+        assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
