@@ -13,7 +13,7 @@ algorithm identifier `mt19937-py` in their header for reproducibility.
 import random
 from fractions import Fraction
 
-from .endo import Endomorphism, standard_projection, conjugate
+from .endo import Endomorphism, standard_projection, compose
 from .grammar import render_problem
 from .ring import RingSignature
 
@@ -81,7 +81,13 @@ def _elementary_automorphism(ring, rng, complexity):
         kinds += ["invert", "scale"]
     if n > d:
         kinds += ["shift", "pscale"]
-    kind = rng.choice(kinds)
+    return _automorphism_of_kind(ring, rng.choice(kinds), rng, complexity)
+
+
+def _automorphism_of_kind(ring, kind, rng, complexity):
+    """An elementary automorphism of the given kind and its closed-form
+    inverse; the tests check that the two are inverse for every kind."""
+    d, n = ring.laurent, ring.n
     fwd = [ring.variable(i) for i in range(n)]
     inv = [ring.variable(i) for i in range(n)]
     if kind == "mult":
@@ -125,7 +131,9 @@ def gen_random_idempotent(spec):
     phi = standard_projection(ring, keep_laurent, keep_poly)
     for _ in range(spec.complexity):
         alpha, alpha_inv = _elementary_automorphism(ring, rng, spec.complexity)
-        phi = conjugate(phi, alpha, alpha_inv)
+        # alpha_inv is the closed-form inverse of alpha, so this is the
+        # conjugate alpha ∘ phi ∘ alpha^-1, still idempotent and of rank r
+        phi = compose(alpha, compose(phi, alpha_inv))
     return phi
 
 

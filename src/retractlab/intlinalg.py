@@ -1,12 +1,13 @@
 """Exact integer linear algebra for idempotent unit-lattice matrices.
 
-Fixed-lattice and kernel bases are canonicalized by Hermite normal form
-(positive pivots, entries above a pivot reduced into [0, pivot)), so every
-decomposition is byte-reproducible.  All arithmetic is exact; matrices here
-are desk-scale (d ≤ 8), so no modular shortcuts are used.
+For idempotent M, Z^d = im M ⊕ im(I - M): the fixed lattice is spanned by
+the columns of M and the kernel by the columns of I - M.  Both bases are
+canonicalized by Hermite normal form (positive pivots, entries above a pivot
+reduced into [0, pivot)), so every decomposition is byte-reproducible.  The
+assembled basis Y = [fixed | kernel] is then unimodular, and its inverse T
+comes from the HNF transform of its columns.  All arithmetic is exact;
+matrices here are desk-scale (d ≤ 8), so no modular shortcuts are used.
 """
-
-from fractions import Fraction
 
 
 class IntMatrix:
@@ -133,67 +134,13 @@ def fixed_lattice_basis(M):
 
 
 def kernel_basis(M):
-    """Canonical Z-basis of {v : Mv = 0} for idempotent M."""
+    """Canonical Z-basis of {v : Mv = 0} for idempotent M, spanned by the
+    columns of I - M since ker M = im(I - M)."""
     if not mat_is_idempotent(M):
         raise ValueError("matrix is not idempotent")
-    rows = list(M.transpose().entries)
-    if not rows:
-        return []
-    H, U = row_hnf(rows)
-    ker = [u for h, u in zip(H, U) if not any(h)]
-    return _lattice_basis(ker)
-
-
-def det(M):
-    """Determinant by fraction-free (Bareiss) elimination."""
-    if not M.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in M.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def inverse_unimodular(M):
-    """Exact integer inverse of a matrix with determinant ±1."""
-    n = M.rows
-    if not M.is_square:
-        raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M.entries)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    out = []
-    for i in range(n):
-        row = a[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return IntMatrix(out)
+    d = M.rows
+    return _lattice_basis([tuple(int(i == j) - M.entries[i][j]
+                                 for i in range(d)) for j in range(d)])
 
 
 class SummandDecomposition:
@@ -201,16 +148,15 @@ class SummandDecomposition:
     the assembled basis matrix Y (fixed columns first) and its integer
     inverse T."""
 
-    __slots__ = ("M", "r", "fixed_basis", "kernel_basis", "Y", "T", "det_sign")
+    __slots__ = ("M", "r", "fixed_basis", "kernel_basis", "Y", "T")
 
-    def __init__(self, M, r, fixed_basis, kernel_basis, Y, T, det_sign):
+    def __init__(self, M, r, fixed_basis, kernel_basis, Y, T):
         self.M = M
         self.r = r
         self.fixed_basis = tuple(fixed_basis)
         self.kernel_basis = tuple(kernel_basis)
         self.Y = Y
         self.T = T
-        self.det_sign = det_sign
 
     @property
     def d(self):
@@ -222,28 +168,30 @@ class SummandDecomposition:
 
 
 def assemble_unimodular(fixed, kernel):
-    """Assemble Y = [fixed | kernel] as columns, verify |det Y| = 1, and
-    compute the exact integer inverse T."""
+    """Assemble Y = [fixed | kernel] as columns and return (Y, T) with
+    T = Y^-1.
+
+    The rows of Y^t are the basis vectors; their row HNF is I exactly when
+    Y is unimodular, and then the transform U (U·Y^t = I) gives T = U^t.
+    """
     vectors = list(fixed) + list(kernel)
     if not vectors:
-        return IntMatrix(()), IntMatrix(()), 1
+        return IntMatrix(()), IntMatrix(())
     d = len(vectors[0])
     if len(vectors) != d:
         raise ValueError("expected %d basis vectors, got %d" % (d, len(vectors)))
-    Y = IntMatrix(tuple(zip(*vectors)))
-    dY = det(Y)
-    if dY not in (1, -1):
-        raise ValueError("assembled basis is not unimodular (det = %d)" % dY)
-    T = inverse_unimodular(Y)
-    return Y, T, dY
+    H, U = row_hnf(vectors)
+    if IntMatrix(H) != IntMatrix.identity(d):
+        raise ValueError("assembled basis is not unimodular")
+    return IntMatrix(tuple(zip(*vectors))), IntMatrix(U).transpose()
 
 
 def decompose(M):
     """Full summand decomposition of an idempotent d×d matrix."""
     fixed = fixed_lattice_basis(M)
     kernel = kernel_basis(M)
-    Y, T, sign = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, T, sign)
+    Y, T = assemble_unimodular(fixed, kernel)
+    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, T)
 
 
 def solve_in_lattice(v, basis):

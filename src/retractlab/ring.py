@@ -442,7 +442,9 @@ class MixedPoly:
             new = list(exp)
             new[i] = e - 1
             out.append((tuple(new), k))
-        return self.ring.from_terms(out)
+        # shifting every exponent by -e_i keeps the graded-lex order and
+        # the exponents distinct, and the zero terms are already dropped
+        return MixedPoly._trusted(self.ring, tuple(out))
 
     def evaluate(self, point):
         """Exact value at a point; Laurent-block coordinates must be nonzero."""

@@ -44,9 +44,10 @@ def test_criterion_1_pure_laurent_retracts_are_laurent_rings():
         assert rep.trdeg == rep.r
         assert all(rep.certificates.values())
         # the certificates re-checked here at the matrix level
-        M = rep.decomposition.M
+        dec = rep.decomposition
+        M = dec.M
         assert M * M == M
-        assert rep.decomposition.det_sign in (1, -1)
+        assert dec.Y * dec.T == IntMatrix.identity(spec.d)
         for i in range(spec.d):
             assert solve_in_lattice(M.column(i),
                                     rep.decomposition.fixed_basis) is not None

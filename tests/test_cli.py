@@ -4,9 +4,15 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from retractlab.cli import run_cli
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+# `analyze --json` stdout (<name>.stdout) and exit code of each data file
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+    GOLDEN_EXIT = json.load(fh)
 
 
 def path(name):
@@ -132,3 +138,20 @@ def test_python_m_entry_point():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "ok" in done.stdout
+
+
+def test_golden_expectations_cover_every_data_file():
+    assert sorted(GOLDEN_EXIT) == sorted(os.listdir(DATA))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXIT))
+def test_analyze_json_matches_golden_bytes(name):
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "retractlab", "analyze", "--json", path(name)],
+        env=env, capture_output=True, timeout=60)
+    with open(os.path.join(GOLDEN, name[:-len(".ring")] + ".stdout"),
+              "rb") as fh:
+        assert done.stdout == fh.read()
+    assert done.returncode == GOLDEN_EXIT[name], done.stderr

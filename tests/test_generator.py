@@ -46,3 +46,22 @@ def test_header_records_algorithm_and_seed():
     text = problem_text(spec)
     head = text.splitlines()[1]
     assert RNG_ALGORITHM in head and "seed=42" in head and "GF(7)" in head
+
+
+def test_elementary_inverses_are_two_sided():
+    # the generator conjugates without re-checking the closed-form
+    # inverses, so every kind is checked here on each domain
+    from retractlab.endo import compose, identity
+    from retractlab.generator import _automorphism_of_kind
+    from retractlab.ring import RingSignature
+    kinds = ["mult", "swap", "invert", "scale", "pscale", "shift"]
+    for domain in (QQ, ZZ, GF(5)):
+        ring = RingSignature(["x1", "x2", "x3", "x4"], 2, domain)
+        ident = identity(ring)
+        rng = random.Random(17)
+        for kind in kinds:
+            for complexity in (1, 2, 3) * 5:
+                alpha, alpha_inv = _automorphism_of_kind(ring, kind, rng,
+                                                         complexity)
+                assert compose(alpha, alpha_inv) == ident, (domain, kind)
+                assert compose(alpha_inv, alpha) == ident, (domain, kind)

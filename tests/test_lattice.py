@@ -6,7 +6,6 @@ import pytest
 from retractlab import (IntMatrix, mat_is_idempotent, fixed_lattice_basis,
                         kernel_basis, assemble_unimodular, decompose,
                         solve_in_lattice)
-from retractlab.intlinalg import det, inverse_unimodular
 
 
 def test_mat_is_idempotent():
@@ -38,22 +37,32 @@ def test_non_idempotent_rejected():
 
 
 def test_assemble_unimodular_examples():
-    Y, T, sign = assemble_unimodular([(1, 1)], [(0, 1)])
+    Y, T = assemble_unimodular([(1, 1)], [(0, 1)])
     assert Y == IntMatrix([[1, 0], [1, 1]])
     assert T == IntMatrix([[1, 0], [-1, 1]])
-    assert sign == 1
+    assert Y * T == IntMatrix.identity(2)
 
-    Y, T, _ = assemble_unimodular([(1, 0), (0, 1)], [])
+    Y, T = assemble_unimodular([(1, 0), (0, 1)], [])
     assert Y == IntMatrix.identity(2) and T == IntMatrix.identity(2)
 
-    Y, T, _ = assemble_unimodular([(1, 0)], [(2, 1)])
+    Y, T = assemble_unimodular([(1, 0)], [(2, 1)])
     assert Y == IntMatrix([[1, 2], [0, 1]])
     assert T == IntMatrix([[1, -2], [0, 1]])
+    assert Y * T == IntMatrix.identity(2)
+
+    # determinant -1: the HNF transform still inverts it
+    Y, T = assemble_unimodular([(0, 1)], [(1, 0)])
+    assert Y == IntMatrix([[0, 1], [1, 0]])
+    assert Y * T == IntMatrix.identity(2)
+
+    assert assemble_unimodular([], []) == (IntMatrix(()), IntMatrix(()))
 
 
 def test_assemble_rejects_non_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not unimodular"):
         assemble_unimodular([(2, 0)], [(0, 1)])
+    with pytest.raises(ValueError, match="not unimodular"):
+        assemble_unimodular([(1, 1)], [(2, 2)])  # singular
 
 
 def test_solve_in_lattice_examples():
@@ -65,19 +74,24 @@ def test_solve_in_lattice_examples():
 
 
 def _random_unimodular(d, rng, steps=8):
+    """A random unimodular C and its inverse, built together: each row
+    operation row_i += c·row_j on C is undone on the right of C^-1 by
+    column_j -= c·column_i."""
     C = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
+    Cinv = [row[:] for row in C]
     for _ in range(steps if d >= 2 else 0):
         i, j = rng.sample(range(d), 2)
         c = rng.choice([-2, -1, 1, 2])
         for k in range(d):
             C[i][k] += c * C[j][k]
-    return IntMatrix(C)
+            Cinv[k][j] -= c * Cinv[k][i]
+    return IntMatrix(C), IntMatrix(Cinv)
 
 
 def random_idempotent_matrix(d, rank, rng):
     """C·D·C^-1 with unimodular C and 0/1 diagonal D."""
-    C = _random_unimodular(d, rng)
-    Cinv = inverse_unimodular(C)
+    C, Cinv = _random_unimodular(d, rng)
+    assert C * Cinv == IntMatrix.identity(d)
     D = IntMatrix([[1 if i == j and i < rank else 0 for j in range(d)]
                    for i in range(d)])
     return C * D * Cinv
@@ -91,7 +105,6 @@ def test_decompose_random_idempotents():
         M = random_idempotent_matrix(d, rng.randint(0, d), rng)
         dec = decompose(M)
         assert len(dec.fixed_basis) + len(dec.kernel_basis) == d
-        assert abs(det(dec.Y)) == 1
         assert dec.T * dec.Y == IntMatrix.identity(d)
         assert dec.Y * dec.T == IntMatrix.identity(d)
         # M·Y = Y·diag(1..1, 0..0)

@@ -106,6 +106,31 @@ def test_derivative_char_p():
     assert R.monomial((5,)).partial_derivative(0).is_zero()
 
 
+def test_partial_derivative_matches_from_terms_reference():
+    # the derivative is built in canonical form directly; the reference
+    # canonicalizes through from_terms.  Exponents up to 6 include
+    # multiples of 3 and 5, whose terms vanish over GF(3) and GF(5).
+    def reference(p, i):
+        dom = p.ring.domain
+        return p.ring.from_terms(
+            (exp[:i] + (exp[i] - 1,) + exp[i + 1:],
+             dom.mul(c, dom.from_int(exp[i])))
+            for exp, c in p.terms if exp[i])
+
+    rng = random.Random(23)
+    for domain in (QQ, ZZ, GF(5), GF(3)):
+        R = RingSignature(["x1", "x2", "x3"], 2, domain)
+        for _ in range(40):
+            p = random_element(R, rng, max_terms=6, max_exp=6)
+            if domain is QQ:
+                p = p.scale(Fraction(1, rng.randint(1, 4)))
+            for i in range(R.n):
+                got, want = p.partial_derivative(i), reference(p, i)
+                assert got.terms == want.terms
+                assert [type(c) for _, c in got.terms] == \
+                    [type(c) for _, c in want.terms]
+
+
 def test_evaluate():
     R = RingSignature(["x1"], 1, QQ)
     p = R.variable(0) + R.monomial((-1,))
