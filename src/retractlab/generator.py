@@ -13,7 +13,7 @@ algorithm identifier `mt19937-py` in their header for reproducibility.
 import random
 from fractions import Fraction
 
-from .endo import Endomorphism, standard_projection, compose
+from .endo import Endomorphism, standard_projection, conjugate
 from .grammar import render_problem
 from .ring import RingSignature
 
@@ -131,9 +131,7 @@ def gen_random_idempotent(spec):
     phi = standard_projection(ring, keep_laurent, keep_poly)
     for _ in range(spec.complexity):
         alpha, alpha_inv = _elementary_automorphism(ring, rng, spec.complexity)
-        # alpha_inv is the closed-form inverse of alpha, so this is the
-        # conjugate alpha ∘ phi ∘ alpha^-1, still idempotent and of rank r
-        phi = compose(alpha, compose(phi, alpha_inv))
+        phi = conjugate(phi, alpha, alpha_inv)
     return phi
 
 

@@ -145,13 +145,10 @@ def test_golden_expectations_cover_every_data_file():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_EXIT))
-def test_analyze_json_matches_golden_bytes(name):
-    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "retractlab", "analyze", "--json", path(name)],
-        env=env, capture_output=True, timeout=60)
+def test_analyze_json_matches_golden_bytes(name, capsysbinary):
+    code = run_cli(["analyze", "--json", path(name)])
+    out, err = capsysbinary.readouterr()
     with open(os.path.join(GOLDEN, name[:-len(".ring")] + ".stdout"),
               "rb") as fh:
-        assert done.stdout == fh.read()
-    assert done.returncode == GOLDEN_EXIT[name], done.stderr
+        assert out == fh.read()
+    assert code == GOLDEN_EXIT[name], err

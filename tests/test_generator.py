@@ -49,8 +49,8 @@ def test_header_records_algorithm_and_seed():
 
 
 def test_elementary_inverses_are_two_sided():
-    # the generator conjugates without re-checking the closed-form
-    # inverses, so every kind is checked here on each domain
+    # every kind's closed-form inverse, on each domain, drawn directly
+    # rather than only as the kinds the generator happens to pick
     from retractlab.endo import compose, identity
     from retractlab.generator import _automorphism_of_kind
     from retractlab.ring import RingSignature
