@@ -13,6 +13,7 @@ certificate failure.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .domains import QQ, ZZ, GF
 from .endo import validate, idempotency_defect
@@ -141,9 +142,13 @@ def build_parser():
     return parser
 
 
+# built on the first call: parse_args leaves the parser as it found it and
+# returns a fresh Namespace each time
+_parser = lru_cache(maxsize=None)(build_parser)
+
+
 def run_cli(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

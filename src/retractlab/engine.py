@@ -404,7 +404,7 @@ def analyze(phi):
 
     killed = all(y.verified for y in yvars if y.kind == "killed")
     certificates = {
-        "matrix_idempotent": dec.M * dec.M == dec.M,
+        "matrix_idempotent": dec.idempotent,
         "unimodular_basis": dec.Y * dec.T == IntMatrix.identity(d),
         "fixed_y_images": all(y.verified for y in yvars if y.kind == "fixed"),
         "killed_y_images": killed,

@@ -11,6 +11,12 @@ Expressions use + - * ^ ( ), integer or a/b coefficients, and negative
 exponents only on Laurent variables; parentheses nest at most `MAX_NESTING`
 deep.  Whitespace-insensitive; comments start with '#'.  The ASCII spelling
 ^+- is accepted for ^±; the printer always emits ^±.
+
+Expressions are parsed by recursive descent, a term at a time: the numbers
+and variable powers of a product such as -2*x1^5*x3^-6 accumulate into one
+coefficient and one exponent list, and make a single term.  Only
+parenthesised factors, and powers of them, are multiplied as `MixedPoly`s.
+The terms of a sum are canonicalized once, at its end.
 """
 
 import json
@@ -115,8 +121,9 @@ def _tokenize(text, lineno):
     return tokens
 
 
-# Each level of parentheses takes five stack frames of the recursive-descent
-# parser; this limit stays well inside Python's default recursion limit.
+# Each level of parentheses takes two stack frames of the recursive-descent
+# parser (`expr` and `term`); this limit stays well inside Python's default
+# recursion limit.
 MAX_NESTING = 100
 
 
@@ -124,6 +131,7 @@ class _ExprParser:
 
     def __init__(self, ring, text, lineno):
         self.ring = ring
+        self.index = {name: i for i, name in enumerate(ring.names)}
         self.lineno = lineno
         self.tokens = _tokenize(text, lineno)
         self.pos = 0
@@ -144,51 +152,107 @@ class _ExprParser:
         value = self.expr()
         tail = self.peek()
         if tail.kind != "end":
-            raise ParseError("unexpected trailing %r" % tail.value,
+            shown = tail.value
+            if tail.kind == "number":  # (numerator, denominator or None)
+                shown = "/".join(str(x) for x in shown if x is not None)
+            raise ParseError("unexpected trailing %r" % (shown,),
                              self.lineno, tail.col)
         return value
 
     def expr(self):
-        value = self.term()
-        if self.peek().kind not in ("+", "-"):
-            return value
-        # canonicalize the whole sum once; adding one summand at a time
-        # would re-sort the partial sum each time
-        terms = list(value.terms)
+        """A sum of terms, canonicalized once: adding one summand at a time
+        would re-sort the partial sum each time."""
+        terms = self.term()
         while self.peek().kind in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            terms.extend(rhs.terms if op.kind == "+" else (-rhs).terms)
+            if self.take().kind == "+":
+                terms.extend(self.term())
+            else:
+                terms.extend((e, -c) for e, c in self.term())
         return self.ring.from_terms(terms)
 
     def term(self):
-        value = self.unary()
-        while self.peek().kind == "*":
+        """The terms of a product of factors, each factor a run of unary
+        minus signs before a number, a variable or a parenthesised sum, and
+        an optional power.  Numbers and variable powers accumulate into one
+        coefficient and one exponent list, so they make a single term; only
+        the parenthesised factors are multiplied as polynomials."""
+        ring = self.ring
+        dom = ring.domain
+        exp = [0] * ring.n
+        coeff = 1
+        factors = []
+        while True:
+            while self.peek().kind == "-":
+                self.take()
+                coeff = -coeff
+            tok = self.take()
+            if tok.kind == "ident":
+                i = self.index.get(tok.value)
+                if i is None:
+                    raise ParseError("undeclared identifier %r" % tok.value,
+                                     self.lineno, tok.col)
+                caret, k, negative = self.exponent()
+                if negative and i >= ring.laurent:
+                    raise ParseError(
+                        "negative exponent on polynomial variable %s"
+                        % tok.value, self.lineno, caret.col)
+                exp[i] += k
+            elif tok.kind == "number":
+                num, den = tok.value
+                try:
+                    c = dom.from_fraction(num, 1 if den is None else den)
+                except ValueError as exc:
+                    raise ParseError(str(exc), self.lineno, tok.col) from None
+                caret, k, _ = self.exponent()
+                if k < 0 and not dom.is_unit(c):
+                    raise ParseError("not a unit: %s" % ring.constant(c),
+                                     self.lineno, caret.col)
+                coeff *= dom.pow(c, k)
+            elif tok.kind == "(":
+                if self.depth == MAX_NESTING:
+                    raise ParseError("parentheses nested deeper than %d"
+                                     % MAX_NESTING, self.lineno, tok.col)
+                self.depth += 1
+                base = self.expr()
+                self.depth -= 1
+                self.take(")")
+                caret, k, negative = self.exponent()
+                if caret is not None:
+                    base = self.power(base, caret, k, negative)
+                factors.append(base)
+            else:
+                raise ParseError("expected a term, found %r" % tok.value,
+                                 self.lineno, tok.col)
+            if self.peek().kind != "*":
+                break
             self.take()
-            value = value * self.unary()
-        return value
+        coeff = dom.reduce(coeff)
+        if not coeff:
+            return []
+        if not factors:
+            return [(tuple(exp), coeff)]
+        value = ring.monomial(exp, coeff)
+        for factor in factors:
+            value = value * factor
+        return list(value.terms)
 
-    def unary(self):
-        negate = False
-        while self.peek().kind == "-":
-            self.take()
-            negate = not negate
-        value = self.power()
-        return -value if negate else value
-
-    def power(self):
-        base = self.atom()
+    def exponent(self):
+        """(caret token, k, negative) for a following '^k' or '^-k', else
+        (None, 1, False); '^-0' counts as negative."""
         if self.peek().kind != "^":
-            return base
+            return None, 1, False
         caret = self.take()
-        sign = 1
-        if self.peek().kind == "-":
+        negative = self.peek().kind == "-"
+        if negative:
             self.take()
-            sign = -1
         num, den = self.take("number").value
         if den is not None:
-            raise ParseError("exponent must be an integer", self.lineno, caret.col)
-        if sign < 0 and base.is_unit() is None:
+            raise ParseError("exponent must be an integer", self.lineno,
+                             caret.col)
+        return caret, -num if negative else num, negative
+
+    def power(self, base, caret, k, negative):
+        if negative and base.is_unit() is None:
             ring = self.ring
             if len(base.terms) == 1 and any(
                     base.terms[0][0][i] for i in range(ring.laurent, ring.n)):
@@ -198,38 +262,9 @@ class _ExprParser:
                     "negative exponent on polynomial variable %s" % bad,
                     self.lineno, caret.col)
         try:
-            return base ** (sign * num)
+            return base ** k
         except (NonUnitError, ValueError) as exc:
             raise ParseError(str(exc), self.lineno, caret.col) from None
-
-    def atom(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.take()
-            num, den = tok.value
-            try:
-                c = self.ring.domain.from_fraction(num, 1 if den is None else den)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.lineno, tok.col) from None
-            return self.ring.constant(c)
-        if tok.kind == "ident":
-            self.take()
-            if tok.value not in self.ring.names:
-                raise ParseError("undeclared identifier %r" % tok.value,
-                                 self.lineno, tok.col)
-            return self.ring.variable(self.ring.names.index(tok.value))
-        if tok.kind == "(":
-            self.take()
-            if self.depth == MAX_NESTING:
-                raise ParseError("parentheses nested deeper than %d"
-                                 % MAX_NESTING, self.lineno, tok.col)
-            self.depth += 1
-            value = self.expr()
-            self.depth -= 1
-            self.take(")")
-            return value
-        raise ParseError("expected a term, found %r" % tok.value,
-                         self.lineno, tok.col)
 
 
 def parse_expression(ring, text, lineno=1):

@@ -126,32 +126,46 @@ def _lattice_basis(vectors):
     return [r for r in H if any(r)]
 
 
-def fixed_lattice_basis(M):
-    """Canonical Z-basis of {v : Mv = v}, the image lattice of idempotent M."""
+def _require_idempotent(M):
     if not mat_is_idempotent(M):
         raise ValueError("matrix is not idempotent")
+
+
+def _fixed_basis(M):
     return _lattice_basis([M.column(j) for j in range(M.cols)])
 
 
-def kernel_basis(M):
-    """Canonical Z-basis of {v : Mv = 0} for idempotent M, spanned by the
-    columns of I - M since ker M = im(I - M)."""
-    if not mat_is_idempotent(M):
-        raise ValueError("matrix is not idempotent")
+def _kernel_basis(M):
     d = M.rows
     return _lattice_basis([tuple(int(i == j) - M.entries[i][j]
                                  for i in range(d)) for j in range(d)])
 
 
+def fixed_lattice_basis(M):
+    """Canonical Z-basis of {v : Mv = v}, the image lattice of idempotent M."""
+    _require_idempotent(M)
+    return _fixed_basis(M)
+
+
+def kernel_basis(M):
+    """Canonical Z-basis of {v : Mv = 0} for idempotent M, spanned by the
+    columns of I - M since ker M = im(I - M)."""
+    _require_idempotent(M)
+    return _kernel_basis(M)
+
+
 class SummandDecomposition:
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
     the assembled basis matrix Y (fixed columns first) and its integer
-    inverse T."""
+    inverse T.  `idempotent` is the outcome of the M·M = M check that
+    `decompose` ran."""
 
-    __slots__ = ("M", "r", "fixed_basis", "kernel_basis", "Y", "T")
+    __slots__ = ("M", "idempotent", "r", "fixed_basis", "kernel_basis", "Y",
+                 "T")
 
-    def __init__(self, M, r, fixed_basis, kernel_basis, Y, T):
+    def __init__(self, M, idempotent, r, fixed_basis, kernel_basis, Y, T):
         self.M = M
+        self.idempotent = idempotent
         self.r = r
         self.fixed_basis = tuple(fixed_basis)
         self.kernel_basis = tuple(kernel_basis)
@@ -187,11 +201,15 @@ def assemble_unimodular(fixed, kernel):
 
 
 def decompose(M):
-    """Full summand decomposition of an idempotent d×d matrix."""
-    fixed = fixed_lattice_basis(M)
-    kernel = kernel_basis(M)
+    """Full summand decomposition of an idempotent d×d matrix; M·M is
+    computed once, here."""
+    idempotent = mat_is_idempotent(M)
+    if not idempotent:
+        raise ValueError("matrix is not idempotent")
+    fixed = _fixed_basis(M)
+    kernel = _kernel_basis(M)
     Y, T = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, T)
+    return SummandDecomposition(M, idempotent, len(fixed), fixed, kernel, Y, T)
 
 
 def solve_in_lattice(v, basis):

@@ -7,13 +7,22 @@ length n; entries past the Laurent block must be nonnegative.  Coefficients
 are in their domain's canonical form (see `domains`): over QQ an `int` when
 integral and a `Fraction` otherwise.
 
-Products (`*`, `**` and `substitute`) share one kernel that works on integer
-coefficients: a QQ operand is scaled to an integer polynomial over one
-common denominator, and GF(p) coefficients are reduced once per output term.
-The product is built one total-degree slice at a time, highest degree
-first: the term pairs of one output degree are summed in a small dict,
-whose sorted nonzero entries are the next run of the canonical result.  So
-the working set is one slice of the output (Monagan & Pearce, "Polynomial
+Products (`*`, `**` and `substitute`) share one kernel.  When either operand
+has one term, the product only shifts the other operand's exponents and
+scales its coefficients: a shift keeps graded-lex order, and the domains
+have no zero divisors, so no dict and no sort are needed.  Otherwise the
+kernel works on integer coefficients: a QQ operand is scaled to an integer
+polynomial over one common denominator, and GF(p) coefficients are reduced
+once per output term.  Each exponent gets one packed integer key,
+sum e_i * 2^(w*(n-1-i)), with w chosen per product so that every entry of a
+product exponent lies in (-2^(w-1), 2^(w-1)): the key is additive and
+injective on those exponents and, within one total degree, orders them as
+graded-lex does.  The product is built one total-degree slice at a time,
+highest degree first: the term pairs of one output degree are summed in a
+small dict keyed by the sum of their keys, whose sorted nonzero entries are
+the next run of the canonical result, each exponent tuple built once from
+the first pair that reached its key.  So the inner loop adds ints, and the
+working set is one slice of the output (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007).
 
 `substitute` runs in two stages.  Images with at most one term (units,
@@ -141,11 +150,15 @@ def _integer_terms(terms):
                   if type(c) is Fraction else c * den) for e, c in terms]
 
 
-def _degree_slices(terms):
-    """The terms grouped by total degree: {degree: [(exp, coeff), ...]}."""
+def _packed_slices(terms, w):
+    """The terms grouped by total degree, each with its packed key:
+    {degree: [(key, exp, coeff), ...]}."""
     slices = {}
-    for term in terms:
-        slices.setdefault(sum(term[0]), []).append(term)
+    for exp, c in terms:
+        key = 0
+        for x in exp:
+            key = (key << w) + x
+        slices.setdefault(sum(exp), []).append((key, exp, c))
     return slices
 
 
@@ -162,35 +175,49 @@ def _finish(c, mod, den):
 
 def _product_terms(ring, f, g):
     """Canonical terms of f·g for canonical term tuples f and g."""
+    if not f or not g:
+        return ()
+    if len(g) == 1:
+        f, g = g, f
+    add = _exponent_adder(ring.n)
+    if len(f) == 1:
+        # a shift keeps graded-lex order, and the domains have no zero
+        # divisors: no two terms merge and none vanishes
+        (e0, c0), = f
+        reduce = ring.domain.reduce
+        return tuple([(add(e0, e), reduce(c0 * c)) for e, c in g])
     dom = ring.domain
-    if len(f) == 1 and len(g) == 1:
-        # monomial times monomial: the domains have no zero divisors
-        (e1, c1), (e2, c2) = f[0], g[0]
-        return ((_exponent_adder(ring.n)(e1, e2), dom.reduce(c1 * c2)),)
     mod = dom.p if dom.kind == "prime-field" else 0
     den_f, f = _integer_terms(f)
     den_g, g = _integer_terms(g)
     den = den_f * den_g
-    add = _exponent_adder(ring.n)
-    f_slices = _degree_slices(f)
-    g_slices = _degree_slices(g)
+    # every entry of a product exponent lies in (-2^(w-1), 2^(w-1))
+    bound = max(max(map(abs, e)) for e, _ in f) + \
+        max(max(map(abs, e)) for e, _ in g)
+    w = bound.bit_length() + 1
+    f_slices = _packed_slices(f, w)
+    g_slices = _packed_slices(g, w)
     degrees = sorted({a + b for a in f_slices for b in g_slices}, reverse=True)
     out = []
     for degree in degrees:
         acc = {}
-        get = acc.get
+        first = {}
         for d_f, f_terms in f_slices.items():
             g_terms = g_slices.get(degree - d_f)
             if g_terms is None:
                 continue
-            for e1, c1 in f_terms:
-                for e2, c2 in g_terms:
-                    e = add(e1, e2)
-                    acc[e] = get(e, 0) + c1 * c2
-        for e in sorted(acc, reverse=True):
-            c = _finish(acc[e], mod, den)
+            for k1, e1, c1 in f_terms:
+                for k2, e2, c2 in g_terms:
+                    k = k1 + k2
+                    if k in acc:
+                        acc[k] += c1 * c2
+                    else:
+                        acc[k] = c1 * c2
+                        first[k] = e1, e2
+        for k in sorted(acc, reverse=True):
+            c = _finish(acc[k], mod, den)
             if c:
-                out.append((e, c))
+                out.append((add(*first[k]), c))
     return tuple(out)
 
 

@@ -56,6 +56,35 @@ def test_analyze_json_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    # the argument parser is built once per process; no option of one call
+    # may carry over to the next
+    out = tmp_path / "e1.json"
+    assert run_cli(["analyze", "--json", path("e1.ring")]) == 0
+    assert json.loads(capsys.readouterr().out)["r"] == 1
+    assert run_cli(["analyze", path("e1.ring")]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("ring ") and not text.startswith("{")
+    assert run_cli(["analyze", "--json", path("e1.ring"),
+                    "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    out.unlink()
+    assert run_cli(["analyze", path("e7.ring")]) == 0
+    assert "LaurentTensorPoly" in capsys.readouterr().out
+    assert not out.exists()
+    assert run_cli(["gen", "--n", "3", "--d", "2", "--r", "1", "--seed", "4",
+                    "--complexity", "2", "--count", "2",
+                    "--domain", "GF(5)"]) == 0
+    two = capsys.readouterr().out
+    assert two.count("ring GF(5)[") == 2
+    assert run_cli(["gen", "--n", "3", "--d", "2", "--r", "1",
+                    "--seed", "4"]) == 0
+    one = capsys.readouterr().out
+    assert one.count("ring QQ[") == 1 and "complexity=1" in one
+    assert run_cli(["check", path("e1.ring")]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
 def test_analyze_rejects_non_idempotent(capsys):
     assert run_cli(["analyze", path("swap.ring")]) == 1
 

@@ -294,6 +294,28 @@ def test_y_image_certificates_record_the_checks(monkeypatch):
     assert exc.value.evidence["killed_y_images"] is False
 
 
+def test_analyze_squares_the_unit_matrix_once(monkeypatch):
+    from retractlab import decompose
+    from retractlab.engine import CertificateError
+    products = []
+    mul = IntMatrix.__mul__
+
+    def counting(a, b):
+        products.append(a == b)
+        return mul(a, b)
+    monkeypatch.setattr(IntMatrix, "__mul__", counting)
+    rep = analyze(e1())
+    assert rep.certificates["matrix_idempotent"] is True
+    assert products.count(True) == 1
+    # the certificate reads the outcome of that one check
+    dec = decompose(rep.decomposition.M)
+    dec.idempotent = False
+    monkeypatch.setattr("retractlab.engine.decompose", lambda M: dec)
+    with pytest.raises(CertificateError) as exc:
+        analyze(e1())
+    assert exc.value.evidence["matrix_idempotent"] is False
+
+
 def test_classify_never_asserts():
     # every consistent input gets a verdict; with d >= n-1 the trdeg window
     # [r, r+n-d] has no interior, so the verdict is exact

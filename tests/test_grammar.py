@@ -73,6 +73,9 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="digits after") as exc:
         parse_problem("ring QQ[x^±]\nx -> 3/ * x\n")
     assert exc.value.col == 4
+    for text, shown in (("x 3", "'3'"), ("x + 2 3/4", "'3/4'")):
+        with pytest.raises(ParseError, match="unexpected trailing " + shown):
+            parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
 
 
 def test_parse_error_carries_location():

@@ -1,5 +1,5 @@
-"""The degree-sliced product kernel and the two-stage substitute against
-the plain algorithms they replaced.
+"""The packed-key, degree-sliced product kernel and the two-stage substitute
+against the plain algorithms they replaced.
 
 `reference_mul` is the nested-loop product with domain arithmetic and one
 final sort; `reference_substitute` expands every image power and adds the
@@ -84,7 +84,7 @@ def assert_canonical_qq(p):
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_mul_matches_reference(dom):
     rng = random.Random(2024)
-    for n, laurent in ((1, 1), (3, 2), (4, 0), (5, 3)):
+    for n, laurent in ((1, 1), (3, 2), (4, 0), (5, 3), (8, 4)):
         R = RingSignature(["x%d" % i for i in range(n)], laurent, dom)
         for _ in range(60):
             p, q = random_poly(R, rng), random_poly(R, rng)
@@ -104,6 +104,74 @@ def test_pow_matches_reference(dom):
         assert (p ** k).terms == reference_pow(p, k).terms
     u = R.monomial((2, -1, 0), random_unit(dom, rng))
     assert (u ** -3).terms == reference_pow(u, -3).terms
+
+
+def wide_poly(ring, rng, max_terms=6):
+    """A polynomial whose exponent entries are near 0 or near ±2^40, so that
+    packed keys pass 2^64 and a negative entry borrows from the field
+    above it; entries come from a small set, so product terms collide."""
+    big = 2 ** 40
+    laurent_entries = (-big, -big + 1, -1, 0, 1, big - 1, big)
+    plain_entries = (0, 1, big - 1, big)
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        exp = tuple(rng.choice(laurent_entries if i < ring.laurent
+                               else plain_entries) for i in range(ring.n))
+        terms.append((exp, random_coeff(ring.domain, rng)))
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_mul_wide_exponents_match_reference(dom):
+    rng = random.Random(40)
+    for n, laurent in ((1, 1), (2, 2), (3, 1), (8, 8), (8, 3)):
+        R = RingSignature(["x%d" % i for i in range(n)], laurent, dom)
+        for _ in range(40):
+            p, q = wide_poly(R, rng), wide_poly(R, rng)
+            assert (p * q).terms == reference_mul(p, q).terms
+            assert (p * p).terms == reference_mul(p, p).terms
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_one_term_and_zero_operands(dom):
+    rng = random.Random(5)
+    for n, laurent in ((1, 1), (3, 2), (8, 4)):
+        R = RingSignature(["x%d" % i for i in range(n)], laurent, dom)
+        for _ in range(30):
+            one = random_poly(R, rng, max_terms=1)
+            while not one.terms:
+                one = random_poly(R, rng, max_terms=1)
+            other = random_poly(R, rng, max_exp=4)
+            wide = wide_poly(R, rng)
+            for q in (other, wide, one, R.zero()):
+                assert (one * q).terms == reference_mul(one, q).terms
+                assert (q * one).terms == reference_mul(q, one).terms
+                assert (R.zero() * q).terms == () == (q * R.zero()).terms
+            if dom is QQ:
+                assert_canonical_qq(one * other)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_pow_heavy_combination_matches_reference(dom):
+    # sums of few short terms raised to a power: most term pairs of each
+    # product land on an exponent another pair already reached
+    rng = random.Random(11)
+    R = RingSignature(["x", "y", "z"], 2, dom)
+    x, y, z = (R.variable(i) for i in range(3))
+    coeff = (lambda: Fraction(rng.randint(1, 9), rng.randint(2, 7))) \
+        if dom is QQ else (lambda: random_unit(dom, rng))
+    bases = [R.one() + x + y,
+             x + R.monomial((-1, 0, 0)) + y * z,
+             R.constant(coeff()) + x.scale(coeff()) + R.monomial(
+                 (0, -1, 1), coeff()) + (x * y).scale(coeff())]
+    for p in bases:
+        for k in (2, 5, 8):
+            got = p ** k
+            assert got.terms == reference_pow(p, k).terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+                if k == 8 and len(p.terms) == 4:
+                    assert any(type(c) is Fraction for _, c in got.terms)
 
 
 def random_image(target, rng, laurent_source):

@@ -30,10 +30,10 @@ def test_kernel_basis_examples():
 
 
 def test_non_idempotent_rejected():
-    with pytest.raises(ValueError):
-        fixed_lattice_basis(IntMatrix([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError):
-        kernel_basis(IntMatrix([[2, 0], [0, 0]]))
+    for M in (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 0], [0, 0]])):
+        for entry_point in (fixed_lattice_basis, kernel_basis, decompose):
+            with pytest.raises(ValueError, match="not idempotent"):
+                entry_point(M)
 
 
 def test_assemble_unimodular_examples():

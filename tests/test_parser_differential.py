@@ -1,0 +1,282 @@
+"""The term-level expression parser against the recursive-descent parser it
+replaced.
+
+`reference_parse` is that parser, kept as it was: every factor becomes a
+`MixedPoly` and products and powers go through the ring.  On seeded random
+expression strings, valid and malformed, the two must give equal
+polynomials or the same `ParseError` message, line and column.
+"""
+
+import random
+
+import pytest
+
+from retractlab import (QQ, ZZ, GF, RingSignature, NonUnitError,
+                        parse_expression, parse_problem)
+from retractlab import grammar
+from retractlab.grammar import MAX_NESTING, ParseError, _tokenize
+
+
+class _ReferenceParser:
+
+    def __init__(self, ring, text, lineno):
+        self.ring = ring
+        self.lineno = lineno
+        self.tokens = _tokenize(text, lineno)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok.kind != kind:
+            raise ParseError("expected %s, found %r" % (kind, tok.value),
+                             self.lineno, tok.col)
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        value = self.expr()
+        tail = self.peek()
+        if tail.kind != "end":
+            raise ParseError("unexpected trailing %r" % tail.value,
+                             self.lineno, tail.col)
+        return value
+
+    def expr(self):
+        value = self.term()
+        if self.peek().kind not in ("+", "-"):
+            return value
+        terms = list(value.terms)
+        while self.peek().kind in ("+", "-"):
+            op = self.take()
+            rhs = self.term()
+            terms.extend(rhs.terms if op.kind == "+" else (-rhs).terms)
+        return self.ring.from_terms(terms)
+
+    def term(self):
+        value = self.unary()
+        while self.peek().kind == "*":
+            self.take()
+            value = value * self.unary()
+        return value
+
+    def unary(self):
+        negate = False
+        while self.peek().kind == "-":
+            self.take()
+            negate = not negate
+        value = self.power()
+        return -value if negate else value
+
+    def power(self):
+        base = self.atom()
+        if self.peek().kind != "^":
+            return base
+        caret = self.take()
+        sign = 1
+        if self.peek().kind == "-":
+            self.take()
+            sign = -1
+        num, den = self.take("number").value
+        if den is not None:
+            raise ParseError("exponent must be an integer", self.lineno, caret.col)
+        if sign < 0 and base.is_unit() is None:
+            ring = self.ring
+            if len(base.terms) == 1 and any(
+                    base.terms[0][0][i] for i in range(ring.laurent, ring.n)):
+                bad = next(ring.names[i] for i in range(ring.laurent, ring.n)
+                           if base.terms[0][0][i])
+                raise ParseError(
+                    "negative exponent on polynomial variable %s" % bad,
+                    self.lineno, caret.col)
+        try:
+            return base ** (sign * num)
+        except (NonUnitError, ValueError) as exc:
+            raise ParseError(str(exc), self.lineno, caret.col) from None
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "number":
+            self.take()
+            num, den = tok.value
+            try:
+                c = self.ring.domain.from_fraction(num, 1 if den is None else den)
+            except ValueError as exc:
+                raise ParseError(str(exc), self.lineno, tok.col) from None
+            return self.ring.constant(c)
+        if tok.kind == "ident":
+            self.take()
+            if tok.value not in self.ring.names:
+                raise ParseError("undeclared identifier %r" % tok.value,
+                                 self.lineno, tok.col)
+            return self.ring.variable(self.ring.names.index(tok.value))
+        if tok.kind == "(":
+            self.take()
+            if self.depth == MAX_NESTING:
+                raise ParseError("parentheses nested deeper than %d"
+                                 % MAX_NESTING, self.lineno, tok.col)
+            self.depth += 1
+            value = self.expr()
+            self.depth -= 1
+            self.take(")")
+            return value
+        raise ParseError("expected a term, found %r" % tok.value,
+                         self.lineno, tok.col)
+
+
+def reference_parse(ring, text, lineno=1):
+    return _ReferenceParser(ring, text, lineno).parse()
+
+
+def outcome(parse, *args):
+    try:
+        return ("ok", parse(*args))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+    except TypeError as exc:
+        # the reference formats a trailing number token's (numerator,
+        # denominator) pair as two arguments of a one-argument message
+        assert parse is reference_parse and "not all arguments" in str(exc)
+        return ("trailing number",)
+
+
+def assert_same_outcome(ring, text, lineno):
+    expected = outcome(reference_parse, ring, text, lineno)
+    got = outcome(parse_expression, ring, text, lineno)
+    if expected[0] == "trailing number":
+        assert got[0] == "error", text
+        assert got[1].startswith("unexpected trailing '"), text
+    else:
+        assert got == expected, text
+    return expected[0]
+
+
+RINGS = [
+    RingSignature(["x", "y", "z"], 2, QQ),
+    RingSignature(["x", "y", "z"], 2, ZZ),
+    RingSignature(["x", "y", "z"], 2, GF(5)),
+    RingSignature(["x", "y", "z"], 1, GF(32003)),
+    RingSignature(["a", "b"], 0, QQ),
+    RingSignature(["u"], 1, ZZ),
+]
+
+NUMBERS = ("0", "1", "2", "3", "5", "10", "12", "1/2", "3/4", "2/5", "6/3",
+           "0/7", "5/10")
+MALFORMED_NUMBERS = ("7/0", "3/", "1/5")
+POWERS = ("^0", "^1", "^2", "^3", "^-0", "^-1", "^-2", "^-3")
+MALFORMED_POWERS = ("^1/2", "^x", "^--1", "^", "^(2)", "^+1", "^2^2")
+JUNK = (")", "(", "$", "*", "+", "^", "é", "**", "-", "x y", "2 3",
+        "²")
+
+
+def random_factor(rng, names, depth):
+    minus = "-" * rng.choice((0, 0, 0, 1, 2, 3))
+    r = rng.random()
+    if r < 0.45:
+        atom = rng.choice(names + ["w"] if rng.random() < 0.05 else names)
+    elif r < 0.8 or depth >= 2:
+        atom = rng.choice(MALFORMED_NUMBERS if rng.random() < 0.05
+                          else NUMBERS)
+    else:
+        atom = "(%s)" % random_sum(rng, names, depth + 1)
+    power = ""
+    r = rng.random()
+    if r < 0.03:
+        power = rng.choice(MALFORMED_POWERS)
+    elif r < 0.45:
+        power = rng.choice(POWERS)
+    return minus + atom + power
+
+
+def random_sum(rng, names, depth=0):
+    pieces = []
+    for i in range(rng.randint(1, 4)):
+        if i:
+            pieces.append(rng.choice((" + ", " - ", "+", "-", " -- ")))
+        factors = [random_factor(rng, names, depth)
+                   for _ in range(rng.randint(1, 3))]
+        pieces.append(rng.choice(("*", " * ")).join(factors))
+    return "".join(pieces)
+
+
+def random_expression(rng, names):
+    text = random_sum(rng, names)
+    if rng.random() < 0.1:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(JUNK) + text[at:]
+    return text
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=repr)
+def test_random_expressions_match_reference(ring):
+    rng = random.Random(RINGS.index(ring))
+    names = list(ring.names)
+    kinds = {"ok": 0, "error": 0, "trailing number": 0}
+    for _ in range(1000):
+        kinds[assert_same_outcome(ring, random_expression(rng, names), 3)] += 1
+    # valid and malformed input both get real use
+    assert kinds["ok"] > 100 and kinds["error"] > 100, kinds
+
+
+EXPRESSIONS = [
+    # parentheses and runs of unary minus
+    "--x", "---(x - y)", "-(-(x))*-y", "x*--y", "x - -y", "x + ---2",
+    "-(x + 1)^2*-(y - 1)", "((x))", "(((x + y)*(x - y)))^2", "()", "(x",
+    "x)", "-", "x -", "* x", "x ** 2",
+    # negative exponents on Laurent and on polynomial variables
+    "x^-3*y^-1", "z^-1", "z^-0", "x^-1*z^-2", "(x*z)^-1", "(2*z)^-2",
+    "(x*y)^-2", "(x + y)^-1", "(x^-1*y)^-3*z^2",
+    # numbers as bases, and exponents that are not integers
+    "2^-1", "2^-1*x", "0^0", "0^-0", "0^-1", "0*x", "x*0", "0*z^-1",
+    "x^1/2", "3/2^2", "(3/2)^-2", "-1^-3", "1/2^-1", "5^-1", "10/5",
+    "2/4*x^2", "x^--1", "x^y", "x^", "x^2^2",
+    # every expression-level error class
+    "w", "x + w^2", "1/2*x", "é", "x^²", "x $ 1", "3/ * x",
+    "1/0", "x + )", "x 3", "(x + 1) 3/4", "(x 3/4)", "%sx%s" % ("(" * (MAX_NESTING + 1), ")" * (MAX_NESTING + 1)),
+    "%sx%s" % ("(" * MAX_NESTING, ")" * MAX_NESTING),
+]
+
+
+@pytest.mark.parametrize("ring", RINGS[:4], ids=repr)
+def test_listed_expressions_match_reference(ring):
+    for text in EXPRESSIONS:
+        assert_same_outcome(ring, text, 2)
+
+
+PROBLEMS = [
+    "ring QQ[x1^±,x2]\nx1 -> x1\nx2 -> undeclared\n",
+    "ring QQ[x1^±,x2]\nx1 -> x1\nx2 -> x2^-1\n",
+    "ring GF(6)[x^±]\nx -> x\n",
+    "ring QQ[x^±]\nx -> x\nx -> 1\n",
+    "ring QQ[x^±,y^±]\nx -> x\n",
+    "ring QQ[x,y^±]\nx -> x\ny -> y\n",
+    "ring ZZ[x^±]\nx -> 1/2*x\n",
+    "ring QQ[x^±]\nx -> é\n",
+    "ring QQ[x^±]\nx -> x^²\n",
+    "ring QQ[x^±]\nx -> x $ 1\n",
+    "ring QQ[x^±]\nx -> 3/ * x\n",
+    "ring QQ[x^±]\nx -> x + )\n",
+    "ring GF(5)[x^±,y]\nx -> 2^-1*x\ny -> 5^-1*y\n",
+    "ring GF(5)[x^±,y]\nx -> 2^-1*x^-1*x^2\ny -> 3/2*y^2\n",
+    "ring ZZ[x^±,y]\nx -> x\ny -> 2^-1*y\n",
+    "ring QQ[x^±,y]\nx -> x\ny -> -(y - 1)^2 + 2*y - 1\n",
+]
+
+
+def test_problem_files_match_reference(monkeypatch):
+    expected = []
+    with monkeypatch.context() as m:
+        m.setattr(grammar, "parse_expression", reference_parse)
+        for text in PROBLEMS:
+            expected.append(outcome(parse_problem, text))
+    for text, want in zip(PROBLEMS, expected):
+        got = outcome(parse_problem, text)
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1][2] == want[1][2], text
+            assert got[1][1].images == want[1][1].images, text
+        else:
+            assert got == want, text
+    assert sum(want[0] == "error" for want in expected) == len(PROBLEMS) - 2
