@@ -4,18 +4,18 @@ classification with machine-checkable certificates."""
 
 from .domains import Domain, QQ, ZZ, GF
 from .ring import RingSignature, MixedPoly, RingMismatchError, NonUnitError
-from .endo import (Endomorphism, MonomialData, identity, validate, apply,
-                   compose, is_idempotent, monomial_part, conjugate,
-                   standard_projection, InvalidEndomorphismError)
+from .endo import (Endomorphism, MonomialData, identity, require_valid,
+                   require_idempotent, apply, compose, is_idempotent,
+                   monomial_part, conjugate, standard_projection,
+                   InvalidEndomorphismError)
 from .intlinalg import (IntMatrix, SummandDecomposition, mat_is_idempotent,
-                        fixed_lattice_basis, kernel_basis, assemble_unimodular,
-                        decompose, solve_in_lattice)
+                        assemble_unimodular, decompose, solve_in_lattice)
 from .engine import (analyze, classify, rationality_verdict,
                      transcendence_degree, jacobian_rank, compute_y_variables,
                      quotient_mod_J, RetractReport, ClassificationVerdict,
                      YVariable, NotIdempotentError, CertificateError)
-from .grammar import parse_problem, parse_expression, render_problem, \
-    render_report, ParseError
+from .grammar import parse_domain, parse_problem, parse_expression, \
+    render_problem, render_report, ParseError
 from .generator import GeneratorSpec, gen_random_idempotent, problem_text
 
 __version__ = "0.1.0"
@@ -23,17 +23,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain", "QQ", "ZZ", "GF",
     "RingSignature", "MixedPoly", "RingMismatchError", "NonUnitError",
-    "Endomorphism", "MonomialData", "identity", "validate", "apply",
-    "compose", "is_idempotent", "monomial_part", "conjugate",
-    "standard_projection", "InvalidEndomorphismError",
+    "Endomorphism", "MonomialData", "identity", "require_valid",
+    "require_idempotent", "apply", "compose", "is_idempotent",
+    "monomial_part", "conjugate", "standard_projection",
+    "InvalidEndomorphismError",
     "IntMatrix", "SummandDecomposition", "mat_is_idempotent",
-    "fixed_lattice_basis", "kernel_basis", "assemble_unimodular",
-    "decompose", "solve_in_lattice",
+    "assemble_unimodular", "decompose", "solve_in_lattice",
     "analyze", "classify", "rationality_verdict", "transcendence_degree",
     "jacobian_rank", "compute_y_variables", "quotient_mod_J",
     "RetractReport", "ClassificationVerdict", "YVariable",
     "NotIdempotentError", "CertificateError",
-    "parse_problem", "parse_expression", "render_problem", "render_report",
-    "ParseError",
+    "parse_domain", "parse_problem", "parse_expression", "render_problem",
+    "render_report", "ParseError",
     "GeneratorSpec", "gen_random_idempotent", "problem_text",
 ]

@@ -6,20 +6,24 @@ Subcommands:
     gen                   emit reproducible random idempotent problem files
     selftest              run the embedded acceptance checks
 
-Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error, unreadable
-input (missing, a directory, not UTF-8) or unwritable output, 3 internal
-certificate failure.
+`check` and `analyze` reject an input with the same one-line message on
+stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
+"not idempotent: ..." naming the first variable with phi²(x) != phi(x).
+
+Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error (of a problem
+file or of the `gen --domain` spelling), unreadable input (missing, a
+directory, not UTF-8) or unwritable output, 3 internal certificate failure.
 """
 
 import argparse
 import sys
 from functools import lru_cache
 
-from .domains import QQ, ZZ, GF
-from .endo import validate, idempotency_defect
-from .engine import analyze, CertificateError, NotIdempotentError
+from .endo import (require_idempotent, InvalidEndomorphismError,
+                   NotIdempotentError)
+from .engine import analyze, CertificateError
 from .generator import GeneratorSpec, problem_text
-from .grammar import parse_problem, render_report, ParseError
+from .grammar import parse_domain, parse_problem, render_report, ParseError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -42,31 +46,9 @@ def _load(path):
                              % (path, exc)) from None
 
 
-def _parse_domain(text):
-    if text == "QQ":
-        return QQ
-    if text == "ZZ":
-        return ZZ
-    if text.startswith("GF(") and text.endswith(")"):
-        return GF(int(text[3:-1]))
-    raise ValueError("unknown domain %r (use QQ, ZZ or GF(p))" % text)
-
-
 def _cmd_check(args):
-    ring, phi, _ = parse_problem(_load(args.file))
-    if not validate(phi):
-        bad = next(i for i in range(ring.laurent)
-                   if phi.images[i].is_unit() is None)
-        print("invalid: image of %s is not a unit: %s"
-              % (ring.names[bad], phi.images[bad]), file=sys.stderr)
-        return EXIT_INVALID
-    defect = idempotency_defect(phi)
-    bad = [i for i, delta in enumerate(defect) if not delta.is_zero()]
-    if bad:
-        for i in bad:
-            print("not idempotent: phi²(%s) - phi(%s) = %s"
-                  % (ring.names[i], ring.names[i], defect[i]), file=sys.stderr)
-        return EXIT_INVALID
+    _, phi, _ = parse_problem(_load(args.file))
+    require_idempotent(phi)
     print("ok: valid and idempotent")
     return EXIT_OK
 
@@ -84,7 +66,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_gen(args):
-    domain = _parse_domain(args.domain)
+    domain = parse_domain(args.domain)
     # per-index seeds keep each emitted file reproducible on its own
     specs = [GeneratorSpec(args.n, args.d, args.r, args.seed + k,
                            args.complexity, domain)
@@ -162,6 +144,9 @@ def run_cli(argv=None):
         return EXIT_PARSE
     except NotIdempotentError as exc:
         print("not idempotent: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except InvalidEndomorphismError as exc:
+        print("invalid: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except CertificateError as exc:
         print("certificate failure: %s" % exc, file=sys.stderr)

@@ -98,9 +98,6 @@ class Domain:
     def one(self):
         return self.coerce(1)
 
-    def from_int(self, k):
-        return self.coerce(k)
-
     def from_fraction(self, num, den):
         """Build the element num/den, reducing in the domain.
 
@@ -191,11 +188,6 @@ class Domain:
                 return str(a.numerator)
             return "%d/%d" % (a.numerator, a.denominator)
         return str(a)
-
-    def name(self):
-        if self.kind == "prime-field":
-            return "GF(%d)" % self.p
-        return {"rationals": "QQ", "integers": "ZZ"}[self.kind]
 
 
 QQ = Domain("rationals")

@@ -15,6 +15,10 @@ class InvalidEndomorphismError(ValueError):
     pass
 
 
+class NotIdempotentError(ValueError):
+    pass
+
+
 class Endomorphism:
 
     __slots__ = ("ring", "images")
@@ -56,13 +60,9 @@ def identity(ring):
     return Endomorphism(ring, [ring.variable(i) for i in range(ring.n)])
 
 
-def validate(phi):
-    """True iff every Laurent-block variable maps to a unit."""
-    return all(phi.images[i].is_unit() is not None
-               for i in range(phi.ring.laurent))
-
-
 def require_valid(phi):
+    """Raise InvalidEndomorphismError unless every Laurent-block variable
+    maps to a unit."""
     for i in range(phi.ring.laurent):
         if phi.images[i].is_unit() is None:
             raise InvalidEndomorphismError(
@@ -89,6 +89,18 @@ def idempotency_defect(phi):
     """Per-variable differences phi²(x_i) − phi(x_i); all zero iff idempotent."""
     sq = compose(phi, phi)
     return [sq.images[i] - phi.images[i] for i in range(phi.ring.n)]
+
+
+def require_idempotent(phi):
+    """The check every input passes: raise InvalidEndomorphismError unless
+    each Laurent variable maps to a unit, then NotIdempotentError naming the
+    first variable with phi²(x) != phi(x)."""
+    require_valid(phi)
+    defect = idempotency_defect(phi)
+    for name, delta in zip(phi.ring.names, defect):
+        if not delta.is_zero():
+            raise NotIdempotentError(
+                "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
 
 
 def monomial_part(phi):

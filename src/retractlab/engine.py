@@ -11,12 +11,10 @@ import random
 from fractions import Fraction
 
 from .intlinalg import IntMatrix, decompose, solve_in_lattice
-from .endo import apply, monomial_part, require_valid, idempotency_defect
+# NotIdempotentError is raised in endo and re-exported here
+from .endo import (apply, monomial_part, require_idempotent,
+                   NotIdempotentError)
 from .ring import RingSignature
-
-
-class NotIdempotentError(ValueError):
-    pass
 
 
 class CertificateError(RuntimeError):
@@ -76,24 +74,15 @@ class RetractReport:
         if kw:
             raise TypeError("unexpected fields: %s" % sorted(kw))
 
-    @property
-    def trdeg_exact(self):
-        return self.trdeg if isinstance(self.trdeg, int) else None
-
 
 def compute_y_variables(phi):
     """New Laurent coordinates from the unit-lattice summand decomposition.
 
-    Verifies exactly, first, that phi is idempotent (naming the first
-    variable with phi²(x) != phi(x)) and, before returning, that phi fixes
-    each fixed y and sends each normalized killed y to 1.
+    Verifies exactly, first, that phi is idempotent (`require_idempotent`)
+    and, before returning, that phi fixes each fixed y and sends each
+    normalized killed y to 1.
     """
-    require_valid(phi)
-    defect = idempotency_defect(phi)
-    for name, delta in zip(phi.ring.names, defect):
-        if not delta.is_zero():
-            raise NotIdempotentError(
-                "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
+    require_idempotent(phi)
     ring = phi.ring
     d = ring.laurent
     dec = decompose(monomial_part(phi).matrix)
@@ -130,11 +119,10 @@ def compute_y_variables(phi):
     return dec, yvars
 
 
-def quotient_ring_signature(ring, r, kept_poly_names=None):
+def quotient_ring_signature(ring, r):
     """Ring of B/J: Laurent block y_1..y_r plus the original polynomial
     variables (names made collision-free)."""
-    poly_names = tuple(ring.names[ring.laurent:]) if kept_poly_names is None \
-        else tuple(kept_poly_names)
+    poly_names = tuple(ring.names[ring.laurent:])
     names = []
     for i in range(r):
         name = "y%d" % (i + 1)

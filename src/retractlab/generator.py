@@ -140,8 +140,8 @@ def problem_text(spec):
     phi = gen_random_idempotent(spec)
     header = [
         "generated by retractlab gen",
-        "rng=%s seed=%d n=%d d=%d r=%d complexity=%d domain=%s"
+        "rng=%s seed=%d n=%d d=%d r=%d complexity=%d domain=%r"
         % (RNG_ALGORITHM, spec.seed, spec.n, spec.d, spec.r,
-           spec.complexity, spec.domain.name()),
+           spec.complexity, spec.domain),
     ]
     return render_problem(phi, header)

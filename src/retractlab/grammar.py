@@ -38,29 +38,36 @@ class ParseError(ValueError):
         self.col = col
 
 
-_HEADER_RE = re.compile(
-    r"^\s*ring\s+(QQ|ZZ|GF\(\s*(\d+)\s*\))\s*\[(.*)\]\s*$")
+# the domain is whatever precedes the '[': `parse_domain` reads it
+_HEADER_RE = re.compile(r"^\s*ring\s+([^\[]*?)\s*\[(.*)\]\s*$")
+_DOMAIN_RE = re.compile(r"QQ|ZZ|GF\(\s*(\d+)\s*\)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def parse_domain(text, lineno=None):
+    """The coefficient domain spelled QQ, ZZ or GF(p), p prime, as in a ring
+    header and `gen --domain`; anything else raises ParseError."""
+    m = _DOMAIN_RE.fullmatch(text)
+    if not m:
+        raise ParseError("unknown domain %r (use QQ, ZZ or GF(p))" % text,
+                         lineno)
+    if m.group(1) is None:
+        return QQ if text == "QQ" else ZZ
+    try:
+        return GF(int(m.group(1)))
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def _parse_header(line, lineno):
     m = _HEADER_RE.match(line)
     if not m:
         raise ParseError("expected 'ring <domain>[vars]' header", lineno)
-    if m.group(1) == "QQ":
-        domain = QQ
-    elif m.group(1) == "ZZ":
-        domain = ZZ
-    else:
-        p = int(m.group(2))
-        try:
-            domain = GF(p)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
+    domain = parse_domain(m.group(1), lineno)
     names = []
     laurent = 0
     seen_plain = False
-    for part in m.group(3).split(","):
+    for part in m.group(2).split(","):
         part = part.strip()
         if not part:
             raise ParseError("empty variable declaration", lineno)
@@ -121,6 +128,13 @@ def _tokenize(text, lineno):
     return tokens
 
 
+def _shown(tok):
+    """A token as error messages show it: a number as its source text."""
+    if tok.kind == "number":  # (numerator, denominator or None)
+        return "/".join(str(x) for x in tok.value if x is not None)
+    return tok.value
+
+
 # Each level of parentheses takes two stack frames of the recursive-descent
 # parser (`expr` and `term`); this limit stays well inside Python's default
 # recursion limit.
@@ -143,7 +157,7 @@ class _ExprParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok.value),
+            raise ParseError("expected %s, found %r" % (kind, _shown(tok)),
                              self.lineno, tok.col)
         self.pos += 1
         return tok
@@ -152,10 +166,7 @@ class _ExprParser:
         value = self.expr()
         tail = self.peek()
         if tail.kind != "end":
-            shown = tail.value
-            if tail.kind == "number":  # (numerator, denominator or None)
-                shown = "/".join(str(x) for x in shown if x is not None)
-            raise ParseError("unexpected trailing %r" % (shown,),
+            raise ParseError("unexpected trailing %r" % (_shown(tail),),
                              self.lineno, tail.col)
         return value
 
@@ -313,9 +324,7 @@ def render_problem(endo, header_comments=()):
     """Canonical problem-file text for an endomorphism."""
     ring = endo.ring
     lines = ["# %s" % c for c in header_comments]
-    decls = [name + ("^±" if i < ring.laurent else "")
-             for i, name in enumerate(ring.names)]
-    lines.append("ring %s[%s]" % (ring.domain.name(), ",".join(decls)))
+    lines.append("ring %r" % ring)
     for name, img in zip(ring.names, endo.images):
         lines.append("%s -> %s" % (name, img))
     return "\n".join(lines) + "\n"
@@ -330,7 +339,7 @@ def report_to_dict(report):
     return {
         "n": ring.n,
         "d": ring.laurent,
-        "domain": dom.name(),
+        "domain": repr(dom),
         "r": report.r,
         "trdeg": trdeg,
         "classification": verdict,

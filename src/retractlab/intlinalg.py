@@ -126,34 +126,6 @@ def _lattice_basis(vectors):
     return [r for r in H if any(r)]
 
 
-def _require_idempotent(M):
-    if not mat_is_idempotent(M):
-        raise ValueError("matrix is not idempotent")
-
-
-def _fixed_basis(M):
-    return _lattice_basis([M.column(j) for j in range(M.cols)])
-
-
-def _kernel_basis(M):
-    d = M.rows
-    return _lattice_basis([tuple(int(i == j) - M.entries[i][j]
-                                 for i in range(d)) for j in range(d)])
-
-
-def fixed_lattice_basis(M):
-    """Canonical Z-basis of {v : Mv = v}, the image lattice of idempotent M."""
-    _require_idempotent(M)
-    return _fixed_basis(M)
-
-
-def kernel_basis(M):
-    """Canonical Z-basis of {v : Mv = 0} for idempotent M, spanned by the
-    columns of I - M since ker M = im(I - M)."""
-    _require_idempotent(M)
-    return _kernel_basis(M)
-
-
 class SummandDecomposition:
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
     the assembled basis matrix Y (fixed columns first) and its integer
@@ -201,13 +173,18 @@ def assemble_unimodular(fixed, kernel):
 
 
 def decompose(M):
-    """Full summand decomposition of an idempotent d×d matrix; M·M is
-    computed once, here."""
+    """Full summand decomposition of an idempotent d×d matrix: the canonical
+    Z-bases of the fixed lattice {v : Mv = v} (the columns of M) and of the
+    kernel {v : Mv = 0} (the columns of I - M, since ker M = im(I - M)).
+    This is the one entry point to both bases; M·M is computed once, here,
+    and a non-idempotent M raises ValueError."""
     idempotent = mat_is_idempotent(M)
     if not idempotent:
         raise ValueError("matrix is not idempotent")
-    fixed = _fixed_basis(M)
-    kernel = _kernel_basis(M)
+    d = M.rows
+    fixed = _lattice_basis([M.column(j) for j in range(d)])
+    kernel = _lattice_basis([tuple(int(i == j) - M.entries[i][j]
+                                   for i in range(d)) for j in range(d)])
     Y, T = assemble_unimodular(fixed, kernel)
     return SummandDecomposition(M, idempotent, len(fixed), fixed, kernel, Y, T)
 

@@ -80,7 +80,7 @@ class RingSignature:
     def __repr__(self):
         parts = [name + "^±" if i < self.laurent else name
                  for i, name in enumerate(self.names)]
-        return "%s[%s]" % (self.domain.name(), ",".join(parts))
+        return "%r[%s]" % (self.domain, ",".join(parts))
 
     def check_exponent(self, exp):
         if len(exp) != self.n:
@@ -463,7 +463,7 @@ class MixedPoly:
             e = exp[i]
             if e == 0:
                 continue
-            k = dom.mul(c, dom.from_int(e))
+            k = dom.mul(c, dom.coerce(e))
             if dom.is_zero(k):
                 continue
             new = list(exp)
@@ -472,26 +472,6 @@ class MixedPoly:
         # shifting every exponent by -e_i keeps the graded-lex order and
         # the exponents distinct, and the zero terms are already dropped
         return MixedPoly._trusted(self.ring, tuple(out))
-
-    def evaluate(self, point):
-        """Exact value at a point; Laurent-block coordinates must be nonzero."""
-        if len(point) != self.ring.n:
-            raise ValueError("expected %d coordinates" % self.ring.n)
-        dom = self.ring.domain
-        point = [dom.coerce(v) for v in point]
-        total = dom.zero()
-        for exp, c in self.terms:
-            val = c
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if e < 0 and dom.is_zero(point[i]):
-                    raise ZeroDivisionError(
-                        "zero substituted into negative exponent of %s"
-                        % self.ring.names[i])
-                val = dom.mul(val, dom.pow(point[i], e))
-            total = dom.add(total, val)
-        return total
 
     # -- printing ------------------------------------------------------------
 

@@ -89,6 +89,44 @@ def test_analyze_rejects_non_idempotent(capsys):
     assert run_cli(["analyze", path("swap.ring")]) == 1
 
 
+@pytest.mark.parametrize("name", ["swap.ring", "gf5.ring", "zz.ring",
+                                  "non-unit"])
+def test_check_and_analyze_reject_alike(name, tmp_path, capsys):
+    # one rejection path: the same exit code and the same one-line message
+    if name == "non-unit":
+        problem = tmp_path / "non_unit.ring"
+        problem.write_text("ring QQ[x^±,y]\nx -> x + y\ny -> y\n")
+    else:
+        problem = path(name)
+    outcomes = []
+    for command in ("check", "analyze"):
+        code = run_cli([command, str(problem)])
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        outcomes.append((code, err))
+    assert outcomes[0] == outcomes[1]
+    code, err = outcomes[0]
+    assert code == 1
+    if name == "non-unit":
+        assert err == ("invalid: image of Laurent variable x is not a "
+                       "unit: x + y\n")
+    else:
+        assert err.startswith("not idempotent: phi²(x1) - phi(x1) = ")
+        assert err.endswith(" != 0\n")
+
+
+def test_gen_domain_is_spelled_as_in_a_ring_header(capsys):
+    args = ["gen", "--n", "2", "--d", "1", "--r", "1", "--seed", "3"]
+    assert run_cli(args + ["--domain", "GF( 7 )"]) == 0
+    assert "ring GF(7)[" in capsys.readouterr().out
+    for bad in ("GF(4)", "GF(+5)", "QQ "):
+        assert run_cli(args + ["--domain", bad]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: "), (bad, err)
+        assert err.count("\n") == 1
+
+
 def test_gen_stdout_deterministic(capsys):
     args = ["gen", "--n", "3", "--d", "2", "--r", "1",
             "--seed", "7", "--complexity", "2", "--count", "2"]

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from retractlab import (QQ, RingSignature, Endomorphism, IntMatrix,
-                        identity, validate, apply, compose, is_idempotent,
-                        monomial_part, conjugate, standard_projection)
+                        identity, require_valid, apply, compose, is_idempotent,
+                        monomial_part, conjugate, standard_projection,
+                        InvalidEndomorphismError)
 from retractlab.engine import random_element
 
 
@@ -24,13 +25,14 @@ def swap2():
 
 def test_validate():
     R = laurent2()
-    assert validate(e1())
+    require_valid(e1())
     bad = Endomorphism(R, [R.variable(0) + R.variable(1), R.variable(1)])
-    assert not validate(bad)
+    with pytest.raises(InvalidEndomorphismError):
+        require_valid(bad)
     M = RingSignature(["x1", "x2"], 1, QQ)
     ok = Endomorphism(M, [M.variable(0),
                           M.variable(0) + M.monomial((-1, 0))])
-    assert validate(ok)  # x2 is not in the Laurent block, no unit constraint
+    require_valid(ok)  # x2 is not in the Laurent block, no unit constraint
 
 
 def test_apply():

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 
@@ -76,6 +77,17 @@ def test_parse_errors():
     for text, shown in (("x 3", "'3'"), ("x + 2 3/4", "'3/4'")):
         with pytest.raises(ParseError, match="unexpected trailing " + shown):
             parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
+    # a number where a token was expected shows its source text
+    for text, shown in (("(x 3/4)", "'3/4'"), ("(x 3)", "'3'")):
+        with pytest.raises(ParseError, match=r"expected \), found " + shown):
+            parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
+    # the header reads its domain with `parse_domain`, as `gen --domain` does
+    for header, message in (("QR", "unknown domain 'QR'"),
+                            ("GF(+5)", "unknown domain 'GF(+5)'"),
+                            ("GF(4)", "must be prime, got 4")):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_problem("ring %s[x^±]\nx -> x\n" % header)
+        assert exc.value.line == 1
 
 
 def test_parse_error_carries_location():

@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from retractlab import (IntMatrix, mat_is_idempotent, fixed_lattice_basis,
-                        kernel_basis, assemble_unimodular, decompose,
-                        solve_in_lattice)
+from retractlab import (IntMatrix, mat_is_idempotent, assemble_unimodular,
+                        decompose, solve_in_lattice)
 
 
 def test_mat_is_idempotent():
@@ -18,22 +17,21 @@ def test_mat_is_idempotent():
 
 
 def test_fixed_lattice_basis_examples():
-    assert fixed_lattice_basis(IntMatrix([[1, 0], [1, 0]])) == [(1, 1)]
-    assert fixed_lattice_basis(IntMatrix.identity(2)) == [(1, 0), (0, 1)]
-    assert fixed_lattice_basis(IntMatrix([[0, 0], [0, 0]])) == []
+    assert decompose(IntMatrix([[1, 0], [1, 0]])).fixed_basis == ((1, 1),)
+    assert decompose(IntMatrix.identity(2)).fixed_basis == ((1, 0), (0, 1))
+    assert decompose(IntMatrix([[0, 0], [0, 0]])).fixed_basis == ()
 
 
 def test_kernel_basis_examples():
-    assert kernel_basis(IntMatrix([[1, 0], [1, 0]])) == [(0, 1)]
-    assert kernel_basis(IntMatrix.identity(2)) == []
-    assert kernel_basis(IntMatrix([[1, -2], [0, 0]])) == [(2, 1)]
+    assert decompose(IntMatrix([[1, 0], [1, 0]])).kernel_basis == ((0, 1),)
+    assert decompose(IntMatrix.identity(2)).kernel_basis == ()
+    assert decompose(IntMatrix([[1, -2], [0, 0]])).kernel_basis == ((2, 1),)
 
 
 def test_non_idempotent_rejected():
     for M in (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 0], [0, 0]])):
-        for entry_point in (fixed_lattice_basis, kernel_basis, decompose):
-            with pytest.raises(ValueError, match="not idempotent"):
-                entry_point(M)
+        with pytest.raises(ValueError, match="not idempotent"):
+            decompose(M)
 
 
 def test_assemble_unimodular_examples():

@@ -32,7 +32,10 @@ class _ReferenceParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok.value),
+            found = tok.value
+            if tok.kind == "number":  # the source text of the number
+                found = "/".join(str(x) for x in found if x is not None)
+            raise ParseError("expected %s, found %r" % (kind, found),
                              self.lineno, tok.col)
         self.pos += 1
         return tok
