@@ -11,8 +11,10 @@ stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
 "not idempotent: ..." naming the first variable with phi²(x) != phi(x).
 
 Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error (of a problem
-file or of the `gen --domain` spelling), unreadable input (missing, a
-directory, not UTF-8) or unwritable output, 3 internal certificate failure.
+file, or of `gen` arguments: the `--domain` spelling, sizes outside
+0 <= r <= d <= n, a negative complexity, a count below 1), unreadable input
+(missing, a directory, not UTF-8) or unwritable output, 3 internal
+certificate failure.
 """
 
 import argparse
@@ -67,10 +69,15 @@ def _cmd_analyze(args):
 
 def _cmd_gen(args):
     domain = parse_domain(args.domain)
+    if args.count < 1:
+        raise ParseError("--count must be at least 1, got %d" % args.count)
     # per-index seeds keep each emitted file reproducible on its own
-    specs = [GeneratorSpec(args.n, args.d, args.r, args.seed + k,
-                           args.complexity, domain)
-             for k in range(args.count)]
+    try:
+        specs = [GeneratorSpec(args.n, args.d, args.r, args.seed + k,
+                               args.complexity, domain)
+                 for k in range(args.count)]
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     texts = [problem_text(s) for s in specs]
     if args.out_dir:
         import os

@@ -5,16 +5,23 @@ module produces the new Laurent coordinates (y-variables), the generators of
 the retract, the transcendence degree, a classification verdict, and a
 rationality verdict, each backed by exact certificates computed inside the
 call.  All checks are tolerance-zero.
+
+In characteristic 0 the transcendence degree is the rank of the
+log-Jacobian (x_j·∂g/∂x_j), read from the generators' terms: its rank at a
+random point mod 2^61 - 1 when that reaches the cap the term supports
+allow, exact elimination over the fraction field otherwise.
 """
 
 import random
-from fractions import Fraction
 
 from .intlinalg import IntMatrix, decompose, solve_in_lattice
 # NotIdempotentError is raised in endo and re-exported here
 from .endo import (apply, monomial_part, require_idempotent,
                    NotIdempotentError)
-from .ring import RingSignature
+from .ring import MixedPoly, RingSignature, _integer_terms
+
+# the modulus of the point rank, the Mersenne prime 2^61 - 1
+_P = (1 << 61) - 1
 
 
 class CertificateError(RuntimeError):
@@ -156,21 +163,22 @@ def quotient_mod_J(p, decomposition, y_variables, target=None):
     return target.from_terms(terms)
 
 
-def _jacobian_rows(generators, ring):
-    """The Jacobian rows (∂g/∂x_j)_j, each multiplied by the monomial that
-    clears its Laurent denominators.  Monomials are units of the fraction
-    field, so the rank is unchanged, and every exponent is nonnegative."""
-    n = ring.n
+def _log_jacobian(generators, ring):
+    """The log-Jacobian rows (x_j·∂g/∂x_j)_j, read from g's terms.
+
+    Entry j is g's terms with coefficients c·e_j, in g's order, less those
+    where c·e_j vanishes.  It is the Jacobian times diag(x), which is
+    invertible over the fraction field, so the two have the same rank.
+    """
+    mul = ring.domain.mul
     rows = []
     for g in generators:
-        row = [g.partial_derivative(j) for j in range(n)]
-        shift = [0] * n
-        for entry in row:
-            for exp, _ in entry.terms:
-                for v in range(ring.laurent):
-                    shift[v] = min(shift[v], exp[v])
-        clear = ring.monomial(tuple(-s for s in shift))
-        rows.append([entry * clear for entry in row])
+        row = []
+        for j in range(ring.n):
+            terms = ((e, mul(c, e[j])) for e, c in g.terms if e[j])
+            row.append(MixedPoly._trusted(ring,
+                                          tuple(t for t in terms if t[1])))
+        rows.append(row)
     return rows
 
 
@@ -197,85 +205,84 @@ def _polynomial_rank(rows, n):
 
 
 def jacobian_rank(generators, ring):
-    """Rank of the Jacobian (∂g_i/∂x_j) over the fraction field, by
-    division-free elimination with exact polynomial arithmetic."""
-    return _polynomial_rank(_jacobian_rows(generators, ring), ring.n)
+    """Rank of the Jacobian (∂g_i/∂x_j) over the fraction field: the rank
+    of the log-Jacobian, by exact elimination."""
+    return _polynomial_rank(_log_jacobian(generators, ring), ring.n)
 
 
-def jacobian_rank_at_random_point(generators, ring, rng=None, retries=2):
+def _rank_mod(rows, n):
+    """Rank mod P of a matrix of residues mod P, by Gaussian elimination."""
+    rank = 0
+    for col in range(n):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[col], -1, _P)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % _P
+            if f:
+                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], pivot)]
+        rank += 1
+    return rank
+
+
+def jacobian_rank_at_random_point(generators, ring, rng=None):
     """Rank of the Jacobian over the fraction field, certified at a point
     where possible; characteristic 0 only.
 
-    The monomial-cleared Jacobian (`_jacobian_rows`) has polynomial entries,
-    so it is evaluated at random integer points and its rank there computed
-    over QQ.  A minor that is nonzero at a point is a nonzero polynomial, so
-    rank at a point <= generic rank <= the cap, min(#nonzero rows, #nonzero
-    columns): when the point rank reaches the cap it is the exact rank.
-    Otherwise the rank comes from exact elimination on the same rows.  Each
-    coordinate is drawn from about 2^17 integers, so a nonzero minor of
-    degree D vanishes at the point with probability at most D/2^17
-    (Schwartz-Zippel): a full-rank input rarely needs a second point.
+    Each log-Jacobian row, scaled to integer coefficients, is evaluated at
+    a random point with coordinates in [1, P-1] mod the prime P = 2^61 - 1
+    and the rank there is computed mod P.  A minor that is nonzero mod P at
+    a point is a nonzero polynomial, so that rank <= the generic rank <= the
+    cap, min(#nonconstant generators, #variables they involve): when it
+    reaches the cap it is the exact rank.  Otherwise the rank comes from
+    exact elimination (`jacobian_rank`).  A nonzero minor of degree D whose
+    reduction mod P is nonzero vanishes at the point with probability at
+    most D/(P-1) (Schwartz-Zippel), so the fallback runs for rank-deficient
+    inputs and almost never otherwise.
     """
     if ring.domain.characteristic:
         raise ValueError("the point-rank certificate needs characteristic 0")
     if rng is None:
         rng = random.Random(0)
     n = ring.n
-    # zero rows (constant generators) and zero columns add nothing to the rank
-    rows = [row for row in _jacobian_rows(generators, ring)
-            if not all(entry.is_zero() for entry in row)]
-    columns = sum(1 for j in range(n)
-                  if not all(row[j].is_zero() for row in rows))
-    cap = min(len(rows), columns)
-    for _ in range(retries):
-        point = [rng.choice((-1, 1)) * rng.randint(1, 1 << 16)
-                 if i < ring.laurent else rng.randint(-1 << 16, 1 << 16)
-                 for i in range(n)]
-        values = [[_value_at(entry, point) for entry in row] for row in rows]
-        if _rational_rank(values) == cap:
-            return cap
-    return _polynomial_rank(rows, n)
-
-
-def _value_at(p, point):
-    """p at an integer point, in plain int (and Fraction, for QQ)
-    arithmetic; every exponent of p must be nonnegative."""
-    total = 0
-    for exp, c in p.terms:
-        for v, e in zip(point, exp):
-            if e:
-                c *= v ** e
-        total += c
-    return total
-
-
-def _rational_rank(rows):
-    rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    generators = [g for g in generators if not g.is_constant()]
+    involved = {j for g in generators for e, _ in g.terms
+                for j in range(n) if e[j]}
+    cap = min(len(generators), len(involved))
+    point = [rng.randint(1, _P - 1) for _ in range(n)]
+    # pow with a negative exponent inverts anew on every call, some 15
+    # times the cost of a small positive power: each power is taken once
+    powers = {}
+    rows = []
+    for g in generators:
+        row = [0] * n
+        for e, c in _integer_terms(g.terms)[1]:
+            value = c % _P
+            for j, x in enumerate(e):
+                if x:
+                    power = powers.get((j, x))
+                    if power is None:
+                        power = powers[j, x] = pow(point[j], x, _P)
+                    value = value * power % _P
+            for j, x in enumerate(e):
+                if x:
+                    row[j] += x * value
+        rows.append([v % _P for v in row])
+    if _rank_mod(rows, n) == cap:
+        return cap
+    return jacobian_rank(generators, ring)
 
 
 def transcendence_degree(generators, ring, unit_rank=None):
     """Transcendence degree of the subring generated by the given elements.
 
     Characteristic 0: the Jacobian rank over the rational function field.
-    It is certified at a random integer point when the rank there reaches
-    min(#generators, n), and computed by exact elimination otherwise (see
+    It is the rank of the log-Jacobian at a random point mod 2^61 - 1 when
+    that reaches its cap, min(#nonconstant generators, #variables they
+    involve), and comes from exact elimination otherwise (see
     `jacobian_rank_at_random_point`).  Characteristic p: the Jacobian
     criterion is unsound (inseparability), so the result is the interval
     [r, r + n - d], except that a pure Laurent ring forces the exact value r.

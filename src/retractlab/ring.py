@@ -350,7 +350,7 @@ class MixedPoly:
         c, exp = u
         return self.ring.monomial(tuple(-e for e in exp), self.ring.domain.invert(c))
 
-    # -- homomorphisms and calculus ------------------------------------------
+    # -- homomorphisms -------------------------------------------------------
 
     def substitute(self, images, target_ring=None):
         """Apply the R-algebra homomorphism x_i ↦ images[i].
@@ -452,26 +452,6 @@ class MixedPoly:
                 terms.append((e, c))
         terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
         return MixedPoly._trusted(target_ring, tuple(terms))
-
-    def partial_derivative(self, i):
-        """Formal partial derivative with respect to variable i (0-indexed)."""
-        if not 0 <= i < self.ring.n:
-            raise ValueError("variable index out of range")
-        dom = self.ring.domain
-        out = []
-        for exp, c in self.terms:
-            e = exp[i]
-            if e == 0:
-                continue
-            k = dom.mul(c, dom.coerce(e))
-            if dom.is_zero(k):
-                continue
-            new = list(exp)
-            new[i] = e - 1
-            out.append((tuple(new), k))
-        # shifting every exponent by -e_i keeps the graded-lex order and
-        # the exponents distinct, and the zero terms are already dropped
-        return MixedPoly._trusted(self.ring, tuple(out))
 
     # -- printing ------------------------------------------------------------
 

@@ -127,6 +127,21 @@ def test_gen_domain_is_spelled_as_in_a_ring_header(capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [
+    ["--n", "2", "--d", "3", "--r", "1"],
+    ["--n", "-1", "--d", "0", "--r", "0"],
+    ["--n", "2", "--d", "1", "--r", "-1"],
+    ["--n", "2", "--d", "1", "--r", "1", "--complexity", "-1"],
+    ["--n", "2", "--d", "1", "--r", "1", "--count", "0"],
+    ["--n", "2", "--d", "1", "--r", "1", "--count", "-1"],
+])
+def test_gen_bad_sizes_and_counts_are_parse_errors(bad, capsys):
+    assert run_cli(["gen", "--seed", "1"] + bad) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error: "), (bad, err)
+    assert err.count("\n") == 1
+
+
 def test_gen_stdout_deterministic(capsys):
     args = ["gen", "--n", "3", "--d", "2", "--r", "1",
             "--seed", "7", "--complexity", "2", "--count", "2"]

@@ -89,12 +89,30 @@ def test_jacobian_rank_probabilistic_cross_check():
                 gens = [random_element(R, source) for _ in range(2)]
                 assert jacobian_rank_at_random_point(gens, R, rng) == \
                     jacobian_rank(gens, R)
-        # rank 1 < min(#generators, n) = 2: only elimination can return it
+        # rank 1; for the last two, below the cap min(#generators,
+        # #variables involved) = 2, so only elimination can return it
         R = RingSignature(["x1", "x2"], 1, dom)
         x1 = R.variable(0)
-        for gens in ([x1, x1 ** 2], [x1 ** -1, x1 + x1 ** -2]):
+        u, v = x1 * R.variable(1), x1 ** -1 * R.variable(1)
+        for gens in ([x1, x1 ** 2], [x1 ** -1, x1 + x1 ** -2],
+                     [u, u ** 2], [v, v + v ** 3]):
             assert jacobian_rank(gens, R) == 1
             assert jacobian_rank_at_random_point(gens, R, rng) == 1
+        # every value of the first row vanishes mod the point modulus
+        # 2^61 - 1: only elimination can return the rank 2
+        gens = [R.monomial((1, 1), (1 << 61) - 1), x1 + R.variable(1) ** 2]
+        assert jacobian_rank(gens, R) == 2
+        assert jacobian_rank_at_random_point(gens, R, rng) == 2
+    # Fraction coefficients and negative Laurent exponents
+    R = RingSignature(["x1", "x2", "x3"], 2, QQ)
+    for seed in range(10):
+        source = random.Random(seed)
+        gens = [random_element(R, source).scale(Fraction(1, k))
+                for k in (2, 3, 7)]
+        assert any(type(c) is Fraction for g in gens for _, c in g.terms)
+        assert any(e[0] < 0 or e[1] < 0 for g in gens for e, _ in g.terms)
+        assert jacobian_rank_at_random_point(gens, R, rng) == \
+            jacobian_rank(gens, R)
     # integer point values say nothing about the rank mod p
     F = RingSignature(["x1"], 1, GF(5))
     with pytest.raises(ValueError, match="characteristic 0"):

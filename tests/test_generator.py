@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from retractlab import QQ, ZZ, GF, is_idempotent, analyze
@@ -64,3 +65,34 @@ def test_elementary_inverses_are_two_sided():
                                                          complexity)
                 assert compose(alpha, alpha_inv) == ident, (domain, kind)
                 assert compose(alpha_inv, alpha) == ident, (domain, kind)
+
+
+def test_trdeg_oracle_on_conjugated_projections():
+    # a conjugate of standard_projection(ring, L, P) has a retract
+    # isomorphic to R^[±|L|] ⊗ R^[|P|], so r = |L| and trdeg = |L| + |P|;
+    # over GF(p) only an interval containing that value is reported
+    from retractlab import conjugate, standard_projection
+    from retractlab.generator import _elementary_automorphism
+    rng = random.Random(2301)
+    strata = [(n, d, c) for n in range(2, 6) for d in range(1, min(3, n) + 1)
+              for c in range(3)]
+    for (n, d, complexity), domain, _ in itertools.product(
+            strata, (QQ, ZZ, GF(5), GF(32003)), range(4)):
+        ring = GeneratorSpec(n, d, 0, 0, 0, domain).ring()
+        keep_laurent = sorted(rng.sample(range(d), rng.randint(0, d)))
+        keep_poly = sorted(j for j in range(d, n) if rng.random() < 0.5)
+        phi = standard_projection(ring, keep_laurent, keep_poly)
+        for _ in range(complexity):
+            phi = conjugate(phi, *_elementary_automorphism(ring, rng,
+                                                           complexity))
+        report = analyze(phi)
+        r = len(keep_laurent)
+        t = r + len(keep_poly)
+        case = (n, d, complexity, domain, keep_laurent, keep_poly)
+        assert report.r == r, case
+        if isinstance(report.trdeg, tuple):
+            assert domain.characteristic, case
+            lo, hi = report.trdeg
+            assert lo <= t <= hi, case
+        else:
+            assert report.trdeg == t, case
