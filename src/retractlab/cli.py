@@ -12,9 +12,9 @@ stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
 
 Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error (of a problem
 file, or of `gen` arguments: the `--domain` spelling, sizes outside
-0 <= r <= d <= n, a negative complexity, a count below 1), unreadable input
-(missing, a directory, not UTF-8) or unwritable output, 3 internal
-certificate failure.
+0 <= r <= d <= n or with n < 1, a negative complexity, a count below 1),
+unreadable input (missing, a directory, not UTF-8) or unwritable output,
+3 internal certificate failure.
 """
 
 import argparse
@@ -49,14 +49,14 @@ def _load(path):
 
 
 def _cmd_check(args):
-    _, phi, _ = parse_problem(_load(args.file))
+    _, phi = parse_problem(_load(args.file))
     require_idempotent(phi)
     print("ok: valid and idempotent")
     return EXIT_OK
 
 
 def _cmd_analyze(args):
-    _, phi, _ = parse_problem(_load(args.file))
+    _, phi = parse_problem(_load(args.file))
     report = analyze(phi)
     out = render_report(report, "json" if args.json else "text")
     if args.out:

@@ -25,6 +25,8 @@ class GeneratorSpec:
     __slots__ = ("n", "d", "r", "seed", "complexity", "domain")
 
     def __init__(self, n, d, r, seed, complexity, domain):
+        if n < 1:
+            raise ValueError("need n >= 1, got %d" % n)
         if not 0 <= r <= d <= n:
             raise ValueError("need 0 <= r <= d <= n")
         if complexity < 0:

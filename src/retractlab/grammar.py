@@ -283,22 +283,15 @@ def parse_expression(ring, text, lineno=1):
 
 
 def parse_problem(text):
-    """Parse a problem file into (RingSignature, Endomorphism, options)."""
+    """Parse a problem file into (RingSignature, Endomorphism)."""
     ring = None
     images = {}
-    options = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ring is None:
             ring = _parse_header(line, lineno)
-            continue
-        if line.startswith("option "):
-            parts = line.split(None, 2)
-            if len(parts) < 3:
-                raise ParseError("option needs a name and a value", lineno)
-            options[parts[1]] = parts[2]
             continue
         if "->" not in line:
             raise ParseError("expected 'var -> expression'", lineno)
@@ -315,7 +308,7 @@ def parse_problem(text):
     if missing:
         raise ParseError("missing map line for %s" % ", ".join(missing))
     endo = Endomorphism(ring, [images[nm] for nm in ring.names])
-    return ring, endo, options
+    return ring, endo
 
 
 # -- printing ----------------------------------------------------------------

@@ -15,7 +15,7 @@ E1_TEXT = "ring QQ[x1^±,x2^±]\nx1 -> x1*x2\nx2 -> 1\n"
 
 
 def _check_e1():
-    _, phi, _ = parse_problem(E1_TEXT)
+    _, phi = parse_problem(E1_TEXT)
     rep = analyze(phi)
     return (rep.r == 1
             and rep.decomposition.Y == IntMatrix([[1, 0], [1, 1]])
@@ -35,7 +35,7 @@ def _check_table():
          "UFDClassified"),
     ]
     for text, tag in cases:
-        _, phi, _ = parse_problem(text)
+        _, phi = parse_problem(text)
         rep = analyze(phi)
         if rep.classification.tag != tag or rep.rationality != "Rational":
             return False
@@ -56,7 +56,7 @@ def _check_generated(domain, count, seed0):
 
 
 def _check_report_determinism():
-    _, phi, _ = parse_problem(E1_TEXT)
+    _, phi = parse_problem(E1_TEXT)
     a = render_report(analyze(phi), "json")
     b = render_report(analyze(phi), "json")
     return a == b

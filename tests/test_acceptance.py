@@ -57,7 +57,7 @@ def test_criterion_1_pure_laurent_retracts_are_laurent_rings():
 
 def test_criterion_2_worked_example_e1():
     with open(os.path.join(DATA, "e1.ring"), encoding="utf-8") as fh:
-        _, phi, _ = parse_problem(fh.read())
+        _, phi = parse_problem(fh.read())
     rep = analyze(phi)
     assert rep.r == 1
     assert str(phi.ring.monomial(rep.y_variables[0].exponent)) == "x1*x2"
@@ -164,7 +164,7 @@ def test_criterion_6_classification_table():
         if src.endswith(".ring"):
             with open(os.path.join(DATA, src), encoding="utf-8") as fh:
                 src = fh.read()
-        _, phi, _ = parse_problem(src)
+        _, phi = parse_problem(src)
         rep = analyze(phi)
         assert rep.classification.tag == tag
         if params is not None:
@@ -241,9 +241,9 @@ def test_criterion_8_cli_and_golden_files():
         if name == "undeclared.ring":
             continue
         with open(os.path.join(DATA, name), encoding="utf-8") as fh:
-            _, phi, _ = parse_problem(fh.read())
+            _, phi = parse_problem(fh.read())
         text = render_problem(phi)
-        _, phi2, _ = parse_problem(text)
+        _, phi2 = parse_problem(text)
         assert phi2 == phi
 
     # analyze --json byte-identical across two runs

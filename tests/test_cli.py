@@ -134,6 +134,8 @@ def test_gen_domain_is_spelled_as_in_a_ring_header(capsys):
     ["--n", "2", "--d", "1", "--r", "1", "--complexity", "-1"],
     ["--n", "2", "--d", "1", "--r", "1", "--count", "0"],
     ["--n", "2", "--d", "1", "--r", "1", "--count", "-1"],
+    ["--n", "0", "--d", "0", "--r", "0"],
+    ["--n", "0", "--d", "0", "--r", "0", "--complexity", "0"],
 ])
 def test_gen_bad_sizes_and_counts_are_parse_errors(bad, capsys):
     assert run_cli(["gen", "--seed", "1"] + bad) == 2

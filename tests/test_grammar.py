@@ -18,21 +18,21 @@ def load(name):
 
 
 def test_parse_e1():
-    ring, phi, _ = parse_problem(load("e1.ring"))
+    ring, phi = parse_problem(load("e1.ring"))
     assert ring.laurent == 2 and ring.n == 2 and ring.domain == QQ
     assert phi.images[0] == ring.variable(0) * ring.variable(1)
     assert phi.images[1] == ring.one()
 
 
 def test_parse_mixed_and_ascii_marker():
-    ring, phi, _ = parse_problem(
+    ring, phi = parse_problem(
         "ring QQ[x1^+-,x2]\nx1 -> x1\nx2 -> x1 + x1^-1\n")
     assert ring.laurent == 1
     assert phi.images[1] == ring.variable(0) + ring.monomial((-1, 0))
 
 
 def test_parse_gf():
-    ring, phi, _ = parse_problem(load("gf5.ring"))
+    ring, phi = parse_problem(load("gf5.ring"))
     assert ring.domain == GF(5)
     assert phi.images[0] == ring.monomial((1, -1), 2)
 
@@ -68,6 +68,11 @@ def test_parse_errors():
         parse_problem("ring QQ[x,y^±]\nx -> x\ny -> y\n")
     with pytest.raises(ParseError, match="not an integer"):
         parse_problem("ring ZZ[x^±]\nx -> 1/2*x\n")
+    # a line that is not the header is a map line, whatever its first word
+    with pytest.raises(ParseError,
+                       match="expected 'var -> expression'") as exc:
+        parse_problem("ring QQ[x^±]\noption threads 4\nx -> x\n")
+    assert exc.value.line == 2
     for text in ("x -> \u00e9", "x -> x^\u00b2", "x -> x $ 1"):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_problem("ring QQ[x^±]\n%s\n" % text)
@@ -99,13 +104,8 @@ def test_parse_error_carries_location():
 
 def test_comments_and_whitespace():
     text = "# a comment\n  ring QQ[x^±]   # trailing\n\nx ->   x \n"
-    ring, phi, _ = parse_problem(text)
+    ring, phi = parse_problem(text)
     assert phi.images[0] == ring.variable(0)
-
-
-def test_options_block():
-    _, _, opts = parse_problem("ring QQ[x^±]\noption threads 4\nx -> x\n")
-    assert opts == {"threads": "4"}
 
 
 def test_expression_features():
@@ -122,9 +122,9 @@ def test_print_parse_round_trip_corpus():
     for name in sorted(os.listdir(DATA)):
         if name == "undeclared.ring":
             continue
-        ring, phi, _ = parse_problem(load(name))
+        ring, phi = parse_problem(load(name))
         text = render_problem(phi)
-        ring2, phi2, _ = parse_problem(text)
+        ring2, phi2 = parse_problem(text)
         assert ring2 == ring and phi2 == phi
         assert render_problem(phi2) == text
 
@@ -142,19 +142,19 @@ def test_round_trip_generated_instances():
         spec = GeneratorSpec(n=3, d=2, r=1, seed=seed, complexity=2, domain=QQ)
         phi = gen_random_idempotent(spec)
         text = render_problem(phi)
-        _, phi2, _ = parse_problem(text)
+        _, phi2 = parse_problem(text)
         assert phi2 == phi
 
 
 def test_report_generator_strings_round_trip():
-    _, phi, _ = parse_problem(load("e7.ring"))
+    _, phi = parse_problem(load("e7.ring"))
     rep = analyze(phi)
     for g in rep.generators:
         assert parse_expression(phi.ring, str(g)) == g
 
 
 def test_render_report_shapes():
-    _, phi, _ = parse_problem(load("e1.ring"))
+    _, phi = parse_problem(load("e1.ring"))
     rep = analyze(phi)
     import json
     obj = json.loads(render_report(rep, "json"))

@@ -278,7 +278,7 @@ def test_problem_files_match_reference(monkeypatch):
     for text, want in zip(PROBLEMS, expected):
         got = outcome(parse_problem, text)
         if want[0] == "ok":
-            assert got[0] == "ok" and got[1][2] == want[1][2], text
+            assert got[0] == "ok" and got[1][0] == want[1][0], text
             assert got[1][1].images == want[1][1].images, text
         else:
             assert got == want, text

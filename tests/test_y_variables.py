@@ -1,0 +1,189 @@
+"""The y-variables and lattice certificates read from the monomial part.
+
+`compute_y_variables` checks each basis vector b on M·b and λ^b alone.  The
+reference below is the earlier computation, which applied phi to every
+basis monomial; on idempotent inputs the two must agree in every field.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from retractlab import (QQ, ZZ, GF, RingSignature, Endomorphism, MixedPoly,
+                        YVariable, analyze, apply, compute_y_variables,
+                        conjugate, decompose, monomial_part,
+                        require_idempotent, standard_projection)
+from retractlab import engine, intlinalg
+from retractlab.cli import run_cli
+from retractlab.engine import CertificateError
+from retractlab.generator import (GeneratorSpec, gen_random_idempotent,
+                                  _automorphism_of_kind)
+from retractlab.intlinalg import (IntMatrix, SummandDecomposition,
+                                  assemble_unimodular)
+
+
+def reference_y_variables(phi):
+    """y-variables by substitution: phi applied to each basis monomial."""
+    require_idempotent(phi)
+    ring = phi.ring
+    d = ring.laurent
+    dec = decompose(monomial_part(phi).matrix)
+    yvars = []
+    for i, b in enumerate(dec.fixed_basis + dec.kernel_basis):
+        exp = tuple(b) + (0,) * (ring.n - d)
+        mono = ring.monomial(exp)
+        image = apply(phi, mono)
+        if i < dec.r:
+            yvars.append(YVariable(exp, ring.domain.one(), "fixed", mono,
+                                   verified=image == mono))
+        else:
+            assert image.is_constant()
+            lam = image.constant_value()
+            assert ring.domain.is_unit(lam)
+            y = mono.scale(ring.domain.invert(lam))
+            yvars.append(YVariable(exp, lam, "killed", y,
+                                   verified=apply(phi, y) == ring.one()))
+    return dec, yvars
+
+
+def fields(yvars):
+    return [(y.exponent, y.kind, y.normalizer, y.poly, y.verified)
+            for y in yvars]
+
+
+def assert_matches_reference(phi):
+    dec, ys = compute_y_variables(phi)
+    ref_dec, ref = reference_y_variables(phi)
+    assert dec.fixed_basis == ref_dec.fixed_basis
+    assert dec.kernel_basis == ref_dec.kernel_basis
+    assert fields(ys) == fields(ref), phi
+    assert all(y.verified for y in ys)
+    return ys
+
+
+def test_matches_substitution_on_generated_draws():
+    rng = random.Random(8108)
+    strata = [(n, d, c) for n in range(2, 6) for d in range(1, min(3, n) + 1)
+              for c in range(3)]
+    for (n, d, complexity), domain, _ in itertools.product(
+            strata, (QQ, ZZ, GF(5), GF(32003)), range(2)):
+        spec = GeneratorSpec(n, d, rng.randint(0, d), rng.getrandbits(64),
+                             complexity, domain)
+        assert_matches_reference(gen_random_idempotent(spec))
+
+
+def test_normalizers_from_negative_powers():
+    # x2 -> c·x1 kills x1·x2^-1 with normalizer c^-1
+    for dom, c, want in ((QQ, 3, Fraction(1, 3)), (ZZ, -1, -1),
+                         (GF(5), 2, 3)):
+        R = RingSignature(["x1", "x2"], 2, dom)
+        phi = Endomorphism(R, [R.variable(0),
+                               R.variable(0).scale(dom.coerce(c))])
+        ys = assert_matches_reference(phi)
+        assert [y.kind for y in ys] == ["fixed", "killed"]
+        assert ys[1].exponent == (1, -1)
+        assert ys[1].normalizer == want
+    # a fixed vector with a negative entry, its λ^b = 2·2^-1 = 1
+    R = RingSignature(["x1", "x2"], 2, QQ)
+    phi = Endomorphism(R, [R.monomial((1, -1), 2), R.constant(2)])
+    ys = assert_matches_reference(phi)
+    assert [(y.kind, y.exponent, y.normalizer) for y in ys] == [
+        ("fixed", (1, -1), 1), ("killed", (0, 1), 2)]
+
+
+def test_matches_substitution_under_scale_conjugation():
+    rng = random.Random(31)
+    kinds = ("scale", "mult", "invert", "mult", "scale")
+    for dom in (QQ, ZZ, GF(5), GF(32003)):
+        R = RingSignature(["x1", "x2", "x3", "x4"], 3, dom)
+        seen_negative = seen_normalizer = False
+        for keep in ([0], [1], [0, 2]):
+            phi = standard_projection(R, keep, [3])
+            for kind in kinds:
+                phi = conjugate(phi, *_automorphism_of_kind(R, kind, rng, 1))
+            ys = assert_matches_reference(phi)
+            seen_negative |= any(e < 0 for y in ys for e in y.exponent)
+            seen_normalizer |= any(y.normalizer != 1 for y in ys)
+        assert seen_negative and seen_normalizer, dom
+
+
+def test_analyze_substitutes_only_for_the_idempotency_check(monkeypatch):
+    spec = GeneratorSpec(5, 3, 1, 1005, 2, QQ)
+    phi = gen_random_idempotent(spec)
+    substitutions = []
+    substitute = MixedPoly.substitute
+    hnfs = []
+    row_hnf = intlinalg.row_hnf
+
+    def counting_substitute(self, *args):
+        substitutions.append(self)
+        return substitute(self, *args)
+
+    def counting_hnf(rows):
+        hnfs.append(rows)
+        return row_hnf(rows)
+    monkeypatch.setattr(MixedPoly, "substitute", counting_substitute)
+    monkeypatch.setattr(intlinalg, "row_hnf", counting_hnf)
+    rep = analyze(phi)
+    assert rep.r == 1 and all(rep.certificates.values())
+    # phi∘phi substitutes into each of the n images; the decomposition
+    # takes one HNF per lattice and one for the inverse of Y
+    assert substitutions == list(phi.images)
+    assert len(hnfs) == 3
+
+
+def e1():
+    R = RingSignature(["x1", "x2"], 2, QQ)
+    return Endomorphism(R, [R.variable(0) * R.variable(1), R.one()])
+
+
+def tampered(fixed, kernel, T=None):
+    """A decomposition of e1's matrix with the given bases (and T)."""
+    M = IntMatrix([[1, 0], [1, 0]])
+    Y, T0 = assemble_unimodular(fixed, kernel)
+    return SummandDecomposition(M, True, len(fixed), fixed, kernel, Y,
+                                T0 if T is None else IntMatrix(T))
+
+
+@pytest.mark.parametrize("dec, failed", [
+    # M does not fix (1, 0); M's column (1, 1) has a kernel coordinate
+    (tampered([(1, 0)], [(0, 1)]),
+     {"fixed_y_images", "image_lattice_membership"}),
+    # M does not kill (1, 0)
+    (tampered([(1, 1)], [(1, 0)]), {"killed_y_images", "ideal_killed"}),
+    # T is not Y^-1, and T·M is nonzero past r
+    (tampered([(1, 1)], [(0, 1)], T=[[1, 0], [0, 1]]),
+     {"unimodular_basis", "image_lattice_membership"}),
+])
+def test_each_certificate_can_fail(dec, failed, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(engine, "decompose", lambda M: dec)
+    with pytest.raises(CertificateError) as exc:
+        analyze(e1())
+    assert list(exc.value.evidence) == [
+        "matrix_idempotent", "unimodular_basis", "fixed_y_images",
+        "killed_y_images", "ideal_killed", "image_lattice_membership"]
+    assert {k for k, ok in exc.value.evidence.items() if not ok} == failed
+    path = tmp_path / "e1.ring"
+    path.write_text("ring QQ[x1^±,x2^±]\nx1 -> x1*x2\nx2 -> 1\n",
+                    encoding="utf-8")
+    assert run_cli(["analyze", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("certificate failure: ")
+    assert all("'%s': False" % k in err for k in failed)
+
+
+def test_fixed_certificate_reads_the_scalar(monkeypatch, tmp_path, capsys):
+    # x -> 2x has an idempotent matrix, but phi(x) != x: with the
+    # idempotency check skipped, only the fixed-image certificate sees it
+    monkeypatch.setattr(engine, "require_idempotent", lambda phi: None)
+    R = RingSignature(["x"], 1, QQ)
+    with pytest.raises(CertificateError) as exc:
+        analyze(Endomorphism(R, [R.variable(0).scale(2)]))
+    assert [k for k, ok in exc.value.evidence.items() if not ok] == [
+        "fixed_y_images"]
+    path = tmp_path / "scaled.ring"
+    path.write_text("ring QQ[x^±]\nx -> 2*x\n", encoding="utf-8")
+    assert run_cli(["analyze", str(path)]) == 3
+    assert "'fixed_y_images': False" in capsys.readouterr().err
