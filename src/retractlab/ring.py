@@ -32,7 +32,14 @@ applied by exponent arithmetic, term by term.  The terms are then grouped by
 their exponents on the remaining variables, and only a group that does not
 cancel is multiplied by its product of powers of multi-term images.  The
 large powers that a full expansion would build, and that then cancel, are
-never formed.
+never formed.  When more than two groups need a product and each holds one
+term, as when the Laurent images are scalars, the groups are summed by the
+multivariate Horner scheme instead (Ceberio & Kreinovich, "Greedy
+algorithms for optimizing multivariate Horner schemes", 2004): each product
+then multiplies by a low power of one image, and the powers the groups
+share are built once.  Where some group holds several terms, each group
+keeps its own product, since Horner's rule would multiply those terms
+through every fold.
 """
 
 from fractions import Fraction
@@ -234,6 +241,68 @@ def _single_term_power(p, e):
     return tuple(x * e for x in exp), p.ring.domain.pow(c, e)
 
 
+def _canonical_sum(acc, reduce):
+    """Canonical terms of an {exponent: unreduced coefficient} dict."""
+    terms = []
+    for e, c in acc.items():
+        c = reduce(c)
+        if c:
+            terms.append((e, c))
+    terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
+    return tuple(terms)
+
+
+def _horner_sum(ring, images, buckets, reduce):
+    """Σ c·x^s·∏ images[j]^β_j over buckets {β: {s: c}} of one entry each,
+    by Horner's rule: group the buckets by their exponent a on the
+    outermost image, evaluate each group on the images inside it, and fold
+    the groups from the highest a down, acc ← acc·image^gap + inner, ending
+    with one multiplication by image^(least a) when that is not 0.  Every
+    product goes through `*` and `**`."""
+    # the image with most terms outermost: an inner level is evaluated once
+    # per exponent combination of the levels around it
+    order = sorted(range(len(images)), key=lambda j: len(images[j].terms),
+                   reverse=True)
+    images = [images[j] for j in order]
+    entries = []
+    for beta, bucket in buckets.items():
+        (s, c), = bucket.items()
+        c = reduce(c)
+        if c:
+            entries.append((tuple([beta[j] for j in order]), (s, c)))
+    if not entries:
+        return ring.zero()
+    powers = {(depth, 1): img for depth, img in enumerate(images)}
+
+    def power(depth, k):
+        p = powers.get((depth, k))
+        if p is None:
+            p = powers[depth, k] = images[depth] ** k
+        return p
+
+    def horner(entries, depth):
+        if depth == len(images):
+            (_, term), = entries
+            return MixedPoly._trusted(ring, (term,))
+        groups = {}
+        for entry in entries:
+            groups.setdefault(entry[0][depth], []).append(entry)
+        acc = None
+        for a in sorted(groups, reverse=True):
+            inner = horner(groups[a], depth + 1)
+            if acc is None:
+                acc = inner
+            else:
+                merged = dict((acc * power(depth, last - a)).terms)
+                for e, c in inner.terms:
+                    merged[e] = merged.get(e, 0) + c
+                acc = MixedPoly._trusted(ring, _canonical_sum(merged, reduce))
+            last = a
+        return acc * power(depth, last) if last else acc
+
+    return horner(entries, 0)
+
+
 class MixedPoly:
     """An element of a mixed Laurent/polynomial ring in canonical term form."""
 
@@ -270,13 +339,6 @@ class MixedPoly:
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1
                                   and all(e == 0 for e in self.terms[0][0]))
-
-    def constant_value(self):
-        if self.is_zero():
-            return self.ring.domain.zero()
-        if not self.is_constant():
-            raise ValueError("not a constant: %s" % self)
-        return self.terms[0][1]
 
     def _require_same_ring(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -365,7 +427,10 @@ class MixedPoly:
         multiplies their coefficients, and goes into a bucket keyed by its
         exponents β on the variables whose images have several terms.  Each
         bucket that does not cancel is then multiplied by ∏ images[i]^β_i,
-        so that product is built only for the buckets that need it.
+        so that product is built only for the buckets that need it.  When
+        more than two buckets need a product and each holds one term, their
+        sum is evaluated by Horner's rule over the multi-term images instead
+        (`_horner_sum`).
         """
         if len(images) != self.ring.n:
             raise ValueError("expected %d images, got %d" % (self.ring.n, len(images)))
@@ -419,6 +484,14 @@ class MixedPoly:
         # of multi-term image powers
         reduce = dom.reduce
         acc = buckets.pop((0,) * len(multi_indices), None) or {}
+        if len(buckets) > 2 and all(len(b) == 1 for b in buckets.values()):
+            # one term per bucket, as when the Laurent images are scalars:
+            # Horner's rule shares the image powers between the buckets
+            part = _horner_sum(target_ring, [images[i] for i in multi_indices],
+                               buckets, reduce)
+            for e, k in part.terms:
+                acc[e] = acc.get(e, 0) + k
+            return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
         power_cache = {}
         for beta, bucket in buckets.items():
             terms = []
@@ -445,13 +518,7 @@ class MixedPoly:
                 part = MixedPoly._trusted(target_ring, tuple(terms)) * product
                 for e, k in part.terms:
                     acc[e] = acc.get(e, 0) + k
-        terms = []
-        for e, c in acc.items():
-            c = reduce(c)
-            if c:
-                terms.append((e, c))
-        terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
-        return MixedPoly._trusted(target_ring, tuple(terms))
+        return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
 
     # -- printing ------------------------------------------------------------
 

@@ -1,5 +1,5 @@
-"""The packed-key, degree-sliced product kernel and the two-stage substitute
-against the plain algorithms they replaced.
+"""The packed-key, degree-sliced product kernel and the two-stage substitute,
+with its Horner stage, against the plain algorithms they replaced.
 
 `reference_mul` is the nested-loop product with domain arithmetic and one
 final sort; `reference_substitute` expands every image power and adds the
@@ -8,12 +8,19 @@ Both build their results through the checked public constructors, so they
 share nothing with the kernel but the canonical form.
 """
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from retractlab import QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError
+from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError,
+                        GeneratorSpec, gen_random_idempotent, problem_text,
+                        analyze)
+from retractlab import ring as ring_module
+
+BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "bench", "named")
 
 
 def reference_mul(p, q):
@@ -243,6 +250,134 @@ def test_substitute_non_unit_errors_match_reference():
         with pytest.raises(NonUnitError) as got:
             p.substitute(imgs)
         assert str(got.value) == str(expected.value)
+
+
+def horner_draw(source, target, rng):
+    """A polynomial and images under which every bucket of `substitute`
+    holds one term: the Laurent images are unit scalars and the other
+    single-term images scalars or zero, while 1-3 polynomial variables get
+    multi-term images.  Their exponents are drawn from 0, 1, 2 and 4, so folds skip
+    exponents, and a shared factor sometimes makes the least exponent
+    positive.  With x1 -> 1, adding q·(x1 - 1) makes some buckets cancel,
+    and q·(x1 - 1) alone makes every bucket cancel."""
+    dom = target.domain
+    d, n = source.laurent, source.n
+    multi = rng.sample(range(d, n), rng.randint(1, 3))
+    images = []
+    for i in range(n):
+        if i in multi:
+            img = target.zero()
+            while len(img.terms) < 2:
+                img = random_poly(target, rng, max_terms=3, max_exp=1)
+        elif i < d:
+            img = target.constant(random_unit(dom, rng))
+        else:
+            img = target.constant(
+                random_coeff(dom, rng) if rng.random() < 0.7 else 0)
+        images.append(img)
+
+    def draw_poly(terms):
+        return source.from_terms(
+            (tuple(rng.randint(-2, 2) if i < d else
+                   rng.choice((0, 1, 2, 4)) if i in multi else
+                   rng.choice((0, 0, 0, 1)) for i in range(n)),
+             random_coeff(dom, rng)) for _ in range(terms))
+
+    p = draw_poly(rng.randint(4, 8))
+    if rng.random() < 0.3:
+        shared = [0] * n
+        for i in multi:
+            shared[i] = rng.randint(1, 2)
+        p = p * source.monomial(shared)
+    kind = rng.randrange(4)
+    if kind:
+        images[0] = target.one()
+        x1 = source.variable(0)
+        q = draw_poly(rng.randint(2, 5)) * (x1 - source.one())
+        p = q if kind == 1 else p + q
+    return p, images
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_horner_substitute_matches_reference(dom, monkeypatch):
+    seen = set()
+    horner_sum = ring_module._horner_sum
+
+    def counted(ring, images, buckets, reduce):
+        seen.add("branch")
+        for j in range(len(images)):
+            exps = sorted({beta[j] for beta in buckets})
+            if any(b - a > 1 for a, b in zip(exps, exps[1:])):
+                seen.add("gap")
+            if exps[0]:
+                seen.add("least exponent")
+        if any(not reduce(c) for b in buckets.values() for c in b.values()):
+            seen.add("cancelled")
+        return horner_sum(ring, images, buckets, reduce)
+
+    monkeypatch.setattr(ring_module, "_horner_sum", counted)
+    rng = random.Random(1004)
+    R = RingSignature(["x1", "x2", "x3", "x4", "x5", "x6"], 2, dom)
+    S = RingSignature(["u", "v", "w"], 1, dom)
+    draws = took_branch = 0
+    for target in (R, S):
+        for _ in range(20):
+            p, images = horner_draw(R, target, rng)
+            seen.discard("branch")
+            got = p.substitute(images, target)
+            expected = reference_substitute(p, images, target)
+            assert got.terms == expected.terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+            draws += 1
+            if "branch" in seen:
+                took_branch += 1
+                if any(img.is_zero() for img in images):
+                    seen.add(("zero image", target.names))
+                if not got.terms:
+                    seen.add("all cancelled")
+    assert 2 * took_branch >= draws
+    assert seen >= {"gap", "least exponent", "cancelled", "all cancelled",
+                    ("zero image", R.names), ("zero image", S.names)}
+
+
+def multi_term_pairs(monkeypatch):
+    """A list whose first entry counts the term pairs of every product
+    `MixedPoly.__mul__` computes on two operands of several terms each; a
+    one-term operand only shifts the other one."""
+    pairs = [0]
+    mul = MixedPoly.__mul__
+
+    def counted(a, b):
+        if len(a.terms) > 1 and len(b.terms) > 1:
+            pairs[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    monkeypatch.setattr(MixedPoly, "__mul__", counted)
+    return pairs
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)
+def test_tail_instance_1004_term_pairs(dom, monkeypatch):
+    # the benchmark's named instance 1004; its two phi∘phi substitutions
+    # made ~537k term pairs before Horner's rule shared the image powers
+    spec = GeneratorSpec(5, 3, 0, 1004, 3, dom)
+    if dom is QQ:
+        with open(os.path.join(BENCH_NAMED, "QQ_n5d3r0c3_s1004.ring"),
+                  encoding="utf-8") as fh:
+            assert problem_text(spec) == fh.read()
+    phi = gen_random_idempotent(spec)
+    pairs = multi_term_pairs(monkeypatch)
+    analyze(phi)
+    assert pairs[0] <= 200000
+
+
+def test_gen_1014_term_pairs(monkeypatch):
+    # each of its substitutions has at most two product buckets or a bucket
+    # of several terms, so all of them keep the per-bucket products
+    pairs = multi_term_pairs(monkeypatch)
+    gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, QQ))
+    assert pairs[0] <= 4448
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)

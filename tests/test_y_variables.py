@@ -40,7 +40,7 @@ def reference_y_variables(phi):
                                    verified=image == mono))
         else:
             assert image.is_constant()
-            lam = image.constant_value()
+            lam = image.terms[0][1]
             assert ring.domain.is_unit(lam)
             y = mono.scale(ring.domain.invert(lam))
             yvars.append(YVariable(exp, lam, "killed", y,
