@@ -9,14 +9,17 @@ Grammar:
 
 Expressions use + - * ^ ( ), integer or a/b coefficients, and negative
 exponents only on Laurent variables; parentheses nest at most `MAX_NESTING`
-deep.  Whitespace-insensitive; comments start with '#'.  The ASCII spelling
-^+- is accepted for ^±; the printer always emits ^±.
+deep.  Numbers, and the p of GF(p), are ASCII digits.  Whitespace is
+ignored; comments start with '#'.  The ASCII spelling ^+- is accepted for
+^±; the printer always emits ^±.
 
-Expressions are parsed by recursive descent, a term at a time: the numbers
-and variable powers of a product such as -2*x1^5*x3^-6 accumulate into one
-coefficient and one exponent list, and make a single term.  Only
-parenthesised factors, and powers of them, are multiplied as `MixedPoly`s.
-The terms of a sum are canonicalized once, at its end.
+One regex scans an expression into plain (kind, text, col) tuples, and error
+messages quote a token's text as written.  Expressions are parsed by
+recursive descent, a term at a time: the numbers and variable powers of a
+product such as -2*x1^5*x3^-6 accumulate into one coefficient and one
+exponent list, and make a single term.  Only parenthesised factors, and
+powers of them, are multiplied as `MixedPoly`s.  The terms of a sum are
+canonicalized once, at its end.
 """
 
 import json
@@ -40,8 +43,9 @@ class ParseError(ValueError):
 
 # the domain is whatever precedes the '[': `parse_domain` reads it
 _HEADER_RE = re.compile(r"^\s*ring\s+([^\[]*?)\s*\[(.*)\]\s*$")
-_DOMAIN_RE = re.compile(r"QQ|ZZ|GF\(\s*(\d+)\s*\)")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_DOMAIN_RE = re.compile(r"QQ|ZZ|GF\(\s*([0-9]+)\s*\)")
+_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+_IDENT_RE = re.compile(_IDENT)
 
 
 def parse_domain(text, lineno=None):
@@ -91,48 +95,30 @@ def _parse_header(line, lineno):
 
 # -- expression tokenizer / parser -------------------------------------------
 
-class _Token:
-    __slots__ = ("kind", "value", "col")
-
-    def __init__(self, kind, value, col):
-        self.kind = kind
-        self.value = value
-        self.col = col
-
-
 # a number with an optional /denominator, an identifier, an operator, or
 # any other non-space character (an error)
-_TOKEN_RE = re.compile(
-    r"(\d+)(/\d*)?|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S)")
+_TOKEN_RE = re.compile(r"(?P<number>[0-9]+(?:/[0-9]*)?)|(?P<ident>%s)"
+                       r"|(?P<op>[-+*^()])|(?P<other>\S)" % _IDENT)
 
 
 def _tokenize(text, lineno):
+    """The (kind, text, col) tokens of an expression, then ("end", None,
+    col); kind is "number", "ident" or the operator character itself.  A
+    stray character or a "3/" raises here, before any token is parsed."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        num, den, ident, op, other = m.groups()
-        col = m.start() + 1
-        if num is not None:
-            if den is not None:
-                if den == "/":
-                    raise ParseError("expected digits after '/'", lineno,
-                                     m.end() + 1)
-                den = int(den[1:])
-            tokens.append(_Token("number", (int(num), den), col))
-        elif ident is not None:
-            tokens.append(_Token("ident", ident, col))
-        elif op is not None:
-            tokens.append(_Token(op, op, col))
-        else:
-            raise ParseError("unexpected character %r" % other, lineno, col)
-    tokens.append(_Token("end", None, len(text) + 1))
+        kind = m.lastgroup
+        tok = m.group()
+        if kind == "op":
+            kind = tok
+        elif kind == "other":
+            raise ParseError("unexpected character %r" % tok, lineno,
+                             m.start() + 1)
+        elif tok[-1] == "/":
+            raise ParseError("expected digits after '/'", lineno, m.end() + 1)
+        tokens.append((kind, tok, m.start() + 1))
+    tokens.append(("end", None, len(text) + 1))
     return tokens
-
-
-def _shown(tok):
-    """A token as error messages show it: a number as its source text."""
-    if tok.kind == "number":  # (numerator, denominator or None)
-        return "/".join(str(x) for x in tok.value if x is not None)
-    return tok.value
 
 
 # Each level of parentheses takes two stack frames of the recursive-descent
@@ -156,26 +142,25 @@ class _ExprParser:
 
     def take(self, kind=None):
         tok = self.tokens[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise ParseError("expected %s, found %r" % (kind, _shown(tok)),
-                             self.lineno, tok.col)
+        if kind is not None and tok[0] != kind:
+            raise ParseError("expected %s, found %r" % (kind, tok[1]),
+                             self.lineno, tok[2])
         self.pos += 1
         return tok
 
     def parse(self):
         value = self.expr()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError("unexpected trailing %r" % (_shown(tail),),
-                             self.lineno, tail.col)
+        kind, text, col = self.peek()
+        if kind != "end":
+            raise ParseError("unexpected trailing %r" % text, self.lineno, col)
         return value
 
     def expr(self):
         """A sum of terms, canonicalized once: adding one summand at a time
         would re-sort the partial sum each time."""
         terms = self.term()
-        while self.peek().kind in ("+", "-"):
-            if self.take().kind == "+":
+        while self.peek()[0] in ("+", "-"):
+            if self.take()[0] == "+":
                 terms.extend(self.term())
             else:
                 terms.extend((e, -c) for e, c in self.term())
@@ -193,36 +178,36 @@ class _ExprParser:
         coeff = 1
         factors = []
         while True:
-            while self.peek().kind == "-":
+            while self.peek()[0] == "-":
                 self.take()
                 coeff = -coeff
-            tok = self.take()
-            if tok.kind == "ident":
-                i = self.index.get(tok.value)
+            kind, text, col = self.take()
+            if kind == "ident":
+                i = self.index.get(text)
                 if i is None:
-                    raise ParseError("undeclared identifier %r" % tok.value,
-                                     self.lineno, tok.col)
+                    raise ParseError("undeclared identifier %r" % text,
+                                     self.lineno, col)
                 caret, k, negative = self.exponent()
                 if negative and i >= ring.laurent:
                     raise ParseError(
                         "negative exponent on polynomial variable %s"
-                        % tok.value, self.lineno, caret.col)
+                        % text, self.lineno, caret)
                 exp[i] += k
-            elif tok.kind == "number":
-                num, den = tok.value
+            elif kind == "number":
+                num, _, den = text.partition("/")
                 try:
-                    c = dom.from_fraction(num, 1 if den is None else den)
+                    c = dom.from_fraction(int(num), int(den) if den else 1)
                 except ValueError as exc:
-                    raise ParseError(str(exc), self.lineno, tok.col) from None
+                    raise ParseError(str(exc), self.lineno, col) from None
                 caret, k, _ = self.exponent()
                 if k < 0 and not dom.is_unit(c):
                     raise ParseError("not a unit: %s" % ring.constant(c),
-                                     self.lineno, caret.col)
+                                     self.lineno, caret)
                 coeff *= dom.pow(c, k)
-            elif tok.kind == "(":
+            elif kind == "(":
                 if self.depth == MAX_NESTING:
                     raise ParseError("parentheses nested deeper than %d"
-                                     % MAX_NESTING, self.lineno, tok.col)
+                                     % MAX_NESTING, self.lineno, col)
                 self.depth += 1
                 base = self.expr()
                 self.depth -= 1
@@ -232,9 +217,9 @@ class _ExprParser:
                     base = self.power(base, caret, k, negative)
                 factors.append(base)
             else:
-                raise ParseError("expected a term, found %r" % tok.value,
-                                 self.lineno, tok.col)
-            if self.peek().kind != "*":
+                raise ParseError("expected a term, found %r" % text,
+                                 self.lineno, col)
+            if self.peek()[0] != "*":
                 break
             self.take()
         coeff = dom.reduce(coeff)
@@ -248,19 +233,19 @@ class _ExprParser:
         return list(value.terms)
 
     def exponent(self):
-        """(caret token, k, negative) for a following '^k' or '^-k', else
+        """(caret column, k, negative) for a following '^k' or '^-k', else
         (None, 1, False); '^-0' counts as negative."""
-        if self.peek().kind != "^":
+        if self.peek()[0] != "^":
             return None, 1, False
-        caret = self.take()
-        negative = self.peek().kind == "-"
+        caret = self.take()[2]
+        negative = self.peek()[0] == "-"
         if negative:
             self.take()
-        num, den = self.take("number").value
-        if den is not None:
-            raise ParseError("exponent must be an integer", self.lineno,
-                             caret.col)
-        return caret, -num if negative else num, negative
+        text = self.take("number")[1]
+        if "/" in text:
+            raise ParseError("exponent must be an integer", self.lineno, caret)
+        k = int(text)
+        return caret, -k if negative else k, negative
 
     def power(self, base, caret, k, negative):
         if negative and base.is_unit() is None:
@@ -271,11 +256,11 @@ class _ExprParser:
                            if base.terms[0][0][i])
                 raise ParseError(
                     "negative exponent on polynomial variable %s" % bad,
-                    self.lineno, caret.col)
+                    self.lineno, caret)
         try:
             return base ** k
         except (NonUnitError, ValueError) as exc:
-            raise ParseError(str(exc), self.lineno, caret.col) from None
+            raise ParseError(str(exc), self.lineno, caret) from None
 
 
 def parse_expression(ring, text, lineno=1):

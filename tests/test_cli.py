@@ -120,7 +120,7 @@ def test_gen_domain_is_spelled_as_in_a_ring_header(capsys):
     args = ["gen", "--n", "2", "--d", "1", "--r", "1", "--seed", "3"]
     assert run_cli(args + ["--domain", "GF( 7 )"]) == 0
     assert "ring GF(7)[" in capsys.readouterr().out
-    for bad in ("GF(4)", "GF(+5)", "QQ "):
+    for bad in ("GF(4)", "GF(+5)", "QQ ", "GF(\u0665)"):
         assert run_cli(args + ["--domain", bad]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("parse error: "), (bad, err)

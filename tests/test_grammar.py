@@ -10,6 +10,8 @@ from retractlab.engine import random_element
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "bench", "named")
 
 
 def load(name):
@@ -73,22 +75,27 @@ def test_parse_errors():
                        match="expected 'var -> expression'") as exc:
         parse_problem("ring QQ[x^±]\noption threads 4\nx -> x\n")
     assert exc.value.line == 2
-    for text in ("x -> \u00e9", "x -> x^\u00b2", "x -> x $ 1"):
+    # digits are ASCII: an Arabic-Indic 3 or 2 is a stray character
+    for text in ("x -> \u00e9", "x -> x^\u00b2", "x -> x $ 1",
+                 "x -> \u0663*x^\u0662"):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_problem("ring QQ[x^±]\n%s\n" % text)
     with pytest.raises(ParseError, match="digits after") as exc:
         parse_problem("ring QQ[x^±]\nx -> 3/ * x\n")
     assert exc.value.col == 4
-    for text, shown in (("x 3", "'3'"), ("x + 2 3/4", "'3/4'")):
+    for text, shown in (("x 3", "'3'"), ("x + 2 3/4", "'3/4'"),
+                        ("x 007", "'007'")):
         with pytest.raises(ParseError, match="unexpected trailing " + shown):
             parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
     # a number where a token was expected shows its source text
-    for text, shown in (("(x 3/4)", "'3/4'"), ("(x 3)", "'3'")):
+    for text, shown in (("(x 3/4)", "'3/4'"), ("(x 3)", "'3'"),
+                        ("(x 03)", "'03'")):
         with pytest.raises(ParseError, match=r"expected \), found " + shown):
             parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
     # the header reads its domain with `parse_domain`, as `gen --domain` does
     for header, message in (("QR", "unknown domain 'QR'"),
                             ("GF(+5)", "unknown domain 'GF(+5)'"),
+                            ("GF(\u0665)", "unknown domain 'GF(\u0665)'"),
                             ("GF(4)", "must be prime, got 4")):
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_problem("ring %s[x^±]\nx -> x\n" % header)
@@ -144,6 +151,17 @@ def test_round_trip_generated_instances():
         text = render_problem(phi)
         _, phi2 = parse_problem(text)
         assert phi2 == phi
+
+
+@pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)
+def test_parse_largest_named_instance(dom):
+    # the benchmark's 1014 files, the largest problem files in the repository
+    name = "%s_n6d3r2c4_s1014.ring" % ("QQ" if dom is QQ else "GF32003")
+    with open(os.path.join(BENCH_NAMED, name), encoding="utf-8") as fh:
+        ring, phi = parse_problem(fh.read())
+    expected = gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, dom))
+    assert ring == expected.ring
+    assert phi.images == expected.images
 
 
 def test_report_generator_strings_round_trip():

@@ -8,13 +8,54 @@ polynomials or the same `ParseError` message, line and column.
 """
 
 import random
+import re
 
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, NonUnitError,
                         parse_expression, parse_problem)
 from retractlab import grammar
-from retractlab.grammar import MAX_NESTING, ParseError, _tokenize
+from retractlab.grammar import MAX_NESTING, ParseError
+
+
+# The reference's own tokenizer, as it was beside that parser, so the
+# production scanner is compared with an independent one.  Its \d also takes
+# non-ASCII digits; the expressions below use only ASCII ones.
+class _Token:
+    __slots__ = ("kind", "value", "col")
+
+    def __init__(self, kind, value, col):
+        self.kind = kind
+        self.value = value
+        self.col = col
+
+
+# a number with an optional /denominator, an identifier, an operator, or
+# any other non-space character (an error)
+_TOKEN_RE = re.compile(
+    r"(\d+)(/\d*)?|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S)")
+
+
+def _tokenize(text, lineno):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        num, den, ident, op, other = m.groups()
+        col = m.start() + 1
+        if num is not None:
+            if den is not None:
+                if den == "/":
+                    raise ParseError("expected digits after '/'", lineno,
+                                     m.end() + 1)
+                den = int(den[1:])
+            tokens.append(_Token("number", (int(num), den), col))
+        elif ident is not None:
+            tokens.append(_Token("ident", ident, col))
+        elif op is not None:
+            tokens.append(_Token(op, op, col))
+        else:
+            raise ParseError("unexpected character %r" % other, lineno, col)
+    tokens.append(_Token("end", None, len(text) + 1))
+    return tokens
 
 
 class _ReferenceParser:
