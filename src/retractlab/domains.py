@@ -182,6 +182,8 @@ class Domain:
     def format(self, a):
         """Canonical string: lowest terms with positive denominator for QQ,
         least nonnegative residue for GF(p)."""
+        if type(a) is int:
+            return str(a)
         if self.kind == "rationals":
             a = Fraction(a)
             if a.denominator == 1:

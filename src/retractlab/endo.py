@@ -88,7 +88,8 @@ def is_idempotent(phi):
 def idempotency_defect(phi):
     """Per-variable differences phi²(x_i) − phi(x_i); all zero iff idempotent."""
     sq = compose(phi, phi)
-    return [sq.images[i] - phi.images[i] for i in range(phi.ring.n)]
+    return [s - p if s != p else phi.ring.zero()
+            for s, p in zip(sq.images, phi.images)]
 
 
 def require_idempotent(phi):

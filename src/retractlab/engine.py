@@ -17,7 +17,8 @@ import random
 from .intlinalg import IntMatrix, decompose
 # NotIdempotentError is raised in endo and re-exported here
 from .endo import monomial_part, require_idempotent, NotIdempotentError
-from .ring import MixedPoly, RingSignature, _integer_terms
+from .ring import (MixedPoly, RingSignature, _canonical_sum,
+                   _exponent_adder, _integer_terms)
 
 # the modulus of the point rank, the Mersenne prime 2^61 - 1
 _P = (1 << 61) - 1
@@ -133,25 +134,40 @@ def quotient_ring_signature(ring, r):
 def quotient_mod_J(p, decomposition, y_variables, target=None):
     """Image of p in B/J ≅ S^[n-d], written in y-coordinates.
 
-    Each term's Laurent exponent v is rewritten as c = T·v; coordinates
-    past r are set to zero after multiplying the coefficient by the product
-    of the killed normalizers raised to those coordinates.
+    A Laurent exponent v has coordinates c = T·v, and J sets each killed y_i,
+    i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
+    μ_j = ∏_{i≥r} λ_i^T[i][j], and a term adds the cached exponents and
+    multiplies the cached scalars of its powers of those units.
     """
     ring = p.ring
     d = ring.laurent
-    dec = decomposition
-    r = dec.r
+    r = decomposition.r
     if target is None:
         target = quotient_ring_signature(ring, r)
     dom = ring.domain
-    terms = []
+    T = decomposition.T.entries
+    tail = (0,) * (ring.n - d)
+    add = _exponent_adder(target.n)
+    units = {}
+    acc = {}
     for exp, coeff in p.terms:
-        c = dec.y_coordinates(exp[:d]) if d else ()
-        for i in range(r, d):
-            lam = y_variables[i].normalizer
-            coeff = dom.mul(coeff, dom.pow(lam, c[i]))
-        terms.append((tuple(c[:r]) + exp[d:], coeff))
-    return target.from_terms(terms)
+        out = (0,) * r + exp[d:]
+        for j in range(d):
+            v = exp[j]
+            if v:
+                unit = units.get((j, v))
+                if unit is None:  # (j, v) ↦ μ_j^v·y^(v·T[:r, j])
+                    scalar = dom.one()
+                    for i in range(r, d):
+                        scalar = dom.mul(scalar, dom.pow(
+                            y_variables[i].normalizer, v * T[i][j]))
+                    unit = units[j, v] = (
+                        tuple([v * T[i][j] for i in range(r)]) + tail, scalar)
+                out = add(out, unit[0])
+                if unit[1] != 1:
+                    coeff = coeff * unit[1]
+        acc[out] = acc.get(out, 0) + coeff
+    return MixedPoly._trusted(target, _canonical_sum(acc, dom.reduce))
 
 
 def _log_jacobian(generators, ring):
@@ -411,18 +427,3 @@ def analyze(phi):
         quotient_ring=target, trdeg=trdeg, classification=verdict,
         rationality=rationality, certificates=certificates)
 
-
-def random_element(ring, rng, max_terms=3, max_exp=2, max_coeff=5):
-    """A small random ring element, for property tests."""
-    dom = ring.domain
-    terms = []
-    for _ in range(rng.randint(1, max_terms)):
-        exp = []
-        for i in range(ring.n):
-            lo = -max_exp if i < ring.laurent else 0
-            exp.append(rng.randint(lo, max_exp))
-        c = 0
-        while c == 0:
-            c = rng.randint(-max_coeff, max_coeff)
-        terms.append((tuple(exp), dom.coerce(c)))
-    return ring.from_terms(terms)

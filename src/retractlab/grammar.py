@@ -13,13 +13,10 @@ deep.  Numbers, and the p of GF(p), are ASCII digits.  Whitespace is
 ignored; comments start with '#'.  The ASCII spelling ^+- is accepted for
 ^±; the printer always emits ^±.
 
-One regex scans an expression into plain (kind, text, col) tuples, and error
-messages quote a token's text as written.  Expressions are parsed by
-recursive descent, a term at a time: the numbers and variable powers of a
-product such as -2*x1^5*x3^-6 accumulate into one coefficient and one
-exponent list, and make a single term.  Only parenthesised factors, and
-powers of them, are multiplied as `MixedPoly`s.  The terms of a sum are
-canonicalized once, at its end.
+A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
+parses in one regex pass, a match per term.  Anything else goes to recursive
+descent over the (kind, text, col) tuples of one scanning regex, which
+raises every ParseError, quoting a token as written or "end of line".
 """
 
 import json
@@ -27,7 +24,7 @@ import re
 
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
-from .ring import RingSignature, NonUnitError
+from .ring import MixedPoly, RingSignature, NonUnitError, _canonical_sum
 
 
 class ParseError(ValueError):
@@ -121,6 +118,11 @@ def _tokenize(text, lineno):
     return tokens
 
 
+def _found(tok):
+    """A token as an error message quotes it."""
+    return "end of line" if tok[0] == "end" else repr(tok[1])
+
+
 # Each level of parentheses takes two stack frames of the recursive-descent
 # parser (`expr` and `term`); this limit stays well inside Python's default
 # recursion limit.
@@ -143,7 +145,7 @@ class _ExprParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError("expected %s, found %r" % (kind, tok[1]),
+            raise ParseError("expected %s, found %s" % (kind, _found(tok)),
                              self.lineno, tok[2])
         self.pos += 1
         return tok
@@ -181,7 +183,7 @@ class _ExprParser:
             while self.peek()[0] == "-":
                 self.take()
                 coeff = -coeff
-            kind, text, col = self.take()
+            kind, text, col = tok = self.take()
             if kind == "ident":
                 i = self.index.get(text)
                 if i is None:
@@ -217,7 +219,7 @@ class _ExprParser:
                     base = self.power(base, caret, k, negative)
                 factors.append(base)
             else:
-                raise ParseError("expected a term, found %r" % text,
+                raise ParseError("expected a term, found %s" % _found(tok),
                                  self.lineno, col)
             if self.peek()[0] != "*":
                 break
@@ -263,8 +265,56 @@ class _ExprParser:
             raise ParseError(str(exc), self.lineno, caret) from None
 
 
+# a term of a flat sum: an optional sign and a product of numbers and
+# variable powers with no whitespace inside
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|%s(?:\^-?[0-9]+)?)" % _IDENT
+_FLAT_TERM_RE = re.compile(r"\s*([-+]?)\s*(%s(?:\*%s)*)\s*"
+                           % (_FACTOR, _FACTOR))
+
+
+def _parse_flat(ring, text):
+    """The value of a flat sum, matched a term at a time (a match of the
+    whole sum keeps a backtracking entry per factor), or None for anything
+    that recursive descent must parse or reject."""
+    dom = ring.domain
+    index = {name: i for i, name in enumerate(ring.names)}
+    acc = {}
+    pos = 0
+    while True:
+        m = _FLAT_TERM_RE.match(text, pos)
+        if m is None:
+            return None
+        sign, product = m.groups()
+        # the first term may be negated, and every later one has a sign
+        if (sign == "+") if pos == 0 else not sign:
+            return None
+        exp = [0] * ring.n
+        coeff = -1 if sign == "-" else 1
+        for factor in product.split("*"):
+            if factor[0] <= "9":
+                num, _, den = factor.partition("/")
+                try:
+                    coeff *= (dom.from_fraction(int(num), int(den)) if den
+                              else int(num))
+                except ValueError:
+                    return None
+                continue
+            name, _, power = factor.partition("^")
+            i = index.get(name)
+            if i is None or i >= ring.laurent and power[:1] == "-":
+                return None
+            exp[i] += int(power) if power else 1
+        exp = tuple(exp)
+        acc[exp] = acc.get(exp, 0) + coeff
+        pos = m.end()
+        if pos == len(text):
+            return MixedPoly._trusted(ring, _canonical_sum(acc, dom.reduce))
+
+
 def parse_expression(ring, text, lineno=1):
-    return _ExprParser(ring, text, lineno).parse()
+    """A flat sum in one regex pass, anything else by recursive descent."""
+    value = _parse_flat(ring, text)
+    return _ExprParser(ring, text, lineno).parse() if value is None else value
 
 
 def parse_problem(text):

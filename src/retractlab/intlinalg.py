@@ -148,10 +148,6 @@ class SummandDecomposition:
     def d(self):
         return self.M.rows
 
-    def y_coordinates(self, v):
-        """Coordinates of v in the assembled basis (T·v)."""
-        return self.T.apply(v)
-
 
 def assemble_unimodular(fixed, kernel):
     """Assemble Y = [fixed | kernel] as columns and return (Y, T) with

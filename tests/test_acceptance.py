@@ -14,8 +14,8 @@ from retractlab import (QQ, GF, RingSignature, Endomorphism, apply, analyze,
                         quotient_mod_J, solve_in_lattice,
                         monomial_part, is_idempotent, IntMatrix)
 from retractlab.cli import run_cli
-from retractlab.engine import random_element
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
+from random_elements import random_element
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

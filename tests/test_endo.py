@@ -6,7 +6,7 @@ from retractlab import (QQ, RingSignature, Endomorphism, IntMatrix,
                         identity, require_valid, apply, compose, is_idempotent,
                         monomial_part, conjugate, standard_projection,
                         InvalidEndomorphismError)
-from retractlab.engine import random_element
+from random_elements import random_element
 
 
 def laurent2():

@@ -5,9 +5,13 @@ import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, Endomorphism, IntMatrix,
                         identity, apply, analyze, classify, compute_y_variables,
+                        conjugate, standard_projection,
                         quotient_mod_J, rationality_verdict, transcendence_degree,
                         jacobian_rank, NotIdempotentError)
-from retractlab.engine import jacobian_rank_at_random_point, random_element
+from retractlab.engine import (jacobian_rank_at_random_point,
+                               quotient_ring_signature)
+from retractlab.generator import _automorphism_of_kind
+from random_elements import random_element
 
 
 def e1():
@@ -59,6 +63,56 @@ def test_quotient_mod_j_e1():
     y1sq = R.monomial((2, 2))
     q = quotient_mod_J(y1sq, dec, ys)
     assert q == q.ring.monomial((2,))
+
+
+def reference_quotient_mod_J(p, decomposition, y_variables, target=None):
+    """The per-term T·v computation that `quotient_mod_J` replaced."""
+    ring = p.ring
+    d = ring.laurent
+    dec = decomposition
+    r = dec.r
+    if target is None:
+        target = quotient_ring_signature(ring, r)
+    dom = ring.domain
+    terms = []
+    for exp, coeff in p.terms:
+        c = dec.T.apply(exp[:d]) if d else ()
+        for i in range(r, d):
+            lam = y_variables[i].normalizer
+            coeff = dom.mul(coeff, dom.pow(lam, c[i]))
+        terms.append((tuple(c[:r]) + exp[d:], coeff))
+    return target.from_terms(terms)
+
+
+def test_quotient_mod_j_matches_reference():
+    # conjugating by scale and mult automorphisms makes killed normalizers
+    # other than 1 and entries of T below 0, so the cached unit images carry
+    # scalars and inverse powers
+    rng = random.Random(4711)
+    kinds = ("scale", "mult", "scale", "mult", "invert", "scale")
+    for dom in (QQ, ZZ, GF(5), GF(32003)):
+        seen_normalizer = seen_negative = False
+        for names in (["x1", "x2", "x3", "x4"], ["x1", "x2", "x3"]):
+            R = RingSignature(names, 3, dom)
+            for r in range(4):
+                keep = rng.sample(range(3), r)
+                phi = standard_projection(R, keep, range(3, R.n))
+                for kind in kinds:
+                    phi = conjugate(phi,
+                                    *_automorphism_of_kind(R, kind, rng, 1))
+                dec, ys = compute_y_variables(phi)
+                assert dec.r == r
+                seen_normalizer |= any(y.normalizer != 1 for y in ys)
+                seen_negative |= any(t < 0 for row in dec.T.entries
+                                     for t in row)
+                target = quotient_ring_signature(R, r)
+                for _ in range(25):
+                    p = random_element(R, rng, max_terms=6, max_exp=4,
+                                       max_coeff=7)
+                    want = reference_quotient_mod_J(p, dec, ys)
+                    assert quotient_mod_J(p, dec, ys) == want, (phi, p)
+                    assert quotient_mod_J(p, dec, ys, target) == want
+        assert seen_normalizer and seen_negative, dom
 
 
 def test_transcendence_degree_examples():

@@ -4,11 +4,14 @@ import re
 
 import pytest
 
-from retractlab import (QQ, GF, parse_problem, parse_expression, render_problem,
-                        render_report, analyze, ParseError, RingSignature)
-from retractlab.engine import random_element
+from retractlab import (QQ, ZZ, GF, parse_problem, parse_expression,
+                        render_problem, render_report, analyze, ParseError,
+                        RingSignature)
+from retractlab import grammar
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
+from random_elements import random_element
 
+DOMAINS = (QQ, ZZ, GF(5), GF(32003))
 DATA = os.path.join(os.path.dirname(__file__), "data")
 BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "bench", "named")
@@ -92,6 +95,11 @@ def test_parse_errors():
                         ("(x 03)", "'03'")):
         with pytest.raises(ParseError, match=r"expected \), found " + shown):
             parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
+    # a missing token at the end of the line is named as such
+    for text, expected in (("x +", "a term"), ("(x", r"\)")):
+        with pytest.raises(ParseError,
+                           match="expected %s, found end of line" % expected):
+            parse_problem("ring QQ[x^±]\nx -> %s\n" % text)
     # the header reads its domain with `parse_domain`, as `gen --domain` does
     for header, message in (("QR", "unknown domain 'QR'"),
                             ("GF(+5)", "unknown domain 'GF(+5)'"),
@@ -151,6 +159,26 @@ def test_round_trip_generated_instances():
         text = render_problem(phi)
         _, phi2 = parse_problem(text)
         assert phi2 == phi
+
+
+def test_rendered_map_lines_take_the_flat_path(monkeypatch):
+    # every map line `render_problem` writes is a flat sum, parsed with no
+    # recursive descent: the benchmark's small strata and its named tail
+    # specs, on four domains
+    specs = [GeneratorSpec(n, d, seed % (d + 1), seed, c, dom)
+             for n in range(2, 6) for d in range(1, min(3, n) + 1)
+             for c in range(3) for seed in range(5) for dom in DOMAINS]
+    specs += [GeneratorSpec(n, d, r, seed, c, dom)
+              for n, d, r, seed, c in ((5, 3, 0, 1004, 3), (6, 3, 2, 1014, 4),
+                                       (6, 3, 0, 1016, 3))
+              for dom in DOMAINS]
+    phis = [gen_random_idempotent(spec) for spec in specs]
+
+    def refuse(ring, text, lineno):
+        raise AssertionError("not a flat sum: %s" % text)
+    monkeypatch.setattr(grammar, "_ExprParser", refuse)
+    for phi in phis:
+        assert parse_problem(render_problem(phi))[1] == phi
 
 
 @pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)

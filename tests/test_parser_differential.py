@@ -4,7 +4,8 @@ replaced.
 `reference_parse` is that parser, kept as it was: every factor becomes a
 `MixedPoly` and products and powers go through the ring.  On seeded random
 expression strings, valid and malformed, the two must give equal
-polynomials or the same `ParseError` message, line and column.
+polynomials or the same `ParseError` message, line and column, whether
+`parse_expression` takes the flat-sum path or recursive descent.
 """
 
 import random
@@ -73,10 +74,13 @@ class _ReferenceParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            found = tok.value
+            found = repr(tok.value)
             if tok.kind == "number":  # the source text of the number
-                found = "/".join(str(x) for x in found if x is not None)
-            raise ParseError("expected %s, found %r" % (kind, found),
+                found = repr("/".join(str(x) for x in tok.value
+                                      if x is not None))
+            elif tok.kind == "end":
+                found = "end of line"
+            raise ParseError("expected %s, found %s" % (kind, found),
                              self.lineno, tok.col)
         self.pos += 1
         return tok
@@ -167,8 +171,9 @@ class _ReferenceParser:
             self.depth -= 1
             self.take(")")
             return value
-        raise ParseError("expected a term, found %r" % tok.value,
-                         self.lineno, tok.col)
+        raise ParseError("expected a term, found %s"
+                         % ("end of line" if tok.kind == "end"
+                            else repr(tok.value)), self.lineno, tok.col)
 
 
 def reference_parse(ring, text, lineno=1):
@@ -254,15 +259,56 @@ def random_expression(rng, names):
     return text
 
 
+def random_flat_sum(rng, names):
+    """A sum in the form `render_problem` writes, products of numbers and
+    variable powers with no whitespace inside, now and then with an
+    undeclared name, a malformed number or a power on a number."""
+    pieces = ["-" if rng.random() < 0.3 else ""]
+    for i in range(rng.randint(1, 5)):
+        if i:
+            pieces.append(rng.choice((" + ", " - ", "+", "-")))
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                factor = rng.choice(MALFORMED_NUMBERS if rng.random() < 0.05
+                                    else NUMBERS)
+                if rng.random() < 0.02:
+                    factor += rng.choice(POWERS)
+            else:
+                factor = rng.choice(names + ["w"] if rng.random() < 0.02
+                                    else names)
+                if rng.random() < 0.5:
+                    factor += rng.choice(POWERS)
+            factors.append(factor)
+        pieces.append("*".join(factors))
+    return "".join(pieces)
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
-def test_random_expressions_match_reference(ring):
+def test_random_expressions_match_reference(ring, monkeypatch):
+    flat = []
+    parse_flat = grammar._parse_flat
+
+    def recording(*args):
+        value = parse_flat(*args)
+        flat.append(value is not None)
+        return value
+    monkeypatch.setattr(grammar, "_parse_flat", recording)
     rng = random.Random(RINGS.index(ring))
     names = list(ring.names)
     kinds = {"ok": 0, "error": 0, "trailing number": 0}
-    for _ in range(1000):
-        kinds[assert_same_outcome(ring, random_expression(rng, names), 3)] += 1
-    # valid and malformed input both get real use
+    paths = {"flat": 0, "descent": 0}
+    for i in range(1500):
+        text = (random_expression(rng, names) if i < 1000
+                else random_flat_sum(rng, names))
+        kind = assert_same_outcome(ring, text, 3)
+        kinds[kind] += 1
+        if kind == "ok":
+            paths["flat" if flat[-1] else "descent"] += 1
+    # valid and malformed input both get real use, and the valid input
+    # reaches both the flat-sum parser and recursive descent
     assert kinds["ok"] > 100 and kinds["error"] > 100, kinds
+    assert paths["flat"] > 100 and paths["descent"] > 100, paths
 
 
 EXPRESSIONS = [
