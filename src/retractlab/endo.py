@@ -5,7 +5,19 @@ variables must map to units, otherwise no ring map exists on x_i^-1.  The
 induced action on the unit lattice Z^d is extracted as MonomialData with the
 convention: column i of the matrix is the Laurent exponent of the image of
 x_i, so composition multiplies matrices in application order.
+
+`require_idempotent` proves phi∘phi = phi from phi = σ∘ω with ω∘phi = ω,
+as phi∘phi = σ∘(ω∘phi) = σ∘ω, in any characteristic.  ω keeps phi's images
+in R[x_L^±], fixes a set C of the other variables, and sends the rest to
+witnesses W_j in R[x_L^±][x_C], phi(x_j) = W_j(phi(x_C)); σ sends x_c in C
+to phi(x_c) and fixes the rest.  C first holds all of them; if that ω
+fails, each image joins C in leading-term order unless subduction by C
+finds its witness (Robbiano & Sweedler, "Subalgebra bases", 1990).  Both
+equalities are checked by exact substitution.  phi∘phi is expanded instead
+when that is cheap (EXPANSION_PRODUCTS) or no factorisation holds.
 """
+
+from math import prod
 
 from .intlinalg import IntMatrix
 from .ring import MixedPoly, RingMismatchError
@@ -92,11 +104,141 @@ def idempotency_defect(phi):
             for s, p in zip(sq.images, phi.images)]
 
 
+# phi∘phi is expanded when that makes at most this many term products,
+# where a factorisation costs more than it saves
+EXPANSION_PRODUCTS = 1000
+# term pairs the witness search may multiply before it gives up
+SUBDUCTION_PAIRS = 100000
+
+
+def _expansion_exceeds(phi):
+    """Whether expanding phi∘phi term by term, with no cancellation, makes
+    more than EXPANSION_PRODUCTS term products."""
+    sizes = [(j, len(img.terms)) for j, img in enumerate(phi.images)
+             if len(img.terms) > 1]
+    count = 0
+    for img in phi.images:
+        for e, _ in img.terms:
+            count += prod(size ** e[j] for j, size in sizes)
+            if count > EXPANSION_PRODUCTS:
+                return True
+    return False
+
+
+def _leading(p, d):
+    """(α, the terms of p on x^α), x^α p's graded-lex leading monomial in
+    the polynomial variables."""
+    alpha = max((sum(e[d:]), e[d:]) for e, _ in p.terms)[1]
+    return alpha, [(e, c) for e, c in p.terms if e[d:] == alpha]
+
+
+def _split(alpha, leads):
+    """Multiplicities a ≥ 0 with Σ a_k·leads[k] = alpha, each as large as
+    it goes in turn, or None."""
+    split = []
+    for lead in leads:
+        k = min(a // b for a, b in zip(alpha, lead) if b)
+        alpha = tuple(a - k * b for a, b in zip(alpha, lead))
+        split.append(k)
+    return None if any(alpha) else split
+
+
+def _subduce(f, gens, d, budget):
+    """W in R[x_L^±][x_C] with f = W(phi(x_C)), by leading-term subduction
+    against gens = [(c, α_c, (λ, E), [phi(x_c), phi(x_c)^2, ...])], where
+    λ·x^E, λ a unit, leads phi(x_c); None if that fails or passes budget."""
+    ring = f.ring
+    dom = ring.domain
+    witness = []
+    while f.terms:
+        alpha, lead = _leading(f, d)
+        if not any(alpha):
+            witness.extend(f.terms)  # f lies in R[x_L^±]
+            break
+        split = _split(alpha, [g[1] for g in gens])
+        if split is None:
+            return None
+        # ∏ phi(x_c)^a_c has leading term scale·x^shift: q times it takes
+        # the leading term of f away
+        scale, shift, x_c = dom.one(), (0,) * ring.n, [0] * (ring.n - d)
+        for (c, _, (lam, exp), _), k in zip(gens, split):
+            scale = dom.mul(scale, dom.pow(lam, k))
+            shift = tuple(s + k * x for s, x in zip(shift, exp))
+            x_c[c - d] = k
+        inverse = dom.invert(scale)
+        part = q = MixedPoly._trusted(ring, tuple(
+            (tuple(x - s for x, s in zip(e, shift)), dom.mul(c, inverse))
+            for e, c in lead))
+        for (_, _, _, powers), k in zip(gens, split):
+            while len(powers) < k:
+                budget[0] -= len(powers[-1].terms) * len(powers[0].terms)
+                if budget[0] < 0:
+                    return None
+                powers.append(powers[-1] * powers[0])
+            if k:
+                budget[0] -= len(part.terms) * len(powers[k - 1].terms)
+                if budget[0] < 0:
+                    return None
+                part = part * powers[k - 1]
+        f = f - part
+        witness.extend((e[:d] + tuple(x_c), c) for e, c in q.terms)
+    return ring.from_terms(witness)
+
+
+def _factorisation_holds(phi, sigma, omega, witnessed):
+    """Whether σ∘ω = phi on the witnessed variables, where it does not hold
+    by construction, and ω∘phi = ω; the smallest images are checked first."""
+    ring, images = phi.ring, phi.images
+    if any(omega[j].substitute(sigma, ring) != images[j] for j in witnessed):
+        return False
+    for i in sorted(range(ring.n), key=lambda i: len(images[i].terms)):
+        if images[i].substitute(omega, ring) != omega[i]:
+            return False
+    return True
+
+
+def _factorisation_proves_idempotent(phi):
+    """Whether a factorisation phi = σ∘ω with ω∘phi = ω is found and
+    checked (see the module docstring); False proves nothing."""
+    ring = phi.ring
+    d = ring.laurent
+    images = phi.images
+    variables = [ring.variable(j) for j in range(ring.n)]
+    free = [j for j in range(d, ring.n)
+            if any(any(e[d:]) for e, _ in images[j].terms)]
+    omega = [variables[j] if j in free else p for j, p in enumerate(images)]
+    if _factorisation_holds(phi, None, omega, ()):
+        return True
+    if omega == list(images):
+        return False  # that was the check phi∘phi = phi
+    leads = {j: _leading(images[j], d) for j in free}
+    gens = []
+    budget = [SUBDUCTION_PAIRS]
+    for j in sorted(free, key=lambda j: (sum(leads[j][0]), leads[j][0], j)):
+        omega[j] = _subduce(images[j], gens, d, budget)
+        if omega[j] is None:
+            alpha, lead = leads[j]
+            if len(lead) != 1 or not ring.domain.is_unit(lead[0][1]):
+                return False
+            (exp, c), = lead
+            gens.append((j, alpha, (c, exp), [images[j]]))
+            omega[j] = variables[j]
+    witnessed = [j for j in free if omega[j] is not variables[j]]
+    if not witnessed:
+        return False  # that ω failed above
+    sigma = list(variables)
+    for c, _, _, powers in gens:
+        sigma[c] = powers[0]
+    return _factorisation_holds(phi, sigma, omega, witnessed)
+
+
 def require_idempotent(phi):
     """The check every input passes: raise InvalidEndomorphismError unless
     each Laurent variable maps to a unit, then NotIdempotentError naming the
     first variable with phi²(x) != phi(x)."""
     require_valid(phi)
+    if _expansion_exceeds(phi) and _factorisation_proves_idempotent(phi):
+        return
     defect = idempotency_defect(phi)
     for name, delta in zip(phi.ring.names, defect):
         if not delta.is_zero():

@@ -348,7 +348,11 @@ class MixedPoly:
 
     def __add__(self, other):
         self._require_same_ring(other)
-        return self.ring.from_terms(self.terms + other.terms)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc[e] + c if e in acc else c
+        return MixedPoly._trusted(
+            self.ring, _canonical_sum(acc, self.ring.domain.reduce))
 
     def __neg__(self):
         dom = self.ring.domain

@@ -214,6 +214,28 @@ def test_large_prime_modulus(tmp_path, capsys):
     assert "too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", ["QQ", "GF(32003)"])
+def test_gen_seed_141_finishes(domain, tmp_path, capsys):
+    # gen n=6, d=3, r=1, seed 141, complexity 4: expanding phi∘phi needs
+    # the tenth power of a 2559-term image and takes minutes; phi(x4) and
+    # phi(x5) are polynomials in phi(x6), which proves it idempotent at once
+    from retractlab import GeneratorSpec, problem_text
+    from retractlab.grammar import parse_domain
+    spec = GeneratorSpec(6, 3, 1, 141, 4, parse_domain(domain))
+    problem = tmp_path / "s141.ring"
+    problem.write_text(problem_text(spec), encoding="utf-8")
+    start = time.perf_counter()
+    assert run_cli(["check", str(problem)]) == 0
+    assert time.perf_counter() - start < 5.0
+    if domain == "QQ":
+        return  # analyze spends ~2-3 s here in exact trdeg elimination
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli(["analyze", "--json", str(problem)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert all(json.loads(capsys.readouterr().out)["certificates"].values())
+
+
 def test_python_m_entry_point():
     src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -1,12 +1,20 @@
+import os
 import random
 
 import pytest
 
-from retractlab import (QQ, RingSignature, Endomorphism, IntMatrix,
+from retractlab import (QQ, ZZ, GF, RingSignature, Endomorphism, IntMatrix,
                         identity, require_valid, apply, compose, is_idempotent,
                         monomial_part, conjugate, standard_projection,
-                        InvalidEndomorphismError)
+                        require_idempotent, GeneratorSpec, gen_random_idempotent,
+                        InvalidEndomorphismError, NotIdempotentError)
+from retractlab import endo
+from retractlab.endo import idempotency_defect
+from retractlab.grammar import parse_problem
 from random_elements import random_element
+
+BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "bench", "named")
 
 
 def laurent2():
@@ -193,3 +201,121 @@ def _swap_pair():
     R = laurent2()
     sw = Endomorphism(R, [R.variable(1), R.variable(0)])
     return sw, sw
+
+
+# -- the factorisation certificate of require_idempotent ----------------------
+
+def named(name):
+    with open(os.path.join(BENCH_NAMED, name + ".ring"), encoding="utf-8") as fh:
+        return parse_problem(fh.read())[1]
+
+
+def perturbed(phi, i):
+    """phi with the image of x_i changed as in the benchmark's perturbed
+    inputs: a Laurent image times x_i^2, a polynomial image plus x_i^2."""
+    R = phi.ring
+    square = R.variable(i) ** 2
+    images = list(phi.images)
+    images[i] = images[i] * square if i < R.laurent else images[i] + square
+    return Endomorphism(R, images)
+
+
+def exactly_idempotent(phi):
+    return all(delta.is_zero() for delta in idempotency_defect(phi))
+
+
+def accepted(phi):
+    try:
+        require_idempotent(phi)
+    except NotIdempotentError:
+        return False
+    return True
+
+
+def counted_compositions(monkeypatch):
+    calls = []
+    compose = endo.compose
+
+    def counting(phi, psi):
+        calls.append((phi, psi))
+        return compose(phi, psi)
+    monkeypatch.setattr(endo, "compose", counting)
+    return calls
+
+
+def test_certificate_on_small_strata():
+    # every small-stratum draw and two perturbed copies: the decision is
+    # the exact one, and the certificate proves only idempotent maps
+    drawn = proved = 0
+    for dom in (QQ, ZZ, GF(5), GF(32003)):
+        for n in range(2, 6):
+            for d in range(1, min(3, n) + 1):
+                for c in range(3):
+                    for seed in range(5):
+                        phi = gen_random_idempotent(
+                            GeneratorSpec(n, d, seed % (d + 1), seed, c, dom))
+                        assert accepted(phi) and exactly_idempotent(phi)
+                        drawn += 1
+                        proved += endo._factorisation_proves_idempotent(phi)
+                        for i in (0, n - 1):
+                            bad = perturbed(phi, i)
+                            exact = exactly_idempotent(bad)
+                            assert accepted(bad) == exact
+                            assert exact or \
+                                not endo._factorisation_proves_idempotent(bad)
+    assert drawn == 660 and proved >= 0.9 * drawn
+
+
+@pytest.mark.parametrize("name", ["QQ_n5d3r0c3_s1004",
+                                  "GF32003_n5d3r0c3_s1004"])
+def test_tail_instance_is_proved_without_phi_squared(name, monkeypatch):
+    phi = named(name)
+    calls = counted_compositions(monkeypatch)
+    require_idempotent(phi)
+    assert calls == []
+    bad = perturbed(phi, 4)
+    with pytest.raises(NotIdempotentError, match=r"phi²\(x4\) - phi\(x4\)"):
+        require_idempotent(bad)
+    assert calls == [(bad, bad)]  # the certificate failed; phi∘phi ran
+
+
+def test_tampered_factorisation_does_not_certify(monkeypatch):
+    phi = named("QQ_n5d3r0c3_s1004")
+    R = phi.ring
+    x = [R.variable(i) for i in range(R.n)]
+    one = R.one()
+    # C = {x4}, and x5 has the witness 2*x4^2 + 2*x4
+    witness = (x[3] * x[3] + x[3]).scale(2)
+    assert phi.images[4] == witness.substitute(x[:3] + [phi.images[3], x[4]])
+    omega = list(phi.images[:3]) + [x[3], witness]
+    sigma = x[:3] + [phi.images[3], x[4]]
+    assert endo._factorisation_holds(phi, sigma, omega, [4])
+    assert not endo._factorisation_holds(
+        phi, sigma, omega[:4] + [witness + one], [4])
+    assert not endo._factorisation_holds(
+        phi, x[:3] + [phi.images[3] + one, x[4]], omega, [4])
+
+    subduce = endo._subduce
+
+    def off_by_one(*args):
+        w = subduce(*args)
+        return None if w is None else w + one
+    monkeypatch.setattr(endo, "_subduce", off_by_one)
+    assert not endo._factorisation_proves_idempotent(phi)
+    calls = counted_compositions(monkeypatch)
+    require_idempotent(phi)
+    assert calls == [(phi, phi)]
+
+
+def test_witness_with_a_unit_lead_and_a_laurent_part():
+    # phi(x2) = x1*x2 leads with the unit x1, and phi(x3) = phi(x2)^2 + 3
+    # has the witness x2^2 + 3, whose constant lies in R[x1^±]
+    R = RingSignature(["x1", "x2", "x3"], 1, QQ)
+    x1, x2 = R.variable(0), R.variable(1)
+    square = (x1 * x2) ** 2
+    phi = Endomorphism(R, [R.one(), x1 * x2, square + R.constant(3)])
+    assert exactly_idempotent(phi)
+    assert endo._factorisation_proves_idempotent(phi)
+    bad = Endomorphism(R, [R.one(), x1 * x2, square + x1 + R.constant(3)])
+    assert not exactly_idempotent(bad)
+    assert not endo._factorisation_proves_idempotent(bad)

@@ -331,14 +331,26 @@ def _count_compositions(monkeypatch):
     return calls
 
 
-def test_analyze_composes_phi_once(monkeypatch):
+def test_analyze_proves_idempotency_once(monkeypatch):
+    # one proof per analyze: phi∘phi expanded once, or on 1004 a
+    # factorisation phi = σ∘ω that expands no phi∘phi
+    from retractlab import engine
     from retractlab.generator import GeneratorSpec, gen_random_idempotent
     generated = gen_random_idempotent(GeneratorSpec(4, 2, 1, 7, 2, QQ))
-    for phi in (e1(), generated):
+    tail = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
+    for phi, expanded in ((e1(), True), (generated, True), (tail, False)):
         calls = _count_compositions(monkeypatch)
+        proofs = []
+        require_idempotent = engine.require_idempotent
+
+        def counting(psi):
+            proofs.append(psi)
+            return require_idempotent(psi)
+        monkeypatch.setattr(engine, "require_idempotent", counting)
         rep = analyze(phi)
         assert all(rep.certificates.values())
-        assert calls == [(phi, phi)]
+        assert proofs == [phi]
+        assert calls == ([(phi, phi)] if expanded else [])
         monkeypatch.undo()
 
 
