@@ -104,8 +104,9 @@ def idempotency_defect(phi):
             for s, p in zip(sq.images, phi.images)]
 
 
-# phi∘phi is expanded when that makes at most this many term products,
-# where a factorisation costs more than it saves
+# phi∘phi is expanded up to this many term products.  On generated maps of
+# n 2-6, trying the factorisation first took 1-1.6x as long below 100,
+# about as long to ~2,500, and a tenth or less past 10,000 if idempotent.
 EXPANSION_PRODUCTS = 1000
 # term pairs the witness search may multiply before it gives up
 SUBDUCTION_PAIRS = 100000
@@ -113,13 +114,15 @@ SUBDUCTION_PAIRS = 100000
 
 def _expansion_exceeds(phi):
     """Whether expanding phi∘phi term by term, with no cancellation, makes
-    more than EXPANSION_PRODUCTS term products."""
+    more than EXPANSION_PRODUCTS term products with a multi-term image.
+    It makes none unless a polynomial variable maps to something other than
+    itself that involves the polynomial variables, so then ω is not phi."""
     sizes = [(j, len(img.terms)) for j, img in enumerate(phi.images)
              if len(img.terms) > 1]
     count = 0
     for img in phi.images:
         for e, _ in img.terms:
-            count += prod(size ** e[j] for j, size in sizes)
+            count += prod(size ** e[j] for j, size in sizes) - 1
             if count > EXPANSION_PRODUCTS:
                 return True
     return False

@@ -266,6 +266,21 @@ def test_certificate_on_small_strata():
     assert drawn == 660 and proved >= 0.9 * drawn
 
 
+def test_map_with_nothing_to_factor_is_expanded_once(monkeypatch):
+    # x2 has a 1001-term image in R[x1^±], so ω would be phi and the check
+    # ω∘phi = ω would be phi∘phi = phi: the gate sends it to phi∘phi, once
+    R = RingSignature(["x1", "x2"], 1, QQ)
+    x1 = R.variable(0)
+    image = R.from_terms([((k, 0), 1) for k in range(1001)])
+    phi = Endomorphism(R, [x1.scale(2), image])
+    assert not endo._expansion_exceeds(phi)
+    monkeypatch.setattr(endo, "_factorisation_proves_idempotent", None)
+    calls = counted_compositions(monkeypatch)
+    with pytest.raises(NotIdempotentError, match=r"phi²\(x1\) - phi\(x1\)"):
+        require_idempotent(phi)
+    assert calls == [(phi, phi)]
+
+
 @pytest.mark.parametrize("name", ["QQ_n5d3r0c3_s1004",
                                   "GF32003_n5d3r0c3_s1004"])
 def test_tail_instance_is_proved_without_phi_squared(name, monkeypatch):
