@@ -73,7 +73,7 @@ class ClassificationVerdict:
 class RetractReport:
 
     __slots__ = ("ring", "r", "decomposition", "y_variables", "generators",
-                 "quotient_generators", "quotient_ring", "trdeg",
+                 "quotient_generators", "trdeg",
                  "classification", "rationality", "certificates")
 
     def __init__(self, **kw):
@@ -107,13 +107,12 @@ def compute_y_variables(phi):
         for c, e in zip(mono.lambdas, b):
             if e:
                 lam = dom.mul(lam, dom.pow(c, e))
-        x = ring.monomial(exp)
         if i < dec.r:
-            yvars.append(YVariable(exp, dom.one(), "fixed", x,
+            yvars.append(YVariable(exp, dom.one(), "fixed", ring.monomial(exp),
                                    verified=image == b and lam == dom.one()))
         else:
             yvars.append(YVariable(exp, lam, "killed",
-                                   x.scale(dom.invert(lam)),
+                                   ring.monomial(exp, dom.invert(lam)),
                                    verified=not any(image)))
     return dec, yvars
 
@@ -424,6 +423,6 @@ def analyze(phi):
     return RetractReport(
         ring=ring, r=r, decomposition=dec, y_variables=yvars,
         generators=generators, quotient_generators=quotient_gens,
-        quotient_ring=target, trdeg=trdeg, classification=verdict,
+        trdeg=trdeg, classification=verdict,
         rationality=rationality, certificates=certificates)
 

@@ -144,10 +144,6 @@ class SummandDecomposition:
         self.Y = Y
         self.T = T
 
-    @property
-    def d(self):
-        return self.M.rows
-
 
 def assemble_unimodular(fixed, kernel):
     """Assemble Y = [fixed | kernel] as columns and return (Y, T) with

@@ -7,10 +7,12 @@ length n; entries past the Laurent block must be nonnegative.  Coefficients
 are in their domain's canonical form (see `domains`): over QQ an `int` when
 integral and a `Fraction` otherwise.
 
-Products (`*`, `**` and `substitute`) share one kernel.  When either operand
-has one term, the product only shifts the other operand's exponents and
-scales its coefficients: a shift keeps graded-lex order, and the domains
-have no zero divisors, so no dict and no sort are needed.  Otherwise the
+Sums (`+`, `-`, `from_terms` and the bucket sums of `substitute`) end in
+one helper, `_canonical_sum`, and products (`*`, `**`, `scale` and every
+product inside `substitute`) in one kernel.  When either operand has one
+term, the product only shifts the other operand's exponents and scales its
+coefficients: a shift keeps graded-lex order, and the domains have no zero
+divisors, so no dict and no sort are needed.  Otherwise the
 kernel works on integer coefficients: a QQ operand is scaled to an integer
 polynomial over one common denominator, and GF(p) coefficients are reduced
 once per output term.  Each exponent gets one packed integer key,
@@ -25,10 +27,11 @@ the first pair that reached its key.  So the inner loop adds ints, and the
 working set is one slice of the output (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", 2007).
 
-`substitute` runs in two stages.  Images with at most one term (units,
-scalars, zero), such as the images of the Laurent block under an
-endomorphism, only move exponents and scale coefficients, so they are
-applied by exponent arithmetic, term by term.  The terms are then grouped by
+`substitute` maps into a ring over the same domain; images over another
+domain raise RingMismatchError.  It runs in two stages.  Images with at most
+one term (units, scalars, zero), such as the images of the Laurent block
+under an endomorphism, only move exponents and scale coefficients, so they
+are applied by exponent arithmetic, term by term.  The terms are grouped by
 their exponents on the remaining variables, and only a group that does not
 cancel is multiplied by its product of powers of multi-term images.  The
 large powers that a full expansion would build, and that then cancel, are
@@ -118,17 +121,17 @@ class RingSignature:
         return MixedPoly(self, ((tuple(exp), self.domain.coerce(coeff)),))
 
     def from_terms(self, terms):
-        """Canonicalize an arbitrary (exponent, coefficient) sequence."""
+        """Canonicalize an arbitrary (exponent, coefficient) sequence.  Only
+        the exponents of terms that survive cancellation are checked."""
         acc = {}
         for exp, c in terms:
             exp = tuple(exp)
             c = self.domain.coerce(c)
-            if exp in acc:
-                acc[exp] = self.domain.add(acc[exp], c)
-            else:
-                acc[exp] = c
-        return MixedPoly(self, tuple(
-            (e, c) for e, c in acc.items() if not self.domain.is_zero(c)))
+            acc[exp] = acc[exp] + c if exp in acc else c
+        terms = _canonical_sum(acc, self.domain.reduce)
+        for exp, _ in terms:
+            self.check_exponent(exp)
+        return MixedPoly._trusted(self, terms)
 
 
 def _term_key(exp):
@@ -258,7 +261,7 @@ def _horner_sum(ring, images, buckets, reduce):
     outermost image, evaluate each group on the images inside it, and fold
     the groups from the highest a down, acc ← acc·image^gap + inner, ending
     with one multiplication by image^(least a) when that is not 0.  Every
-    product goes through `*` and `**`."""
+    product goes through `*` and `**`, and every sum through `+`."""
     # the image with most terms outermost: an inner level is evaluated once
     # per exponent combination of the levels around it
     order = sorted(range(len(images)), key=lambda j: len(images[j].terms),
@@ -290,13 +293,8 @@ def _horner_sum(ring, images, buckets, reduce):
         acc = None
         for a in sorted(groups, reverse=True):
             inner = horner(groups[a], depth + 1)
-            if acc is None:
-                acc = inner
-            else:
-                merged = dict((acc * power(depth, last - a)).terms)
-                for e, c in inner.terms:
-                    merged[e] = merged.get(e, 0) + c
-                acc = MixedPoly._trusted(ring, _canonical_sum(merged, reduce))
+            acc = inner if acc is None else \
+                acc * power(depth, last - a) + inner
             last = a
         return acc * power(depth, last) if last else acc
 
@@ -368,13 +366,7 @@ class MixedPoly:
             self.ring, _product_terms(self.ring, self.terms, other.terms))
 
     def scale(self, c):
-        c = self.ring.domain.coerce(c)
-        dom = self.ring.domain
-        if dom.is_zero(c):
-            return self.ring.zero()
-        # the coefficient domains have no zero divisors: no term vanishes
-        return MixedPoly._trusted(
-            self.ring, tuple((e, dom.mul(k, c)) for e, k in self.terms))
+        return self * self.ring.constant(c)
 
     def __pow__(self, k):
         if len(self.terms) == 1:
@@ -388,8 +380,7 @@ class MixedPoly:
         while k:
             if k & 1:
                 result = result * base
-            base_needed = k > 1
-            if base_needed:
+            if k > 1:
                 base = base * base
             k >>= 1
         return result
@@ -435,6 +426,9 @@ class MixedPoly:
         more than two buckets need a product and each holds one term, their
         sum is evaluated by Horner's rule over the multi-term images instead
         (`_horner_sum`).
+
+        The images must live over the domain of self: images over another
+        domain raise RingMismatchError, as images in different rings do.
         """
         if len(images) != self.ring.n:
             raise ValueError("expected %d images, got %d" % (self.ring.n, len(images)))
@@ -446,9 +440,8 @@ class MixedPoly:
         for img in images:
             if img.ring is not target_ring and img.ring != target_ring:
                 raise RingMismatchError("images live in different rings")
-        dom = target_ring.domain
-        source = self.ring.domain
-        coerce = dom.coerce if dom is not source and dom != source else None
+        if target_ring.domain != self.ring.domain:
+            raise RingMismatchError("images live over a different domain")
         add = _exponent_adder(target_ring.n)
         multi = [len(img.terms) > 1 for img in images]
         multi_indices = [i for i, m in enumerate(multi) if m]
@@ -458,8 +451,6 @@ class MixedPoly:
         # stage 1: exponent arithmetic for the single-term images
         buckets = {}
         for exp, c in self.terms:
-            if coerce is not None:
-                c = coerce(c)
             shift = zero_exp
             for i, e in enumerate(exp):
                 if not e:
@@ -486,23 +477,18 @@ class MixedPoly:
 
         # stage 2: multiply each bucket that does not cancel by its product
         # of multi-term image powers
-        reduce = dom.reduce
+        reduce = target_ring.domain.reduce
         acc = buckets.pop((0,) * len(multi_indices), None) or {}
         if len(buckets) > 2 and all(len(b) == 1 for b in buckets.values()):
             # one term per bucket, as when the Laurent images are scalars:
             # Horner's rule shares the image powers between the buckets
             part = _horner_sum(target_ring, [images[i] for i in multi_indices],
                                buckets, reduce)
-            for e, k in part.terms:
-                acc[e] = acc.get(e, 0) + k
-            return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
+            return MixedPoly._trusted(
+                target_ring, _canonical_sum(acc, reduce)) + part
         power_cache = {}
         for beta, bucket in buckets.items():
-            terms = []
-            for e, c in bucket.items():
-                c = reduce(c)
-                if c:
-                    terms.append((e, c))
+            terms = _canonical_sum(bucket, reduce)
             if not terms:
                 continue
             product = None
@@ -512,16 +498,9 @@ class MixedPoly:
                     if power is None:
                         power = power_cache[i, b] = images[i] ** b
                     product = power if product is None else product * power
-            if len(terms) == 1:
-                e0, c0 = terms[0]
-                for e, k in product.terms:
-                    e = add(e0, e)
-                    acc[e] = acc.get(e, 0) + c0 * k
-            else:
-                terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
-                part = MixedPoly._trusted(target_ring, tuple(terms)) * product
-                for e, k in part.terms:
-                    acc[e] = acc.get(e, 0) + k
+            part = MixedPoly._trusted(target_ring, terms) * product
+            for e, k in part.terms:
+                acc[e] = acc.get(e, 0) + k
         return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
 
     # -- printing ------------------------------------------------------------

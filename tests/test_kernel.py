@@ -5,7 +5,9 @@ with its Horner stage, against the plain algorithms they replaced.
 final sort; `reference_substitute` expands every image power and adds the
 substituted terms one at a time.
 Both build their results through the checked public constructors, so they
-share nothing with the kernel but the canonical form.
+share nothing with the kernel but the canonical form.  `from_terms`, which
+builds their inputs, is checked in turn against `reference_from_terms`,
+which sums each exponent's coefficients as exact rationals.
 """
 
 import os
@@ -418,6 +420,97 @@ def test_integral_fractions_come_out_as_int():
     assert q.terms == reference_mul(p, p).terms
     assert_canonical_qq(q)
     assert [type(c) for _, c in q.terms] == [int, int, Fraction]
+
+
+def reference_from_terms(ring, terms):
+    """The canonical terms of a term list: each exponent's coefficients are
+    summed as exact rationals and mapped into the domain once, and the
+    nonzero sums are sorted by (total degree, exponent), descending."""
+    sums = {}
+    for exp, c in terms:
+        sums[tuple(exp)] = sums.get(tuple(exp), Fraction(0)) + Fraction(c)
+    out = []
+    for exp, v in sums.items():
+        if ring.domain.kind == "prime-field":
+            p = ring.domain.p
+            v = v.numerator * pow(v.denominator, -1, p) % p
+        elif v.denominator == 1:
+            v = v.numerator
+        if v:
+            out.append((exp, v))
+    return tuple(sorted(out, key=lambda t: (sum(t[0]), t[0]), reverse=True))
+
+
+def raw_coeff(dom, rng):
+    """A coefficient as a caller may pass it to from_terms: an int, over
+    GF(p) often outside [0, p), or over QQ and GF(p) a fraction whose
+    denominator is a unit."""
+    k = rng.randint(-9, 9)
+    if dom.kind == "prime-field":
+        k += dom.p * rng.randint(-2, 2)
+    if dom is ZZ or rng.random() < 0.5:
+        return k
+    return Fraction(k, rng.choice((2, 3, 4, 7)))
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_from_terms_matches_reference(dom):
+    # unsorted terms with repeated exponents, some of whose sums cancel
+    rng = random.Random(313)
+    R = RingSignature(["x", "y", "z"], 1, dom)
+    zeros = partial = 0
+    for _ in range(300):
+        terms = [(tuple(rng.randint(-2 if i < R.laurent else 0, 2)
+                        for i in range(R.n)), raw_coeff(dom, rng))
+                 for _ in range(rng.randint(0, 10))]
+        kind = rng.randrange(3)
+        if kind:  # cancel every term (1) or some of them (2)
+            cancelled = terms if kind == 1 else terms[::2]
+            terms = terms + [(list(e), -c + rng.randint(-1, 1) * (dom.p or 0))
+                             for e, c in cancelled]
+        rng.shuffle(terms)
+        got = R.from_terms(terms)
+        expected = reference_from_terms(R, terms)
+        assert got.terms == expected
+        assert [type(c) for _, c in got.terms] == \
+            [type(c) for _, c in expected]
+        zeros += kind == 1 and len(terms) > 0 and got.is_zero()
+        partial += kind == 2 and 0 < len(got.terms) < len({
+            tuple(e) for e, _ in terms})
+    assert zeros >= 50 and partial >= 50
+    if dom is QQ:  # fractions that sum to integers come out as int
+        got = R.from_terms([((1, 0, 0), Fraction(1, 3)),
+                            ((0, 0, 0), Fraction(5, 2)),
+                            ((1, 0, 0), Fraction(2, 3)),
+                            ((0, 0, 0), Fraction(-1, 2))])
+        assert got.terms == (((1, 0, 0), 1), ((0, 0, 0), 2))
+        assert [type(c) for _, c in got.terms] == [int, int]
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_from_terms_checks_surviving_exponents_only(dom):
+    # a negative exponent on the polynomial variable y is accepted on a
+    # term that cancels and rejected on one that survives
+    R = RingSignature(["x", "y"], 1, dom)
+    bad = (0, -1)
+    got = R.from_terms([(bad, 3), ((1, 0), 2), (bad, -3)])
+    assert got == R.monomial((1, 0), 2)
+    with pytest.raises(ValueError, match="polynomial variable y"):
+        R.from_terms([(bad, 3), ((1, 0), 2), (bad, 3)])
+
+
+@pytest.mark.parametrize("dom, factor", [
+    (GF(5), 0), (GF(5), -1), (GF(5), 7), (QQ, Fraction(-3, 4))], ids=repr)
+def test_scale_matches_from_terms(dom, factor):
+    rng = random.Random(8)
+    R = RingSignature(["x", "y", "z"], 2, dom)
+    for _ in range(40):
+        p = random_poly(R, rng)
+        got = p.scale(factor)
+        assert got.terms == R.from_terms(
+            (e, c * factor) for e, c in p.terms).terms
+        if dom is QQ:
+            assert_canonical_qq(got)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)

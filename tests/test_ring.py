@@ -54,6 +54,16 @@ def test_mul_examples():
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
         ring2().one() + mixed_ring().one()
+    # substitute maps only into rings over the source's domain: 1/2·x1
+    # under images over GF(5) does not become 3·x1
+    R = ring2()
+    for other in (GF(5), ZZ):
+        S = RingSignature(R.names, 2, other)
+        with pytest.raises(RingMismatchError):
+            R.monomial((1, 0), Fraction(1, 2)).substitute(
+                [S.variable(0), S.variable(1)])
+        with pytest.raises(RingMismatchError):
+            S.variable(0).substitute([R.variable(0), R.variable(1)])
 
 
 def test_is_unit():
