@@ -4,8 +4,11 @@ Every coefficient is stored in a canonical form chosen by its domain: for
 QQ an int when the value is integral and a Fraction in lowest terms
 otherwise, int for ZZ, and the least nonnegative residue for GF(p).  Since
 Fraction(k) == k and both hash alike, the QQ form changes no comparison or
-printed output; it lets ring products run on plain ints (see `ring`).
-All arithmetic is arbitrary precision; no floats anywhere.
+printed output; it lets ring products run on plain ints (see `ring`).  A
+canonical coefficient prints by `str` (a Fraction prints in lowest terms
+with a positive denominator), and it is zero exactly when it equals 0, so
+the domain has no formatting or zero test of its own.  All arithmetic is
+arbitrary precision; no floats anywhere.
 """
 
 from fractions import Fraction
@@ -75,10 +78,6 @@ class Domain:
     def is_field(self):
         return self.kind != "integers"
 
-    @property
-    def is_ufd(self):
-        return True
-
     def __eq__(self, other):
         return isinstance(other, Domain) and self.kind == other.kind and self.p == other.p
 
@@ -91,9 +90,6 @@ class Domain:
         return {"rationals": "QQ", "integers": "ZZ"}[self.kind]
 
     # -- element constructors ------------------------------------------------
-
-    def zero(self):
-        return self.coerce(0)
 
     def one(self):
         return self.coerce(1)
@@ -152,14 +148,11 @@ class Domain:
     def neg(self, a):
         return (-a) % self.p if self.kind == "prime-field" else -a
 
-    def is_zero(self, a):
-        return a == 0
-
     def is_unit(self, a):
         """True iff a lies in the unit group of the domain."""
         if self.kind == "integers":
             return a in (1, -1)
-        return not self.is_zero(a)
+        return a != 0
 
     def invert(self, a):
         if not self.is_unit(a):
@@ -176,20 +169,6 @@ class Domain:
         if self.kind == "prime-field":
             return pow(a, k, self.p)
         return a ** k
-
-    # -- printing ------------------------------------------------------------
-
-    def format(self, a):
-        """Canonical string: lowest terms with positive denominator for QQ,
-        least nonnegative residue for GF(p)."""
-        if type(a) is int:
-            return str(a)
-        if self.kind == "rationals":
-            a = Fraction(a)
-            if a.denominator == 1:
-                return str(a.numerator)
-            return "%d/%d" % (a.numerator, a.denominator)
-        return str(a)
 
 
 QQ = Domain("rationals")

@@ -212,8 +212,6 @@ def _factorisation_proves_idempotent(phi):
     omega = [variables[j] if j in free else p for j, p in enumerate(images)]
     if _factorisation_holds(phi, None, omega, ()):
         return True
-    if omega == list(images):
-        return False  # that was the check phi∘phi = phi
     leads = {j: _leading(images[j], d) for j in free}
     gens = []
     budget = [SUBDUCTION_PAIRS]

@@ -330,12 +330,9 @@ def classify(n, d, r, trdeg, domain):
         return ClassificationVerdict("PureLaurent", r=r)
     if trdeg == r + n - d:
         return ClassificationVerdict("LaurentTensorPoly", r=r, s=n - d)
-    # intermediate value; impossible when d >= n-1 since the window has
-    # width n-d <= 1
-    if d >= n - 1:
-        raise ValueError("intermediate trdeg %d with d=%d >= n-1=%d"
-                         % (trdeg, d, n - 1))
-    if n - d == 2 and domain.is_ufd:
+    # an intermediate value: the window has width n-d >= 2, since one of
+    # width <= 1 holds only r and r+n-d
+    if n - d == 2:
         return ClassificationVerdict("UFDClassified", r=r, s=trdeg - r,
                                      generatorsExplicit=False)
     return ClassificationVerdict("BoundsOnly", lo=r, hi=r + n - d)

@@ -373,7 +373,7 @@ def report_to_dict(report):
         "classification": verdict,
         "rationality": report.rationality,
         "yVariables": [str(ring.monomial(y.exponent)) for y in report.y_variables],
-        "normalizers": [dom.format(y.normalizer) for y in report.y_variables],
+        "normalizers": [str(y.normalizer) for y in report.y_variables],
         "yKinds": [y.kind for y in report.y_variables],
         "fixedBasis": [list(b) for b in report.decomposition.fixed_basis],
         "kernelBasis": [list(b) for b in report.decomposition.kernel_basis],

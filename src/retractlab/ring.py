@@ -5,9 +5,14 @@ form: no zero coefficients, pairwise distinct exponent vectors, terms sorted
 in descending graded-lex order.  Exponents are dense integer tuples of
 length n; entries past the Laurent block must be nonnegative.  Coefficients
 are in their domain's canonical form (see `domains`): over QQ an `int` when
-integral and a `Fraction` otherwise.
+integral and a `Fraction` otherwise, so a coefficient prints by `str`.
 
-Sums (`+`, `-`, `from_terms` and the bucket sums of `substitute`) end in
+`MixedPoly(ring, terms)` is the one checked constructor (`from_terms` is
+another spelling of it): it coerces the coefficients, merges repeated
+exponents and sorts.  `monomial` and `constant` check and coerce one term,
+and every operation below builds its result from canonical terms directly.
+
+Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
 one helper, `_canonical_sum`, and products (`*`, `**`, `scale` and every
 product inside `substitute`) in one kernel.  When either operand has one
 term, the product only shifts the other operand's exponents and scales its
@@ -103,35 +108,26 @@ class RingSignature:
     # -- element constructors ------------------------------------------------
 
     def zero(self):
-        return MixedPoly(self, ())
+        return MixedPoly._trusted(self, ())
 
     def one(self):
         return self.constant(1)
 
     def constant(self, c):
-        c = self.domain.coerce(c)
-        if self.domain.is_zero(c):
-            return MixedPoly(self, ())
-        return MixedPoly(self, (((0,) * self.n, c),))
+        return self.monomial((0,) * self.n, c)
 
     def variable(self, i):
         return self.monomial(tuple(1 if j == i else 0 for j in range(self.n)), 1)
 
     def monomial(self, exp, coeff=1):
-        return MixedPoly(self, ((tuple(exp), self.domain.coerce(coeff)),))
+        """coeff·x^exp; zero when coeff reduces to 0 in the domain."""
+        exp = tuple(exp)
+        self.check_exponent(exp)
+        c = self.domain.coerce(coeff)
+        return MixedPoly._trusted(self, ((exp, c),) if c else ())
 
     def from_terms(self, terms):
-        """Canonicalize an arbitrary (exponent, coefficient) sequence.  Only
-        the exponents of terms that survive cancellation are checked."""
-        acc = {}
-        for exp, c in terms:
-            exp = tuple(exp)
-            c = self.domain.coerce(c)
-            acc[exp] = acc[exp] + c if exp in acc else c
-        terms = _canonical_sum(acc, self.domain.reduce)
-        for exp, _ in terms:
-            self.check_exponent(exp)
-        return MixedPoly._trusted(self, terms)
+        return MixedPoly(self, terms)
 
 
 def _term_key(exp):
@@ -307,17 +303,29 @@ class MixedPoly:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
+        """Canonicalize an arbitrary (exponent, coefficient) sequence: the
+        one checked constructor.  Coefficients are coerced into the domain
+        and repeated exponents summed.  Every exponent must have length n;
+        only terms that survive cancellation are checked for negative
+        exponents on polynomial variables."""
+        coerce = ring.domain.coerce
+        acc = {}
         for exp, c in terms:
+            exp = tuple(exp)
+            if len(exp) != ring.n:
+                ring.check_exponent(exp)  # raises: wrong length
+            c = coerce(c)
+            acc[exp] = acc[exp] + c if exp in acc else c
+        terms = _canonical_sum(acc, ring.domain.reduce)
+        for exp, _ in terms:
             ring.check_exponent(exp)
-            if ring.domain.is_zero(c):
-                raise ValueError("zero coefficient in term list")
         self.ring = ring
-        self.terms = tuple(sorted(terms, key=lambda t: _term_key(t[0]), reverse=True))
+        self.terms = terms
 
     @classmethod
     def _trusted(cls, ring, terms):
         """Wrap a term tuple already in canonical form, skipping the
-        constructor's checks: callers derive it from valid terms, and sums
+        constructor's work: callers derive it from valid terms, and sums
         of valid exponents are valid."""
         p = object.__new__(cls)
         p.ring = ring
@@ -516,11 +524,10 @@ class MixedPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        dom = self.ring.domain
         pieces = []
         for exp, c in self.terms:
             mono = self._monomial_str(exp)
-            cs = dom.format(c)
+            cs = str(c)
             if not mono:
                 piece = cs
             elif cs == "1":

@@ -34,7 +34,7 @@ def reference_mul(p, q):
             c = dom.mul(c1, c2)
             acc[e] = dom.add(acc[e], c) if e in acc else c
     return MixedPoly(p.ring, tuple(
-        (e, c) for e, c in acc.items() if not dom.is_zero(c)))
+        (e, c) for e, c in acc.items() if c != 0))
 
 
 def reference_pow(p, k):
@@ -474,6 +474,7 @@ def test_from_terms_matches_reference(dom):
         assert got.terms == expected
         assert [type(c) for _, c in got.terms] == \
             [type(c) for _, c in expected]
+        assert MixedPoly(R, terms) == got
         zeros += kind == 1 and len(terms) > 0 and got.is_zero()
         partial += kind == 2 and 0 < len(got.terms) < len({
             tuple(e) for e, _ in terms})
@@ -493,10 +494,52 @@ def test_from_terms_checks_surviving_exponents_only(dom):
     # term that cancels and rejected on one that survives
     R = RingSignature(["x", "y"], 1, dom)
     bad = (0, -1)
-    got = R.from_terms([(bad, 3), ((1, 0), 2), (bad, -3)])
+    for make in (R.from_terms, lambda terms: MixedPoly(R, terms)):
+        got = make([(bad, 3), ((1, 0), 2), (bad, -3)])
+        assert got == R.monomial((1, 0), 2)
+        with pytest.raises(ValueError, match="polynomial variable y"):
+            make([(bad, 3), ((1, 0), 2), (bad, 3)])
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_constructor_coerces_coefficients(dom):
+    # 7 is 2 over GF(5); over QQ and ZZ, Fraction(4, 2) is the int 2
+    R = RingSignature(["x", "y"], 1, dom)
+    got = MixedPoly(R, [((1, 0), dom.p + 2 if dom.p else Fraction(4, 2))])
     assert got == R.monomial((1, 0), 2)
-    with pytest.raises(ValueError, match="polynomial variable y"):
-        R.from_terms([(bad, 3), ((1, 0), 2), (bad, 3)])
+    assert [type(c) for _, c in got.terms] == [int]
+    assert str(got) == "2*x"
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_constructor_merges_repeated_exponents(dom):
+    R = RingSignature(["x", "y"], 1, dom)
+    got = MixedPoly(R, [((1, 0), 1), ((0, 1), 3), ((1, 0), 1)])
+    assert got.terms == (((1, 0), 2), ((0, 1), 3))
+    twice = MixedPoly(R, [((1, 0), 1), ((1, 0), 1)])
+    assert twice + R.zero() == R.monomial((1, 0), 2)
+    assert twice - R.variable(0) == R.variable(0)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_zero_coefficient_gives_zero(dom):
+    # a coefficient that reduces to 0 (5 over GF(5)) gives the zero element
+    R = RingSignature(["x", "y"], 1, dom)
+    for c in (0, dom.p or Fraction(0, 3)):
+        assert R.monomial((1, 0), c) == R.zero()
+        assert R.constant(c) == R.zero()
+        assert R.variable(1).scale(c) == R.zero()
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_wrong_length_exponent_raises_even_if_it_cancels(dom):
+    R = RingSignature(["x", "y"], 1, dom)
+    cancelling = [((0,), 1), ((1, 0), 2), ((0,), -1)]
+    for make in (R.from_terms, lambda terms: MixedPoly(R, terms)):
+        with pytest.raises(ValueError, match="exponent length 1 != 2"):
+            make(cancelling)
+    with pytest.raises(ValueError, match="exponent length 3 != 2"):
+        R.monomial((0, 0, 0), 0)
 
 
 @pytest.mark.parametrize("dom, factor", [

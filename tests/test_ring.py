@@ -64,6 +64,12 @@ def test_ring_mismatch():
                 [S.variable(0), S.variable(1)])
         with pytest.raises(RingMismatchError):
             S.variable(0).substitute([R.variable(0), R.variable(1)])
+    # one image per variable, all in one ring
+    with pytest.raises(ValueError, match="expected 2 images, got 1"):
+        R.variable(0).substitute([R.variable(0)])
+    T = RingSignature(["y1", "y2"], 2, QQ)
+    with pytest.raises(RingMismatchError, match="images live in different rings"):
+        R.variable(0).substitute([R.variable(0), T.variable(1)])
 
 
 def test_is_unit():
