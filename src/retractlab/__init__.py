@@ -7,13 +7,13 @@ from .ring import RingSignature, MixedPoly, RingMismatchError, NonUnitError
 from .endo import (Endomorphism, MonomialData, identity, require_valid,
                    require_idempotent, apply, compose, is_idempotent,
                    monomial_part, conjugate, standard_projection,
-                   InvalidEndomorphismError)
+                   InvalidEndomorphismError, NotIdempotentError)
 from .intlinalg import (IntMatrix, SummandDecomposition, mat_is_idempotent,
                         assemble_unimodular, decompose, solve_in_lattice)
 from .engine import (analyze, classify, rationality_verdict,
                      transcendence_degree, jacobian_rank, compute_y_variables,
                      quotient_mod_J, RetractReport, ClassificationVerdict,
-                     YVariable, NotIdempotentError, CertificateError)
+                     YVariable, CertificateError)
 from .grammar import parse_domain, parse_problem, parse_expression, \
     render_problem, render_report, ParseError
 from .generator import GeneratorSpec, gen_random_idempotent, problem_text
@@ -26,13 +26,13 @@ __all__ = [
     "Endomorphism", "MonomialData", "identity", "require_valid",
     "require_idempotent", "apply", "compose", "is_idempotent",
     "monomial_part", "conjugate", "standard_projection",
-    "InvalidEndomorphismError",
+    "InvalidEndomorphismError", "NotIdempotentError",
     "IntMatrix", "SummandDecomposition", "mat_is_idempotent",
     "assemble_unimodular", "decompose", "solve_in_lattice",
     "analyze", "classify", "rationality_verdict", "transcendence_degree",
     "jacobian_rank", "compute_y_variables", "quotient_mod_J",
     "RetractReport", "ClassificationVerdict", "YVariable",
-    "NotIdempotentError", "CertificateError",
+    "CertificateError",
     "parse_domain", "parse_problem", "parse_expression", "render_problem",
     "render_report", "ParseError",
     "GeneratorSpec", "gen_random_idempotent", "problem_text",

@@ -11,13 +11,15 @@ stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
 "not idempotent: ..." naming the first variable with phi²(x) != phi(x).
 
 Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error (of a problem
-file, or of `gen` arguments: the `--domain` spelling, sizes outside
-0 <= r <= d <= n or with n < 1, a negative complexity, a count below 1),
-unreadable input (missing, a directory, not UTF-8) or unwritable output,
-3 internal certificate failure.
+file, a ring header of more than MAX_VARIABLES = 1000 variables included,
+or of `gen` arguments: the `--domain` spelling, sizes outside
+0 <= r <= d <= n or with n outside [1, 1000], a negative complexity, a
+count below 1), unreadable input (missing, a directory, not UTF-8) or
+unwritable output, 3 internal certificate failure.
 """
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -71,24 +73,27 @@ def _cmd_gen(args):
     domain = parse_domain(args.domain)
     if args.count < 1:
         raise ParseError("--count must be at least 1, got %d" % args.count)
+
     # per-index seeds keep each emitted file reproducible on its own
+    def spec(k):
+        return GeneratorSpec(args.n, args.d, args.r, args.seed + k,
+                             args.complexity, domain)
+
     try:
-        specs = [GeneratorSpec(args.n, args.d, args.r, args.seed + k,
-                               args.complexity, domain)
-                 for k in range(args.count)]
+        spec(0)  # every index has the same sizes
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    texts = [problem_text(s) for s in specs]
     if args.out_dir:
-        import os
         os.makedirs(args.out_dir, exist_ok=True)
-        for k, text in enumerate(texts):
+    for k in range(args.count):
+        text = problem_text(spec(k))
+        if args.out_dir:
             path = os.path.join(args.out_dir, "problem_%04d.ring" % k)
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             print(path)
-    else:
-        sys.stdout.write("\n".join(texts))
+        else:
+            sys.stdout.write("\n" + text if k else text)
     return EXIT_OK
 
 

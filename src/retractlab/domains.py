@@ -91,9 +91,6 @@ class Domain:
 
     # -- element constructors ------------------------------------------------
 
-    def one(self):
-        return self.coerce(1)
-
     def from_fraction(self, num, den):
         """Build the element num/den, reducing in the domain.
 

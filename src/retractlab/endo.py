@@ -163,7 +163,7 @@ def _subduce(f, gens, d, budget):
             return None
         # ∏ phi(x_c)^a_c has leading term scale·x^shift: q times it takes
         # the leading term of f away
-        scale, shift, x_c = dom.one(), (0,) * ring.n, [0] * (ring.n - d)
+        scale, shift, x_c = 1, (0,) * ring.n, [0] * (ring.n - d)
         for (c, _, (lam, exp), _), k in zip(gens, split):
             scale = dom.mul(scale, dom.pow(lam, k))
             shift = tuple(s + k * x for s, x in zip(shift, exp))
@@ -185,7 +185,7 @@ def _subduce(f, gens, d, budget):
                 part = part * powers[k - 1]
         f = f - part
         witness.extend((e[:d] + tuple(x_c), c) for e, c in q.terms)
-    return ring.from_terms(witness)
+    return MixedPoly(ring, witness)
 
 
 def _factorisation_holds(phi, sigma, omega, witnessed):
@@ -284,7 +284,7 @@ def standard_projection(ring, keep_laurent=(), keep_poly=()):
         if i in keep_laurent or i in keep_poly:
             images.append(ring.variable(i))
         elif i < ring.laurent:
-            images.append(ring.one())
+            images.append(ring.constant(1))
         else:
             images.append(ring.zero())
     return Endomorphism(ring, images)

@@ -15,8 +15,7 @@ allow, exact elimination over the fraction field otherwise.
 import random
 
 from .intlinalg import IntMatrix, decompose
-# NotIdempotentError is raised in endo and re-exported here
-from .endo import monomial_part, require_idempotent, NotIdempotentError
+from .endo import monomial_part, require_idempotent
 from .ring import (MixedPoly, RingSignature, _canonical_sum,
                    _exponent_adder, _integer_terms)
 
@@ -103,13 +102,13 @@ def compute_y_variables(phi):
     for i, b in enumerate(dec.fixed_basis + dec.kernel_basis):
         image = mono.matrix.apply(b)
         exp = tuple(b) + (0,) * (ring.n - d)
-        lam = dom.one()
+        lam = 1
         for c, e in zip(mono.lambdas, b):
             if e:
                 lam = dom.mul(lam, dom.pow(c, e))
         if i < dec.r:
-            yvars.append(YVariable(exp, dom.one(), "fixed", ring.monomial(exp),
-                                   verified=image == b and lam == dom.one()))
+            yvars.append(YVariable(exp, 1, "fixed", ring.monomial(exp),
+                                   verified=image == b and lam == 1))
         else:
             yvars.append(YVariable(exp, lam, "killed",
                                    ring.monomial(exp, dom.invert(lam)),
@@ -156,7 +155,7 @@ def quotient_mod_J(p, decomposition, y_variables, target=None):
             if v:
                 unit = units.get((j, v))
                 if unit is None:  # (j, v) ↦ μ_j^v·y^(v·T[:r, j])
-                    scalar = dom.one()
+                    scalar = 1
                     for i in range(r, d):
                         scalar = dom.mul(scalar, dom.pow(
                             y_variables[i].normalizer, v * T[i][j]))
@@ -304,7 +303,7 @@ def transcendence_degree(generators, ring, unit_rank=None):
     return (unit_rank, unit_rank + ring.n - ring.laurent)
 
 
-def classify(n, d, r, trdeg, domain):
+def classify(n, d, r, trdeg):
     """Classification verdict from the numeric invariants.
 
     trdeg may be an exact integer or an interval (lo, hi); intervals are
@@ -340,9 +339,10 @@ def classify(n, d, r, trdeg, domain):
 
 def rationality_verdict(n, d, r, trdeg, domain):
     """"Rational" when the fraction field of the retract is known rational
-    over the coefficient field, else "Unknown"."""
+    over the coefficient field, else "Unknown"; "NotApplicable" when the
+    coefficients do not form a field."""
     if not domain.is_field:
-        raise ValueError("rationality verdict needs a field domain")
+        return "NotApplicable"
     if d >= n - 2 or n <= 3:
         return "Rational"
     if isinstance(trdeg, int) and trdeg in (0, 1, n):
@@ -350,30 +350,22 @@ def rationality_verdict(n, d, r, trdeg, domain):
     return "Unknown"
 
 
-def _is_single_poly_variable(p):
-    if len(p.terms) != 1:
-        return None
-    exp, c = p.terms[0]
-    if not p.ring.domain.is_unit(c):
-        return None
-    hot = [i for i, e in enumerate(exp) if e]
-    if len(hot) != 1 or exp[hot[0]] != 1 or hot[0] < p.ring.laurent:
-        return None
-    return hot[0]
-
-
 def _generators_witness_shape(quotient_gens, r, s):
     """True when the quotient images already exhibit R^[±r] ⊗ R^[s]: every
     generator is either supported on the y-block or a distinct polynomial
-    variable."""
+    variable, up to a unit scalar."""
     seen = set()
     for g in quotient_gens:
         if all(all(e == 0 for e in exp[r:]) for exp, _ in g.terms):
             continue  # lies in S
-        v = _is_single_poly_variable(g)
-        if v is None:
+        if len(g.terms) != 1:
             return False
-        seen.add(v)
+        (exp, c), = g.terms
+        hot = [i for i, e in enumerate(exp) if e]
+        # g lies outside S, so a lone variable of g is past the y-block
+        if len(hot) != 1 or exp[hot[0]] != 1 or not g.ring.domain.is_unit(c):
+            return False
+        seen.add(hot[0])
     return len(seen) == s
 
 
@@ -391,14 +383,13 @@ def analyze(phi):
     quotient_gens = [quotient_mod_J(g, dec, yvars, target) for g in generators]
 
     trdeg = transcendence_degree(generators, ring, unit_rank=r)
-    verdict = classify(n, d, r, trdeg, ring.domain)
+    verdict = classify(n, d, r, trdeg)
     if verdict.tag == "UFDClassified" and _generators_witness_shape(
             quotient_gens, r, verdict.params["s"]):
         verdict = ClassificationVerdict("UFDClassified", r=r,
                                         s=verdict.params["s"],
                                         generatorsExplicit=True)
-    rationality = rationality_verdict(n, d, r, trdeg, ring.domain) \
-        if ring.domain.is_field else "NotApplicable"
+    rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
 
     killed = all(y.verified for y in yvars if y.kind == "killed")
     certificates = {

@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from .endo import Endomorphism, standard_projection, conjugate
-from .grammar import render_problem
-from .ring import RingSignature
+from .grammar import MAX_VARIABLES, render_problem
+from .ring import MixedPoly, RingSignature
 
 RNG_ALGORITHM = "mt19937-py"
 
@@ -27,6 +27,8 @@ class GeneratorSpec:
     def __init__(self, n, d, r, seed, complexity, domain):
         if n < 1:
             raise ValueError("need n >= 1, got %d" % n)
+        if n > MAX_VARIABLES:
+            raise ValueError("need n <= %d, got %d" % (MAX_VARIABLES, n))
         if not 0 <= r <= d <= n:
             raise ValueError("need 0 <= r <= d <= n")
         if complexity < 0:
@@ -70,7 +72,7 @@ def _random_shift_poly(ring, skip, rng, complexity):
         while c == 0:
             c = rng.randint(-2, 2)
         terms.append((tuple(exp), dom.coerce(c)))
-    return ring.from_terms(terms)
+    return MixedPoly(ring, terms)
 
 
 def _elementary_automorphism(ring, rng, complexity):
@@ -108,13 +110,13 @@ def _automorphism_of_kind(ring, kind, rng, complexity):
     elif kind == "scale":
         i = rng.randrange(d)
         u = _random_unit_scalar(ring.domain, rng)
-        fwd[i] = ring.variable(i).scale(u)
-        inv[i] = ring.variable(i).scale(ring.domain.invert(u))
+        fwd[i] = ring.variable(i) * ring.constant(u)
+        inv[i] = ring.variable(i) * ring.constant(ring.domain.invert(u))
     elif kind == "pscale":
         j = rng.randrange(d, n)
         u = _random_unit_scalar(ring.domain, rng)
-        fwd[j] = ring.variable(j).scale(u)
-        inv[j] = ring.variable(j).scale(ring.domain.invert(u))
+        fwd[j] = ring.variable(j) * ring.constant(u)
+        inv[j] = ring.variable(j) * ring.constant(ring.domain.invert(u))
     else:  # shift
         j = rng.randrange(d, n)
         q = _random_shift_poly(ring, j, rng, complexity)

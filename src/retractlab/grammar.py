@@ -9,9 +9,10 @@ Grammar:
 
 Expressions use + - * ^ ( ), integer or a/b coefficients, and negative
 exponents only on Laurent variables; parentheses nest at most `MAX_NESTING`
-deep.  Numbers, and the p of GF(p), are ASCII digits.  Whitespace is
-ignored; comments start with '#'.  The ASCII spelling ^+- is accepted for
-^±; the printer always emits ^±.
+deep, and a ring declares at most `MAX_VARIABLES` variables.  Numbers, and
+the p of GF(p), are ASCII digits.  Whitespace is ignored; comments start
+with '#'.  The ASCII spelling ^+- is accepted for ^±; the printer always
+emits ^±.
 
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
 parses in one regex pass, a match per term.  Anything else goes to recursive
@@ -44,6 +45,11 @@ _DOMAIN_RE = re.compile(r"QQ|ZZ|GF\(\s*([0-9]+)\s*\)")
 _IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
 _IDENT_RE = re.compile(_IDENT)
 
+# Exponents are dense n-tuples, so a map of n variables takes memory and
+# time quadratic in n before any analysis, and a small file could exhaust
+# memory without a limit.  `gen --n` has the same limit.
+MAX_VARIABLES = 1000
+
 
 def parse_domain(text, lineno=None):
     """The coefficient domain spelled QQ, ZZ or GF(p), p prime, as in a ring
@@ -68,7 +74,11 @@ def _parse_header(line, lineno):
     names = []
     laurent = 0
     seen_plain = False
-    for part in m.group(2).split(","):
+    parts = m.group(2).split(",")
+    if len(parts) > MAX_VARIABLES:
+        raise ParseError("ring declares %d variables, more than the limit "
+                         "of %d" % (len(parts), MAX_VARIABLES), lineno)
+    for part in parts:
         part = part.strip()
         if not part:
             raise ParseError("empty variable declaration", lineno)
@@ -166,7 +176,7 @@ class _ExprParser:
                 terms.extend(self.term())
             else:
                 terms.extend((e, -c) for e, c in self.term())
-        return self.ring.from_terms(terms)
+        return MixedPoly(self.ring, terms)
 
     def term(self):
         """The terms of a product of factors, each factor a run of unary

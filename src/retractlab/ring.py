@@ -7,20 +7,20 @@ length n; entries past the Laurent block must be nonnegative.  Coefficients
 are in their domain's canonical form (see `domains`): over QQ an `int` when
 integral and a `Fraction` otherwise, so a coefficient prints by `str`.
 
-`MixedPoly(ring, terms)` is the one checked constructor (`from_terms` is
-another spelling of it): it coerces the coefficients, merges repeated
-exponents and sorts.  `monomial` and `constant` check and coerce one term,
-and every operation below builds its result from canonical terms directly.
+`MixedPoly(ring, terms)` is the one checked constructor: it coerces the
+coefficients, merges repeated exponents and sorts.  `monomial` and
+`constant` check and coerce one term, and every operation below builds its
+result from canonical terms directly.
 
 Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
-one helper, `_canonical_sum`, and products (`*`, `**`, `scale` and every
-product inside `substitute`) in one kernel.  When either operand has one
-term, the product only shifts the other operand's exponents and scales its
+one helper, `_canonical_sum`, and products (`*`, `**` and every product
+inside `substitute`) in one kernel.  When either operand has one term, the
+product only shifts the other operand's exponents and scales its
 coefficients: a shift keeps graded-lex order, and the domains have no zero
-divisors, so no dict and no sort are needed.  Otherwise the
-kernel works on integer coefficients: a QQ operand is scaled to an integer
-polynomial over one common denominator, and GF(p) coefficients are reduced
-once per output term.  Each exponent gets one packed integer key,
+divisors, so no dict and no sort are needed.  Otherwise the kernel works
+on integer coefficients: a QQ operand is scaled to an integer polynomial
+over one common denominator, and GF(p) coefficients are reduced once per
+output term.  Each exponent gets one packed integer key,
 sum e_i * 2^(w*(n-1-i)), with w chosen per product so that every entry of a
 product exponent lies in (-2^(w-1), 2^(w-1)): the key is additive and
 injective on those exponents and, within one total degree, orders them as
@@ -110,9 +110,6 @@ class RingSignature:
     def zero(self):
         return MixedPoly._trusted(self, ())
 
-    def one(self):
-        return self.constant(1)
-
     def constant(self, c):
         return self.monomial((0,) * self.n, c)
 
@@ -125,9 +122,6 @@ class RingSignature:
         self.check_exponent(exp)
         c = self.domain.coerce(coeff)
         return MixedPoly._trusted(self, ((exp, c),) if c else ())
-
-    def from_terms(self, terms):
-        return MixedPoly(self, terms)
 
 
 def _term_key(exp):
@@ -373,9 +367,6 @@ class MixedPoly:
         return MixedPoly._trusted(
             self.ring, _product_terms(self.ring, self.terms, other.terms))
 
-    def scale(self, c):
-        return self * self.ring.constant(c)
-
     def __pow__(self, k):
         if len(self.terms) == 1:
             exp, c = _single_term_power(self, k)
@@ -383,7 +374,7 @@ class MixedPoly:
                                       ((exp, self.ring.domain.reduce(c)),))
         if k < 0:
             return self.invert_unit() ** (-k)
-        result = self.ring.one()
+        result = self.ring.constant(1)
         base = self
         while k:
             if k & 1:

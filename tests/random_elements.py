@@ -1,5 +1,7 @@
 """Random ring elements for the property tests."""
 
+from retractlab import MixedPoly
+
 
 def random_element(ring, rng, max_terms=3, max_exp=2, max_coeff=5):
     """A small random ring element, for property tests."""
@@ -14,4 +16,4 @@ def random_element(ring, rng, max_terms=3, max_exp=2, max_coeff=5):
         while c == 0:
             c = rng.randint(-max_coeff, max_coeff)
         terms.append((tuple(exp), dom.coerce(c)))
-    return ring.from_terms(terms)
+    return MixedPoly(ring, terms)

@@ -9,8 +9,8 @@ import json
 import os
 import random
 
-from retractlab import (QQ, GF, RingSignature, Endomorphism, apply, analyze,
-                        jacobian_rank, parse_problem, render_problem,
+from retractlab import (QQ, GF, RingSignature, MixedPoly, Endomorphism, apply,
+                        analyze, jacobian_rank, parse_problem, render_problem,
                         quotient_mod_J, solve_in_lattice,
                         monomial_part, is_idempotent, IntMatrix)
 from retractlab.cli import run_cli
@@ -85,7 +85,7 @@ def test_criterion_3_retract_presentation_invariants():
             mono = ring.monomial(b + (0,) * (ring.n - ring.laurent))
             assert apply(phi, mono) == mono
         # phi(J) = 0 on generators and random combinations
-        j_gens = [y.poly - ring.one() for y in rep.y_variables
+        j_gens = [y.poly - ring.constant(1) for y in rep.y_variables
                   if y.kind == "killed"]
         for g in j_gens:
             assert apply(phi, g).is_zero()
@@ -129,7 +129,7 @@ def _extend_fixing_fresh_laurent(phi, m):
                         ring.laurent + m, ring.domain)
 
     def lift(p):
-        return big.from_terms([(exp + (0,) * m, c) for exp, c in p.terms])
+        return MixedPoly(big, [(exp + (0,) * m, c) for exp, c in p.terms])
 
     images = [lift(img) for img in phi.images] + \
         [big.variable(ring.n + k) for k in range(m)]
@@ -197,7 +197,7 @@ def test_criterion_7_oracle_equivalences():
         crit = M * M == M
         if crit:
             for i in range(3):
-                prod = QQ.one()
+                prod = 1
                 for j in range(3):
                     prod = prod * QQ.pow(QQ.coerce(md.lambdas[j]),
                                          M.entries[j][i])

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from retractlab.cli import run_cli
+from retractlab.grammar import MAX_VARIABLES, parse_problem
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 # `analyze --json` stdout (<name>.stdout) and exit code of each data file
@@ -136,12 +137,57 @@ def test_gen_domain_is_spelled_as_in_a_ring_header(capsys):
     ["--n", "2", "--d", "1", "--r", "1", "--count", "-1"],
     ["--n", "0", "--d", "0", "--r", "0"],
     ["--n", "0", "--d", "0", "--r", "0", "--complexity", "0"],
+    ["--n", str(MAX_VARIABLES + 1), "--d", "1", "--r", "1"],
 ])
-def test_gen_bad_sizes_and_counts_are_parse_errors(bad, capsys):
+def test_gen_bad_sizes_and_counts_are_parse_errors(bad, tmp_path, capsys):
     assert run_cli(["gen", "--seed", "1"] + bad) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("parse error: "), (bad, err)
     assert err.count("\n") == 1
+    out_dir = tmp_path / "gen"
+    assert run_cli(["gen", "--seed", "1", "--out-dir", str(out_dir)]
+                   + bad) == 2
+    assert capsys.readouterr().out == ""
+    assert not out_dir.exists()
+
+
+def identity_text(n):
+    names = ["x%d" % i for i in range(n)]
+    return "ring QQ[%s]\n%s" % (",".join(names), "".join(
+        "%s -> %s\n" % (name, name) for name in names))
+
+
+def test_ring_wider_than_the_cap_is_a_parse_error(tmp_path, capsys):
+    # the header is rejected before any map line is read: this one's map
+    # lines would be a different parse error
+    wide = tmp_path / "wide.ring"
+    wide.write_text(identity_text(MAX_VARIABLES + 1) + "x0 -> (\n",
+                    encoding="utf-8")
+    for command in ("check", "analyze"):
+        assert run_cli([command, str(wide)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "parse error: ring declares %d variables, more than the limit "
+            "of %d (line 1)\n" % (MAX_VARIABLES + 1, MAX_VARIABLES))
+
+
+def test_ring_at_the_cap_parses():
+    ring, phi = parse_problem(identity_text(MAX_VARIABLES))
+    assert ring.n == MAX_VARIABLES
+    assert phi.images[-1] == ring.variable(MAX_VARIABLES - 1)
+
+
+def test_gen_count_is_the_single_outputs_joined(capsys):
+    # each problem is written as it is made; the bytes are those of one
+    # `--count 1` run per seed, joined by a newline
+    args = ["gen", "--n", "3", "--d", "2", "--r", "1", "--complexity", "2"]
+    assert run_cli(args + ["--seed", "7", "--count", "3"]) == 0
+    joined = capsys.readouterr().out
+    singles = []
+    for seed in ("7", "8", "9"):
+        assert run_cli(args + ["--seed", seed]) == 0
+        singles.append(capsys.readouterr().out)
+    assert joined == "\n".join(singles)
 
 
 def test_gen_stdout_deterministic(capsys):

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from retractlab import (QQ, ZZ, GF, RingSignature, Endomorphism, IntMatrix,
-                        identity, require_valid, apply, compose, is_idempotent,
-                        monomial_part, conjugate, standard_projection,
-                        require_idempotent, GeneratorSpec, gen_random_idempotent,
+from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
+                        IntMatrix, identity, require_valid, apply, compose,
+                        is_idempotent, monomial_part, conjugate,
+                        standard_projection, require_idempotent,
+                        GeneratorSpec, gen_random_idempotent,
                         InvalidEndomorphismError, NotIdempotentError)
 from retractlab import endo
 from retractlab.endo import idempotency_defect
@@ -23,7 +24,7 @@ def laurent2():
 
 def e1():
     R = laurent2()
-    return Endomorphism(R, [R.variable(0) * R.variable(1), R.one()])
+    return Endomorphism(R, [R.variable(0) * R.variable(1), R.constant(1)])
 
 
 def swap2():
@@ -53,7 +54,7 @@ def test_apply():
     psi = Endomorphism(M, [M.variable(0),
                            M.variable(0) + M.monomial((-1, 0))])
     assert apply(psi, M.monomial((0, 2))) == \
-        M.from_terms([((2, 0), 1), ((0, 0), 2), ((-2, 0), 1)])
+        MixedPoly(M, [((2, 0), 1), ((0, 0), 2), ((-2, 0), 1)])
 
 
 def test_compose():
@@ -69,8 +70,8 @@ def test_is_idempotent():
     assert is_idempotent(identity(R))
     assert not is_idempotent(swap2())
     M = RingSignature(["x1", "x2", "x3"], 2, QQ)
-    phi = Endomorphism(M, [M.variable(0), M.one(),
-                           M.variable(2) + M.variable(1) - M.one()])
+    phi = Endomorphism(M, [M.variable(0), M.constant(1),
+                           M.variable(2) + M.variable(1) - M.constant(1)])
     assert is_idempotent(phi)
 
 
@@ -93,13 +94,13 @@ def test_monomial_part_examples():
 def test_standard_projection():
     R = laurent2()
     proj = standard_projection(R)
-    assert proj.images == (R.one(), R.one())
+    assert proj.images == (R.constant(1), R.constant(1))
     assert standard_projection(R, {0, 1}) == identity(R)
     keep1 = standard_projection(R, {0})
-    assert keep1.images == (R.variable(0), R.one())
+    assert keep1.images == (R.variable(0), R.constant(1))
     assert is_idempotent(keep1)
     M = RingSignature(["x1", "x2"], 1, QQ)
-    assert standard_projection(M).images == (M.one(), M.zero())
+    assert standard_projection(M).images == (M.constant(1), M.zero())
 
 
 def test_conjugate_examples():
@@ -165,7 +166,7 @@ def test_monomial_idempotency_criterion():
         crit = M * M == M
         if crit:
             for i in range(3):
-                prod = QQ.one()
+                prod = 1
                 for j in range(3):
                     prod = prod * QQ.pow(QQ.coerce(md.lambdas[j]),
                                          M.entries[j][i])
@@ -175,8 +176,8 @@ def test_monomial_idempotency_criterion():
 
 def test_decomposition_invariant_samples():
     R = RingSignature(["x1", "x2", "x3"], 2, QQ)
-    phi = Endomorphism(R, [R.variable(0), R.one(),
-                           R.variable(2) + R.variable(1) - R.one()])
+    phi = Endomorphism(R, [R.variable(0), R.constant(1),
+                           R.variable(2) + R.variable(1) - R.constant(1)])
     rng = random.Random(41)
     for _ in range(30):
         b = random_element(R, rng)
@@ -271,8 +272,8 @@ def test_map_with_nothing_to_factor_is_expanded_once(monkeypatch):
     # ω∘phi = ω would be phi∘phi = phi: the gate sends it to phi∘phi, once
     R = RingSignature(["x1", "x2"], 1, QQ)
     x1 = R.variable(0)
-    image = R.from_terms([((k, 0), 1) for k in range(1001)])
-    phi = Endomorphism(R, [x1.scale(2), image])
+    image = MixedPoly(R, [((k, 0), 1) for k in range(1001)])
+    phi = Endomorphism(R, [x1 * R.constant(2), image])
     assert not endo._expansion_exceeds(phi)
     monkeypatch.setattr(endo, "_factorisation_proves_idempotent", None)
     calls = counted_compositions(monkeypatch)
@@ -298,9 +299,9 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
     phi = named("QQ_n5d3r0c3_s1004")
     R = phi.ring
     x = [R.variable(i) for i in range(R.n)]
-    one = R.one()
+    one = R.constant(1)
     # C = {x4}, and x5 has the witness 2*x4^2 + 2*x4
-    witness = (x[3] * x[3] + x[3]).scale(2)
+    witness = (x[3] * x[3] + x[3]) * R.constant(2)
     assert phi.images[4] == witness.substitute(x[:3] + [phi.images[3], x[4]])
     omega = list(phi.images[:3]) + [x[3], witness]
     sigma = x[:3] + [phi.images[3], x[4]]
@@ -328,9 +329,10 @@ def test_witness_with_a_unit_lead_and_a_laurent_part():
     R = RingSignature(["x1", "x2", "x3"], 1, QQ)
     x1, x2 = R.variable(0), R.variable(1)
     square = (x1 * x2) ** 2
-    phi = Endomorphism(R, [R.one(), x1 * x2, square + R.constant(3)])
+    phi = Endomorphism(R, [R.constant(1), x1 * x2, square + R.constant(3)])
     assert exactly_idempotent(phi)
     assert endo._factorisation_proves_idempotent(phi)
-    bad = Endomorphism(R, [R.one(), x1 * x2, square + x1 + R.constant(3)])
+    bad = Endomorphism(R, [R.constant(1), x1 * x2,
+                           square + x1 + R.constant(3)])
     assert not exactly_idempotent(bad)
     assert not endo._factorisation_proves_idempotent(bad)

@@ -6,7 +6,7 @@ import pytest
 
 from retractlab import (QQ, ZZ, GF, parse_problem, parse_expression,
                         render_problem, render_report, analyze, ParseError,
-                        RingSignature)
+                        RingSignature, MixedPoly)
 from retractlab import grammar
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
 from random_elements import random_element
@@ -26,7 +26,7 @@ def test_parse_e1():
     ring, phi = parse_problem(load("e1.ring"))
     assert ring.laurent == 2 and ring.n == 2 and ring.domain == QQ
     assert phi.images[0] == ring.variable(0) * ring.variable(1)
-    assert phi.images[1] == ring.one()
+    assert phi.images[1] == ring.constant(1)
 
 
 def test_parse_mixed_and_ascii_marker():
@@ -48,13 +48,13 @@ def test_long_sum_parses_in_one_pass():
     terms = [((rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(0, 4)),
               rng.randint(-9, 9)) for _ in range(2000)]
     pieces = ["%d*x1^%d*x2^%d*x3^%d" % ((c,) + exp) for exp, c in terms]
-    expected = ring.from_terms(terms)
+    expected = MixedPoly(ring, terms)
     got = parse_expression(ring, " + ".join(pieces))
     assert got == expected
     assert parse_expression(ring, str(got)) == got
     # -(a - b - c ...) = -a + b + c ...
     negated = parse_expression(ring, "-(%s)" % " - ".join(pieces))
-    assert negated == ring.from_terms([(terms[0][0], -terms[0][1])]
+    assert negated == MixedPoly(ring, [(terms[0][0], -terms[0][1])]
                                       + terms[1:])
 
 

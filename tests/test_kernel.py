@@ -5,9 +5,10 @@ with its Horner stage, against the plain algorithms they replaced.
 final sort; `reference_substitute` expands every image power and adds the
 substituted terms one at a time.
 Both build their results through the checked public constructors, so they
-share nothing with the kernel but the canonical form.  `from_terms`, which
-builds their inputs, is checked in turn against `reference_from_terms`,
-which sums each exponent's coefficients as exact rationals.
+share nothing with the kernel but the canonical form.  The constructor
+`MixedPoly(ring, terms)`, which builds their inputs, is checked in turn
+against `reference_terms`, which sums each exponent's coefficients as exact
+rationals.
 """
 
 import os
@@ -40,7 +41,7 @@ def reference_mul(p, q):
 def reference_pow(p, k):
     if k < 0:
         return reference_pow(p.invert_unit(), -k)
-    result = p.ring.one()
+    result = p.ring.constant(1)
     for _ in range(k):
         result = reference_mul(result, p)
     return result
@@ -82,7 +83,7 @@ def random_poly(ring, rng, max_terms=6, max_exp=3):
         exp = tuple(rng.randint(-max_exp if i < ring.laurent else 0, max_exp)
                     for i in range(ring.n))
         terms.append((exp, random_coeff(ring.domain, rng)))
-    return ring.from_terms(terms)
+    return MixedPoly(ring, terms)
 
 
 def assert_canonical_qq(p):
@@ -127,7 +128,7 @@ def wide_poly(ring, rng, max_terms=6):
         exp = tuple(rng.choice(laurent_entries if i < ring.laurent
                                else plain_entries) for i in range(ring.n))
         terms.append((exp, random_coeff(ring.domain, rng)))
-    return ring.from_terms(terms)
+    return MixedPoly(ring, terms)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
@@ -169,10 +170,10 @@ def test_pow_heavy_combination_matches_reference(dom):
     x, y, z = (R.variable(i) for i in range(3))
     coeff = (lambda: Fraction(rng.randint(1, 9), rng.randint(2, 7))) \
         if dom is QQ else (lambda: random_unit(dom, rng))
-    bases = [R.one() + x + y,
+    bases = [R.constant(1) + x + y,
              x + R.monomial((-1, 0, 0)) + y * z,
-             R.constant(coeff()) + x.scale(coeff()) + R.monomial(
-                 (0, -1, 1), coeff()) + (x * y).scale(coeff())]
+             R.constant(coeff()) + x * R.constant(coeff()) + R.monomial(
+                 (0, -1, 1), coeff()) + x * y * R.constant(coeff())]
     for p in bases:
         for k in (2, 5, 8):
             got = p ** k
@@ -214,9 +215,9 @@ def test_substitute_matches_reference(dom):
             p = random_poly(R, rng, max_exp=2)
             if rng.random() < 0.5:
                 # x1 -> 1 makes every bucket of (x1 - 1)·q cancel
-                images[0] = target.one()
+                images[0] = target.constant(1)
                 q = random_poly(R, rng, max_terms=4, max_exp=2)
-                p = p + q * (R.variable(0) - R.one())
+                p = p + q * (R.variable(0) - R.constant(1))
             got = p.substitute(images, target)
             assert got.terms == reference_substitute(p, images, target).terms
             if dom is QQ:
@@ -226,9 +227,9 @@ def test_substitute_matches_reference(dom):
 def test_substitute_cancelling_buckets():
     R = RingSignature(["x1", "x2", "x3"], 1, QQ)
     x1, x2, x3 = (R.variable(i) for i in range(3))
-    images = [R.one(), x2 + x3, x3]
+    images = [R.constant(1), x2 + x3, x3]
     # each exponent of x2 meets x1^0 and x1^1 with opposite signs
-    p = (x1 - R.one()) * (x2 ** 3 + x2 * x3 + R.one())
+    p = (x1 - R.constant(1)) * (x2 ** 3 + x2 * x3 + R.constant(1))
     assert p.substitute(images).is_zero()
     assert reference_substitute(p, images).is_zero()
     got = (p + x2).substitute(images)
@@ -240,7 +241,7 @@ def test_substitute_non_unit_errors_match_reference():
     x1, x2, x3 = (R.variable(i) for i in range(3))
     inv = R.monomial((-1, 0, 0))
     # a negative exponent on a multi-term image, in a bucket that cancels
-    images = [x1 + x3, x2, R.one()]
+    images = [x1 + x3, x2, R.constant(1)]
     cancelling = inv * x3 - inv
     assert not cancelling.is_zero()
     # a zero image ahead of a negative exponent on another zero image
@@ -279,11 +280,11 @@ def horner_draw(source, target, rng):
         images.append(img)
 
     def draw_poly(terms):
-        return source.from_terms(
+        return MixedPoly(source, [
             (tuple(rng.randint(-2, 2) if i < d else
                    rng.choice((0, 1, 2, 4)) if i in multi else
                    rng.choice((0, 0, 0, 1)) for i in range(n)),
-             random_coeff(dom, rng)) for _ in range(terms))
+             random_coeff(dom, rng)) for _ in range(terms)])
 
     p = draw_poly(rng.randint(4, 8))
     if rng.random() < 0.3:
@@ -293,9 +294,9 @@ def horner_draw(source, target, rng):
         p = p * source.monomial(shared)
     kind = rng.randrange(4)
     if kind:
-        images[0] = target.one()
+        images[0] = target.constant(1)
         x1 = source.variable(0)
-        q = draw_poly(rng.randint(2, 5)) * (x1 - source.one())
+        q = draw_poly(rng.randint(2, 5)) * (x1 - source.constant(1))
         p = q if kind == 1 else p + q
     return p, images
 
@@ -388,7 +389,7 @@ def test_cancellation(dom):
     R = RingSignature(["x", "y"], 1, dom)
     x, y = R.variable(0), R.variable(1)
     inv = R.monomial((-1, 0))
-    half = R.constant(dom.from_fraction(1, 2)) if dom.is_field else R.one()
+    half = R.constant(dom.from_fraction(1, 2) if dom.is_field else 1)
     a, b = (x + inv) * half, y * half
     # middle terms cancel inside the product
     got = (a + b) * (a - b)
@@ -406,10 +407,10 @@ def test_cancellation(dom):
 def test_cancellation_mod_p():
     # (x + 1)^5 = x^5 + 1 over GF(5): the binomial coefficients vanish
     R = RingSignature(["x"], 1, GF(5))
-    p = R.variable(0) + R.one()
+    p = R.variable(0) + R.constant(1)
     assert (p ** 5).terms == (((5,), 1), ((0,), 1))
     assert (p ** 5).terms == reference_pow(p, 5).terms
-    assert (p * p.scale(-1) + p * p).is_zero()
+    assert (p * (p * R.constant(-1)) + p * p).is_zero()
 
 
 def test_integral_fractions_come_out_as_int():
@@ -422,7 +423,7 @@ def test_integral_fractions_come_out_as_int():
     assert [type(c) for _, c in q.terms] == [int, int, Fraction]
 
 
-def reference_from_terms(ring, terms):
+def reference_terms(ring, terms):
     """The canonical terms of a term list: each exponent's coefficients are
     summed as exact rationals and mapped into the domain once, and the
     nonzero sums are sorted by (total degree, exponent), descending."""
@@ -442,7 +443,7 @@ def reference_from_terms(ring, terms):
 
 
 def raw_coeff(dom, rng):
-    """A coefficient as a caller may pass it to from_terms: an int, over
+    """A coefficient as a caller may pass it to MixedPoly: an int, over
     GF(p) often outside [0, p), or over QQ and GF(p) a fraction whose
     denominator is a unit."""
     k = rng.randint(-9, 9)
@@ -454,7 +455,7 @@ def raw_coeff(dom, rng):
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
-def test_from_terms_matches_reference(dom):
+def test_constructor_matches_reference(dom):
     # unsorted terms with repeated exponents, some of whose sums cancel
     rng = random.Random(313)
     R = RingSignature(["x", "y", "z"], 1, dom)
@@ -469,8 +470,8 @@ def test_from_terms_matches_reference(dom):
             terms = terms + [(list(e), -c + rng.randint(-1, 1) * (dom.p or 0))
                              for e, c in cancelled]
         rng.shuffle(terms)
-        got = R.from_terms(terms)
-        expected = reference_from_terms(R, terms)
+        got = MixedPoly(R, terms)
+        expected = reference_terms(R, terms)
         assert got.terms == expected
         assert [type(c) for _, c in got.terms] == \
             [type(c) for _, c in expected]
@@ -480,7 +481,7 @@ def test_from_terms_matches_reference(dom):
             tuple(e) for e, _ in terms})
     assert zeros >= 50 and partial >= 50
     if dom is QQ:  # fractions that sum to integers come out as int
-        got = R.from_terms([((1, 0, 0), Fraction(1, 3)),
+        got = MixedPoly(R, [((1, 0, 0), Fraction(1, 3)),
                             ((0, 0, 0), Fraction(5, 2)),
                             ((1, 0, 0), Fraction(2, 3)),
                             ((0, 0, 0), Fraction(-1, 2))])
@@ -489,16 +490,15 @@ def test_from_terms_matches_reference(dom):
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
-def test_from_terms_checks_surviving_exponents_only(dom):
+def test_constructor_checks_surviving_exponents_only(dom):
     # a negative exponent on the polynomial variable y is accepted on a
     # term that cancels and rejected on one that survives
     R = RingSignature(["x", "y"], 1, dom)
     bad = (0, -1)
-    for make in (R.from_terms, lambda terms: MixedPoly(R, terms)):
-        got = make([(bad, 3), ((1, 0), 2), (bad, -3)])
-        assert got == R.monomial((1, 0), 2)
-        with pytest.raises(ValueError, match="polynomial variable y"):
-            make([(bad, 3), ((1, 0), 2), (bad, 3)])
+    got = MixedPoly(R, [(bad, 3), ((1, 0), 2), (bad, -3)])
+    assert got == R.monomial((1, 0), 2)
+    with pytest.raises(ValueError, match="polynomial variable y"):
+        MixedPoly(R, [(bad, 3), ((1, 0), 2), (bad, 3)])
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
@@ -528,38 +528,37 @@ def test_zero_coefficient_gives_zero(dom):
     for c in (0, dom.p or Fraction(0, 3)):
         assert R.monomial((1, 0), c) == R.zero()
         assert R.constant(c) == R.zero()
-        assert R.variable(1).scale(c) == R.zero()
+        assert R.variable(1) * R.constant(c) == R.zero()
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_wrong_length_exponent_raises_even_if_it_cancels(dom):
     R = RingSignature(["x", "y"], 1, dom)
     cancelling = [((0,), 1), ((1, 0), 2), ((0,), -1)]
-    for make in (R.from_terms, lambda terms: MixedPoly(R, terms)):
-        with pytest.raises(ValueError, match="exponent length 1 != 2"):
-            make(cancelling)
+    with pytest.raises(ValueError, match="exponent length 1 != 2"):
+        MixedPoly(R, cancelling)
     with pytest.raises(ValueError, match="exponent length 3 != 2"):
         R.monomial((0, 0, 0), 0)
 
 
 @pytest.mark.parametrize("dom, factor", [
     (GF(5), 0), (GF(5), -1), (GF(5), 7), (QQ, Fraction(-3, 4))], ids=repr)
-def test_scale_matches_from_terms(dom, factor):
+def test_constant_product_matches_constructor(dom, factor):
     rng = random.Random(8)
     R = RingSignature(["x", "y", "z"], 2, dom)
     for _ in range(40):
         p = random_poly(R, rng)
-        got = p.scale(factor)
-        assert got.terms == R.from_terms(
-            (e, c * factor) for e, c in p.terms).terms
+        got = p * R.constant(factor)
+        assert got.terms == MixedPoly(
+            R, [(e, c * factor) for e, c in p.terms]).terms
         if dom is QQ:
             assert_canonical_qq(got)
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
-def test_add_sub_match_from_terms(dom):
-    # + and - merge two canonical term tuples; from_terms coerces and sums
-    # any term list
+def test_add_sub_match_constructor(dom):
+    # + and - merge two canonical term tuples; the constructor coerces and
+    # sums any term list
     rng = random.Random(19)
     R = RingSignature(["x", "y", "z"], 1, dom)
     zeros = partial = 0
@@ -572,11 +571,12 @@ def test_add_sub_match_from_terms(dom):
         elif kind == 2:
             q = -p  # p + q cancels to zero
         elif kind == 3:  # some terms of p + q cancel, others do not
-            q = R.from_terms([(e, -c) for e, c in p.terms[::2]] + list(q.terms))
+            q = MixedPoly(R, [(e, -c) for e, c in p.terms[::2]]
+                          + list(q.terms))
         neg = tuple((e, -c) for e, c in q.terms)
         total, difference = p + q, p - q
-        assert total.terms == R.from_terms(p.terms + q.terms).terms
-        assert difference.terms == R.from_terms(p.terms + neg).terms
+        assert total.terms == MixedPoly(R, p.terms + q.terms).terms
+        assert difference.terms == MixedPoly(R, p.terms + neg).terms
         for got in (total, difference):
             zeros += got.is_zero()
             if dom is QQ:

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from retractlab import (QQ, ZZ, GF, RingSignature, NonUnitError,
+from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError,
                         parse_expression, parse_problem)
 from retractlab import grammar
 from retractlab.grammar import MAX_NESTING, ParseError
@@ -102,7 +102,7 @@ class _ReferenceParser:
             op = self.take()
             rhs = self.term()
             terms.extend(rhs.terms if op.kind == "+" else (-rhs).terms)
-        return self.ring.from_terms(terms)
+        return MixedPoly(self.ring, terms)
 
     def term(self):
         value = self.unary()

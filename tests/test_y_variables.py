@@ -36,15 +36,15 @@ def reference_y_variables(phi):
         mono = ring.monomial(exp)
         image = apply(phi, mono)
         if i < dec.r:
-            yvars.append(YVariable(exp, ring.domain.one(), "fixed", mono,
+            yvars.append(YVariable(exp, 1, "fixed", mono,
                                    verified=image == mono))
         else:
             assert image.is_constant()
             lam = image.terms[0][1]
             assert ring.domain.is_unit(lam)
-            y = mono.scale(ring.domain.invert(lam))
+            y = mono * ring.constant(ring.domain.invert(lam))
             yvars.append(YVariable(exp, lam, "killed", y,
-                                   verified=apply(phi, y) == ring.one()))
+                                   verified=apply(phi, y) == ring.constant(1)))
     return dec, yvars
 
 
@@ -80,7 +80,7 @@ def test_normalizers_from_negative_powers():
                          (GF(5), 2, 3)):
         R = RingSignature(["x1", "x2"], 2, dom)
         phi = Endomorphism(R, [R.variable(0),
-                               R.variable(0).scale(dom.coerce(c))])
+                               R.variable(0) * R.constant(c)])
         ys = assert_matches_reference(phi)
         assert [y.kind for y in ys] == ["fixed", "killed"]
         assert ys[1].exponent == (1, -1)
@@ -136,7 +136,7 @@ def test_analyze_substitutes_only_for_the_idempotency_check(monkeypatch):
 
 def e1():
     R = RingSignature(["x1", "x2"], 2, QQ)
-    return Endomorphism(R, [R.variable(0) * R.variable(1), R.one()])
+    return Endomorphism(R, [R.variable(0) * R.variable(1), R.constant(1)])
 
 
 def tampered(fixed, kernel, T=None):
@@ -180,7 +180,7 @@ def test_fixed_certificate_reads_the_scalar(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(engine, "require_idempotent", lambda phi: None)
     R = RingSignature(["x"], 1, QQ)
     with pytest.raises(CertificateError) as exc:
-        analyze(Endomorphism(R, [R.variable(0).scale(2)]))
+        analyze(Endomorphism(R, [R.variable(0) * R.constant(2)]))
     assert [k for k, ok in exc.value.evidence.items() if not ok] == [
         "fixed_y_images"]
     path = tmp_path / "scaled.ring"
