@@ -34,10 +34,10 @@ class CertificateError(RuntimeError):
 class YVariable:
     """A new Laurent coordinate y = normalizer^-1 · x^exponent.
 
-    For the basis vector b = exponent, phi(x^b) = λ^b·x^(M·b).  A fixed y
-    has phi(y) = y, that is M·b = b and λ^b = 1; a killed y has normalizer
-    λ^b and phi(y) = 1, that is M·b = 0.  `verified` records whether those
-    equalities hold.
+    For the basis vector b = exponent, phi(x^b) = λ^b·x^(M·b), and the
+    normalizer is λ^b.  A fixed y has phi(y) = y, that is M·b = b and
+    normalizer 1; a killed y has phi(y) = 1, that is M·b = 0.  `verified`
+    records whether the equality on M·b holds.
     """
 
     __slots__ = ("exponent", "normalizer", "kind", "poly", "verified")
@@ -86,11 +86,11 @@ def compute_y_variables(phi):
     """New Laurent coordinates, read from the monomial part (M, λ) of phi.
 
     After the exact idempotency check (`require_idempotent`), phi sends x^b
-    to λ^b·x^(M·b), so M·Y, a column at a time, checks each basis vector b
-    of the summand decomposition without substituting: a fixed y = x^b is
-    verified when M·b = b and λ^b = 1, a killed y = λ^-b·x^b, with
-    normalizer λ^b, when M·b = 0.  Each outcome is recorded in
-    `YVariable.verified`; `analyze` raises on a failed one.
+    to λ^b·x^(M·b), so one product M·b checks each basis vector b of the
+    summand decomposition without substituting: y = λ^-b·x^b, normalizer
+    λ^b, is verified when M·b = b for a fixed y and M·b = 0 for a killed
+    one, as recorded in `YVariable.verified`.  `analyze` raises on a failed
+    one, and on a fixed y whose normalizer is not 1.
     """
     require_idempotent(phi)
     ring = phi.ring
@@ -106,13 +106,10 @@ def compute_y_variables(phi):
         for c, e in zip(mono.lambdas, b):
             if e:
                 lam = dom.mul(lam, dom.pow(c, e))
-        if i < dec.r:
-            yvars.append(YVariable(exp, 1, "fixed", ring.monomial(exp),
-                                   verified=image == b and lam == 1))
-        else:
-            yvars.append(YVariable(exp, lam, "killed",
-                                   ring.monomial(exp, dom.invert(lam)),
-                                   verified=not any(image)))
+        fixed = i < dec.r
+        verified = image == b if fixed else not any(image)
+        yvars.append(YVariable(exp, lam, "fixed" if fixed else "killed",
+                               ring.monomial(exp, dom.invert(lam)), verified))
     return dec, yvars
 
 
@@ -391,19 +388,23 @@ def analyze(phi):
                                         generatorsExplicit=True)
     rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
 
+    unimodular = dec.Y * dec.T == IntMatrix.identity(d)
+    # with Y·T = I, M·b = b on Y's fixed columns and M·b = 0 on its killed
+    # ones give M = Y·diag(I_r, 0)·T: so M·M = M, and T·M = diag(I_r, 0)·T,
+    # whose zero rows from r on put M's columns in the fixed lattice
+    lattice = unimodular and all(y.verified for y in yvars)
     killed = all(y.verified for y in yvars if y.kind == "killed")
     certificates = {
-        "matrix_idempotent": dec.idempotent,
-        "unimodular_basis": dec.Y * dec.T == IntMatrix.identity(d),
-        "fixed_y_images": all(y.verified for y in yvars if y.kind == "fixed"),
+        "matrix_idempotent": lattice,
+        "unimodular_basis": unimodular,
+        # phi(y) = y for a fixed y also needs the scalar λ^b = 1
+        "fixed_y_images": all(y.verified and y.normalizer == 1
+                              for y in yvars if y.kind == "fixed"),
         "killed_y_images": killed,
         # J is generated by the y - 1 for killed y, and phi(y - 1) =
         # phi(y) - 1, so phi(J) = 0 follows from the killed-image checks
         "ideal_killed": killed,
-        # T·M holds the coordinates of M's columns in the basis Y, so they
-        # lie in the fixed lattice iff rows r.. are zero
-        "image_lattice_membership": not any(
-            any(row) for row in (dec.T * dec.M).entries[r:]),
+        "image_lattice_membership": lattice,
     }
     if not all(certificates.values()):
         raise CertificateError("certificate check failed", certificates)

@@ -5,22 +5,22 @@ the columns of M and the kernel by the columns of I - M.  Both bases are
 canonicalized by Hermite normal form (positive pivots, entries above a pivot
 reduced into [0, pivot)), so every decomposition is byte-reproducible.  The
 assembled basis Y = [fixed | kernel] is then unimodular, and its inverse T
-comes from the HNF transform of its columns.  All arithmetic is exact;
-matrices here are desk-scale (d ≤ 8), so no modular shortcuts are used.
+comes from the HNF transform of its columns.  A square M is idempotent
+exactly when the ranks of its two lattices sum to d, so `decompose` forms no
+product.  All arithmetic is exact; products and `apply` skip zero entries,
+so a sparse matrix of width d up to 1000 costs about its nonzero entries.
 """
 
 
 class IntMatrix:
-    """Immutable dense integer matrix."""
+    """Immutable integer matrix, stored densely."""
 
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged rows")
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
         self.entries = rows
 
     @property
@@ -33,8 +33,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
+        return IntMatrix(_identity_rows(n))
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -49,13 +48,17 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch %dx%d · %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        bt = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries))
-
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        # row i of the product sums a·(row k of other), over the nonzero
+        # entries a = self[i][k] and the nonzero entries of row k
+        sparse = [[(j, b) for j, b in enumerate(row) if b]
+                  for row in other.entries]
+        product = [[0] * other.cols for _ in self.entries]
+        for row, acc in zip(self.entries, product):
+            for k, a in enumerate(row):
+                if a:
+                    for j, b in sparse[k]:
+                        acc[j] += a * b
+        return IntMatrix(product)
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -63,17 +66,18 @@ class IntMatrix:
     def apply(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        # M·v sums x·(column k) over the nonzero entries x = v[k]
+        image = [0] * self.rows
+        for k, x in enumerate(v):
+            if x:
+                for i, row in enumerate(self.entries):
+                    if row[k]:
+                        image[i] += row[k] * x
+        return tuple(image)
 
-    @property
-    def is_square(self):
-        return self.rows == self.cols
 
-
-def mat_is_idempotent(M):
-    if not M.is_square:
-        raise ValueError("idempotency only makes sense for square matrices")
-    return M * M == M
+def _identity_rows(n):
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def row_hnf(rows):
@@ -85,7 +89,7 @@ def row_hnf(rows):
     m = len(rows)
     H = [list(r) for r in rows]
     n = len(H[0]) if H else 0
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    U = _identity_rows(m)
 
     def addrow(i, j, q):
         # row i -= q * row j
@@ -99,45 +103,37 @@ def row_hnf(rows):
             if not live:
                 break
             i0 = min(live, key=lambda i: abs(H[i][col]))
-            if i0 != pivot:
-                H[i0], H[pivot] = H[pivot], H[i0]
-                U[i0], U[pivot] = U[pivot], U[i0]
+            H[i0], H[pivot] = H[pivot], H[i0]
+            U[i0], U[pivot] = U[pivot], U[i0]
             if len(live) == 1:
                 break
-            for i in range(pivot + 1, m):
-                if H[i][col]:
-                    addrow(i, pivot, H[i][col] // H[pivot][col])
+            for i in [i for i in range(pivot + 1, m) if H[i][col]]:
+                addrow(i, pivot, H[i][col] // H[pivot][col])
         if pivot < m and H[pivot][col] != 0:
             if H[pivot][col] < 0:
                 H[pivot] = [-a for a in H[pivot]]
                 U[pivot] = [-a for a in U[pivot]]
-            for i in range(pivot):
-                if H[i][col]:
-                    addrow(i, pivot, H[i][col] // H[pivot][col])
+            for i in [i for i in range(pivot) if H[i][col]]:
+                addrow(i, pivot, H[i][col] // H[pivot][col])
             pivot += 1
     return [tuple(r) for r in H], [tuple(r) for r in U]
 
 
 def _lattice_basis(vectors):
     """Canonical (HNF) basis of the lattice spanned by the given vectors."""
-    if not vectors:
-        return []
     H, _ = row_hnf(list(vectors))
     return [r for r in H if any(r)]
 
 
 class SummandDecomposition:
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
-    the assembled basis matrix Y (fixed columns first) and its integer
-    inverse T.  `idempotent` is the outcome of the M·M = M check that
-    `decompose` ran."""
+    the assembled basis matrix Y (fixed columns first, r of them) and its
+    integer inverse T."""
 
-    __slots__ = ("M", "idempotent", "r", "fixed_basis", "kernel_basis", "Y",
-                 "T")
+    __slots__ = ("M", "r", "fixed_basis", "kernel_basis", "Y", "T")
 
-    def __init__(self, M, idempotent, r, fixed_basis, kernel_basis, Y, T):
+    def __init__(self, M, r, fixed_basis, kernel_basis, Y, T):
         self.M = M
-        self.idempotent = idempotent
         self.r = r
         self.fixed_basis = tuple(fixed_basis)
         self.kernel_basis = tuple(kernel_basis)
@@ -153,32 +149,35 @@ def assemble_unimodular(fixed, kernel):
     Y is unimodular, and then the transform U (U·Y^t = I) gives T = U^t.
     """
     vectors = list(fixed) + list(kernel)
-    if not vectors:
-        return IntMatrix(()), IntMatrix(())
-    d = len(vectors[0])
-    if len(vectors) != d:
-        raise ValueError("expected %d basis vectors, got %d" % (d, len(vectors)))
+    d = len(vectors)
+    if any(len(v) != d for v in vectors):
+        raise ValueError("expected %d basis vectors of length %d" % (d, d))
     H, U = row_hnf(vectors)
-    if IntMatrix(H) != IntMatrix.identity(d):
+    # an echelon form with unit diagonal has its pivots there, reduced: H = I
+    if any(H[i][i] != 1 for i in range(d)):
         raise ValueError("assembled basis is not unimodular")
-    return IntMatrix(tuple(zip(*vectors))), IntMatrix(U).transpose()
+    return IntMatrix(zip(*vectors)), IntMatrix(zip(*U))
 
 
 def decompose(M):
     """Full summand decomposition of an idempotent d×d matrix: the canonical
     Z-bases of the fixed lattice {v : Mv = v} (the columns of M) and of the
     kernel {v : Mv = 0} (the columns of I - M, since ker M = im(I - M)).
-    This is the one entry point to both bases; M·M is computed once, here,
-    and a non-idempotent M raises ValueError."""
-    idempotent = mat_is_idempotent(M)
-    if not idempotent:
-        raise ValueError("matrix is not idempotent")
+    This is the one entry point to both bases and the one idempotency check:
+    every v is Mv + (I - M)v, so the two ranks sum to d exactly when the
+    lattices meet in 0, that is when M·(I - M) = 0.  A non-square or
+    non-idempotent M raises ValueError."""
+    if M.rows != M.cols:
+        raise ValueError("idempotency only makes sense for square matrices")
     d = M.rows
-    fixed = _lattice_basis([M.column(j) for j in range(d)])
-    kernel = _lattice_basis([tuple(int(i == j) - M.entries[i][j]
-                                   for i in range(d)) for j in range(d)])
+    columns = list(zip(*M.entries))
+    fixed = _lattice_basis(columns)
+    kernel = _lattice_basis([[e - a for e, a in zip(unit, col)]
+                             for unit, col in zip(_identity_rows(d), columns)])
+    if len(fixed) + len(kernel) != d:
+        raise ValueError("matrix is not idempotent")
     Y, T = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, idempotent, len(fixed), fixed, kernel, Y, T)
+    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, T)
 
 
 def solve_in_lattice(v, basis):
@@ -200,11 +199,10 @@ def solve_in_lattice(v, basis):
         piv = next((j for j, x in enumerate(h) if x), None)
         if piv is None:
             continue
-        if rem[piv] % h[piv] != 0:
+        t[i], rest = divmod(rem[piv], h[piv])
+        if rest:
             return None
-        q = rem[piv] // h[piv]
-        t[i] = q
-        rem = [a - q * b for a, b in zip(rem, h)]
+        rem = [a - t[i] * b for a, b in zip(rem, h)]
     if any(rem):
         return None
     # coordinates in the original vectors: t·U

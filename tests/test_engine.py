@@ -379,26 +379,45 @@ def test_y_image_certificates_record_the_checks(monkeypatch):
     assert exc.value.evidence["killed_y_images"] is False
 
 
-def test_analyze_squares_the_unit_matrix_once(monkeypatch):
-    from retractlab import decompose
-    from retractlab.engine import CertificateError
+def test_analyze_never_squares_the_unit_matrix(monkeypatch):
+    # M·M = M and the zero rows of T·M past r follow from Y·T = I and the
+    # column checks, so Y·T is the one matrix product of an analysis
+    from retractlab.generator import GeneratorSpec, gen_random_idempotent
     products = []
     mul = IntMatrix.__mul__
 
     def counting(a, b):
-        products.append(a == b)
+        products.append((a, b))
         return mul(a, b)
     monkeypatch.setattr(IntMatrix, "__mul__", counting)
-    rep = analyze(e1())
-    assert rep.certificates["matrix_idempotent"] is True
-    assert products.count(True) == 1
-    # the certificate reads the outcome of that one check
-    dec = decompose(rep.decomposition.M)
-    dec.idempotent = False
-    monkeypatch.setattr("retractlab.engine.decompose", lambda M: dec)
-    with pytest.raises(CertificateError) as exc:
-        analyze(e1())
-    assert exc.value.evidence["matrix_idempotent"] is False
+    tail = gen_random_idempotent(GeneratorSpec(5, 3, 1, 1005, 2, QQ))
+    for phi in (e1(), tail):
+        products.clear()
+        rep = analyze(phi)
+        dec = rep.decomposition
+        assert all(rep.certificates.values())
+        assert (dec.M, dec.M) not in products
+        assert (dec.T, dec.M) not in products
+        assert products == [(dec.Y, dec.T)]
+
+
+def _every_second_variable_to_one(R):
+    return Endomorphism(R, [R.constant(1) if i % 2 else R.variable(i)
+                            for i in range(R.n)])
+
+
+@pytest.mark.parametrize("make, r", [(identity, 200),
+                                     (_every_second_variable_to_one, 100)])
+def test_analyze_wide_laurent_ring(make, r):
+    # d = 200: the lattice layer's products skip zero entries, so its cost
+    # follows the nonzero entries rather than d³
+    d = 200
+    R = RingSignature(["x%d" % (i + 1) for i in range(d)], d, QQ)
+    rep = analyze(make(R))
+    assert rep.r == r
+    assert [y.kind for y in rep.y_variables] == (["fixed"] * r
+                                                 + ["killed"] * (d - r))
+    assert len(rep.certificates) == 6 and all(rep.certificates.values())
 
 
 def test_classify_never_asserts():

@@ -3,17 +3,8 @@ import random
 
 import pytest
 
-from retractlab import (IntMatrix, mat_is_idempotent, assemble_unimodular,
-                        decompose, solve_in_lattice)
-
-
-def test_mat_is_idempotent():
-    assert mat_is_idempotent(IntMatrix.identity(3))
-    assert mat_is_idempotent(IntMatrix([[0, 0], [0, 0]]))
-    assert mat_is_idempotent(IntMatrix([[1, 0], [1, 0]]))
-    assert not mat_is_idempotent(IntMatrix([[0, 1], [1, 0]]))
-    with pytest.raises(ValueError):
-        mat_is_idempotent(IntMatrix([[1, 2, 3]]))
+from retractlab import (IntMatrix, assemble_unimodular, decompose,
+                        solve_in_lattice)
 
 
 def test_fixed_lattice_basis_examples():
@@ -28,10 +19,21 @@ def test_kernel_basis_examples():
     assert decompose(IntMatrix([[1, -2], [0, 0]])).kernel_basis == ((2, 1),)
 
 
-def test_non_idempotent_rejected():
-    for M in (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 0], [0, 0]])):
+def test_non_idempotent_rejected(monkeypatch):
+    # the ranks of the two lattices decide idempotency, with no product:
+    # the nilpotent [[0, 1], [0, 0]] has ranks 1 and 2
+    products = []
+    monkeypatch.setattr(IntMatrix, "__mul__",
+                        lambda a, b: products.append((a, b)))
+    monkeypatch.setattr(IntMatrix, "apply",
+                        lambda a, v: products.append((a, v)))
+    for M in (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 0], [0, 0]]),
+              IntMatrix([[0, 1], [0, 0]])):
         with pytest.raises(ValueError, match="not idempotent"):
             decompose(M)
+    assert products == []
+    with pytest.raises(ValueError, match="square"):
+        decompose(IntMatrix([[1, 2, 3]]))
 
 
 def test_assemble_unimodular_examples():

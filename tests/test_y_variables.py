@@ -143,19 +143,23 @@ def tampered(fixed, kernel, T=None):
     """A decomposition of e1's matrix with the given bases (and T)."""
     M = IntMatrix([[1, 0], [1, 0]])
     Y, T0 = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, True, len(fixed), fixed, kernel, Y,
+    return SummandDecomposition(M, len(fixed), fixed, kernel, Y,
                                 T0 if T is None else IntMatrix(T))
 
 
+# matrix_idempotent and image_lattice_membership follow from Y·T = I and
+# the lattice part of the column checks, so each tamper fails them too
 @pytest.mark.parametrize("dec, failed", [
     # M does not fix (1, 0); M's column (1, 1) has a kernel coordinate
     (tampered([(1, 0)], [(0, 1)]),
-     {"fixed_y_images", "image_lattice_membership"}),
+     {"fixed_y_images", "image_lattice_membership", "matrix_idempotent"}),
     # M does not kill (1, 0)
-    (tampered([(1, 1)], [(1, 0)]), {"killed_y_images", "ideal_killed"}),
-    # T is not Y^-1, and T·M is nonzero past r
+    (tampered([(1, 1)], [(1, 0)]),
+     {"killed_y_images", "ideal_killed", "image_lattice_membership",
+      "matrix_idempotent"}),
+    # T is not Y^-1
     (tampered([(1, 1)], [(0, 1)], T=[[1, 0], [0, 1]]),
-     {"unimodular_basis", "image_lattice_membership"}),
+     {"unimodular_basis", "image_lattice_membership", "matrix_idempotent"}),
 ])
 def test_each_certificate_can_fail(dec, failed, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(engine, "decompose", lambda M: dec)
