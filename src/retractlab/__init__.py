@@ -8,8 +8,8 @@ from .endo import (Endomorphism, MonomialData, identity, require_valid,
                    require_idempotent, apply, compose, is_idempotent,
                    monomial_part, conjugate, standard_projection,
                    InvalidEndomorphismError, NotIdempotentError)
-from .intlinalg import (IntMatrix, SummandDecomposition, assemble_unimodular,
-                        decompose, solve_in_lattice)
+from .intlinalg import (IntMatrix, SummandDecomposition, decompose,
+                        solve_in_lattice)
 from .engine import (analyze, classify, rationality_verdict,
                      transcendence_degree, jacobian_rank, compute_y_variables,
                      quotient_mod_J, RetractReport, ClassificationVerdict,
@@ -27,8 +27,7 @@ __all__ = [
     "require_idempotent", "apply", "compose", "is_idempotent",
     "monomial_part", "conjugate", "standard_projection",
     "InvalidEndomorphismError", "NotIdempotentError",
-    "IntMatrix", "SummandDecomposition", "assemble_unimodular",
-    "decompose", "solve_in_lattice",
+    "IntMatrix", "SummandDecomposition", "decompose", "solve_in_lattice",
     "analyze", "classify", "rationality_verdict", "transcendence_degree",
     "jacobian_rank", "compute_y_variables", "quotient_mod_J",
     "RetractReport", "ClassificationVerdict", "YVariable",

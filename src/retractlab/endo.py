@@ -19,8 +19,9 @@ when that is cheap (EXPANSION_PRODUCTS) or no factorisation holds.
 
 from math import prod
 
+from .domains import QQ
 from .intlinalg import IntMatrix
-from .ring import MixedPoly, RingMismatchError
+from .ring import MixedPoly, RingMismatchError, RingSignature
 
 
 class InvalidEndomorphismError(ValueError):
@@ -202,8 +203,14 @@ def _factorisation_holds(phi, sigma, omega, witnessed):
 
 def _factorisation_proves_idempotent(phi):
     """Whether a factorisation phi = σ∘ω with ω∘phi = ω is found and
-    checked (see the module docstring); False proves nothing."""
+    checked (see the module docstring); False proves nothing.  A map over
+    ZZ is searched over QQ, where any nonzero lead is a unit: phi∘phi = phi
+    holds over both or neither."""
     ring = phi.ring
+    if not ring.domain.is_field:  # ints are canonical QQ coefficients
+        ring = RingSignature(ring.names, ring.laurent, QQ)
+        phi = Endomorphism(ring, [MixedPoly._trusted(ring, img.terms)
+                                  for img in phi.images])
     d = ring.laurent
     images = phi.images
     variables = [ring.variable(j) for j in range(ring.n)]

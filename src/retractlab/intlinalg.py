@@ -5,11 +5,14 @@ the columns of M and the kernel by the columns of I - M.  Both bases are
 canonicalized by Hermite normal form (positive pivots, entries above a pivot
 reduced into [0, pivot)), so every decomposition is byte-reproducible.  The
 assembled basis Y = [fixed | kernel] is then unimodular, and its inverse T
-comes from the HNF transform of its columns.  A square M is idempotent
+is read off the two bases by back-substitution.  A square M is idempotent
 exactly when the ranks of its two lattices sum to d, so `decompose` forms no
 product.  All arithmetic is exact; products and `apply` skip zero entries,
 so a sparse matrix of width d up to 1000 costs about its nonzero entries.
 """
+
+from heapq import heappop, heappush
+from itertools import compress
 
 
 class IntMatrix:
@@ -81,21 +84,12 @@ def _identity_rows(n):
 
 
 def row_hnf(rows):
-    """Row Hermite normal form with transformation.
-
-    Returns (H, U) as lists of row tuples with U·rows = H, U unimodular,
-    H in row echelon form with positive pivots and reduced entries above.
-    """
+    """The nonzero rows, as tuples, of the row Hermite normal form H of the
+    given rows: a canonical basis of the lattice they span, in row echelon
+    form with positive pivots and reduced entries above."""
     m = len(rows)
     H = [list(r) for r in rows]
     n = len(H[0]) if H else 0
-    U = _identity_rows(m)
-
-    def addrow(i, j, q):
-        # row i -= q * row j
-        H[i] = [a - q * b for a, b in zip(H[i], H[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
     pivot = 0
     for col in range(n):
         while True:
@@ -104,25 +98,48 @@ def row_hnf(rows):
                 break
             i0 = min(live, key=lambda i: abs(H[i][col]))
             H[i0], H[pivot] = H[pivot], H[i0]
-            U[i0], U[pivot] = U[pivot], U[i0]
             if len(live) == 1:
                 break
             for i in [i for i in range(pivot + 1, m) if H[i][col]]:
-                addrow(i, pivot, H[i][col] // H[pivot][col])
+                q = H[i][col] // H[pivot][col]
+                H[i] = [a - q * b for a, b in zip(H[i], H[pivot])]
         if pivot < m and H[pivot][col] != 0:
             if H[pivot][col] < 0:
                 H[pivot] = [-a for a in H[pivot]]
-                U[pivot] = [-a for a in U[pivot]]
             for i in [i for i in range(pivot) if H[i][col]]:
-                addrow(i, pivot, H[i][col] // H[pivot][col])
+                q = H[i][col] // H[pivot][col]
+                H[i] = [a - q * b for a, b in zip(H[i], H[pivot])]
             pivot += 1
-    return [tuple(r) for r in H], [tuple(r) for r in U]
+    return [tuple(r) for r in H[:pivot]]
 
 
-def _lattice_basis(vectors):
-    """Canonical (HNF) basis of the lattice spanned by the given vectors."""
-    H, _ = row_hnf(list(vectors))
-    return [r for r in H if any(r)]
+def _echelon_coordinates(rows, vectors):
+    """Integer coordinates of each vector in the nonzero echelon rows, or
+    None if one lies outside their span.  Back-substitution visits what is
+    left of a vector at its nonzero indices, smallest first: there the rows
+    with a smaller pivot are done and the others vanish, so it is a pivot."""
+    pivots = {}
+    for i, row in enumerate(rows):
+        (k, lead), *tail = compress(enumerate(row), row)
+        pivots[k] = i, lead, tail
+    solved = []
+    for v in vectors:
+        coords = [0] * len(rows)
+        rest = dict(compress(enumerate(v), v))
+        todo = list(rest)  # ascending, so already a heap
+        while todo:
+            k = heappop(todo)
+            x = rest.pop(k, 0)
+            if x:
+                if k not in pivots or x % pivots[k][1]:
+                    return None
+                i, lead, tail = pivots[k]
+                q = coords[i] = x // lead
+                for j, a in tail:
+                    rest[j] = rest.get(j, 0) - q * a
+                    heappush(todo, j)
+        solved.append(tuple(coords))
+    return solved
 
 
 class SummandDecomposition:
@@ -141,70 +158,45 @@ class SummandDecomposition:
         self.T = T
 
 
-def assemble_unimodular(fixed, kernel):
-    """Assemble Y = [fixed | kernel] as columns and return (Y, T) with
-    T = Y^-1.
-
-    The rows of Y^t are the basis vectors; their row HNF is I exactly when
-    Y is unimodular, and then the transform U (U·Y^t = I) gives T = U^t.
-    """
-    vectors = list(fixed) + list(kernel)
-    d = len(vectors)
-    if any(len(v) != d for v in vectors):
-        raise ValueError("expected %d basis vectors of length %d" % (d, d))
-    H, U = row_hnf(vectors)
-    # an echelon form with unit diagonal has its pivots there, reduced: H = I
-    if any(H[i][i] != 1 for i in range(d)):
-        raise ValueError("assembled basis is not unimodular")
-    return IntMatrix(zip(*vectors)), IntMatrix(zip(*U))
-
-
 def decompose(M):
     """Full summand decomposition of an idempotent d×d matrix: the canonical
     Z-bases of the fixed lattice {v : Mv = v} (the columns of M) and of the
     kernel {v : Mv = 0} (the columns of I - M, since ker M = im(I - M)).
     This is the one entry point to both bases and the one idempotency check:
     every v is Mv + (I - M)v, so the two ranks sum to d exactly when the
-    lattices meet in 0, that is when M·(I - M) = 0.  A non-square or
-    non-idempotent M raises ValueError."""
+    lattices meet in 0, that is when M·(I - M) = 0.  Column j of T = Y^-1
+    stacks the coordinates of M·e_j in the fixed basis on those of
+    (I - M)·e_j in the kernel basis.  A non-square or non-idempotent M
+    raises ValueError."""
     if M.rows != M.cols:
         raise ValueError("idempotency only makes sense for square matrices")
     d = M.rows
     columns = list(zip(*M.entries))
-    fixed = _lattice_basis(columns)
-    kernel = _lattice_basis([[e - a for e, a in zip(unit, col)]
-                             for unit, col in zip(_identity_rows(d), columns)])
+    killed = [[e - a for e, a in zip(unit, col)]
+              for unit, col in zip(_identity_rows(d), columns)]
+    fixed = row_hnf(columns)
+    kernel = row_hnf(killed)
     if len(fixed) + len(kernel) != d:
         raise ValueError("matrix is not idempotent")
-    Y, T = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, T)
+    # each basis is the HNF of the vectors solved in it, so no solve fails
+    T = zip(*(f + k for f, k in zip(_echelon_coordinates(fixed, columns),
+                                    _echelon_coordinates(kernel, killed))))
+    return SummandDecomposition(M, len(fixed), fixed, kernel,
+                                IntMatrix(zip(*(fixed + kernel))),
+                                IntMatrix(T))
 
 
 def solve_in_lattice(v, basis):
     """Integer coordinates of v in the given lattice vectors, or None.
-
-    Works for dependent spanning sets too: solves through the HNF of the
-    vectors and pulls the answer back via the transformation matrix.
-    """
-    basis = [tuple(b) for b in basis]
-    v = tuple(v)
-    if not basis:
-        return () if not any(v) else None
-    if any(len(b) != len(v) for b in basis):
+    Dependent spanning sets work too: the HNF of the rows b_i ‖ e_i carries,
+    beside each echelon row of the b_i, the combination of the b_i that
+    makes it, so coordinates in those rows pull back to the b_i."""
+    v, basis = tuple(v), [list(b) for b in basis]
+    n, m = len(v), len(basis)
+    if any(len(b) != n for b in basis):
         raise ValueError("vector lengths differ")
-    H, U = row_hnf(basis)
-    t = [0] * len(basis)
-    rem = list(v)
-    for i, h in enumerate(H):
-        piv = next((j for j, x in enumerate(h) if x), None)
-        if piv is None:
-            continue
-        t[i], rest = divmod(rem[piv], h[piv])
-        if rest:
-            return None
-        rem = [a - t[i] * b for a, b in zip(rem, h)]
-    if any(rem):
-        return None
-    # coordinates in the original vectors: t·U
-    return tuple(sum(t[i] * U[i][j] for i in range(len(basis)))
-                 for j in range(len(basis)))
+    H = [h for h in row_hnf([b + e for b, e in zip(basis, _identity_rows(m))])
+         if any(h[:n])]
+    solved = _echelon_coordinates([h[:n] for h in H], [v])
+    return None if solved is None else tuple(
+        sum(c * h[j] for c, h in zip(solved[0], H)) for j in range(n, n + m))

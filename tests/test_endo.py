@@ -323,6 +323,29 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
     assert calls == [(phi, phi)]
 
 
+@pytest.mark.parametrize("pairs", [
+    40,   # spent while the search grows a generator's powers
+    100,  # spent while it multiplies a subduction step by those powers
+])
+def test_subduction_budget_gives_up(pairs, monkeypatch):
+    phi = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
+    assert endo._factorisation_proves_idempotent(phi)
+    monkeypatch.setattr(endo, "SUBDUCTION_PAIRS", pairs)
+    subduce = endo._subduce
+    overdrawn = []
+
+    def spying(f, gens, d, budget):
+        w = subduce(f, gens, d, budget)
+        overdrawn.append(w is None and budget[0] < 0)
+        return w
+    monkeypatch.setattr(endo, "_subduce", spying)
+    assert not endo._factorisation_proves_idempotent(phi)
+    assert overdrawn[-1]
+    calls = counted_compositions(monkeypatch)
+    require_idempotent(phi)
+    assert calls == [(phi, phi)]
+
+
 def test_witness_with_a_unit_lead_and_a_laurent_part():
     # phi(x2) = x1*x2 leads with the unit x1, and phi(x3) = phi(x2)^2 + 3
     # has the witness x2^2 + 3, whose constant lies in R[x1^±]

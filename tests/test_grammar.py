@@ -108,6 +108,18 @@ def test_parse_errors():
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_problem("ring %s[x^±]\nx -> x\n" % header)
         assert exc.value.line == 1
+    # the header's and the map lines' own checks; a file with no header
+    # has no line to point at
+    for text, message, line in (
+            ("x -> x\n", "expected 'ring <domain>[vars]' header", 1),
+            ("ring QQ[x,,y]\n", "empty variable declaration", 1),
+            ("ring QQ[1x]\n", "bad variable name '1x'", 1),
+            ("ring QQ[x,x]\n", "duplicate variable name", 1),
+            ("ring QQ[x^±]\nx -> x\ny -> 1\n", "undeclared identifier 'y'", 3),
+            ("# comments\n# only\n", "missing ring header", None)):
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_problem(text)
+        assert exc.value.line == line
 
 
 def test_parse_error_carries_location():

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from retractlab import (IntMatrix, assemble_unimodular, decompose,
-                        solve_in_lattice)
+from retractlab import IntMatrix, decompose, solve_in_lattice
 
 
 def test_fixed_lattice_basis_examples():
@@ -36,33 +35,27 @@ def test_non_idempotent_rejected(monkeypatch):
         decompose(IntMatrix([[1, 2, 3]]))
 
 
-def test_assemble_unimodular_examples():
-    Y, T = assemble_unimodular([(1, 1)], [(0, 1)])
-    assert Y == IntMatrix([[1, 0], [1, 1]])
-    assert T == IntMatrix([[1, 0], [-1, 1]])
-    assert Y * T == IntMatrix.identity(2)
+def test_decompose_y_and_t_examples():
+    dec = decompose(IntMatrix([[1, 0], [1, 0]]))
+    assert dec.Y == IntMatrix([[1, 0], [1, 1]])
+    assert dec.T == IntMatrix([[1, 0], [-1, 1]])
+    assert dec.Y * dec.T == IntMatrix.identity(2)
 
-    Y, T = assemble_unimodular([(1, 0), (0, 1)], [])
-    assert Y == IntMatrix.identity(2) and T == IntMatrix.identity(2)
+    dec = decompose(IntMatrix.identity(2))
+    assert dec.Y == IntMatrix.identity(2) and dec.T == IntMatrix.identity(2)
 
-    Y, T = assemble_unimodular([(1, 0)], [(2, 1)])
-    assert Y == IntMatrix([[1, 2], [0, 1]])
-    assert T == IntMatrix([[1, -2], [0, 1]])
-    assert Y * T == IntMatrix.identity(2)
+    dec = decompose(IntMatrix([[1, -2], [0, 0]]))
+    assert dec.Y == IntMatrix([[1, 2], [0, 1]])
+    assert dec.T == IntMatrix([[1, -2], [0, 1]])
+    assert dec.Y * dec.T == IntMatrix.identity(2)
 
-    # determinant -1: the HNF transform still inverts it
-    Y, T = assemble_unimodular([(0, 1)], [(1, 0)])
-    assert Y == IntMatrix([[0, 1], [1, 0]])
-    assert Y * T == IntMatrix.identity(2)
+    # determinant -1: back-substitution still inverts it
+    dec = decompose(IntMatrix([[0, 0], [0, 1]]))
+    assert dec.Y == IntMatrix([[0, 1], [1, 0]])
+    assert dec.Y * dec.T == IntMatrix.identity(2)
 
-    assert assemble_unimodular([], []) == (IntMatrix(()), IntMatrix(()))
-
-
-def test_assemble_rejects_non_unimodular():
-    with pytest.raises(ValueError, match="not unimodular"):
-        assemble_unimodular([(2, 0)], [(0, 1)])
-    with pytest.raises(ValueError, match="not unimodular"):
-        assemble_unimodular([(1, 1)], [(2, 2)])  # singular
+    dec = decompose(IntMatrix(()))
+    assert (dec.Y, dec.T) == (IntMatrix(()), IntMatrix(()))
 
 
 def test_solve_in_lattice_examples():

@@ -20,8 +20,7 @@ from retractlab.cli import run_cli
 from retractlab.engine import CertificateError
 from retractlab.generator import (GeneratorSpec, gen_random_idempotent,
                                   _automorphism_of_kind)
-from retractlab.intlinalg import (IntMatrix, SummandDecomposition,
-                                  assemble_unimodular)
+from retractlab.intlinalg import IntMatrix, SummandDecomposition
 
 
 def reference_y_variables(phi):
@@ -129,9 +128,9 @@ def test_analyze_substitutes_only_for_the_idempotency_check(monkeypatch):
     rep = analyze(phi)
     assert rep.r == 1 and all(rep.certificates.values())
     # phi∘phi substitutes into each of the n images; the decomposition
-    # takes one HNF per lattice and one for the inverse of Y
+    # takes one HNF per lattice and reads the inverse of Y off the two
     assert substitutions == list(phi.images)
-    assert len(hnfs) == 3
+    assert len(hnfs) == 2
 
 
 def e1():
@@ -139,22 +138,21 @@ def e1():
     return Endomorphism(R, [R.variable(0) * R.variable(1), R.constant(1)])
 
 
-def tampered(fixed, kernel, T=None):
-    """A decomposition of e1's matrix with the given bases (and T)."""
+def tampered(fixed, kernel, T):
+    """A decomposition of e1's matrix with the given bases and T."""
     M = IntMatrix([[1, 0], [1, 0]])
-    Y, T0 = assemble_unimodular(fixed, kernel)
-    return SummandDecomposition(M, len(fixed), fixed, kernel, Y,
-                                T0 if T is None else IntMatrix(T))
+    Y = IntMatrix(zip(*(fixed + kernel)))
+    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, IntMatrix(T))
 
 
 # matrix_idempotent and image_lattice_membership follow from Y·T = I and
 # the lattice part of the column checks, so each tamper fails them too
 @pytest.mark.parametrize("dec, failed", [
     # M does not fix (1, 0); M's column (1, 1) has a kernel coordinate
-    (tampered([(1, 0)], [(0, 1)]),
+    (tampered([(1, 0)], [(0, 1)], T=[[1, 0], [0, 1]]),
      {"fixed_y_images", "image_lattice_membership", "matrix_idempotent"}),
     # M does not kill (1, 0)
-    (tampered([(1, 1)], [(1, 0)]),
+    (tampered([(1, 1)], [(1, 0)], T=[[0, 1], [1, -1]]),
      {"killed_y_images", "ideal_killed", "image_lattice_membership",
       "matrix_idempotent"}),
     # T is not Y^-1
