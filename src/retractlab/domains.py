@@ -112,14 +112,15 @@ class Domain:
         return (num * pow(d, -1, self.p)) % self.p
 
     def coerce(self, value):
-        """Normalize a Python int / Fraction into this domain's canonical form."""
+        """Normalize a Python int / Fraction into this domain's canonical
+        form; any other value, a float included, raises ValueError."""
+        if not isinstance(value, (int, Fraction)):
+            raise ValueError("not an exact int or Fraction: %r" % (value,))
         if self.kind == "rationals":
             return _qq(Fraction(value))
         if self.kind == "integers":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise ValueError("%s is not an integer" % (value,))
-                return int(value)
+            if isinstance(value, Fraction) and value.denominator != 1:
+                raise ValueError("%s is not an integer" % (value,))
             return int(value)
         if isinstance(value, Fraction):
             return self.from_fraction(value.numerator, value.denominator)

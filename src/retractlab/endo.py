@@ -84,7 +84,7 @@ def require_valid(phi):
 
 
 def apply(phi, p):
-    return p.substitute(phi.images, phi.ring)
+    return p.substitute(phi.images)
 
 
 def compose(phi, psi):
@@ -193,10 +193,10 @@ def _factorisation_holds(phi, sigma, omega, witnessed):
     """Whether σ∘ω = phi on the witnessed variables, where it does not hold
     by construction, and ω∘phi = ω; the smallest images are checked first."""
     ring, images = phi.ring, phi.images
-    if any(omega[j].substitute(sigma, ring) != images[j] for j in witnessed):
+    if any(omega[j].substitute(sigma) != images[j] for j in witnessed):
         return False
     for i in sorted(range(ring.n), key=lambda i: len(images[i].terms)):
-        if images[i].substitute(omega, ring) != omega[i]:
+        if images[i].substitute(omega) != omega[i]:
             return False
     return True
 

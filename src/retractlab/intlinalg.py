@@ -13,6 +13,7 @@ so a sparse matrix of width d up to 1000 costs about its nonzero entries.
 
 from heapq import heappop, heappush
 from itertools import compress
+from operator import index
 
 
 class IntMatrix:
@@ -21,7 +22,10 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        try:
+            rows = tuple(tuple(map(index, row)) for row in rows)
+        except TypeError:
+            raise ValueError("matrix entries must be ints") from None
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
         self.entries = rows

@@ -17,20 +17,10 @@ one helper, `_canonical_sum`, and products (`*`, `**` and every product
 inside `substitute`) in one kernel.  When either operand has one term, the
 product only shifts the other operand's exponents and scales its
 coefficients: a shift keeps graded-lex order, and the domains have no zero
-divisors, so no dict and no sort are needed.  Otherwise the kernel works
-on integer coefficients: a QQ operand is scaled to an integer polynomial
-over one common denominator, and GF(p) coefficients are reduced once per
-output term.  Each exponent gets one packed integer key,
-sum e_i * 2^(w*(n-1-i)), with w chosen per product so that every entry of a
-product exponent lies in (-2^(w-1), 2^(w-1)): the key is additive and
-injective on those exponents and, within one total degree, orders them as
-graded-lex does.  The product is built one total-degree slice at a time,
-highest degree first: the term pairs of one output degree are summed in a
-small dict keyed by the sum of their keys, whose sorted nonzero entries are
-the next run of the canonical result, each exponent tuple built once from
-the first pair that reached its key.  So the inner loop adds ints, and the
-working set is one slice of the output (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", 2007).
+divisors, so no dict and no sort are needed.  Otherwise every term pair
+is summed into one dict keyed by exponent tuple, on integer coefficients (a
+QQ operand is scaled over one common denominator, divided out at the end),
+and the dict is canonicalized by `_canonical_sum`.
 
 `substitute` maps into a ring over the same domain; images over another
 domain raise RingMismatchError.  It runs in two stages.  Images with at most
@@ -98,10 +88,15 @@ class RingSignature:
         return "%r[%s]" % (self.domain, ",".join(parts))
 
     def check_exponent(self, exp):
+        """Raise ValueError unless exp is n ints, nonnegative past the
+        Laurent block."""
         if len(exp) != self.n:
             raise ValueError("exponent length %d != %d variables" % (len(exp), self.n))
-        for i in range(self.laurent, self.n):
-            if exp[i] < 0:
+        for i, e in enumerate(exp):
+            if not isinstance(e, int):
+                raise ValueError("exponent of %s is not an int: %r"
+                                 % (self.names[i], e))
+            if e < 0 and i >= self.laurent:
                 raise ValueError(
                     "negative exponent on polynomial variable %s" % self.names[i])
 
@@ -150,29 +145,6 @@ def _integer_terms(terms):
                   if type(c) is Fraction else c * den) for e, c in terms]
 
 
-def _packed_slices(terms, w):
-    """The terms grouped by total degree, each with its packed key:
-    {degree: [(key, exp, coeff), ...]}."""
-    slices = {}
-    for exp, c in terms:
-        key = 0
-        for x in exp:
-            key = (key << w) + x
-        slices.setdefault(sum(exp), []).append((key, exp, c))
-    return slices
-
-
-def _finish(c, mod, den):
-    """Canonical coefficient of an integer sum c scaled by 1/den (QQ) or
-    reduced mod `mod` (GF(p)); 0 when the term cancels."""
-    if mod:
-        return c % mod
-    if den == 1 or not c:
-        return c
-    q, rem = divmod(c, den)
-    return q if not rem else Fraction(c, den)
-
-
 def _product_terms(ring, f, g):
     """Canonical terms of f·g for canonical term tuples f and g."""
     if not f or not g:
@@ -180,45 +152,24 @@ def _product_terms(ring, f, g):
     if len(g) == 1:
         f, g = g, f
     add = _exponent_adder(ring.n)
+    reduce = ring.domain.reduce
     if len(f) == 1:
         # a shift keeps graded-lex order, and the domains have no zero
         # divisors: no two terms merge and none vanishes
         (e0, c0), = f
-        reduce = ring.domain.reduce
         return tuple([(add(e0, e), reduce(c0 * c)) for e, c in g])
-    dom = ring.domain
-    mod = dom.p if dom.kind == "prime-field" else 0
     den_f, f = _integer_terms(f)
     den_g, g = _integer_terms(g)
+    acc = {}
+    get = acc.get
+    for e1, c1 in f:
+        for e2, c2 in g:
+            e = add(e1, e2)
+            acc[e] = get(e, 0) + c1 * c2
     den = den_f * den_g
-    # every entry of a product exponent lies in (-2^(w-1), 2^(w-1))
-    bound = max(max(map(abs, e)) for e, _ in f) + \
-        max(max(map(abs, e)) for e, _ in g)
-    w = bound.bit_length() + 1
-    f_slices = _packed_slices(f, w)
-    g_slices = _packed_slices(g, w)
-    degrees = sorted({a + b for a in f_slices for b in g_slices}, reverse=True)
-    out = []
-    for degree in degrees:
-        acc = {}
-        first = {}
-        for d_f, f_terms in f_slices.items():
-            g_terms = g_slices.get(degree - d_f)
-            if g_terms is None:
-                continue
-            for k1, e1, c1 in f_terms:
-                for k2, e2, c2 in g_terms:
-                    k = k1 + k2
-                    if k in acc:
-                        acc[k] += c1 * c2
-                    else:
-                        acc[k] = c1 * c2
-                        first[k] = e1, e2
-        for k in sorted(acc, reverse=True):
-            c = _finish(acc[k], mod, den)
-            if c:
-                out.append((add(*first[k]), c))
-    return tuple(out)
+    if den != 1:
+        return _canonical_sum(acc, lambda c: reduce(Fraction(c, den)))
+    return _canonical_sum(acc, reduce)
 
 
 def _single_term_power(p, e):
@@ -300,8 +251,8 @@ class MixedPoly:
         """Canonicalize an arbitrary (exponent, coefficient) sequence: the
         one checked constructor.  Coefficients are coerced into the domain
         and repeated exponents summed.  Every exponent must have length n;
-        only terms that survive cancellation are checked for negative
-        exponents on polynomial variables."""
+        only terms that survive cancellation are checked further (ints,
+        nonnegative on polynomial variables)."""
         coerce = ring.domain.coerce
         acc = {}
         for exp, c in terms:
@@ -408,7 +359,7 @@ class MixedPoly:
 
     # -- homomorphisms -------------------------------------------------------
 
-    def substitute(self, images, target_ring=None):
+    def substitute(self, images):
         """Apply the R-algebra homomorphism x_i ↦ images[i].
 
         Images of Laurent-block variables must be units wherever a negative
@@ -426,16 +377,16 @@ class MixedPoly:
         sum is evaluated by Horner's rule over the multi-term images instead
         (`_horner_sum`).
 
-        The images must live over the domain of self: images over another
-        domain raise RingMismatchError, as images in different rings do.
+        The result lives in the images' ring, which must be over the
+        domain of self: images over another domain raise RingMismatchError,
+        as images in different rings do.  With no images (a ring of no
+        variables) self is returned.
         """
         if len(images) != self.ring.n:
             raise ValueError("expected %d images, got %d" % (self.ring.n, len(images)))
-        if target_ring is None:
-            if images:
-                target_ring = images[0].ring
-            else:
-                target_ring = self.ring
+        if not images:
+            return self
+        target_ring = images[0].ring
         for img in images:
             if img.ring is not target_ring and img.ring != target_ring:
                 raise RingMismatchError("images live in different rings")

@@ -1,5 +1,6 @@
-"""The packed-key, degree-sliced product kernel and the two-stage substitute,
-with its Horner stage, against the plain algorithms they replaced.
+"""The product kernel, which sums term pairs in one dict on integer
+coefficients, and the two-stage substitute, with its Horner stage, against
+the plain algorithms they replaced.
 
 `reference_mul` is the nested-loop product with domain arithmetic and one
 final sort; `reference_substitute` expands every image power and adds the
@@ -117,9 +118,9 @@ def test_pow_matches_reference(dom):
 
 
 def wide_poly(ring, rng, max_terms=6):
-    """A polynomial whose exponent entries are near 0 or near ±2^40, so that
-    packed keys pass 2^64 and a negative entry borrows from the field
-    above it; entries come from a small set, so product terms collide."""
+    """A polynomial whose exponent entries are near 0 or near ±2^40, past
+    any machine-word exponent encoding, with entries of both signs; entries
+    come from a small set, so product terms collide."""
     big = 2 ** 40
     laurent_entries = (-big, -big + 1, -1, 0, 1, big - 1, big)
     plain_entries = (0, 1, big - 1, big)
@@ -218,7 +219,7 @@ def test_substitute_matches_reference(dom):
                 images[0] = target.constant(1)
                 q = random_poly(R, rng, max_terms=4, max_exp=2)
                 p = p + q * (R.variable(0) - R.constant(1))
-            got = p.substitute(images, target)
+            got = p.substitute(images)
             assert got.terms == reference_substitute(p, images, target).terms
             if dom is QQ:
                 assert_canonical_qq(got)
@@ -327,7 +328,7 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
         for _ in range(20):
             p, images = horner_draw(R, target, rng)
             seen.discard("branch")
-            got = p.substitute(images, target)
+            got = p.substitute(images)
             expected = reference_substitute(p, images, target)
             assert got.terms == expected.terms
             if dom is QQ:

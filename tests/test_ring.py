@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
-                        RingMismatchError, NonUnitError, jacobian_rank)
+                        RingMismatchError, NonUnitError, IntMatrix,
+                        jacobian_rank)
 from retractlab.engine import _polynomial_rank
 from random_elements import random_element
 
@@ -110,6 +111,33 @@ def test_substitute_examples():
     got = R.monomial((-1, 0)).substitute([R.variable(0) * R.variable(1),
                                           R.variable(1)])
     assert got == R.monomial((-1, -1))
+
+
+def test_substitute_without_variables():
+    # a ring of no variables has no images to read a target ring from
+    c = RingSignature([], 0, QQ).constant(3)
+    assert c.substitute([]) is c
+
+
+def test_exact_api_rejects_floats():
+    # a float would be truncated, or read as its binary value over QQ
+    for dom in (QQ, ZZ, GF(5)):
+        for value in (2.5, 0.1, 2.0):
+            with pytest.raises(ValueError, match="not an exact int"):
+                dom.coerce(value)
+    R = mixed_ring()
+    for exp in ((1.5, 0), (0, 2.0)):
+        with pytest.raises(ValueError, match="is not an int"):
+            R.monomial(exp)
+        with pytest.raises(ValueError, match="is not an int"):
+            MixedPoly(R, [(exp, 1)])
+    with pytest.raises(ValueError, match="not an exact int"):
+        MixedPoly(R, [((1, 0), 0.5)])
+    with pytest.raises(ValueError, match="entries must be ints"):
+        IntMatrix([[1.5, 2.7]])
+    # exact values are still read
+    assert ZZ.coerce(Fraction(4, 2)) == 2 and GF(5).coerce(Fraction(1, 2)) == 3
+    assert IntMatrix([[1, -2]]).entries == ((1, -2),)
 
 
 def test_jacobian_rank_matches_derivative_reference():
