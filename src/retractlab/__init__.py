@@ -4,10 +4,10 @@ classification with machine-checkable certificates."""
 
 from .domains import Domain, QQ, ZZ, GF
 from .ring import RingSignature, MixedPoly, RingMismatchError, NonUnitError
-from .endo import (Endomorphism, MonomialData, identity, require_valid,
-                   require_idempotent, apply, compose, is_idempotent,
-                   monomial_part, conjugate, standard_projection,
-                   InvalidEndomorphismError, NotIdempotentError)
+from .endo import (Endomorphism, MonomialData, identity, require_idempotent,
+                   apply, compose, is_idempotent, monomial_part, conjugate,
+                   standard_projection, InvalidEndomorphismError,
+                   NotIdempotentError)
 from .intlinalg import (IntMatrix, SummandDecomposition, decompose,
                         solve_in_lattice)
 from .engine import (analyze, classify, rationality_verdict,
@@ -23,10 +23,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Domain", "QQ", "ZZ", "GF",
     "RingSignature", "MixedPoly", "RingMismatchError", "NonUnitError",
-    "Endomorphism", "MonomialData", "identity", "require_valid",
-    "require_idempotent", "apply", "compose", "is_idempotent",
-    "monomial_part", "conjugate", "standard_projection",
-    "InvalidEndomorphismError", "NotIdempotentError",
+    "Endomorphism", "MonomialData", "identity", "require_idempotent",
+    "apply", "compose", "is_idempotent", "monomial_part", "conjugate",
+    "standard_projection", "InvalidEndomorphismError", "NotIdempotentError",
     "IntMatrix", "SummandDecomposition", "decompose", "solve_in_lattice",
     "analyze", "classify", "rationality_verdict", "transcendence_degree",
     "jacobian_rank", "compute_y_variables", "quotient_mod_J",

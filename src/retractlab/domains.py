@@ -94,9 +94,11 @@ class Domain:
     def from_fraction(self, num, den):
         """Build the element num/den, reducing in the domain.
 
-        Raises ValueError when the quotient does not exist (ZZ, or den ≡ 0
-        mod p).
+        Raises ValueError unless num and den are ints, and when the quotient
+        does not exist (ZZ, or den ≡ 0 mod p).
         """
+        if not (isinstance(num, int) and isinstance(den, int)):
+            raise ValueError("not an int fraction: %r/%r" % (num, den))
         if den == 0:
             raise ValueError("zero denominator")
         if self.kind == "rationals":
@@ -162,6 +164,8 @@ class Domain:
         return pow(a, -1, self.p)
 
     def pow(self, a, k):
+        if not isinstance(k, int):
+            raise ValueError("exponent is not an int: %r" % (k,))
         if k < 0:
             return self.pow(self.invert(a), -k)
         if self.kind == "prime-field":

@@ -73,16 +73,6 @@ def identity(ring):
     return Endomorphism(ring, [ring.variable(i) for i in range(ring.n)])
 
 
-def require_valid(phi):
-    """Raise InvalidEndomorphismError unless every Laurent-block variable
-    maps to a unit."""
-    for i in range(phi.ring.laurent):
-        if phi.images[i].is_unit() is None:
-            raise InvalidEndomorphismError(
-                "image of Laurent variable %s is not a unit: %s"
-                % (phi.ring.names[i], phi.images[i]))
-
-
 def apply(phi, p):
     return p.substitute(phi.images)
 
@@ -241,27 +231,34 @@ def _factorisation_proves_idempotent(phi):
 
 
 def require_idempotent(phi):
-    """The check every input passes: raise InvalidEndomorphismError unless
-    each Laurent variable maps to a unit, then NotIdempotentError naming the
-    first variable with phi²(x) != phi(x)."""
-    require_valid(phi)
+    """The check every input passes: return monomial_part(phi), which raises
+    InvalidEndomorphismError unless each Laurent variable maps to a unit,
+    or raise NotIdempotentError naming the first variable with
+    phi²(x) != phi(x)."""
+    mono = monomial_part(phi)
     if _expansion_exceeds(phi) and _factorisation_proves_idempotent(phi):
-        return
-    defect = idempotency_defect(phi)
-    for name, delta in zip(phi.ring.names, defect):
+        return mono
+    for name, delta in zip(phi.ring.names, idempotency_defect(phi)):
         if not delta.is_zero():
             raise NotIdempotentError(
                 "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
+    return mono
 
 
 def monomial_part(phi):
-    """Extract (M, λ) with images[i] = λ_i·x^{M·e_i} for Laurent-block i."""
-    require_valid(phi)
+    """(M, λ) with images[i] = λ_i·x^{M·e_i} for Laurent-block i, the one
+    reader of the Laurent block: raise InvalidEndomorphismError for the
+    first image that is not a unit."""
     d = phi.ring.laurent
     cols = []
     lambdas = []
     for i in range(d):
-        c, exp = phi.images[i].is_unit()
+        unit = phi.images[i].is_unit()
+        if unit is None:
+            raise InvalidEndomorphismError(
+                "image of Laurent variable %s is not a unit: %s"
+                % (phi.ring.names[i], phi.images[i]))
+        c, exp = unit
         cols.append(exp[:d])
         lambdas.append(c)
     M = IntMatrix(tuple(zip(*cols))) if d else IntMatrix(())

@@ -15,7 +15,7 @@ allow, exact elimination over the fraction field otherwise.
 import random
 
 from .intlinalg import IntMatrix, decompose
-from .endo import monomial_part, require_idempotent
+from .endo import require_idempotent
 from .ring import (MixedPoly, RingSignature, _canonical_sum,
                    _exponent_adder, _integer_terms)
 
@@ -85,18 +85,18 @@ class RetractReport:
 def compute_y_variables(phi):
     """New Laurent coordinates, read from the monomial part (M, λ) of phi.
 
-    After the exact idempotency check (`require_idempotent`), phi sends x^b
-    to λ^b·x^(M·b), so one product M·b checks each basis vector b of the
-    summand decomposition without substituting: y = λ^-b·x^b, normalizer
-    λ^b, is verified when M·b = b for a fixed y and M·b = 0 for a killed
-    one, as recorded in `YVariable.verified`.  `analyze` raises on a failed
-    one, and on a fixed y whose normalizer is not 1.
+    After the exact idempotency check (`require_idempotent`, which returns
+    (M, λ)), phi sends x^b to λ^b·x^(M·b), so one product M·b checks each
+    basis vector b of the summand decomposition without substituting:
+    y = λ^-b·x^b, normalizer λ^b, is verified when M·b = b for a fixed y
+    and M·b = 0 for a killed one, as recorded in `YVariable.verified`.
+    `analyze` raises on a failed one, and on a fixed y whose normalizer is
+    not 1.
     """
-    require_idempotent(phi)
+    mono = require_idempotent(phi)
     ring = phi.ring
     d = ring.laurent
     dom = ring.domain
-    mono = monomial_part(phi)
     dec = decompose(mono.matrix)
     yvars = []
     for i, b in enumerate(dec.fixed_basis + dec.kernel_basis):

@@ -109,7 +109,12 @@ class RingSignature:
         return self.monomial((0,) * self.n, c)
 
     def variable(self, i):
-        return self.monomial(tuple(1 if j == i else 0 for j in range(self.n)), 1)
+        if not 0 <= i < self.n:
+            raise ValueError("variable index %d outside a ring of %d variables"
+                             % (i, self.n))
+        # x_i is valid once i is in range, and 1 is canonical in every domain
+        return MixedPoly._trusted(self, ((tuple(
+            1 if j == i else 0 for j in range(self.n)), 1),))
 
     def monomial(self, exp, coeff=1):
         """coeff·x^exp; zero when coeff reduces to 0 in the domain."""
@@ -174,11 +179,10 @@ def _product_terms(ring, f, g):
 
 def _single_term_power(p, e):
     """The term (exponent, coefficient) of p**e for p with at most one term;
-    the coefficient is 0 when p is zero.  A negative e inverts p, raising
-    NonUnitError as p**e does."""
-    if e < 0:
-        p = p.invert_unit()
-        e = -e
+    the coefficient is 0 when p is zero.  A negative e raises NonUnitError
+    unless p is a unit, as p**e does."""
+    if e < 0 and p.is_unit() is None:
+        raise NonUnitError("not a unit: %s" % p)
     if not p.terms:
         return (0,) * p.ring.n, 0
     exp, c = p.terms[0]
@@ -250,20 +254,21 @@ class MixedPoly:
     def __init__(self, ring, terms):
         """Canonicalize an arbitrary (exponent, coefficient) sequence: the
         one checked constructor.  Coefficients are coerced into the domain
-        and repeated exponents summed.  Every exponent must have length n;
-        only terms that survive cancellation are checked further (ints,
-        nonnegative on polynomial variables)."""
+        and repeated exponents summed.  Every exponent must be n ints; only
+        terms that survive cancellation must be nonnegative on polynomial
+        variables."""
         coerce = ring.domain.coerce
         acc = {}
         for exp, c in terms:
             exp = tuple(exp)
-            if len(exp) != ring.n:
-                ring.check_exponent(exp)  # raises: wrong length
+            if len(exp) != ring.n or not all(isinstance(e, int) for e in exp):
+                ring.check_exponent(exp)  # raises: wrong length or not ints
             c = coerce(c)
             acc[exp] = acc[exp] + c if exp in acc else c
         terms = _canonical_sum(acc, ring.domain.reduce)
         for exp, _ in terms:
-            ring.check_exponent(exp)
+            if any(e < 0 for e in exp[ring.laurent:]):
+                ring.check_exponent(exp)  # raises: negative exponent
         self.ring = ring
         self.terms = terms
 
@@ -324,7 +329,7 @@ class MixedPoly:
             return MixedPoly._trusted(self.ring,
                                       ((exp, self.ring.domain.reduce(c)),))
         if k < 0:
-            return self.invert_unit() ** (-k)
+            raise NonUnitError("not a unit: %s" % self)
         result = self.ring.constant(1)
         base = self
         while k:
@@ -349,13 +354,6 @@ class MixedPoly:
         if any(exp[i] != 0 for i in range(self.ring.laurent, self.ring.n)):
             return None
         return (c, exp)
-
-    def invert_unit(self):
-        u = self.is_unit()
-        if u is None:
-            raise NonUnitError("not a unit: %s" % self)
-        c, exp = u
-        return self.ring.monomial(tuple(-e for e in exp), self.ring.domain.invert(c))
 
     # -- homomorphisms -------------------------------------------------------
 
@@ -406,8 +404,8 @@ class MixedPoly:
                 if not e:
                     continue
                 if multi[i]:
-                    if e < 0:
-                        images[i].invert_unit()  # raises: not a unit
+                    if e < 0:  # a multi-term image is not a unit
+                        raise NonUnitError("not a unit: %s" % images[i])
                     continue
                 power = single_powers.get((i, e))
                 if power is None:

@@ -9,8 +9,8 @@ import json
 import os
 import random
 
-from retractlab import (QQ, GF, RingSignature, MixedPoly, Endomorphism, apply,
-                        analyze, jacobian_rank, parse_problem, render_problem,
+from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
+                        apply, analyze, jacobian_rank, parse_problem, render_problem,
                         quotient_mod_J, solve_in_lattice,
                         monomial_part, is_idempotent, IntMatrix)
 from retractlab.cli import run_cli
@@ -53,6 +53,26 @@ def test_criterion_1_pure_laurent_retracts_are_laurent_rings():
                                     rep.decomposition.fixed_basis) is not None
     print("PASS criterion-1: 500 pure-Laurent instances all PureLaurent(r) "
           "with exact certificates")
+
+
+def test_theorem_1_on_every_domain():
+    # the paper's Theorem (1): a retract of R[x1^±..xn^±] is a Laurent ring
+    # R[y1^±..yr^±], for every r from 0 (R itself) to n (the whole ring)
+    count = 0
+    for dom in (QQ, ZZ, GF(5), GF(32003)):
+        for n in range(1, 5):
+            for r in range(n + 1):
+                for complexity in range(3):
+                    spec = GeneratorSpec(n=n, d=n, r=r, seed=17 * n + r,
+                                         complexity=complexity, domain=dom)
+                    rep = analyze(gen_random_idempotent(spec))
+                    want = ("CoefficientRing" if r == 0 else "WholeRing"
+                            if r == n else "PureLaurent(r=%d)" % r)
+                    assert repr(rep.classification) == want, (dom, n, r)
+                    assert rep.r == rep.trdeg == r
+                    assert all(rep.certificates.values())
+                    count += 1
+    assert count == 168
 
 
 def test_criterion_2_worked_example_e1():

@@ -355,6 +355,28 @@ def test_analyze_proves_idempotency_once(monkeypatch):
         monkeypatch.undo()
 
 
+def test_analyze_reads_the_laurent_block_once(monkeypatch):
+    # require_idempotent returns the monomial part (M, λ) it reads, after
+    # an expanded proof (e1) and a factorised one (1004), and analyze reads
+    # the Laurent block nowhere else
+    from retractlab import endo
+    from retractlab.generator import GeneratorSpec, gen_random_idempotent
+    tail = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
+    for phi in (e1(), tail):
+        got, want = endo.require_idempotent(phi), endo.monomial_part(phi)
+        assert (got.matrix, got.lambdas) == (want.matrix, want.lambdas)
+        reads = []
+        monomial_part = endo.monomial_part
+
+        def counting(psi):
+            reads.append(psi)
+            return monomial_part(psi)
+        monkeypatch.setattr(endo, "monomial_part", counting)
+        analyze(phi)
+        assert reads == [phi]
+        monkeypatch.undo()
+
+
 def test_compute_y_variables_alone_names_the_defect():
     R = RingSignature(["x1", "x2"], 2, QQ)
     swap = Endomorphism(R, [R.variable(1), R.variable(0)])

@@ -41,7 +41,13 @@ def reference_mul(p, q):
 
 def reference_pow(p, k):
     if k < 0:
-        return reference_pow(p.invert_unit(), -k)
+        unit = p.is_unit()
+        if unit is None:
+            raise NonUnitError("not a unit: %s" % p)
+        c, exp = unit
+        # the constructor reads 1/c in each domain, mod p over GF(p)
+        inverse = MixedPoly(p.ring, [(tuple(-e for e in exp), Fraction(1, c))])
+        return reference_pow(inverse, -k)
     result = p.ring.constant(1)
     for _ in range(k):
         result = reference_mul(result, p)

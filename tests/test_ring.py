@@ -85,14 +85,14 @@ def test_is_unit():
 
 def test_invert_unit():
     R = ring2()
-    assert R.variable(0).invert_unit() == R.monomial((-1, 0))
-    assert (R.variable(0) * R.constant(3)).invert_unit() == \
+    assert R.variable(0) ** -1 == R.monomial((-1, 0))
+    assert (R.variable(0) * R.constant(3)) ** -1 == \
         R.monomial((-1, 0), Fraction(1, 3))
     Z = RingSignature(["x1", "x2"], 2, ZZ)
     p = Z.monomial((1, -1), -1)
-    assert p.invert_unit() == Z.monomial((-1, 1), -1)
+    assert p ** -1 == Z.monomial((-1, 1), -1)
     with pytest.raises(NonUnitError):
-        (R.constant(1) + R.variable(0)).invert_unit()
+        (R.constant(1) + R.variable(0)) ** -1
 
 
 def test_substitute_examples():
@@ -113,6 +113,15 @@ def test_substitute_examples():
     assert got == R.monomial((-1, -1))
 
 
+def test_variable_index_in_range():
+    R = mixed_ring()
+    assert str(R.variable(1)) == "x2"
+    for i in (2, 5, -1):
+        with pytest.raises(ValueError,
+                           match="index %d outside a ring of 2 " % i):
+            R.variable(i)
+
+
 def test_substitute_without_variables():
     # a ring of no variables has no images to read a target ring from
     c = RingSignature([], 0, QQ).constant(3)
@@ -131,8 +140,19 @@ def test_exact_api_rejects_floats():
             R.monomial(exp)
         with pytest.raises(ValueError, match="is not an int"):
             MixedPoly(R, [(exp, 1)])
+    # a float exponent is rejected on a term that cancels or merges too
+    for terms in ([((1.5, 0), 1), ((1.5, 0), -1)],
+                  [((1, 0), 1), ((1.0, 0), 1)]):
+        with pytest.raises(ValueError, match="is not an int"):
+            MixedPoly(R, terms)
     with pytest.raises(ValueError, match="not an exact int"):
         MixedPoly(R, [((1, 0), 0.5)])
+    for dom in (QQ, ZZ, GF(5)):
+        for num, den in ((2.5, 1), (1, 2.0)):
+            with pytest.raises(ValueError, match="not an int fraction"):
+                dom.from_fraction(num, den)
+        with pytest.raises(ValueError, match="exponent is not an int"):
+            dom.pow(2, 0.5)
     with pytest.raises(ValueError, match="entries must be ints"):
         IntMatrix([[1.5, 2.7]])
     # exact values are still read
@@ -201,7 +221,7 @@ def test_unit_iff_invertible_random():
         p = random_element(R, rng)
         u = p.is_unit()
         if u is not None:
-            assert p * p.invert_unit() == R.constant(1)
+            assert p * p ** -1 == R.constant(1)
     for _ in range(40):
         # a 2-term element is never a unit
         p = R.zero()

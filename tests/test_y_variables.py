@@ -179,7 +179,7 @@ def test_each_certificate_can_fail(dec, failed, monkeypatch, tmp_path, capsys):
 def test_fixed_certificate_reads_the_scalar(monkeypatch, tmp_path, capsys):
     # x -> 2x has an idempotent matrix, but phi(x) != x: with the
     # idempotency check skipped, only the fixed-image certificate sees it
-    monkeypatch.setattr(engine, "require_idempotent", lambda phi: None)
+    monkeypatch.setattr(engine, "require_idempotent", monomial_part)
     R = RingSignature(["x"], 1, QQ)
     with pytest.raises(CertificateError) as exc:
         analyze(Endomorphism(R, [R.variable(0) * R.constant(2)]))
