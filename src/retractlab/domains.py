@@ -8,7 +8,7 @@ printed output; it lets ring products run on plain ints (see `ring`).  A
 canonical coefficient prints by `str` (a Fraction prints in lowest terms
 with a positive denominator), and it is zero exactly when it equals 0, so
 the domain has no formatting or zero test of its own.  All arithmetic is
-arbitrary precision; no floats anywhere.
+arbitrary precision, and a float operand raises ValueError everywhere.
 """
 
 from fractions import Fraction
@@ -45,6 +45,13 @@ def _is_prime(p):
         else:
             return False
     return True
+
+
+def _exact(value):
+    """value, if it is an int or a Fraction; else raise ValueError."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError("not an exact int or Fraction: %r" % (value,))
+    return value
 
 
 def _qq(c):
@@ -116,8 +123,7 @@ class Domain:
     def coerce(self, value):
         """Normalize a Python int / Fraction into this domain's canonical
         form; any other value, a float included, raises ValueError."""
-        if not isinstance(value, (int, Fraction)):
-            raise ValueError("not an exact int or Fraction: %r" % (value,))
+        _exact(value)
         if self.kind == "rationals":
             return _qq(Fraction(value))
         if self.kind == "integers":
@@ -137,16 +143,16 @@ class Domain:
         return _qq(c) if self.kind == "rationals" else c
 
     def add(self, a, b):
-        return self.reduce(a + b)
+        return self.reduce(_exact(a) + _exact(b))
 
     def sub(self, a, b):
-        return self.reduce(a - b)
+        return self.reduce(_exact(a) - _exact(b))
 
     def mul(self, a, b):
-        return self.reduce(a * b)
+        return self.reduce(_exact(a) * _exact(b))
 
     def neg(self, a):
-        return (-a) % self.p if self.kind == "prime-field" else -a
+        return self.reduce(-_exact(a))
 
     def is_unit(self, a):
         """True iff a lies in the unit group of the domain."""
@@ -155,7 +161,7 @@ class Domain:
         return a != 0
 
     def invert(self, a):
-        if not self.is_unit(a):
+        if not self.is_unit(_exact(a)):
             raise ValueError("%s is not a unit in %r" % (a, self))
         if self.kind == "rationals":
             return _qq(1 / Fraction(a))
@@ -164,6 +170,7 @@ class Domain:
         return pow(a, -1, self.p)
 
     def pow(self, a, k):
+        _exact(a)
         if not isinstance(k, int):
             raise ValueError("exponent is not an int: %r" % (k,))
         if k < 0:

@@ -41,7 +41,8 @@ class Endomorphism:
         if len(images) != ring.n:
             raise ValueError("expected %d images, got %d" % (ring.n, len(images)))
         for img in images:
-            if not isinstance(img, MixedPoly) or img.ring != ring:
+            if not isinstance(img, MixedPoly) or (img.ring is not ring
+                                                  and img.ring != ring):
                 raise RingMismatchError("image not in the endomorphism's ring")
         self.ring = ring
         self.images = images
@@ -79,7 +80,7 @@ def apply(phi, p):
 
 def compose(phi, psi):
     """The endomorphism p ↦ phi(psi(p))."""
-    if phi.ring != psi.ring:
+    if phi.ring is not psi.ring and phi.ring != psi.ring:
         raise RingMismatchError("cannot compose endomorphisms of different rings")
     return Endomorphism(phi.ring, [apply(phi, img) for img in psi.images])
 

@@ -17,27 +17,29 @@ one helper, `_canonical_sum`, and products (`*`, `**` and every product
 inside `substitute`) in one kernel.  When either operand has one term, the
 product only shifts the other operand's exponents and scales its
 coefficients: a shift keeps graded-lex order, and the domains have no zero
-divisors, so no dict and no sort are needed.  Otherwise every term pair
+divisors, so no dict and no sort are needed.  A product by the constant 1
+is the other operand's terms, and `p ** 1` is p.  Otherwise every term pair
 is summed into one dict keyed by exponent tuple, on integer coefficients (a
 QQ operand is scaled over one common denominator, divided out at the end),
 and the dict is canonicalized by `_canonical_sum`.
 
 `substitute` maps into a ring over the same domain; images over another
-domain raise RingMismatchError.  It runs in two stages.  Images with at most
-one term (units, scalars, zero), such as the images of the Laurent block
-under an endomorphism, only move exponents and scale coefficients, so they
-are applied by exponent arithmetic, term by term.  The terms are grouped by
-their exponents on the remaining variables, and only a group that does not
-cancel is multiplied by its product of powers of multi-term images.  The
-large powers that a full expansion would build, and that then cancel, are
-never formed.  When more than two groups need a product and each holds one
-term, as when the Laurent images are scalars, the groups are summed by the
-multivariate Horner scheme instead (Ceberio & Kreinovich, "Greedy
-algorithms for optimizing multivariate Horner schemes", 2004): each product
-then multiplies by a low power of one image, and the powers the groups
-share are built once.  Where some group holds several terms, each group
-keeps its own product, since Horner's rule would multiply those terms
-through every fold.
+domain raise RingMismatchError.  A one-term element c·x^e, most of what
+composition substitutes, maps to c·∏ images[i]^e_i by `*` and `**`, so a
+variable maps to its image's own terms.  Other elements take two stages.
+Images with at most one term (units, scalars, zero), such as the Laurent
+images of an endomorphism, act by exponent arithmetic, term by term.  The
+terms are grouped by their exponents on the remaining variables, and only
+a group that does not cancel is multiplied by its product of powers of
+multi-term images: the large powers that a full expansion would build,
+and that then cancel, are never formed.  When more than two groups need a
+product and each holds one term, as when the Laurent images are scalars,
+they are summed by the multivariate Horner scheme instead (Ceberio &
+Kreinovich, "Greedy algorithms for optimizing multivariate Horner
+schemes", 2004): each product then multiplies by a low power of one image,
+and the powers the groups share are built once.  Where some group holds
+several terms, each group keeps its own product, since Horner's rule would
+multiply those terms through every fold.
 """
 
 from fractions import Fraction
@@ -57,7 +59,7 @@ class RingSignature:
     """The ambient ring: n named variables, the first `laurent` of them
     invertible, over an exact coefficient domain."""
 
-    __slots__ = ("names", "laurent", "domain")
+    __slots__ = ("names", "laurent", "domain", "n")
 
     def __init__(self, names, laurent, domain):
         names = tuple(names)
@@ -68,10 +70,7 @@ class RingSignature:
         self.names = names
         self.laurent = laurent
         self.domain = domain
-
-    @property
-    def n(self):
-        return len(self.names)
+        self.n = len(names)
 
     def __eq__(self, other):
         return (isinstance(other, RingSignature)
@@ -113,8 +112,8 @@ class RingSignature:
             raise ValueError("variable index %d outside a ring of %d variables"
                              % (i, self.n))
         # x_i is valid once i is in range, and 1 is canonical in every domain
-        return MixedPoly._trusted(self, ((tuple(
-            1 if j == i else 0 for j in range(self.n)), 1),))
+        exp = (0,) * i + (1,) + (0,) * (self.n - i - 1)
+        return MixedPoly._trusted(self, ((exp, 1),))
 
     def monomial(self, exp, coeff=1):
         """coeff·x^exp; zero when coeff reduces to 0 in the domain."""
@@ -154,8 +153,10 @@ def _product_terms(ring, f, g):
     """Canonical terms of f·g for canonical term tuples f and g."""
     if not f or not g:
         return ()
-    if len(g) == 1:
+    if len(g) == 1 < len(f):
         f, g = g, f
+    if len(f) == 1 and f[0][1] == 1 and not any(f[0][0]):
+        return g  # f is the constant 1
     add = _exponent_adder(ring.n)
     reduce = ring.domain.reduce
     if len(f) == 1:
@@ -283,8 +284,8 @@ class MixedPoly:
         return p
 
     def __eq__(self, other):
-        return (isinstance(other, MixedPoly)
-                and self.ring == other.ring and self.terms == other.terms)
+        return (isinstance(other, MixedPoly) and self.terms == other.terms
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
         return hash((self.ring, self.terms))
@@ -324,6 +325,8 @@ class MixedPoly:
             self.ring, _product_terms(self.ring, self.terms, other.terms))
 
     def __pow__(self, k):
+        if k == 1 and isinstance(k, int):
+            return self
         if len(self.terms) == 1:
             exp, c = _single_term_power(self, k)
             return MixedPoly._trusted(self.ring,
@@ -365,15 +368,18 @@ class MixedPoly:
         not a unit raises NonUnitError, even where its term would vanish or
         cancel.
 
-        Two stages.  Images with at most one term (units, scalars, zero) act
-        on exponents: each term of self adds their exponent vectors,
-        multiplies their coefficients, and goes into a bucket keyed by its
-        exponents β on the variables whose images have several terms.  Each
-        bucket that does not cancel is then multiplied by ∏ images[i]^β_i,
-        so that product is built only for the buckets that need it.  When
-        more than two buckets need a product and each holds one term, their
-        sum is evaluated by Horner's rule over the multi-term images instead
-        (`_horner_sum`).
+        A one-term self c·x^e maps to c·∏ images[i]^e_i by `*` and `**`,
+        where `p ** 1` is p and a product by the constant 1 has the other
+        operand's terms, so a variable maps to its image's terms.  Any other
+        self takes two stages.  Images with at most one term (units, scalars,
+        zero) act on exponents: each term of self adds their exponent
+        vectors, multiplies their coefficients, and goes into a bucket keyed
+        by its exponents β on the variables whose images have several
+        terms.  Each bucket that does not cancel is then multiplied by
+        ∏ images[i]^β_i, so that product is built only for the buckets that
+        need it.  When more than two buckets need a product and each holds
+        one term, their sum is evaluated by Horner's rule over the
+        multi-term images instead (`_horner_sum`).
 
         The result lives in the images' ring, which must be over the
         domain of self: images over another domain raise RingMismatchError,
@@ -388,12 +394,21 @@ class MixedPoly:
         for img in images:
             if img.ring is not target_ring and img.ring != target_ring:
                 raise RingMismatchError("images live in different rings")
-        if target_ring.domain != self.ring.domain:
+        if (target_ring.domain is not self.ring.domain
+                and target_ring.domain != self.ring.domain):
             raise RingMismatchError("images live over a different domain")
+        zero_exp = (0,) * target_ring.n
+        if len(self.terms) == 1:
+            # once zero, only a negative power (it may raise) is still formed
+            exp, c = self.terms[0]
+            result = MixedPoly._trusted(target_ring, ((zero_exp, c),))
+            for img, e in zip(images, exp):
+                if e < 0 or e and result.terms:
+                    result = result * img ** e
+            return result
         add = _exponent_adder(target_ring.n)
         multi = [len(img.terms) > 1 for img in images]
         multi_indices = [i for i, m in enumerate(multi) if m]
-        zero_exp = (0,) * target_ring.n
         single_powers = {}
 
         # stage 1: exponent arithmetic for the single-term images

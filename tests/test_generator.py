@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+
+import pytest
 
 from retractlab import QQ, ZZ, GF, is_idempotent, analyze
 from retractlab.generator import (GeneratorSpec, gen_random_idempotent,
@@ -32,6 +35,24 @@ def test_generated_always_valid_and_idempotent():
         phi = gen_random_idempotent(spec)
         assert is_idempotent(phi)
         assert analyze(phi).r == r
+
+
+BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "bench", "named")
+
+
+@pytest.mark.parametrize("dom,tag", [(QQ, "QQ"), (GF(32003), "GF32003")])
+@pytest.mark.parametrize("n,d,r,seed,complexity", [
+    (5, 3, 0, 1004, 3), (6, 3, 2, 1014, 4), (6, 3, 0, 1016, 3)])
+def test_named_instances_match_their_files(n, d, r, seed, complexity, dom,
+                                           tag):
+    # the benchmark's named tail instances are problem_text's output, byte
+    # for byte; a change to the generator or to `substitute` shows here
+    name = "%s_n%dd%dr%dc%d_s%d.ring" % (tag, n, d, r, complexity, seed)
+    with open(os.path.join(BENCH_NAMED, name), "rb") as fh:
+        expected = fh.read()
+    spec = GeneratorSpec(n, d, r, seed, complexity, dom)
+    assert problem_text(spec).encode("utf-8") == expected
 
 
 def test_determinism():

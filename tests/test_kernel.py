@@ -12,19 +12,14 @@ against `reference_terms`, which sums each exponent's coefficients as exact
 rationals.
 """
 
-import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError,
-                        GeneratorSpec, gen_random_idempotent, problem_text,
-                        analyze)
+                        GeneratorSpec, gen_random_idempotent, analyze)
 from retractlab import ring as ring_module
-
-BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "bench", "named")
 
 
 def reference_mul(p, q):
@@ -231,6 +226,71 @@ def test_substitute_matches_reference(dom):
                 assert_canonical_qq(got)
 
 
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_one_term_substitute_matches_reference(dom):
+    # a one-term element c·x^e maps to c·∏ images[i]^e_i, built by `*` and
+    # `**`: coefficients other than 1, negative Laurent exponents, zero
+    # images, constants and a target ring smaller than the source
+    rng = random.Random(2027)
+    R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
+    S = RingSignature(["u", "v", "w"], 1, dom)
+    seen = set()
+    for target in (R, S):
+        for _ in range(150):
+            images = [random_image(target, rng, i < R.laurent)
+                      for i in range(R.n)]
+            for i in range(R.n):
+                # a zero image, or a Laurent image that is not a unit
+                if rng.random() < 0.15:
+                    images[i] = target.zero()
+                elif i < R.laurent and rng.random() < 0.1:
+                    images[i] = random_poly(target, rng, max_exp=2)
+            exp = tuple(rng.randint(-3 if i < R.laurent else 0, 3)
+                        if rng.random() < 0.6 else 0 for i in range(R.n))
+            p = R.monomial(exp, random_coeff(dom, rng) or 1)
+            assert len(p.terms) == 1
+            seen.add("constant" if not any(exp) else "negative"
+                     if min(exp) < 0 else "nonnegative")
+            if p.terms[0][1] != 1:
+                seen.add("coefficient")
+            zero = [e and not img.terms for e, img in zip(exp, images)]
+            if any(zero):
+                seen.add("zero image")
+                if any(e < 0 for e in exp[zero.index(True) + 1:]):
+                    seen.add("negative power after a zero image")
+            try:
+                expected = reference_substitute(p, images, target)
+            except NonUnitError as error:
+                seen.add("not a unit")
+                with pytest.raises(NonUnitError) as got:
+                    p.substitute(images)
+                assert str(got.value) == str(error)
+                continue
+            got = p.substitute(images)
+            assert got.ring is target
+            assert got.terms == expected.terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+    assert seen == {"constant", "negative", "nonnegative", "coefficient",
+                    "zero image", "negative power after a zero image",
+                    "not a unit"}
+
+
+def test_one_term_substitute_identities():
+    R = RingSignature(["x1", "x2", "x3"], 2, QQ)
+    x1, x2, x3 = (R.variable(i) for i in range(3))
+    p = x1 + x3
+    one = R.constant(1)
+    assert p ** 1 is p
+    for q in (p, x2, R.monomial((1, -1, 2), Fraction(3, 2)), R.zero()):
+        assert (one * q).terms is q.terms
+    # a bare variable maps to its image's terms, copied nowhere
+    assert x2.substitute([x1, p, x3]).terms is p.terms
+    # a negative power of a multi-term image names that image
+    with pytest.raises(NonUnitError, match=r"^not a unit: x1 \+ x3$"):
+        R.monomial((0, -1, 0), 2).substitute([x1, p, x3])
+
+
 def test_substitute_cancelling_buckets():
     R = RingSignature(["x1", "x2", "x3"], 1, QQ)
     x1, x2, x3 = (R.variable(i) for i in range(3))
@@ -372,12 +432,7 @@ def test_tail_instance_1004_term_pairs(dom, monkeypatch):
     # the benchmark's named instance 1004: expanding phi∘phi makes ~116k
     # term pairs, and require_idempotent proves it from the factorisation
     # phi(x5) = 2*phi(x4)^2 + 2*phi(x4) instead
-    spec = GeneratorSpec(5, 3, 0, 1004, 3, dom)
-    if dom is QQ:
-        with open(os.path.join(BENCH_NAMED, "QQ_n5d3r0c3_s1004.ring"),
-                  encoding="utf-8") as fh:
-            assert problem_text(spec) == fh.read()
-    phi = gen_random_idempotent(spec)
+    phi = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, dom))
     pairs = multi_term_pairs(monkeypatch)
     analyze(phi)
     assert pairs[0] <= 5000

@@ -153,6 +153,14 @@ def test_exact_api_rejects_floats():
                 dom.from_fraction(num, den)
         with pytest.raises(ValueError, match="exponent is not an int"):
             dom.pow(2, 0.5)
+        # the arithmetic takes no float operand either, in either place
+        for call in (lambda: dom.add(2.5, 1), lambda: dom.add(1, 2.5),
+                     lambda: dom.sub(2.5, 1), lambda: dom.sub(1, 0.5),
+                     lambda: dom.mul(2.5, 2), lambda: dom.mul(2, 2.0),
+                     lambda: dom.neg(2.5), lambda: dom.invert(0.5),
+                     lambda: dom.pow(2.5, 2), lambda: dom.pow(0.5, -1)):
+            with pytest.raises(ValueError, match="not an exact int"):
+                call()
     with pytest.raises(ValueError, match="entries must be ints"):
         IntMatrix([[1.5, 2.7]])
     # exact values are still read
