@@ -11,9 +11,9 @@ from .endo import (Endomorphism, MonomialData, identity, require_idempotent,
 from .intlinalg import (IntMatrix, SummandDecomposition, decompose,
                         solve_in_lattice)
 from .engine import (analyze, classify, rationality_verdict,
-                     transcendence_degree, jacobian_rank, compute_y_variables,
-                     quotient_mod_J, RetractReport, ClassificationVerdict,
-                     YVariable, CertificateError)
+                     transcendence_degree, compute_y_variables, quotient_mod_J,
+                     RetractReport, ClassificationVerdict, YVariable,
+                     CertificateError)
 from .grammar import parse_domain, parse_problem, parse_expression, \
     render_problem, render_report, ParseError
 from .generator import GeneratorSpec, gen_random_idempotent, problem_text
@@ -28,9 +28,8 @@ __all__ = [
     "standard_projection", "InvalidEndomorphismError", "NotIdempotentError",
     "IntMatrix", "SummandDecomposition", "decompose", "solve_in_lattice",
     "analyze", "classify", "rationality_verdict", "transcendence_degree",
-    "jacobian_rank", "compute_y_variables", "quotient_mod_J",
-    "RetractReport", "ClassificationVerdict", "YVariable",
-    "CertificateError",
+    "compute_y_variables", "quotient_mod_J", "RetractReport",
+    "ClassificationVerdict", "YVariable", "CertificateError",
     "parse_domain", "parse_problem", "parse_expression", "render_problem",
     "render_report", "ParseError",
     "GeneratorSpec", "gen_random_idempotent", "problem_text",

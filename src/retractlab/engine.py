@@ -6,20 +6,21 @@ the retract, the transcendence degree, a classification verdict, and a
 rationality verdict, each backed by exact certificates computed inside the
 call.  All checks are tolerance-zero.
 
-In characteristic 0 the transcendence degree is the rank of the
-log-Jacobian (x_j·∂g/∂x_j), read from the generators' terms: its rank at a
-random point mod 2^61 - 1 when that reaches the cap the term supports
-allow, exact elimination over the fraction field otherwise.
+In characteristic 0 the transcendence degree is the trace of the Jacobian
+of phi at the fixed point phi(1, ..., 1), an idempotent matrix, computed
+mod a prime above n in one pass over the images' terms.
 """
 
-import random
+from functools import lru_cache
+from itertools import count
+from math import isqrt
 
 from .intlinalg import IntMatrix, decompose
 from .endo import require_idempotent
 from .ring import (MixedPoly, RingSignature, _canonical_sum,
                    _exponent_adder, _integer_terms)
 
-# the modulus of the point rank, the Mersenne prime 2^61 - 1
+# the first modulus of the fixed-point trace, the Mersenne prime 2^61 - 1
 _P = (1 << 61) - 1
 
 
@@ -108,8 +109,10 @@ def compute_y_variables(phi):
                 lam = dom.mul(lam, dom.pow(c, e))
         fixed = i < dec.r
         verified = image == b if fixed else not any(image)
-        yvars.append(YVariable(exp, lam, "fixed" if fixed else "killed",
-                               ring.monomial(exp, dom.invert(lam)), verified))
+        # decompose's int basis vectors need no exponent check
+        y = MixedPoly._trusted(ring, ((exp, dom.invert(lam)),))
+        yvars.append(YVariable(exp, lam, "fixed" if fixed else "killed", y,
+                               verified))
     return dec, yvars
 
 
@@ -165,136 +168,52 @@ def quotient_mod_J(p, decomposition, y_variables, target=None):
     return MixedPoly._trusted(target, _canonical_sum(acc, dom.reduce))
 
 
-def _log_jacobian(generators, ring):
-    """The log-Jacobian rows (x_j·∂g/∂x_j)_j, read from g's terms.
+def _trace_primes(n):
+    """2^61 - 1, then the primes above n in increasing order."""
+    yield _P
+    for q in count(max(n + 1, 2)):
+        if all(q % k for k in range(2, isqrt(q) + 1)):
+            yield q
 
-    Entry j is g's terms with coefficients c·e_j, in g's order, less those
-    where c·e_j vanishes.  It is the Jacobian times diag(x), which is
-    invertible over the fraction field, so the two have the same rank.
+
+def transcendence_degree(phi, unit_rank):
+    """Transcendence degree of the retract A of phi.
+
+    Characteristic 0: A is a retract of a smooth algebra, so it is smooth
+    (Costa, J. Algebra 1977).  With F = (phi(x_1), ..., phi(x_n)), F∘F = F,
+    so p = F(1, ..., 1) is fixed and E = JF(p) is idempotent of rank
+    trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].  It is
+    read mod a prime P > n that divides no image's denominator and no
+    Laurent p_i: 2^61 - 1, else the least such prime above n.
+    Characteristic p: the Jacobian criterion is unsound (inseparability),
+    so the result is the interval [r, r + n - d], except that a pure
+    Laurent ring forces the exact value r.
     """
-    mul = ring.domain.mul
-    rows = []
-    for g in generators:
-        row = []
-        for j in range(ring.n):
-            terms = ((e, mul(c, e[j])) for e, c in g.terms if e[j])
-            row.append(MixedPoly._trusted(ring,
-                                          tuple(t for t in terms if t[1])))
-        rows.append(row)
-    return rows
-
-
-def _polynomial_rank(rows, n):
-    """Rank over the fraction field of a matrix of ring elements, by
-    division-free elimination with exact polynomial arithmetic."""
-    rows = list(rows)
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows))
-                    if not rows[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col].is_zero():
-                continue
-            factor = rows[i][col]
-            rows[i] = [rows[i][j] * pivot - rows[rank][j] * factor
-                       for j in range(n)]
-        rank += 1
-    return rank
-
-
-def jacobian_rank(generators, ring):
-    """Rank of the Jacobian (∂g_i/∂x_j) over the fraction field: the rank
-    of the log-Jacobian, by exact elimination."""
-    return _polynomial_rank(_log_jacobian(generators, ring), ring.n)
-
-
-def _rank_mod(rows, n):
-    """Rank mod P of a matrix of residues mod P, by Gaussian elimination."""
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot = rows[rank]
-        inv = pow(pivot[col], -1, _P)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv % _P
-            if f:
-                rows[i] = [(a - f * b) % _P for a, b in zip(rows[i], pivot)]
-        rank += 1
-    return rank
-
-
-def jacobian_rank_at_random_point(generators, ring, rng=None):
-    """Rank of the Jacobian over the fraction field, certified at a point
-    where possible; characteristic 0 only.
-
-    Each log-Jacobian row, scaled to integer coefficients, is evaluated at
-    a random point with coordinates in [1, P-1] mod the prime P = 2^61 - 1
-    and the rank there is computed mod P.  A minor that is nonzero mod P at
-    a point is a nonzero polynomial, so that rank <= the generic rank <= the
-    cap, min(#nonconstant generators, #variables they involve): when it
-    reaches the cap it is the exact rank.  Otherwise the rank comes from
-    exact elimination (`jacobian_rank`).  A nonzero minor of degree D whose
-    reduction mod P is nonzero vanishes at the point with probability at
-    most D/(P-1) (Schwartz-Zippel), so the fallback runs for rank-deficient
-    inputs and almost never otherwise.
-    """
-    if ring.domain.characteristic:
-        raise ValueError("the point-rank certificate needs characteristic 0")
-    if rng is None:
-        rng = random.Random(0)
-    n = ring.n
-    generators = [g for g in generators if not g.is_constant()]
-    involved = {j for g in generators for e, _ in g.terms
-                for j in range(n) if e[j]}
-    cap = min(len(generators), len(involved))
-    point = [rng.randint(1, _P - 1) for _ in range(n)]
-    # pow with a negative exponent inverts anew on every call, some 15
-    # times the cost of a small positive power: each power is taken once
-    powers = {}
-    rows = []
-    for g in generators:
-        row = [0] * n
-        for e, c in _integer_terms(g.terms)[1]:
-            value = c % _P
-            for j, x in enumerate(e):
-                if x:
-                    power = powers.get((j, x))
-                    if power is None:
-                        power = powers[j, x] = pow(point[j], x, _P)
-                    value = value * power % _P
-            for j, x in enumerate(e):
-                if x:
-                    row[j] += x * value
-        rows.append([v % _P for v in row])
-    if _rank_mod(rows, n) == cap:
-        return cap
-    return jacobian_rank(generators, ring)
-
-
-def transcendence_degree(generators, ring, unit_rank=None):
-    """Transcendence degree of the subring generated by the given elements.
-
-    Characteristic 0: the Jacobian rank over the rational function field.
-    It is the rank of the log-Jacobian at a random point mod 2^61 - 1 when
-    that reaches its cap, min(#nonconstant generators, #variables they
-    involve), and comes from exact elimination otherwise (see
-    `jacobian_rank_at_random_point`).  Characteristic p: the Jacobian
-    criterion is unsound (inseparability), so the result is the interval
-    [r, r + n - d], except that a pure Laurent ring forces the exact value r.
-    """
-    if not generators:
-        return 0
+    ring = phi.ring
     if ring.domain.characteristic == 0:
-        return jacobian_rank_at_random_point(generators, ring)
-    if unit_rank is None:
-        raise ValueError("positive characteristic needs the unit rank r")
+        images = [_integer_terms(g.terms) for g in phi.images]
+        for P in _trace_primes(ring.n):
+            if any(den % P == 0 for den, _ in images):
+                continue
+            point = [sum(c for _, c in terms) * pow(den, -1, P) % P
+                     for den, terms in images]
+            if not all(point[:ring.laurent]):
+                continue
+            # each power once: a negative one inverts anew on every pow call
+            power = lru_cache(maxsize=None)(lambda j, x: pow(point[j], x, P))
+            trace = 0
+            for i, (den, terms) in enumerate(images):
+                entry = 0
+                for e, c in terms:
+                    if e[i]:
+                        value = c * e[i]
+                        for j, x in enumerate(e):
+                            x -= j == i  # ∂/∂x_i lowers x_i's power
+                            if x:
+                                value = value * power(j, x) % P
+                        entry += value
+                trace += entry * pow(den, -1, P)
+            return trace % P
     if ring.laurent == ring.n:
         return unit_rank
     return (unit_rank, unit_rank + ring.n - ring.laurent)
@@ -374,20 +293,6 @@ def analyze(phi):
     n, d = ring.n, ring.laurent
     r = dec.r
 
-    generators = [y.poly for y in yvars[:r]] + \
-        [phi.images[j] for j in range(d, n)]
-    target = quotient_ring_signature(ring, r)
-    quotient_gens = [quotient_mod_J(g, dec, yvars, target) for g in generators]
-
-    trdeg = transcendence_degree(generators, ring, unit_rank=r)
-    verdict = classify(n, d, r, trdeg)
-    if verdict.tag == "UFDClassified" and _generators_witness_shape(
-            quotient_gens, r, verdict.params["s"]):
-        verdict = ClassificationVerdict("UFDClassified", r=r,
-                                        s=verdict.params["s"],
-                                        generatorsExplicit=True)
-    rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
-
     unimodular = dec.Y * dec.T == IntMatrix.identity(d)
     # with Y·T = I, M·b = b on Y's fixed columns and M·b = 0 on its killed
     # ones give M = Y·diag(I_r, 0)·T: so M·M = M, and T·M = diag(I_r, 0)·T,
@@ -407,7 +312,22 @@ def analyze(phi):
         "image_lattice_membership": lattice,
     }
     if not all(certificates.values()):
+        # before the trace, whose trdeg holds only for an idempotent phi
         raise CertificateError("certificate check failed", certificates)
+
+    generators = [y.poly for y in yvars[:r]] + \
+        [phi.images[j] for j in range(d, n)]
+    target = quotient_ring_signature(ring, r)
+    quotient_gens = [quotient_mod_J(g, dec, yvars, target) for g in generators]
+
+    trdeg = transcendence_degree(phi, r)
+    verdict = classify(n, d, r, trdeg)
+    if verdict.tag == "UFDClassified" and _generators_witness_shape(
+            quotient_gens, r, verdict.params["s"]):
+        verdict = ClassificationVerdict("UFDClassified", r=r,
+                                        s=verdict.params["s"],
+                                        generatorsExplicit=True)
+    rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
 
     return RetractReport(
         ring=ring, r=r, decomposition=dec, y_variables=yvars,

@@ -265,7 +265,8 @@ def test_gen_seed_141_finishes(domain, tmp_path, capsys):
     # gen n=6, d=3, r=1, seed 141, complexity 4: expanding phi∘phi needs
     # the tenth power of a 2559-term image and takes minutes; phi(x4) and
     # phi(x5) are polynomials in phi(x6), which proves it idempotent at once
-    # (over ZZ too, where the witnesses are found over QQ)
+    # (over ZZ too, where the witnesses are found over QQ).  Its trdeg, 2,
+    # lies strictly inside [r, r + n - d] = [1, 4]
     from retractlab import GeneratorSpec, problem_text
     from retractlab.grammar import parse_domain
     spec = GeneratorSpec(6, 3, 1, 141, 4, parse_domain(domain))
@@ -274,13 +275,14 @@ def test_gen_seed_141_finishes(domain, tmp_path, capsys):
     start = time.perf_counter()
     assert run_cli(["check", str(problem)]) == 0
     assert time.perf_counter() - start < 5.0
-    if domain in ("QQ", "ZZ"):
-        return  # analyze spends ~2-3 s here in exact trdeg elimination
     capsys.readouterr()
     start = time.perf_counter()
     assert run_cli(["analyze", "--json", str(problem)]) == 0
     assert time.perf_counter() - start < 5.0
-    assert all(json.loads(capsys.readouterr().out)["certificates"].values())
+    report = json.loads(capsys.readouterr().out)
+    assert all(report["certificates"].values())
+    assert report["trdeg"] == ([1, 4] if domain == "GF(32003)" else 2)
+    assert report["classification"] == {"tag": "BoundsOnly", "lo": 1, "hi": 4}
 
 
 def test_python_m_entry_point():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
                         IntMatrix, identity, apply, analyze, classify,
                         compute_y_variables, conjugate, standard_projection,
                         quotient_mod_J, rationality_verdict, transcendence_degree,
-                        jacobian_rank, NotIdempotentError)
-from retractlab.engine import (jacobian_rank_at_random_point,
-                               quotient_ring_signature)
+                        GeneratorSpec, gen_random_idempotent, parse_problem,
+                        render_report, NotIdempotentError)
+from retractlab.engine import quotient_ring_signature
 from retractlab.generator import _automorphism_of_kind
+from fraction_rank import fraction_rank
 from random_elements import random_element
 
 
@@ -117,60 +119,97 @@ def test_quotient_mod_j_matches_reference():
 
 def test_transcendence_degree_examples():
     M = RingSignature(["x1", "x2"], 1, QQ)
-    gens = [M.variable(0), M.variable(0) + M.monomial((-1, 0))]
-    assert transcendence_degree(gens, M) == 1
-    assert transcendence_degree([], M) == 0
+    assert transcendence_degree(identity(M), 1) == 2
     R3 = RingSignature(["x1", "x2", "x3"], 2, QQ)
-    gens = [R3.variable(0), R3.variable(2) + R3.variable(1) - R3.constant(1)]
-    assert transcendence_degree(gens, R3) == 2
+    assert transcendence_degree(standard_projection(R3, [0], [2]), 1) == 2
+    assert transcendence_degree(standard_projection(R3, [1]), 1) == 1
+    assert transcendence_degree(e1(), 1) == 1
 
 
 def test_transcendence_degree_char_p():
     R = RingSignature(["x1", "x2"], 1, GF(5))
-    gens = [R.variable(0), R.variable(1)]
-    assert transcendence_degree(gens, R, unit_rank=1) == (1, 2)
+    assert transcendence_degree(identity(R), 1) == (1, 2)
     L = RingSignature(["x1", "x2"], 2, GF(5))
-    assert transcendence_degree([L.variable(0)], L, unit_rank=1) == 1
+    phi = Endomorphism(L, [L.variable(0) * L.variable(1), L.constant(1)])
+    assert transcendence_degree(phi, 1) == 1
 
 
-def test_jacobian_rank_probabilistic_cross_check():
-    rng = random.Random(0)
+def _derivative(p, i):
+    """∂p/∂x_i, built term by term through MixedPoly."""
+    dom = p.ring.domain
+    return MixedPoly(p.ring, (
+        (exp[:i] + (exp[i] - 1,) + exp[i + 1:], dom.mul(c, dom.coerce(exp[i])))
+        for exp, c in p.terms if exp[i]))
+
+
+def _value(p, point):
+    """p at a point of Fractions, exactly."""
+    total = Fraction(0)
+    for exp, c in p.terms:
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= x ** e
+        total += term
+    return total
+
+
+def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
+    # E = JF(p) at p = F(1, ..., 1), built from MixedPoly derivatives and
+    # evaluated over Fraction, is idempotent, and its rank by exact
+    # elimination is the trace that transcendence_degree reads mod a prime
+    rng = random.Random(59)
+    fraction = negative = intermediate = False
     for dom in (QQ, ZZ):
-        for laurent in (2, 3):
-            R = RingSignature(["x1", "x2", "x3"], laurent, dom)
-            for seed in range(10):
-                source = random.Random(seed)
-                gens = [random_element(R, source) for _ in range(2)]
-                assert jacobian_rank_at_random_point(gens, R, rng) == \
-                    jacobian_rank(gens, R)
-        # rank 1; for the last two, below the cap min(#generators,
-        # #variables involved) = 2, so only elimination can return it
-        R = RingSignature(["x1", "x2"], 1, dom)
-        x1 = R.variable(0)
-        u, v = x1 * R.variable(1), x1 ** -1 * R.variable(1)
-        for gens in ([x1, x1 ** 2], [x1 ** -1, x1 + x1 ** -2],
-                     [u, u ** 2], [v, v + v ** 3]):
-            assert jacobian_rank(gens, R) == 1
-            assert jacobian_rank_at_random_point(gens, R, rng) == 1
-        # every value of the first row vanishes mod the point modulus
-        # 2^61 - 1: only elimination can return the rank 2
-        gens = [R.monomial((1, 1), (1 << 61) - 1), x1 + R.variable(1) ** 2]
-        assert jacobian_rank(gens, R) == 2
-        assert jacobian_rank_at_random_point(gens, R, rng) == 2
-    # Fraction coefficients and negative Laurent exponents
-    R = RingSignature(["x1", "x2", "x3"], 2, QQ)
-    for seed in range(10):
-        source = random.Random(seed)
-        gens = [random_element(R, source) * R.constant(Fraction(1, k))
-                for k in (2, 3, 7)]
-        assert any(type(c) is Fraction for g in gens for _, c in g.terms)
-        assert any(e[0] < 0 or e[1] < 0 for g in gens for e, _ in g.terms)
-        assert jacobian_rank_at_random_point(gens, R, rng) == \
-            jacobian_rank(gens, R)
-    # integer point values say nothing about the rank mod p
-    F = RingSignature(["x1"], 1, GF(5))
-    with pytest.raises(ValueError, match="characteristic 0"):
-        jacobian_rank_at_random_point([F.variable(0)], F)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            d = rng.randint(0, n)
+            spec = GeneratorSpec(n, d, rng.randint(0, d), rng.randrange(10 ** 6),
+                                 rng.randint(0, 3), dom)
+            phi = gen_random_idempotent(spec)
+            terms = [t for g in phi.images for t in g.terms]
+            fraction |= any(type(c) is Fraction for _, c in terms)
+            negative |= any(min(e) < 0 for e, _ in terms)
+            p = [_value(g, (1,) * n) for g in phi.images]
+            E = [[_value(_derivative(g, j), p) for j in range(n)]
+                 for g in phi.images]
+            EE = [[sum(E[i][k] * E[k][j] for k in range(n)) for j in range(n)]
+                  for i in range(n)]
+            assert EE == E, spec.seed
+            # conjugation keeps the unit rank, so spec.r is r without the
+            # idempotency proof, which is slow on some draws
+            trdeg = transcendence_degree(phi, spec.r)
+            assert fraction_rank(E) == trdeg, spec.seed
+            intermediate |= 0 < trdeg - spec.r < n - d
+    assert fraction and negative and intermediate
+
+
+# one report per input: 2^61 - 1 divides an image's denominator, or is a
+# Laurent coordinate of the fixed point, so the trace falls back to a prime
+# above n; each report's bytes are pinned by their SHA-256
+PRIME_FALLBACK = [
+    ("ring QQ[x^±,y]\nx -> x\ny -> 1/2305843009213693951*x\n",
+     1, "PureLaurent(r=1)",
+     "2c865181d8e6462ea03f06957f5050306637df4fb00ee1fb5a01753d8e029556"),
+    ("ring QQ[x^±,z^±,y]\nx -> 2305843009213693951\nz -> z\n"
+     "y -> y + x - 2305843009213693951\n",
+     2, "LaurentTensorPoly(r=1, s=1)",
+     "7a2e814398afcedc28412efd0f1c376ff956157bd0dce1a0696ca40325778214"),
+    # here the trace needs the inverse of that Laurent coordinate
+    ("ring QQ[x^±,y]\nx -> 2305843009213693951\n"
+     "y -> 2305843009213693951*x^-1*y\n",
+     1, "LaurentTensorPoly(r=0, s=1)",
+     "3b10d734a182e6e86b4fd491c004dc358c16bd0047510b9057eeda094298acd3"),
+]
+
+
+@pytest.mark.parametrize("text,trdeg,verdict,digest", PRIME_FALLBACK,
+                         ids=["denominator", "laurent-zero", "laurent-inverse"])
+def test_trace_falls_back_to_a_prime_above_n(text, trdeg, verdict, digest):
+    rep = analyze(parse_problem(text)[1])
+    assert rep.trdeg == trdeg
+    assert repr(rep.classification) == verdict
+    report = render_report(rep, "json").encode("utf-8")
+    assert hashlib.sha256(report).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n,d,r,t,tag,params", [

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
-                        RingMismatchError, NonUnitError, IntMatrix,
-                        jacobian_rank)
-from retractlab.engine import _polynomial_rank
+                        RingMismatchError, NonUnitError, IntMatrix)
 from random_elements import random_element
 
 
@@ -166,38 +164,6 @@ def test_exact_api_rejects_floats():
     # exact values are still read
     assert ZZ.coerce(Fraction(4, 2)) == 2 and GF(5).coerce(Fraction(1, 2)) == 3
     assert IntMatrix([[1, -2]]).entries == ((1, -2),)
-
-
-def test_jacobian_rank_matches_derivative_reference():
-    # jacobian_rank reads the log-Jacobian x_j·∂g/∂x_j from g's terms; the
-    # reference builds each derivative ∂g/∂x_j through MixedPoly, and the
-    # two matrices must have the same rank.  Exponents in [-6, 6] include
-    # multiples of 3 and 5, whose terms vanish over GF(3) and GF(5), and
-    # every other draw adds the product of two generators, a dependent row.
-    def derivative(p, i):
-        dom = p.ring.domain
-        return MixedPoly(p.ring, (
-            (exp[:i] + (exp[i] - 1,) + exp[i + 1:],
-             dom.mul(c, dom.coerce(exp[i])))
-            for exp, c in p.terms if exp[i]))
-
-    rng = random.Random(23)
-    for domain in (QQ, ZZ, GF(5), GF(3)):
-        R = RingSignature(["x1", "x2", "x3"], 2, domain)
-        ranks = set()
-        for k in range(30):
-            gens = [random_element(R, rng, max_terms=4, max_exp=6)
-                    for _ in range(rng.randint(1, 3))]
-            if domain is QQ:
-                gens = [g * R.constant(Fraction(1, rng.randint(2, 4)))
-                        for g in gens]
-            if k % 2:
-                gens.append(gens[0] * gens[-1])
-            rows = [[derivative(g, i) for i in range(R.n)] for g in gens]
-            rank = jacobian_rank(gens, R)
-            assert rank == _polynomial_rank(rows, R.n)
-            ranks.add(rank)
-        assert {1, 2, 3} <= ranks, (domain, ranks)
 
 
 def test_canonical_form_idempotent():
