@@ -17,8 +17,7 @@ from math import isqrt
 
 from .intlinalg import IntMatrix, decompose
 from .endo import require_idempotent
-from .ring import (MixedPoly, RingSignature, _canonical_sum,
-                   _exponent_adder, _integer_terms)
+from .ring import MixedPoly, RingSignature, _integer_terms
 
 # the first modulus of the fixed-point trace, the Mersenne prime 2^61 - 1
 _P = (1 << 61) - 1
@@ -116,56 +115,41 @@ def compute_y_variables(phi):
     return dec, yvars
 
 
-def quotient_ring_signature(ring, r):
-    """Ring of B/J: Laurent block y_1..y_r plus the original polynomial
-    variables (names made collision-free)."""
-    poly_names = tuple(ring.names[ring.laurent:])
+def quotient_mod_J(ring, polys, decomposition, y_variables):
+    """Images of polys in B/J ≅ S^[n-d], written in y-coordinates: the ring
+    of y_1..y_r, names made collision-free, and the polynomial variables.
+
+    A Laurent exponent v has coordinates c = T·v, and J sets each killed y_i,
+    i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
+    μ_j = ∏_{i≥r} λ_i^T[i][j], and a polynomial variable to itself in S^[n-d].
+    The n images are built once, and each p goes through `substitute`.
+    """
+    d = ring.laurent
+    r = decomposition.r
+    poly_names = ring.names[d:]
     names = []
     for i in range(r):
         name = "y%d" % (i + 1)
         while name in poly_names or name in names:
             name = name + "_"
         names.append(name)
-    return RingSignature(tuple(names) + poly_names, r, ring.domain)
-
-
-def quotient_mod_J(p, decomposition, y_variables, target=None):
-    """Image of p in B/J ≅ S^[n-d], written in y-coordinates.
-
-    A Laurent exponent v has coordinates c = T·v, and J sets each killed y_i,
-    i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
-    μ_j = ∏_{i≥r} λ_i^T[i][j], and a term adds the cached exponents and
-    multiplies the cached scalars of its powers of those units.
-    """
-    ring = p.ring
-    d = ring.laurent
-    r = decomposition.r
-    if target is None:
-        target = quotient_ring_signature(ring, r)
+    target = RingSignature(tuple(names) + poly_names, r, ring.domain)
     dom = ring.domain
     T = decomposition.T.entries
     tail = (0,) * (ring.n - d)
-    add = _exponent_adder(target.n)
-    units = {}
-    acc = {}
-    for exp, coeff in p.terms:
-        out = (0,) * r + exp[d:]
-        for j in range(d):
-            v = exp[j]
-            if v:
-                unit = units.get((j, v))
-                if unit is None:  # (j, v) ↦ μ_j^v·y^(v·T[:r, j])
-                    scalar = 1
-                    for i in range(r, d):
-                        scalar = dom.mul(scalar, dom.pow(
-                            y_variables[i].normalizer, v * T[i][j]))
-                    unit = units[j, v] = (
-                        tuple([v * T[i][j] for i in range(r)]) + tail, scalar)
-                out = add(out, unit[0])
-                if unit[1] != 1:
-                    coeff = coeff * unit[1]
-        acc[out] = acc.get(out, 0) + coeff
-    return MixedPoly._trusted(target, _canonical_sum(acc, dom.reduce))
+    killed = [(T[i], y_variables[i].normalizer) for i in range(r, d)
+              if y_variables[i].normalizer != 1]
+    columns = list(zip(*T[:r])) if r else [()] * d  # the T[:r, j]
+    images = []
+    for j, column in enumerate(columns):
+        scalar = 1
+        for row, lam in killed:  # a normalizer 1 adds no scalar
+            if row[j]:
+                scalar = dom.mul(scalar, dom.pow(lam, row[j]))
+        # a unit: its exponent is T's ints, its scalar a product of units
+        images.append(MixedPoly._trusted(target, ((column + tail, scalar),)))
+    images += [target.variable(k) for k in range(r, target.n)]
+    return [p.substitute(images) for p in polys]
 
 
 def _trace_primes(n):
@@ -317,8 +301,7 @@ def analyze(phi):
 
     generators = [y.poly for y in yvars[:r]] + \
         [phi.images[j] for j in range(d, n)]
-    target = quotient_ring_signature(ring, r)
-    quotient_gens = [quotient_mod_J(g, dec, yvars, target) for g in generators]
+    quotient_gens = quotient_mod_J(ring, generators, dec, yvars)
 
     trdeg = transcendence_degree(phi, r)
     verdict = classify(n, d, r, trdeg)

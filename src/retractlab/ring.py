@@ -24,27 +24,29 @@ QQ operand is scaled over one common denominator, divided out at the end),
 and the dict is canonicalized by `_canonical_sum`.
 
 `substitute` maps into a ring over the same domain; images over another
-domain raise RingMismatchError.  A one-term element c·x^e, most of what
-composition substitutes, maps to c·∏ images[i]^e_i by `*` and `**`, so a
-variable maps to its image's own terms.  Other elements take two stages.
+domain raise RingMismatchError.  A variable maps to its image, and any
+other one-term element c·x^e, most of what composition substitutes, to
+c·∏ images[i]^e_i by `*` and `**`.  Other elements take two stages.
 Images with at most one term (units, scalars, zero), such as the Laurent
-images of an endomorphism, act by exponent arithmetic, term by term.  The
-terms are grouped by their exponents on the remaining variables, and only
-a group that does not cancel is multiplied by its product of powers of
-multi-term images: the large powers that a full expansion would build,
-and that then cancel, are never formed.  When more than two groups need a
-product and each holds one term, as when the Laurent images are scalars,
-they are summed by the multivariate Horner scheme instead (Ceberio &
-Kreinovich, "Greedy algorithms for optimizing multivariate Horner
-schemes", 2004): each product then multiplies by a low power of one image,
-and the powers the groups share are built once.  Where some group holds
-several terms, each group keeps its own product, since Horner's rule would
-multiply those terms through every fold.
+images of an endomorphism, act by exponent arithmetic, term by term; a
+variable image x_k adds nothing, as one gather per term moves its
+exponent to place k.  The terms are grouped by their exponents β on the
+variables with multi-term images, and only a group that does not cancel
+is multiplied by ∏ images[i]^β_i: the large powers that a full expansion
+would build, and that then cancel, are never formed.  When more than two
+groups need a product and each holds one term, as when the Laurent images
+are scalars, they are summed by the multivariate Horner scheme instead
+(Ceberio & Kreinovich, "Greedy algorithms for optimizing multivariate
+Horner schemes", 2004): each product then multiplies by a low power of
+one image, and the powers the groups share are built once.  Where some
+group holds several terms, each group keeps its own product, since
+Horner's rule would multiply those terms through every fold.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 
 class RingMismatchError(ValueError):
@@ -187,7 +189,7 @@ def _single_term_power(p, e):
     if not p.terms:
         return (0,) * p.ring.n, 0
     exp, c = p.terms[0]
-    return tuple(x * e for x in exp), p.ring.domain.pow(c, e)
+    return tuple(x * e for x in exp), c if c == 1 else p.ring.domain.pow(c, e)
 
 
 def _canonical_sum(acc, reduce):
@@ -250,7 +252,7 @@ def _horner_sum(ring, images, buckets, reduce):
 class MixedPoly:
     """An element of a mixed Laurent/polynomial ring in canonical term form."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_variable")
 
     def __init__(self, ring, terms):
         """Canonicalize an arbitrary (exponent, coefficient) sequence: the
@@ -293,9 +295,15 @@ class MixedPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and all(e == 0 for e in self.terms[0][0]))
+    def _variable_index(self):
+        """k when self is the variable x_k, else -1; worked out once."""
+        try:
+            return self._variable
+        except AttributeError:
+            e, c = self.terms[0] if len(self.terms) == 1 else ((), 0)
+            one = c == 1 and e.count(0) == len(e) - 1 and 1 in e
+            self._variable = e.index(1) if one else -1
+            return self._variable
 
     def _require_same_ring(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -366,20 +374,7 @@ class MixedPoly:
         Images of Laurent-block variables must be units wherever a negative
         exponent needs inverting.  A negative exponent on an image that is
         not a unit raises NonUnitError, even where its term would vanish or
-        cancel.
-
-        A one-term self c·x^e maps to c·∏ images[i]^e_i by `*` and `**`,
-        where `p ** 1` is p and a product by the constant 1 has the other
-        operand's terms, so a variable maps to its image's terms.  Any other
-        self takes two stages.  Images with at most one term (units, scalars,
-        zero) act on exponents: each term of self adds their exponent
-        vectors, multiplies their coefficients, and goes into a bucket keyed
-        by its exponents β on the variables whose images have several
-        terms.  Each bucket that does not cancel is then multiplied by
-        ∏ images[i]^β_i, so that product is built only for the buckets that
-        need it.  When more than two buckets need a product and each holds
-        one term, their sum is evaluated by Horner's rule over the
-        multi-term images instead (`_horner_sum`).
+        cancel.  The module docstring describes the algorithm.
 
         The result lives in the images' ring, which must be over the
         domain of self: images over another domain raise RingMismatchError,
@@ -397,8 +392,13 @@ class MixedPoly:
         if (target_ring.domain is not self.ring.domain
                 and target_ring.domain != self.ring.domain):
             raise RingMismatchError("images live over a different domain")
+        if not self.terms:
+            return target_ring.zero()
         zero_exp = (0,) * target_ring.n
         if len(self.terms) == 1:
+            k = self._variable_index()
+            if k >= 0:
+                return images[k]
             # once zero, only a negative power (it may raise) is still formed
             exp, c = self.terms[0]
             result = MixedPoly._trusted(target_ring, ((zero_exp, c),))
@@ -410,12 +410,27 @@ class MixedPoly:
         multi = [len(img.terms) > 1 for img in images]
         multi_indices = [i for i, m in enumerate(multi) if m]
         single_powers = {}
+        # the first variable image on each x_k is gathered, with source -1
+        # the 0 appended to each exponent, unless a negative power needs it
+        # as a unit or x_k is its ring's one variable (itemgetter of one
+        # place returns no tuple); the rest are read in index order
+        sources = [-1] * target_ring.n
+        read = []
+        for i, img in enumerate(images):
+            k = img._variable_index()
+            if (k < 0 or sources[k] >= 0 or target_ring.n == 1
+                    or i < self.ring.laurent and k >= target_ring.laurent):
+                read.append(i)
+            else:
+                sources[k] = i
+        gather = itemgetter(*sources) if len(read) < len(images) else None
 
         # stage 1: exponent arithmetic for the single-term images
         buckets = {}
         for exp, c in self.terms:
-            shift = zero_exp
-            for i, e in enumerate(exp):
+            shift = gather(exp + (0,)) if gather else zero_exp
+            for i in read:
+                e = exp[i]
                 if not e:
                     continue
                 if multi[i]:
@@ -424,10 +439,11 @@ class MixedPoly:
                     continue
                 power = single_powers.get((i, e))
                 if power is None:
-                    power = _single_term_power(images[i], e)
-                    single_powers[i, e] = power
+                    m, k = _single_term_power(images[i], e)
+                    power = single_powers[i, e] = (m if any(m) else None, k)
                 m, k = power
-                shift = m if shift is zero_exp else add(shift, m)
+                if m:  # a scalar power adds no exponent
+                    shift = m if shift is zero_exp else add(shift, m)
                 if k != 1:
                     c = c * k
             if not c:

@@ -10,7 +10,6 @@ from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
                         quotient_mod_J, rationality_verdict, transcendence_degree,
                         GeneratorSpec, gen_random_idempotent, parse_problem,
                         render_report, NotIdempotentError)
-from retractlab.engine import quotient_ring_signature
 from retractlab.generator import _automorphism_of_kind
 from fraction_rank import fraction_rank
 from random_elements import random_element
@@ -57,24 +56,32 @@ def test_quotient_mod_j_e1():
     phi = e1()
     dec, ys = compute_y_variables(phi)
     R = phi.ring
-    assert quotient_mod_J(R.variable(1), dec, ys).is_constant()
-    assert quotient_mod_J(R.variable(1), dec, ys).terms[0][1] == 1
-    q = quotient_mod_J(R.variable(0) * R.variable(1), dec, ys)
-    assert str(q) == "y1"
+    x2, y1, y1sq = quotient_mod_J(
+        R, [R.variable(1), R.variable(0) * R.variable(1), R.monomial((2, 2))],
+        dec, ys)
+    # the killed y = x2 goes to its normalizer, the constant 1
+    assert x2.terms == (((0,), 1),)
+    assert str(y1) == "y1"
     # an element already in the fixed sub-ring stays (in y-coordinates)
-    y1sq = R.monomial((2, 2))
-    q = quotient_mod_J(y1sq, dec, ys)
-    assert q == q.ring.monomial((2,))
+    assert y1sq == y1sq.ring.monomial((2,))
 
 
-def reference_quotient_mod_J(p, decomposition, y_variables, target=None):
-    """The per-term T·v computation that `quotient_mod_J` replaced."""
+def test_quotient_ring_names_avoid_polynomial_variables():
+    R = RingSignature(["x", "y1"], 1, QQ)
+    rep = analyze(identity(R))
+    assert [str(q) for q in rep.quotient_generators] == ["y1_", "y1"]
+    assert rep.quotient_generators[0].ring.names == ("y1_", "y1")
+    # d = n and r = 0: no generator to read the ring off
+    L = RingSignature(["x1", "x2"], 2, QQ)
+    assert analyze(standard_projection(L)).quotient_generators == []
+
+
+def reference_quotient_mod_J(p, decomposition, y_variables, target):
+    """The image of p in the ring target by the per-term T·v computation."""
     ring = p.ring
     d = ring.laurent
     dec = decomposition
     r = dec.r
-    if target is None:
-        target = quotient_ring_signature(ring, r)
     dom = ring.domain
     terms = []
     for exp, coeff in p.terms:
@@ -107,13 +114,12 @@ def test_quotient_mod_j_matches_reference():
                 seen_normalizer |= any(y.normalizer != 1 for y in ys)
                 seen_negative |= any(t < 0 for row in dec.T.entries
                                      for t in row)
-                target = quotient_ring_signature(R, r)
-                for _ in range(25):
-                    p = random_element(R, rng, max_terms=6, max_exp=4,
-                                       max_coeff=7)
-                    want = reference_quotient_mod_J(p, dec, ys)
-                    assert quotient_mod_J(p, dec, ys) == want, (phi, p)
-                    assert quotient_mod_J(p, dec, ys, target) == want
+                polys = [random_element(R, rng, max_terms=6, max_exp=4,
+                                        max_coeff=7) for _ in range(25)]
+                got = quotient_mod_J(R, polys, dec, ys)
+                for p, q in zip(polys, got, strict=True):
+                    want = reference_quotient_mod_J(p, dec, ys, q.ring)
+                    assert q == want, (phi, p)
         assert seen_normalizer and seen_negative, dom
 
 
@@ -355,7 +361,7 @@ def test_scalar_fixedness_and_injectivity_samples():
         b = random_element(R, rng)
         img = apply(phi, b)
         if not img.is_zero():
-            q = quotient_mod_J(img, rep.decomposition, rep.y_variables)
+            q, = quotient_mod_J(R, [img], rep.decomposition, rep.y_variables)
             assert not q.is_zero()
 
 

@@ -186,12 +186,16 @@ def test_pow_heavy_combination_matches_reference(dom):
                     assert any(type(c) is Fraction for _, c in got.terms)
 
 
-def random_image(target, rng, laurent_source):
-    """An image for one source variable: a unit or unit scalar for a
-    Laurent one (negative exponents invert it); otherwise zero, a scalar, a
-    single term or a sum of terms."""
+def random_image(target, rng, source, laurent_source):
+    """An image for the source variable x_source: a unit, a unit scalar or
+    a Laurent variable for a Laurent one (negative exponents invert it);
+    otherwise also zero, a scalar, any variable, a single term or a sum of
+    terms.  A variable x_k, coefficient 1, sits at the source's own index,
+    one below it (so a map into the smaller ring shifts the variables), at
+    its partner's source ^ 1 (two partners swap), or anywhere (two sources
+    may share one)."""
     dom = target.domain
-    kind = rng.randrange(2 if laurent_source else 4)
+    kind = rng.randrange(3 if laurent_source else 5)
     if kind == 0:
         exp = tuple(rng.randint(-2, 2) if i < target.laurent else 0
                     for i in range(target.n))
@@ -200,8 +204,19 @@ def random_image(target, rng, laurent_source):
         return target.constant(random_unit(dom, rng) if laurent_source
                                else random_coeff(dom, rng))
     if kind == 2:
+        places = target.laurent if laurent_source else target.n
+        k = rng.choice((source, source - 1, source ^ 1, rng.randrange(places)))
+        return target.variable(k if 0 <= k < places else rng.randrange(places))
+    if kind == 3:
         return random_poly(target, rng, max_terms=1, max_exp=2)
     return random_poly(target, rng, max_terms=3, max_exp=2)
+
+
+def variable_places(images):
+    """{source: k} for the images that are a variable x_k."""
+    target = images[0].ring
+    return {i: k for i, img in enumerate(images) for k in range(target.n)
+            if img == target.variable(k)}
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
@@ -210,10 +225,19 @@ def test_substitute_matches_reference(dom):
     R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
     # substitute also maps into rings other than the source
     S = RingSignature(["u", "v", "w"], 1, dom)
+    seen = set()
     for target in (R, S):
         for _ in range(40):
-            images = [random_image(target, rng, i < R.laurent)
+            images = [random_image(target, rng, i, i < R.laurent)
                       for i in range(R.n)]
+            places = variable_places(images)
+            for i, k in places.items():
+                seen.add("same index" if i == k else "shifted index"
+                         if target is S and k == i - 1 else "other index")
+                if places.get(k) == i != k:
+                    seen.add("swap")
+            if len(set(places.values())) < len(places):
+                seen.add("shared target")
             p = random_poly(R, rng, max_exp=2)
             if rng.random() < 0.5:
                 # x1 -> 1 makes every bucket of (x1 - 1)·q cancel
@@ -224,6 +248,8 @@ def test_substitute_matches_reference(dom):
             assert got.terms == reference_substitute(p, images, target).terms
             if dom is QQ:
                 assert_canonical_qq(got)
+    assert seen == {"same index", "shifted index", "other index", "swap",
+                    "shared target"}
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
@@ -237,7 +263,7 @@ def test_one_term_substitute_matches_reference(dom):
     seen = set()
     for target in (R, S):
         for _ in range(150):
-            images = [random_image(target, rng, i < R.laurent)
+            images = [random_image(target, rng, i, i < R.laurent)
                       for i in range(R.n)]
             for i in range(R.n):
                 # a zero image, or a Laurent image that is not a unit
@@ -253,6 +279,8 @@ def test_one_term_substitute_matches_reference(dom):
                      if min(exp) < 0 else "nonnegative")
             if p.terms[0][1] != 1:
                 seen.add("coefficient")
+            if any(exp[i] for i in variable_places(images)):
+                seen.add("variable image")
             zero = [e and not img.terms for e, img in zip(exp, images)]
             if any(zero):
                 seen.add("zero image")
@@ -272,8 +300,8 @@ def test_one_term_substitute_matches_reference(dom):
             if dom is QQ:
                 assert_canonical_qq(got)
     assert seen == {"constant", "negative", "nonnegative", "coefficient",
-                    "zero image", "negative power after a zero image",
-                    "not a unit"}
+                    "variable image", "zero image",
+                    "negative power after a zero image", "not a unit"}
 
 
 def test_one_term_substitute_identities():
@@ -313,8 +341,14 @@ def test_substitute_non_unit_errors_match_reference():
     assert not cancelling.is_zero()
     # a zero image ahead of a negative exponent on another zero image
     zeros = [R.zero(), R.zero(), x3]
+    # one term with negative powers on a zero image and on a multi-term
+    # image, in either order, and a Laurent x1 sent to the variable x3
+    both = inv * R.monomial((0, -1, 0)) + x3
     for p, imgs in ((cancelling, images),
-                    (x1 * R.monomial((0, -1, 0)), zeros)):
+                    (x1 * R.monomial((0, -1, 0)), zeros),
+                    (both, [R.zero(), x1 + x3, x3]),
+                    (both, [x1 + x3, R.zero(), x3]),
+                    (inv * x2 + x3, [x3, x2, x3])):
         with pytest.raises(NonUnitError) as expected:
             reference_substitute(p, imgs)
         with pytest.raises(NonUnitError) as got:

@@ -38,8 +38,8 @@ def reference_y_variables(phi):
             yvars.append(YVariable(exp, 1, "fixed", mono,
                                    verified=image == mono))
         else:
-            assert image.is_constant()
-            lam = image.terms[0][1]
+            (constant, lam), = image.terms
+            assert not any(constant)
             assert ring.domain.is_unit(lam)
             y = mono * ring.constant(ring.domain.invert(lam))
             yvars.append(YVariable(exp, lam, "killed", y,
@@ -108,7 +108,8 @@ def test_matches_substitution_under_scale_conjugation():
         assert seen_negative and seen_normalizer, dom
 
 
-def test_analyze_substitutes_only_for_the_idempotency_check(monkeypatch):
+def test_analyze_substitutes_for_idempotency_then_once_per_generator(
+        monkeypatch):
     spec = GeneratorSpec(5, 3, 1, 1005, 2, QQ)
     phi = gen_random_idempotent(spec)
     substitutions = []
@@ -127,9 +128,10 @@ def test_analyze_substitutes_only_for_the_idempotency_check(monkeypatch):
     monkeypatch.setattr(intlinalg, "row_hnf", counting_hnf)
     rep = analyze(phi)
     assert rep.r == 1 and all(rep.certificates.values())
-    # phi∘phi substitutes into each of the n images; the decomposition
-    # takes one HNF per lattice and reads the inverse of Y off the two
-    assert substitutions == list(phi.images)
+    # phi∘phi substitutes into each of the n images, and the quotient into
+    # each generator once; the decomposition takes one HNF per lattice and
+    # reads the inverse of Y off the two
+    assert substitutions == list(phi.images) + rep.generators
     assert len(hnfs) == 2
 
 
