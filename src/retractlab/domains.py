@@ -164,6 +164,9 @@ class Domain:
         if not self.is_unit(_exact(a)):
             raise ValueError("%s is not a unit in %r" % (a, self))
         if self.kind == "rationals":
+            # ±1 is its own inverse, with no Fraction to build
+            if type(a) is int and (a == 1 or a == -1):
+                return a
             return _qq(1 / Fraction(a))
         if self.kind == "integers":
             return a
@@ -174,7 +177,7 @@ class Domain:
         if not isinstance(k, int):
             raise ValueError("exponent is not an int: %r" % (k,))
         if k < 0:
-            return self.pow(self.invert(a), -k)
+            a, k = self.invert(a), -k
         if self.kind == "prime-field":
             return pow(a, k, self.p)
         return a ** k

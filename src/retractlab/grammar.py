@@ -15,13 +15,18 @@ with '#'.  The ASCII spelling ^+- is accepted for ^±; the printer always
 emits ^±.
 
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
-parses in one regex pass, a match per term.  Anything else goes to recursive
-descent over the (kind, text, col) tuples of one scanning regex, which
-raises every ParseError, quoting a token as written or "end of line".
+parses in one regex pass, a match per term.  Each distinct factor text of a
+line, such as x3^-6 or 1/2, is decoded once, and names are looked up in the
+ring's own name index.  Anything else goes to recursive descent over the
+(kind, text, col) tuples of one scanning regex, which raises every
+ParseError, quoting a token as written or "end of line".
+
+A JSON report is written as `json.dumps(report, indent=2)` would write it,
+by a writer that joins each row of integers in one call.
 """
 
-import json
 import re
+from json.encoder import encode_basestring_ascii
 
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
@@ -143,7 +148,6 @@ class _ExprParser:
 
     def __init__(self, ring, text, lineno):
         self.ring = ring
-        self.index = {name: i for i, name in enumerate(ring.names)}
         self.lineno = lineno
         self.tokens = _tokenize(text, lineno)
         self.pos = 0
@@ -195,7 +199,7 @@ class _ExprParser:
                 coeff = -coeff
             kind, text, col = tok = self.take()
             if kind == "ident":
-                i = self.index.get(text)
+                i = ring._index.get(text)
                 if i is None:
                     raise ParseError("undeclared identifier %r" % text,
                                      self.lineno, col)
@@ -285,9 +289,11 @@ _FLAT_TERM_RE = re.compile(r"\s*([-+]?)\s*(%s(?:\*%s)*)\s*"
 def _parse_flat(ring, text):
     """The value of a flat sum, matched a term at a time (a match of the
     whole sum keeps a backtracking entry per factor), or None for anything
-    that recursive descent must parse or reject."""
+    that recursive descent must parse or reject.  Each distinct factor text
+    is decoded once, into (index, power) or (None, coefficient)."""
     dom = ring.domain
-    index = {name: i for i, name in enumerate(ring.names)}
+    index = ring._index
+    decoded = {}
     acc = {}
     pos = 0
     while True:
@@ -301,19 +307,27 @@ def _parse_flat(ring, text):
         exp = [0] * ring.n
         coeff = -1 if sign == "-" else 1
         for factor in product.split("*"):
-            if factor[0] <= "9":
-                num, _, den = factor.partition("/")
-                try:
-                    coeff *= (dom.from_fraction(int(num), int(den)) if den
-                              else int(num))
-                except ValueError:
-                    return None
-                continue
-            name, _, power = factor.partition("^")
-            i = index.get(name)
-            if i is None or i >= ring.laurent and power[:1] == "-":
-                return None
-            exp[i] += int(power) if power else 1
+            code = decoded.get(factor)
+            if code is None:
+                if factor[0] <= "9":
+                    num, _, den = factor.partition("/")
+                    try:
+                        code = None, (dom.from_fraction(int(num), int(den))
+                                      if den else int(num))
+                    except ValueError:
+                        return None
+                else:
+                    name, _, power = factor.partition("^")
+                    i = index.get(name)
+                    if i is None or i >= ring.laurent and power[:1] == "-":
+                        return None
+                    code = i, int(power) if power else 1
+                decoded[factor] = code
+            i, k = code
+            if i is None:
+                coeff *= k
+            else:
+                exp[i] += k
         exp = tuple(exp)
         acc[exp] = acc.get(exp, 0) + coeff
         pos = m.end()
@@ -342,7 +356,7 @@ def parse_problem(text):
             raise ParseError("expected 'var -> expression'", lineno)
         lhs, rhs = line.split("->", 1)
         name = lhs.strip()
-        if name not in ring.names:
+        if name not in ring._index:
             raise ParseError("undeclared identifier %r" % name, lineno)
         if name in images:
             raise ParseError("duplicate map line for %r" % name, lineno)
@@ -395,10 +409,40 @@ def report_to_dict(report):
     }
 
 
+def _json(obj, indent=""):
+    """obj as `json.dumps(obj, indent=2)` writes it, for the types a report
+    holds: dicts with str keys, lists, str, bool and int.  Any other type,
+    a float included, raises TypeError.  json's C encoder takes no indent,
+    and its pure-Python one takes seconds on the Y and T of a wide ring."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return repr(obj)
+    if kind is not dict and kind is not list:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % kind.__name__)
+    brackets = "{}" if kind is dict else "[]"
+    if not obj:
+        return brackets
+    inner = indent + "  "
+    if kind is dict:
+        items = (encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in obj.items())
+    elif set(map(type, obj)) == {int}:
+        items = map(repr, obj)
+    else:
+        items = (_json(v, inner) for v in obj)
+    return "%s\n%s%s\n%s%s" % (brackets[0], inner,
+                             (",\n" + inner).join(items), indent, brackets[1])
+
+
 def render_report(report, fmt="text"):
     obj = report_to_dict(report)
     if fmt == "json":
-        return json.dumps(obj, indent=2) + "\n"
+        return _json(obj) + "\n"
     lines = []
     lines.append("ring           %r" % report.ring)
     lines.append("unit rank r    %d" % obj["r"])

@@ -30,6 +30,14 @@ class IntMatrix:
             raise ValueError("ragged rows")
         self.entries = rows
 
+    @classmethod
+    def _trusted(cls, rows):
+        """Wrap rows the caller built: a tuple of equally long int tuples,
+        skipping the constructor's checks."""
+        matrix = object.__new__(cls)
+        matrix.entries = rows
+        return matrix
+
     @property
     def rows(self):
         return len(self.entries)
@@ -40,7 +48,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n):
-        return IntMatrix(_identity_rows(n))
+        return IntMatrix._trusted(tuple(map(tuple, _identity_rows(n))))
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -65,7 +73,7 @@ class IntMatrix:
                 if a:
                     for j, b in sparse[k]:
                         acc[j] += a * b
-        return IntMatrix(product)
+        return IntMatrix._trusted(tuple(map(tuple, product)))
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -183,11 +191,12 @@ def decompose(M):
     if len(fixed) + len(kernel) != d:
         raise ValueError("matrix is not idempotent")
     # each basis is the HNF of the vectors solved in it, so no solve fails
-    T = zip(*(f + k for f, k in zip(_echelon_coordinates(fixed, columns),
-                                    _echelon_coordinates(kernel, killed))))
+    Y = tuple(zip(*(fixed + kernel)))
+    T = tuple(zip(*(f + k for f, k in zip(
+        _echelon_coordinates(fixed, columns),
+        _echelon_coordinates(kernel, killed)))))
     return SummandDecomposition(M, len(fixed), fixed, kernel,
-                                IntMatrix(zip(*(fixed + kernel))),
-                                IntMatrix(T))
+                                IntMatrix._trusted(Y), IntMatrix._trusted(T))
 
 
 def solve_in_lattice(v, basis):

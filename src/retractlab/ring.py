@@ -59,13 +59,15 @@ class NonUnitError(ValueError):
 
 class RingSignature:
     """The ambient ring: n named variables, the first `laurent` of them
-    invertible, over an exact coefficient domain."""
+    invertible, over an exact coefficient domain.  `_index` maps each name
+    to its position, for the parser."""
 
-    __slots__ = ("names", "laurent", "domain", "n")
+    __slots__ = ("names", "laurent", "domain", "n", "_index")
 
     def __init__(self, names, laurent, domain):
         names = tuple(names)
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise ValueError("variable names must be pairwise distinct")
         if not 0 <= laurent <= len(names):
             raise ValueError("laurent block size out of range")
@@ -73,6 +75,7 @@ class RingSignature:
         self.laurent = laurent
         self.domain = domain
         self.n = len(names)
+        self._index = index
 
     def __eq__(self, other):
         return (isinstance(other, RingSignature)

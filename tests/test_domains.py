@@ -79,3 +79,20 @@ def test_rationals_canonical_form():
     assert QQ.sub(Fraction(1, 2), 1) == Fraction(-1, 2)
     assert hash(Fraction(7)) == hash(7) and Fraction(7) == 7
     assert str(QQ.coerce(Fraction(-8, 4))) == "-2"
+
+
+def test_unit_inverses_keep_the_canonical_type():
+    # over QQ, ±1 inverts with no Fraction; an integral inverse is an int
+    for a, inverse in ((1, 1), (-1, -1), (Fraction(1), 1), (Fraction(-1), -1),
+                       (Fraction(1, 2), 2), (Fraction(-1, 3), -3)):
+        got = QQ.invert(a)
+        assert got == inverse and type(got) is int, a
+    for a, k, value in ((-1, -3, -1), (1, -2, 1), (-1, -2, 1),
+                        (Fraction(1, 2), -3, 8)):
+        got = QQ.pow(a, k)
+        assert got == value and type(got) is int, (a, k)
+    assert QQ.invert(Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.pow(Fraction(-2, 3), -3) == Fraction(-27, 8)
+    # ZZ and GF(p) are unchanged
+    assert ZZ.invert(-1) == -1 and ZZ.pow(-1, -3) == -1
+    assert GF(5).invert(4) == 4 and GF(5).pow(2, -3) == 2

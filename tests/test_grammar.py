@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import re
@@ -13,6 +14,7 @@ from random_elements import random_element
 
 DOMAINS = (QQ, ZZ, GF(5), GF(32003))
 DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            os.pardir, "bench", "named")
 
@@ -221,3 +223,61 @@ def test_render_report_shapes():
     assert obj["yVariables"] == ["x1*x2", "x2"]
     text = render_report(rep, "text")
     assert "PureLaurent" in text and "certificates" in text
+
+
+def test_report_writer_matches_json_dumps_on_golden_reports():
+    with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
+        analyzed = [name for name, code in sorted(json.load(fh).items())
+                    if code == 0]
+    assert len(analyzed) == 4
+    for name in analyzed:
+        stdout = os.path.join(GOLDEN, name[:-len(".ring")] + ".stdout")
+        with open(stdout, encoding="utf-8") as fh:
+            text = fh.read()
+        obj = json.loads(text)
+        assert grammar._json(obj) + "\n" == text, name
+        assert json.dumps(obj, indent=2) + "\n" == text, name
+
+
+def test_report_writer_matches_json_dumps_on_generated_reports():
+    tags = set()
+    empty = set()
+    for dom in DOMAINS:
+        for n in (2, 3, 4, 5):
+            for d in range(min(n, 3) + 1):
+                for r in sorted({0, d // 2, d}):
+                    for seed in (0, 1):
+                        spec = GeneratorSpec(n, d, r, seed, 2, dom)
+                        rep = analyze(gen_random_idempotent(spec))
+                        obj = grammar.report_to_dict(rep)
+                        want = json.dumps(obj, indent=2) + "\n"
+                        assert render_report(rep, "json") == want, (
+                            n, d, r, seed, dom)
+                        tags.add(obj["classification"]["tag"])
+                        empty.update(key for key in ("kernelBasis",
+                                                     "generators")
+                                     if not obj[key])
+    assert {"BoundsOnly", "UFDClassified"} <= tags, tags
+    assert empty == {"kernelBasis", "generators"}
+
+
+def test_report_writer_matches_json_dumps_on_every_value_kind():
+    obj = {
+        "ascii": "x1^-2*x2 + 1/2",
+        "non-ascii": "é ∘ φ² \u2028 😀 \"quoted\" \\ \t\n\x00",
+        "ключ": ["ünï", "", "\x7f"],
+        "empty": {"dict": {}, "list": [], "nested": [[], {}, [[]]]},
+        "bools": [True, False, {"t": True, "f": False}],
+        "ints": [0, -1, 2 ** 63, -2 ** 64 - 1, 10 ** 40, -(10 ** 40)],
+        "mixed": [1, True, "1", [1, [2, -3]], {"k": [False, 0]}],
+        "matrix": [[1, 0, -7], [0, 2 ** 70, 0]],
+        "scalars": {"int": -5, "big": 3 ** 100, "bool": False, "str": "s"},
+    }
+    assert grammar._json(obj) == json.dumps(obj, indent=2)
+    for scalar in (0, -3, True, False, "", "é", [], {}):
+        assert grammar._json(scalar) == json.dumps(scalar, indent=2)
+    # a report holds no float, None, tuple or non-str key
+    for bad in (1.5, [1, 2.0], {"a": [0.5]}, None, [None], (1, 2),
+                {1: 2}):
+        with pytest.raises(TypeError):
+            grammar._json(bad)

@@ -142,3 +142,30 @@ def test_membership_against_brute_force():
             assert tuple(rebuilt) == v
             if all(abs(c) <= 9 for c in got):
                 assert expected
+
+
+def test_built_matrices_equal_checked_ones():
+    # products, identities and the Y and T of `decompose` skip the public
+    # constructor's checks, so their entries must be what it would make
+    def checked(A):
+        rows = A.entries
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert IntMatrix(rows) == A
+    rng = random.Random(7)
+    for _ in range(100):
+        d = rng.randint(1, 4)
+        M = random_idempotent_matrix(d, rng.randint(0, d), rng)
+        dec = decompose(M)
+        for A in (dec.Y, dec.T, M * dec.Y, dec.T * M, IntMatrix.identity(d)):
+            checked(A)
+    empty = decompose(IntMatrix([]))
+    for A in (empty.Y, empty.T, IntMatrix.identity(0)):
+        checked(A)
+    # the public constructor still checks every entry and row length
+    with pytest.raises(ValueError, match="entries must be ints"):
+        IntMatrix([[1, 2.0]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix(([1], [2, 3]))

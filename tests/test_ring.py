@@ -20,6 +20,9 @@ def mixed_ring():
 def test_signature_invariants():
     with pytest.raises(ValueError):
         RingSignature(["x", "x"], 0, QQ)
+    with pytest.raises(ValueError, match="^variable names must be pairwise "
+                                         "distinct$"):
+        RingSignature(("a", "b", "a"), 1, ZZ)
     with pytest.raises(ValueError):
         RingSignature(["x"], 2, QQ)
 
