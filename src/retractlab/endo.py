@@ -47,6 +47,14 @@ class Endomorphism:
         self.ring = ring
         self.images = images
 
+    @classmethod
+    def _trusted(cls, ring, images):
+        """Wrap a tuple of n images already in ring, skipping the checks."""
+        phi = object.__new__(cls)
+        phi.ring = ring
+        phi.images = images
+        return phi
+
     def __eq__(self, other):
         return (isinstance(other, Endomorphism)
                 and self.ring == other.ring and self.images == other.images)
@@ -71,7 +79,8 @@ class MonomialData:
 
 
 def identity(ring):
-    return Endomorphism(ring, [ring.variable(i) for i in range(ring.n)])
+    return Endomorphism._trusted(
+        ring, tuple([ring.variable(i) for i in range(ring.n)]))
 
 
 def apply(phi, p):
@@ -82,7 +91,10 @@ def compose(phi, psi):
     """The endomorphism p ↦ phi(psi(p))."""
     if phi.ring is not psi.ring and phi.ring != psi.ring:
         raise RingMismatchError("cannot compose endomorphisms of different rings")
-    return Endomorphism(phi.ring, [apply(phi, img) for img in psi.images])
+    # each image substitutes into phi's images, so it lies in phi's ring
+    images = phi.images
+    return Endomorphism._trusted(
+        phi.ring, tuple([img.substitute(images) for img in psi.images]))
 
 
 def is_idempotent(phi):

@@ -93,7 +93,7 @@ def _automorphism_of_kind(ring, kind, rng, complexity):
     inverse; the tests check that the two are inverse for every kind."""
     d, n = ring.laurent, ring.n
     fwd = [ring.variable(i) for i in range(n)]
-    inv = [ring.variable(i) for i in range(n)]
+    inv = list(fwd)
     if kind == "mult":
         i, j = rng.sample(range(d), 2)
         c = rng.choice([-2, -1, 1, 2])

@@ -396,7 +396,9 @@ def report_to_dict(report):
         "trdeg": trdeg,
         "classification": verdict,
         "rationality": report.rationality,
-        "yVariables": [str(ring.monomial(y.exponent)) for y in report.y_variables],
+        # decompose's int exponents need no check
+        "yVariables": [str(MixedPoly._trusted(ring, ((y.exponent, 1),)))
+                       for y in report.y_variables],
         "normalizers": [str(y.normalizer) for y in report.y_variables],
         "yKinds": [y.kind for y in report.y_variables],
         "fixedBasis": [list(b) for b in report.decomposition.fixed_basis],

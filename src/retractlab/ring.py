@@ -8,9 +8,11 @@ are in their domain's canonical form (see `domains`): over QQ an `int` when
 integral and a `Fraction` otherwise, so a coefficient prints by `str`.
 
 `MixedPoly(ring, terms)` is the one checked constructor: it coerces the
-coefficients, merges repeated exponents and sorts.  `monomial` and
-`constant` check and coerce one term, and every operation below builds its
-result from canonical terms directly.
+coefficients, merges repeated exponents and sorts.  `monomial` checks and
+coerces one term, `constant` coerces one, and every operation below builds
+its result from canonical terms directly.  A ring builds its variables
+once, on the first call to `variable`, and hands out the same n elements
+after that.
 
 Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
 one helper, `_canonical_sum`, and products (`*`, `**` and every product
@@ -24,23 +26,26 @@ QQ operand is scaled over one common denominator, divided out at the end),
 and the dict is canonicalized by `_canonical_sum`.
 
 `substitute` maps into a ring over the same domain; images over another
-domain raise RingMismatchError.  A variable maps to its image, and any
-other one-term element c·x^e, most of what composition substitutes, to
-c·∏ images[i]^e_i by `*` and `**`.  Other elements take two stages.
-Images with at most one term (units, scalars, zero), such as the Laurent
-images of an endomorphism, act by exponent arithmetic, term by term; a
-variable image x_k adds nothing, as one gather per term moves its
-exponent to place k.  The terms are grouped by their exponents β on the
-variables with multi-term images, and only a group that does not cancel
-is multiplied by ∏ images[i]^β_i: the large powers that a full expansion
-would build, and that then cancel, are never formed.  When more than two
-groups need a product and each holds one term, as when the Laurent images
-are scalars, they are summed by the multivariate Horner scheme instead
-(Ceberio & Kreinovich, "Greedy algorithms for optimizing multivariate
-Horner schemes", 2004): each product then multiplies by a low power of
-one image, and the powers the groups share are built once.  Where some
-group holds several terms, each group keeps its own product, since
-Horner's rule would multiply those terms through every fold.
+domain raise RingMismatchError.  A variable maps to its image.  Images
+with at most one term (units, scalars, zero), such as the Laurent images
+of an endomorphism, act by exponent arithmetic (stage 1): a one-term
+element c·x^e, most of what composition substitutes, becomes one term that
+way, and only its multi-term images are raised by `**` and multiplied in.
+Other elements take two stages.  In stage 1 the single-term images act
+term by term; a variable image x_k adds nothing, as one gather per term
+moves its exponent to place k.  When no image that the element uses has
+two terms, stage 1 sums straight into the result.  Otherwise the terms are
+grouped by their exponents β on the variables with multi-term images, and
+only a group that does not cancel is multiplied by ∏ images[i]^β_i (stage
+2): the large powers that a full expansion would build, and that then
+cancel, are never formed.  When more than two groups need a product and
+each holds one term, as when the Laurent images are scalars, they are
+summed by the multivariate Horner scheme instead (Ceberio & Kreinovich,
+"Greedy algorithms for optimizing multivariate Horner schemes", 2004):
+each product then multiplies by a low power of one image, and the powers
+the groups share are built once.  Where some group holds several terms,
+each group keeps its own product, since Horner's rule would multiply those
+terms through every fold.
 """
 
 from fractions import Fraction
@@ -60,9 +65,10 @@ class NonUnitError(ValueError):
 class RingSignature:
     """The ambient ring: n named variables, the first `laurent` of them
     invertible, over an exact coefficient domain.  `_index` maps each name
-    to its position, for the parser."""
+    to its position, for the parser; `_variables` holds x_1..x_n, built on
+    the first call to `variable`."""
 
-    __slots__ = ("names", "laurent", "domain", "n", "_index")
+    __slots__ = ("names", "laurent", "domain", "n", "_index", "_variables")
 
     def __init__(self, names, laurent, domain):
         names = tuple(names)
@@ -76,6 +82,7 @@ class RingSignature:
         self.domain = domain
         self.n = len(names)
         self._index = index
+        self._variables = None
 
     def __eq__(self, other):
         return (isinstance(other, RingSignature)
@@ -110,15 +117,27 @@ class RingSignature:
         return MixedPoly._trusted(self, ())
 
     def constant(self, c):
-        return self.monomial((0,) * self.n, c)
+        c = self.domain.coerce(c)
+        # the zero exponent is valid in every ring
+        return MixedPoly._trusted(self, (((0,) * self.n, c),) if c else ())
 
     def variable(self, i):
+        """x_i, the one element the ring holds for it."""
         if not 0 <= i < self.n:
             raise ValueError("variable index %d outside a ring of %d variables"
                              % (i, self.n))
+        variables = self._variables
+        if variables is None:
+            variables = self._variables = tuple(
+                self._build_variable(k) for k in range(self.n))
+        return variables[i]
+
+    def _build_variable(self, i):
         # x_i is valid once i is in range, and 1 is canonical in every domain
         exp = (0,) * i + (1,) + (0,) * (self.n - i - 1)
-        return MixedPoly._trusted(self, ((exp, 1),))
+        x = MixedPoly._trusted(self, ((exp, 1),))
+        x._variable = i
+        return x
 
     def monomial(self, exp, coeff=1):
         """coeff·x^exp; zero when coeff reduces to 0 in the domain."""
@@ -397,21 +416,45 @@ class MixedPoly:
             raise RingMismatchError("images live over a different domain")
         if not self.terms:
             return target_ring.zero()
-        zero_exp = (0,) * target_ring.n
         if len(self.terms) == 1:
             k = self._variable_index()
             if k >= 0:
                 return images[k]
-            # once zero, only a negative power (it may raise) is still formed
-            exp, c = self.terms[0]
-            result = MixedPoly._trusted(target_ring, ((zero_exp, c),))
-            for img, e in zip(images, exp):
-                if e < 0 or e and result.terms:
-                    result = result * img ** e
-            return result
+        zero_exp = (0,) * target_ring.n
         add = _exponent_adder(target_ring.n)
+        reduce = target_ring.domain.reduce
+        terms = self.terms
+        if len(terms) == 1:
+            # stage 1's exponent arithmetic on the single-term images, then
+            # a product by each multi-term power; once the coefficient is
+            # zero, only a negative power (it may raise) is still looked at
+            (exp, c), = terms
+            shift = zero_exp
+            powers = []
+            for img, e in zip(images, exp):
+                if not e or e > 0 and not c:
+                    continue
+                if len(img.terms) > 1:
+                    if e < 0:  # a multi-term image is not a unit
+                        raise NonUnitError("not a unit: %s" % img)
+                    powers.append(img ** e)
+                    continue
+                m, k = _single_term_power(img, e)
+                if any(m):
+                    shift = add(shift, m)
+                if k != 1:
+                    c = c * k
+            if not c:
+                return target_ring.zero()
+            result = MixedPoly._trusted(target_ring, ((shift, reduce(c)),))
+            for power in powers:
+                result = result * power
+            return result
         multi = [len(img.terms) > 1 for img in images]
-        multi_indices = [i for i, m in enumerate(multi) if m]
+        # the multi-term images that the terms use: with none, stage 1
+        # sums into the result
+        multi_indices = [i for i, m in enumerate(multi)
+                         if m and any(exp[i] for exp, _ in terms)]
         single_powers = {}
         # the first variable image on each x_k is gathered, with source -1
         # the 0 appended to each exponent, unless a negative power needs it
@@ -429,8 +472,9 @@ class MixedPoly:
         gather = itemgetter(*sources) if len(read) < len(images) else None
 
         # stage 1: exponent arithmetic for the single-term images
+        acc = bucket = {}
         buckets = {}
-        for exp, c in self.terms:
+        for exp, c in terms:
             shift = gather(exp + (0,)) if gather else zero_exp
             for i in read:
                 e = exp[i]
@@ -451,15 +495,17 @@ class MixedPoly:
                     c = c * k
             if not c:
                 continue  # a zero image
-            beta = tuple([exp[i] for i in multi_indices])
-            bucket = buckets.get(beta)
-            if bucket is None:
-                bucket = buckets[beta] = {}
+            if multi_indices:
+                beta = tuple([exp[i] for i in multi_indices])
+                bucket = buckets.get(beta)
+                if bucket is None:
+                    bucket = buckets[beta] = {}
             bucket[shift] = bucket.get(shift, 0) + c
+        if not multi_indices:
+            return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
 
         # stage 2: multiply each bucket that does not cancel by its product
         # of multi-term image powers
-        reduce = target_ring.domain.reduce
         acc = buckets.pop((0,) * len(multi_indices), None) or {}
         if len(buckets) > 2 and all(len(b) == 1 for b in buckets.values()):
             # one term per bucket, as when the Laurent images are scalars:

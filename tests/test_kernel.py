@@ -244,19 +244,23 @@ def test_substitute_matches_reference(dom):
                 images[0] = target.constant(1)
                 q = random_poly(R, rng, max_terms=4, max_exp=2)
                 p = p + q * (R.variable(0) - R.constant(1))
+            if all(len(img.terms) <= 1 for img in images):
+                # stage 1 alone, with no β buckets
+                seen.add("no multi-term image")
             got = p.substitute(images)
             assert got.terms == reference_substitute(p, images, target).terms
             if dom is QQ:
                 assert_canonical_qq(got)
     assert seen == {"same index", "shifted index", "other index", "swap",
-                    "shared target"}
+                    "shared target", "no multi-term image"}
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_one_term_substitute_matches_reference(dom):
-    # a one-term element c·x^e maps to c·∏ images[i]^e_i, built by `*` and
-    # `**`: coefficients other than 1, negative Laurent exponents, zero
-    # images, constants and a target ring smaller than the source
+    # a one-term element c·x^e maps to c·∏ images[i]^e_i, its single-term
+    # images by exponent arithmetic and the others by `*` and `**`:
+    # coefficients other than 1, negative Laurent exponents, zero images,
+    # constants and a target ring smaller than the source
     rng = random.Random(2027)
     R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
     S = RingSignature(["u", "v", "w"], 1, dom)
@@ -281,6 +285,10 @@ def test_one_term_substitute_matches_reference(dom):
                 seen.add("coefficient")
             if any(exp[i] for i in variable_places(images)):
                 seen.add("variable image")
+            sizes = {len(img.terms) for e, img in zip(exp, images) if e}
+            if 1 in sizes and max(sizes) > 1:
+                # exponent arithmetic, then a product by the multi-term powers
+                seen.add("single- and multi-term images")
             zero = [e and not img.terms for e, img in zip(exp, images)]
             if any(zero):
                 seen.add("zero image")
@@ -301,7 +309,8 @@ def test_one_term_substitute_matches_reference(dom):
                 assert_canonical_qq(got)
     assert seen == {"constant", "negative", "nonnegative", "coefficient",
                     "variable image", "zero image",
-                    "negative power after a zero image", "not a unit"}
+                    "negative power after a zero image", "not a unit",
+                    "single- and multi-term images"}
 
 
 def test_one_term_substitute_identities():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
-                        RingMismatchError, NonUnitError, IntMatrix)
+                        RingMismatchError, NonUnitError, IntMatrix, identity)
 from random_elements import random_element
 
 
@@ -121,6 +121,28 @@ def test_variable_index_in_range():
         with pytest.raises(ValueError,
                            match="index %d outside a ring of 2 " % i):
             R.variable(i)
+
+
+def test_variables_are_built_once_per_ring():
+    for R in (mixed_ring(), RingSignature(["a", "b", "c"], 3, GF(5)),
+              RingSignature(["t"], 0, ZZ)):
+        for i in range(R.n):
+            x = R.variable(i)
+            e = tuple(int(k == i) for k in range(R.n))
+            assert x == MixedPoly(R, [(e, 1)])
+            assert x._variable_index() == i
+            assert R.variable(i) is x
+        images = identity(R).images
+        assert len(images) == R.n
+        assert all(img is R.variable(i) for i, img in enumerate(images))
+        # an equal ring built apart holds its own variables, equal to these
+        S = RingSignature(R.names, R.laurent, R.domain)
+        for i in range(R.n):
+            assert S.variable(i) is not R.variable(i)
+            assert S.variable(i) == R.variable(i)
+        for i in (R.n, -1):
+            with pytest.raises(ValueError, match="outside a ring of"):
+                R.variable(i)
 
 
 def test_substitute_without_variables():
