@@ -4,7 +4,6 @@ Subcommands:
     check <file>          exit 0 iff the map is valid and idempotent
     analyze <file>        full retract report (text or --json)
     gen                   emit reproducible random idempotent problem files
-    selftest              run the embedded acceptance checks
 
 `check` and `analyze` reject an input with the same one-line message on
 stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
@@ -97,12 +96,6 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _cmd_selftest(args):
-    from .selftest import run_selftest
-    ok = run_selftest()
-    return EXIT_OK if ok else EXIT_CERTIFICATE
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="retractlab",
@@ -130,9 +123,6 @@ def build_parser():
     p.add_argument("--domain", default="QQ")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("selftest", help="run the embedded acceptance checks")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

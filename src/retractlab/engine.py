@@ -169,9 +169,9 @@ def transcendence_degree(phi, unit_rank):
     trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].  It is
     read mod a prime P > n that divides no image's denominator and no
     Laurent p_i: 2^61 - 1, else the least such prime above n.
-    Characteristic p: the Jacobian criterion is unsound (inseparability),
-    so the result is the interval [r, r + n - d], except that a pure
-    Laurent ring forces the exact value r.
+    Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
+    interval [r, r + n - d], as the rank step for p <= n (where the trace
+    is not the rank) is not built yet; a pure Laurent ring forces r.
     """
     ring = phi.ring
     if ring.domain.characteristic == 0:

@@ -442,6 +442,8 @@ def _json(obj, indent=""):
 
 
 def render_report(report, fmt="text"):
+    if fmt not in ("text", "json"):
+        raise ValueError("report format is not 'text' or 'json': %r" % (fmt,))
     obj = report_to_dict(report)
     if fmt == "json":
         return _json(obj) + "\n"

@@ -7,8 +7,9 @@ reduced into [0, pivot)), so every decomposition is byte-reproducible.  The
 assembled basis Y = [fixed | kernel] is then unimodular, and its inverse T
 is read off the two bases by back-substitution.  A square M is idempotent
 exactly when the ranks of its two lattices sum to d, so `decompose` forms no
-product.  All arithmetic is exact; products and `apply` skip zero entries,
-so a sparse matrix of width d up to 1000 costs about its nonzero entries.
+product.  All arithmetic is exact.  Matrices are stored densely, and
+`row_hnf`, `decompose` and `apply`'s row scan walk dense rows, so a sparse
+matrix of width d costs at least d^2, not its nonzero entries.
 """
 
 from heapq import heappop, heappush

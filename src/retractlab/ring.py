@@ -355,7 +355,9 @@ class MixedPoly:
             self.ring, _product_terms(self.ring, self.terms, other.terms))
 
     def __pow__(self, k):
-        if k == 1 and isinstance(k, int):
+        if not isinstance(k, int):
+            raise ValueError("exponent is not an int: %r" % (k,))
+        if k == 1:
             return self
         if len(self.terms) == 1:
             exp, c = _single_term_power(self, k)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact (tolerance-zero) checks.
 
 Each test prints a PASS line after its assertions; run with `pytest -s` to
-see them, or via `retractlab selftest` for the embedded subset.
+see them.
 """
 
 import itertools
@@ -10,11 +10,12 @@ import os
 import random
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
-                        apply, analyze, parse_problem, render_problem,
-                        quotient_mod_J, solve_in_lattice,
-                        monomial_part, is_idempotent, IntMatrix)
+                        analyze, parse_problem, render_problem)
 from retractlab.cli import run_cli
+from retractlab.endo import apply, is_idempotent, monomial_part
+from retractlab.engine import quotient_mod_J
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
+from retractlab.intlinalg import IntMatrix, solve_in_lattice
 from fraction_rank import fraction_rank
 from random_elements import random_element
 

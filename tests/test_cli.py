@@ -238,12 +238,6 @@ def test_non_utf8_input_is_a_read_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
-def test_selftest(capsys):
-    assert run_cli(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out and "PASS" in out
-
-
 def test_large_prime_modulus(tmp_path, capsys):
     ok = tmp_path / "big.ring"
     ok.write_text("ring GF(1000000000000000003)[x^±]\nx -> x\n")

@@ -4,13 +4,14 @@ import random
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
-                        IntMatrix, identity, apply, compose,
-                        is_idempotent, monomial_part, conjugate,
-                        standard_projection, require_idempotent,
-                        GeneratorSpec, gen_random_idempotent,
-                        InvalidEndomorphismError, NotIdempotentError)
+                        require_idempotent, GeneratorSpec,
+                        gen_random_idempotent, InvalidEndomorphismError,
+                        NotIdempotentError)
 from retractlab import endo
-from retractlab.endo import idempotency_defect
+from retractlab.endo import (identity, apply, compose, is_idempotent,
+                             monomial_part, conjugate, standard_projection,
+                             idempotency_defect)
+from retractlab.intlinalg import IntMatrix
 from retractlab.grammar import parse_problem
 from random_elements import random_element
 

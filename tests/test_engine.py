@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
-                        IntMatrix, identity, apply, analyze, classify,
-                        compute_y_variables, conjugate, standard_projection,
-                        quotient_mod_J, rationality_verdict, transcendence_degree,
-                        GeneratorSpec, gen_random_idempotent, parse_problem,
-                        render_report, NotIdempotentError)
+                        analyze, GeneratorSpec, gen_random_idempotent,
+                        parse_problem, render_report, NotIdempotentError)
+from retractlab.endo import identity, apply, conjugate, standard_projection
+from retractlab.engine import (classify, compute_y_variables, quotient_mod_J,
+                               rationality_verdict, transcendence_degree)
 from retractlab.generator import _automorphism_of_kind
+from retractlab.intlinalg import IntMatrix
 from fraction_rank import fraction_rank
 from random_elements import random_element
 

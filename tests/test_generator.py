@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from retractlab import QQ, ZZ, GF, is_idempotent, analyze
+from retractlab import QQ, ZZ, GF, analyze
+from retractlab.endo import is_idempotent
 from retractlab.generator import (GeneratorSpec, gen_random_idempotent,
                                   problem_text, RNG_ALGORITHM)
 
@@ -92,7 +93,7 @@ def test_trdeg_oracle_on_conjugated_projections():
     # a conjugate of standard_projection(ring, L, P) has a retract
     # isomorphic to R^[±|L|] ⊗ R^[|P|], so r = |L| and trdeg = |L| + |P|;
     # over GF(p) only an interval containing that value is reported
-    from retractlab import conjugate, standard_projection
+    from retractlab.endo import conjugate, standard_projection
     from retractlab.generator import _elementary_automorphism
     rng = random.Random(2301)
     strata = [(n, d, c) for n in range(2, 6) for d in range(1, min(3, n) + 1)

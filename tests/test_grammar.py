@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from retractlab import (QQ, ZZ, GF, parse_problem, parse_expression,
-                        render_problem, render_report, analyze, ParseError,
-                        RingSignature, MixedPoly)
+from retractlab import (QQ, ZZ, GF, parse_problem, render_problem,
+                        render_report, analyze, ParseError, RingSignature,
+                        MixedPoly)
 from retractlab import grammar
+from retractlab.grammar import parse_expression
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
 from random_elements import random_element
 
@@ -223,6 +224,9 @@ def test_render_report_shapes():
     assert obj["yVariables"] == ["x1*x2", "x2"]
     text = render_report(rep, "text")
     assert "PureLaurent" in text and "certificates" in text
+    for fmt in ("JSON", "Text", "yaml", None):
+        with pytest.raises(ValueError, match="report format"):
+            render_report(rep, fmt)
 
 
 def test_report_writer_matches_json_dumps_on_golden_reports():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from retractlab import IntMatrix, decompose, solve_in_lattice
+from retractlab.intlinalg import IntMatrix, decompose, solve_in_lattice
 
 
 def test_fixed_lattice_basis_examples():

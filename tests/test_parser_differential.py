@@ -14,9 +14,9 @@ import re
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError,
-                        parse_expression, parse_problem)
+                        parse_problem)
 from retractlab import grammar
-from retractlab.grammar import MAX_NESTING, ParseError
+from retractlab.grammar import MAX_NESTING, ParseError, parse_expression
 
 
 # The reference's own tokenizer, as it was beside that parser, so the

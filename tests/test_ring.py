@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
-                        RingMismatchError, NonUnitError, IntMatrix, identity)
+                        RingMismatchError, NonUnitError)
+from retractlab.endo import identity
+from retractlab.intlinalg import IntMatrix
 from random_elements import random_element
 
 
@@ -170,6 +172,11 @@ def test_exact_api_rejects_floats():
             MixedPoly(R, terms)
     with pytest.raises(ValueError, match="not an exact int"):
         MixedPoly(R, [((1, 0), 0.5)])
+    # a power takes an int exponent, on one term as on several
+    x1, x2 = R.variable(0), R.variable(1)
+    for base, k in ((x2, 0.5), (x1, 2.0), (x1 + x2, 2.0)):
+        with pytest.raises(ValueError, match="exponent is not an int"):
+            base ** k
     for dom in (QQ, ZZ, GF(5)):
         for num, den in ((2.5, 1), (1, 2.0)):
             with pytest.raises(ValueError, match="not an int fraction"):

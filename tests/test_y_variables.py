@@ -12,15 +12,15 @@ from fractions import Fraction
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, Endomorphism, MixedPoly,
-                        YVariable, analyze, apply, compute_y_variables,
-                        conjugate, decompose, monomial_part,
-                        require_idempotent, standard_projection)
+                        analyze, require_idempotent)
 from retractlab import engine, intlinalg
 from retractlab.cli import run_cli
-from retractlab.engine import CertificateError
+from retractlab.endo import (apply, conjugate, monomial_part,
+                             standard_projection)
+from retractlab.engine import CertificateError, YVariable, compute_y_variables
 from retractlab.generator import (GeneratorSpec, gen_random_idempotent,
                                   _automorphism_of_kind)
-from retractlab.intlinalg import IntMatrix, SummandDecomposition
+from retractlab.intlinalg import IntMatrix, SummandDecomposition, decompose
 
 
 def reference_y_variables(phi):
