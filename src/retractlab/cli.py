@@ -9,12 +9,14 @@ Subcommands:
 stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
 "not idempotent: ..." naming the first variable with phi²(x) != phi(x).
 
-Exit codes: 0 success, 1 invalid/not idempotent, 2 parse error (of a problem
-file, a ring header of more than MAX_VARIABLES = 1000 variables included,
-or of `gen` arguments: the `--domain` spelling, sizes outside
-0 <= r <= d <= n or with n outside [1, 1000], a negative complexity, a
-count below 1), unreadable input (missing, a directory, not UTF-8) or
-unwritable output, 3 internal certificate failure.
+Exit codes: 0 success or --help, 1 invalid/not idempotent, 2 parse error (of
+a problem file, a ring header of more than MAX_VARIABLES = 1000 variables
+included, or of `gen` arguments: the `--domain` spelling, sizes outside
+0 <= r <= d <= n or n outside [1, 1000], a negative complexity, a count
+below 1), usage error (argparse's usage line: unknown option, missing
+required `gen` option, non-integer value), unreadable input (missing, a
+directory, not UTF-8) or unwritable output, 3 internal certificate failure.
+run_cli returns the code; argparse reads `--opt=value` and abbreviations.
 """
 
 import argparse
@@ -96,33 +98,39 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
+# Every subcommand, declared once: (handler, help, positionals, options); an
+# option is (flag, type, default): bool is store_true, _REQUIRED is required.
+_REQUIRED = object()
+_COMMANDS = {
+    "check": (_cmd_check, "validate and test idempotency", ("file",), ()),
+    "analyze": (_cmd_analyze, "full retract analysis", ("file",),
+                (("--json", bool, False), ("--out", str, None))),
+    "gen": (_cmd_gen, "generate random idempotent instances", (),
+            (("--n", int, _REQUIRED), ("--d", int, _REQUIRED),
+             ("--r", int, _REQUIRED), ("--seed", int, _REQUIRED),
+             ("--complexity", int, 1), ("--count", int, 1),
+             ("--domain", str, "QQ"), ("--out-dir", str, None))),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="retractlab",
         description="Analyze idempotent endomorphisms of mixed "
                     "Laurent/polynomial rings and classify their retracts.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate and test idempotency")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("analyze", help="full retract analysis")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("gen", help="generate random idempotent instances")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--complexity", type=int, default=1)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--domain", default="QQ")
-    p.add_argument("--out-dir")
-    p.set_defaults(func=_cmd_gen)
+    for name, (func, help_, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for dest in positionals:
+            p.add_argument(dest)
+        for flag, kind, default in options:
+            if kind is bool:
+                p.add_argument(flag, action="store_true")
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True)
+            else:
+                p.add_argument(flag, type=kind, default=default)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -131,8 +139,49 @@ def build_parser():
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
+def _read_plain(argv):
+    """parse_args(argv)'s Namespace if argv is plain: exact option names,
+    each value next, not starting with "-" and of its type, every required
+    option and the right positionals.  Otherwise None: argparse reads it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, positionals, spec = _COMMANDS[argv[0]]
+    options = {flag: (flag[2:].replace("-", "_"), kind, default)
+               for flag, kind, default in spec}
+    args = {dest: default for dest, _, default in options.values()}
+    args.update(command=argv[0], func=func)
+    found = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest, kind, _ = options.get(token, (None, None, None))
+        if kind is bool:
+            args[dest] = True
+        elif kind:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                args[dest] = kind(value)
+            except ValueError:
+                return None
+        elif token.startswith("-"):
+            return None
+        else:
+            found.append(token)
+    if len(found) != len(positionals) or _REQUIRED in args.values():
+        return None
+    args.update(zip(positionals, found))
+    return argparse.Namespace(**args)
+
+
 def run_cli(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:  # a usage error (2) or help (0)
+            return exc.code
     try:
         return args.func(args)
     except ParseError as exc:

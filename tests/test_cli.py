@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from retractlab import cli
 from retractlab.cli import run_cli
 from retractlab.grammar import MAX_VARIABLES, parse_problem
 
@@ -287,6 +288,112 @@ def test_python_m_entry_point():
         env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "ok" in done.stdout
+
+
+# argvs that run_cli reads itself, run from tests/data: the shapes that
+# bench/corpus.py and README use, any option order, a repeated option (the
+# last wins), `--json` twice, and values that int() reads as argparse does
+GEN = ["gen", "--n", "4", "--d", "2", "--r", "1", "--seed", "7"]
+PLAIN_ARGVS = [
+    ["analyze", "e1.ring", "--json"],
+    GEN + ["--complexity", "2", "--domain", "GF(5)", "--count", "1"],
+    ["check", "e1.ring"],
+    ["analyze", "e1.ring"],
+    ["analyze", "e1.ring", "--json", "--out", "r.json"],
+    ["analyze", "--out", "r.json", "--json", "e1.ring"],
+    ["analyze", "--json", "e1.ring", "--json"],
+    ["gen", "--n", "3", "--d", "2", "--r", "1", "--seed", "7",
+     "--complexity", "2", "--count", "3", "--domain", "GF(5)",
+     "--out-dir", "out"],
+    ["gen", "--seed", "7", "--count", "2", "--r", "1", "--d", "2", "--n", "3"],
+    GEN + ["--n", "3", "--domain", "ZZ", "--domain", "GF( 7 )"],
+    ["gen", "--n", " 3", "--d", "+2", "--r", "1", "--seed", "1_0"],
+    GEN + ["--count", "0", "--complexity", "99999999999999999999"],
+]
+# argvs that argparse reads: `--opt=value`, abbreviations, negative and
+# missing values, help, unknown options or commands, a wrong positional
+# count, a missing required option, a non-int value and `--`
+DEFERRED_ARGVS = [
+    ["gen", "--n=4", "--d=2", "--r=1", "--seed=7"],
+    GEN + ["--comp", "2"],
+    ["analyze", "e1.ring", "--js"],
+    GEN + ["--seed", "-3"],
+    GEN[:-1],
+    ["analyze", "e1.ring", "--out"],
+    ["analyze", "e1.ring", "--out", "--json"],
+    ["-h"],
+    ["analyze", "-h"],
+    ["gen", "--help"],
+    ["analyze", "e1.ring", "e3.ring"],
+    ["analyze"],
+    ["check"],
+    GEN[:-2],
+    ["gen", "--n", "x", "--d", "1", "--r", "1", "--seed", "1"],
+    GEN + ["--count", "1.0"],
+    [],
+    ["selftest"],
+    ["analyze", "e1.ring", "--bogus"],
+    ["check", "--", "e1.ring"],
+]
+
+
+def typed_vars(namespace):
+    # True == 1, so each value is compared with its type
+    return {k: (type(v), v) for k, v in vars(namespace).items()}
+
+
+@pytest.mark.parametrize("argv", PLAIN_ARGVS, ids=" ".join)
+def test_plain_argv_reads_as_argparse_does(argv):
+    plain = cli._read_plain(argv)
+    assert plain is not None
+    assert typed_vars(plain) == typed_vars(cli._parser().parse_args(argv))
+    assert cli._read_plain(argv) is not plain
+
+
+@pytest.mark.parametrize("argv", DEFERRED_ARGVS,
+                         ids=lambda argv: " ".join(argv) or "empty")
+def test_other_argvs_go_to_argparse(argv, monkeypatch, capsys):
+    monkeypatch.chdir(DATA)
+    assert cli._read_plain(argv) is None
+    try:
+        args = cli._parser().parse_args(argv)
+    except SystemExit as exc:
+        expected = exc.code, capsys.readouterr()
+    else:
+        expected = args.func(args), capsys.readouterr()
+    assert (run_cli(argv), capsys.readouterr()) == expected
+
+
+def test_plain_argvs_skip_argparse(monkeypatch, capsys):
+    def no_argparse():
+        pytest.fail("a plain argv went to argparse")
+
+    monkeypatch.setattr(cli, "_parser", no_argparse)
+    assert run_cli(["analyze", path("e1.ring"), "--json"]) == 0
+    with open(os.path.join(GOLDEN, "e1.stdout"), encoding="utf-8") as fh:
+        assert capsys.readouterr().out == fh.read()
+    # any iterable, as parse_args takes
+    assert run_cli(iter(GEN + ["--complexity", "2", "--count", "1"])) == 0
+    from retractlab import GeneratorSpec, QQ, problem_text
+    spec = GeneratorSpec(4, 2, 1, 7, 2, QQ)
+    assert capsys.readouterr().out == problem_text(spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "x", "--d", "1", "--r", "1", "--seed", "1"],
+    ["analyze"], [], ["gen", "--n", "1", "--d", "1", "--r", "1"],
+    ["analyze", "e1.ring", "--bogus"], ["selftest"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_usage_error_returns_2(argv, capsys):
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: retractlab")
+
+
+def test_help_returns_0(capsys):
+    assert run_cli(["analyze", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: retractlab analyze")
 
 
 def test_golden_expectations_cover_every_data_file():
