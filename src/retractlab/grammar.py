@@ -17,12 +17,14 @@ emits ^±.
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
 parses in one regex pass, a match per term.  Each distinct factor text of a
 line, such as x3^-6 or 1/2, is decoded once, and names are looked up in the
-ring's own name index.  Anything else goes to recursive descent over the
-(kind, text, col) tuples of one scanning regex, which raises every
+ring's own name index.  A sum written exactly as the printer writes it
+keeps its text, and prints as that text; any other sum prints from its
+terms, to the same bytes.  Anything else goes to recursive descent over
+the (kind, text, col) tuples of one scanning regex, which raises every
 ParseError, quoting a token as written or "end of line".
 
 A JSON report is written as `json.dumps(report, indent=2)` would write it,
-by a writer that joins each row of integers in one call.
+by a writer that joins each list of ints, or of strs, in one call.
 """
 
 import re
@@ -286,53 +288,103 @@ _FLAT_TERM_RE = re.compile(r"\s*([-+]?)\s*(%s(?:\*%s)*)\s*"
                            % (_FACTOR, _FACTOR))
 
 
+class _PrintedPoly(MixedPoly):
+    """A value read from its own print, which `str` returns as read; every
+    other element prints from its terms, with no attribute to look up."""
+
+    __slots__ = ("_text",)
+
+    def __str__(self):
+        return self._text
+
+
 def _parse_flat(ring, text):
     """The value of a flat sum, matched a term at a time (a match of the
     whole sum keeps a backtracking entry per factor), or None for anything
     that recursive descent must parse or reject.  Each distinct factor text
-    is decoded once, into (index, power) or (None, coefficient)."""
+    is decoded once, into (index, power, order) or (None, coefficient,
+    order).  The pass also proves, where it holds, that the stripped text
+    is the value's print, which the value then keeps: terms joined by
+    exactly " + " or " - ", with no space after a leading "-"; a term's one
+    number, if any, first, `str` of its nonzero canonical coefficient, not
+    a 1 before a variable nor negated over GF(p); its variables in strictly
+    increasing index order, each name or name^k by `str(k)`, k not 0 or 1
+    (a factor's order is -1 for such a number, its index for such a
+    variable, else -2); exponents strictly decreasing in graded-lex order,
+    so no two terms merge.  Such terms are canonical as read."""
     dom = ring.domain
     index = ring._index
+    residues = dom.p is not None
     decoded = {}
     acc = {}
     pos = 0
+    canonical = True
     while True:
         m = _FLAT_TERM_RE.match(text, pos)
         if m is None:
             return None
         sign, product = m.groups()
+        start, end = m.span(2)
         # the first term may be negated, and every later one has a sign
-        if (sign == "+") if pos == 0 else not sign:
+        if pos == 0:
+            if sign == "+":
+                return None
+            begin = start - len(sign)
+            if text[begin:start] != sign:
+                canonical = False
+        elif not sign:
             return None
-        exp = [0] * ring.n
+        elif text[prev:start] not in (" + ", " - "):
+            canonical = False
         coeff = -1 if sign == "-" else 1
+        if coeff < 0 and residues or product[:2] == "1*":
+            canonical = False
+        exp = [0] * ring.n
+        last = -2
         for factor in product.split("*"):
             code = decoded.get(factor)
             if code is None:
                 if factor[0] <= "9":
                     num, _, den = factor.partition("/")
                     try:
-                        code = None, (dom.from_fraction(int(num), int(den))
-                                      if den else int(num))
+                        k = (dom.from_fraction(int(num), int(den))
+                             if den else int(num))
                     except ValueError:
                         return None
+                    code = None, k, (-1 if k and str(dom.reduce(k)) == factor
+                                     else -2)
                 else:
                     name, _, power = factor.partition("^")
                     i = index.get(name)
                     if i is None or i >= ring.laurent and power[:1] == "-":
                         return None
-                    code = i, int(power) if power else 1
+                    k = int(power) if power else 1
+                    code = i, k, (i if not power or k != 0 and k != 1
+                                  and power == str(k) else -2)
                 decoded[factor] = code
-            i, k = code
+            i, k, order = code
+            if order <= last:
+                canonical = False
+            last = order
             if i is None:
                 coeff *= k
             else:
                 exp[i] += k
         exp = tuple(exp)
+        if canonical:
+            key = sum(exp), exp
+            if pos and key >= last_key:
+                canonical = False
+            last_key = key
         acc[exp] = acc.get(exp, 0) + coeff
+        prev = end
         pos = m.end()
         if pos == len(text):
-            return MixedPoly._trusted(ring, _canonical_sum(acc, dom.reduce))
+            if not canonical:
+                return MixedPoly._trusted(ring, _canonical_sum(acc, dom.reduce))
+            value = _PrintedPoly._trusted(ring, tuple(acc.items()))
+            value._text = text[begin:end]
+            return value
 
 
 def parse_expression(ring, text, lineno=1):
@@ -431,12 +483,16 @@ def _json(obj, indent=""):
         return brackets
     inner = indent + "  "
     if kind is dict:
-        items = (encode_basestring_ascii(k) + ": " + _json(v, inner)
-                 for k, v in obj.items())
-    elif set(map(type, obj)) == {int}:
-        items = map(repr, obj)
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in obj.items()]
     else:
-        items = (_json(v, inner) for v in obj)
+        kinds = set(map(type, obj))
+        if kinds == {int}:
+            items = map(repr, obj)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = [_json(v, inner) for v in obj]
     return "%s\n%s%s\n%s%s" % (brackets[0], inner,
                              (",\n" + inner).join(items), indent, brackets[1])
 

@@ -176,10 +176,10 @@ def test_round_trip_generated_instances():
         assert phi2 == phi
 
 
-def test_rendered_map_lines_take_the_flat_path(monkeypatch):
-    # every map line `render_problem` writes is a flat sum, parsed with no
-    # recursive descent: the benchmark's small strata and its named tail
-    # specs, on four domains
+@pytest.fixture(scope="module")
+def benchmark_maps():
+    """The maps of the benchmark's small strata and its named tail specs,
+    on four domains."""
     specs = [GeneratorSpec(n, d, seed % (d + 1), seed, c, dom)
              for n in range(2, 6) for d in range(1, min(3, n) + 1)
              for c in range(3) for seed in range(5) for dom in DOMAINS]
@@ -187,13 +187,70 @@ def test_rendered_map_lines_take_the_flat_path(monkeypatch):
               for n, d, r, seed, c in ((5, 3, 0, 1004, 3), (6, 3, 2, 1014, 4),
                                        (6, 3, 0, 1016, 3))
               for dom in DOMAINS]
-    phis = [gen_random_idempotent(spec) for spec in specs]
+    return [gen_random_idempotent(spec) for spec in specs]
 
+
+def test_rendered_map_lines_take_the_flat_path(benchmark_maps, monkeypatch):
+    # every map line `render_problem` writes is a flat sum, parsed with no
+    # recursive descent
     def refuse(ring, text, lineno):
         raise AssertionError("not a flat sum: %s" % text)
     monkeypatch.setattr(grammar, "_ExprParser", refuse)
-    for phi in phis:
+    for phi in benchmark_maps:
         assert parse_problem(render_problem(phi))[1] == phi
+
+
+def kept(p):
+    return isinstance(p, grammar._PrintedPoly)
+
+
+def test_rendered_map_lines_keep_their_text(benchmark_maps):
+    # the printer's own lines are proved canonical and print as read: the
+    # six named files, and every nonzero image `render_problem` writes for
+    # the benchmark's specs
+    for name in sorted(os.listdir(BENCH_NAMED)):
+        with open(os.path.join(BENCH_NAMED, name), encoding="utf-8") as fh:
+            _, phi = parse_problem(fh.read())
+        assert all(map(kept, phi.images)), name
+    zero = 0
+    for phi in benchmark_maps:
+        for img in parse_problem(render_problem(phi))[1].images:
+            assert kept(img) != img.is_zero(), img
+            zero += img.is_zero()
+    assert zero  # "0" prints with no monomial, and is left to the printer
+
+
+def test_report_prints_no_parsed_image(monkeypatch):
+    path = os.path.join(BENCH_NAMED, "GF32003_n6d3r2c4_s1014.ring")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    _, phi = parse_problem(text)
+    rep = analyze(phi)
+    images = set(map(id, phi.images))
+    assert all(id(g) in images and kept(g) for g in rep.generators[rep.r:])
+    printed = []
+    monomial_str = MixedPoly._monomial_str
+
+    def counting(self, exp):
+        printed.append(self)
+        return monomial_str(self, exp)
+    monkeypatch.setattr(MixedPoly, "_monomial_str", counting)
+    out = render_report(rep, "json")
+    monkeypatch.undo()
+    # one call per y-variable, one per term of the y's among the
+    # generators, one per term of each quotient generator
+    assert len(printed) == len(rep.y_variables) + sum(
+        len(g.terms) for g in rep.generators[:rep.r]
+        + rep.quotient_generators)
+    assert not any(id(p) in images for p in printed)
+    # respaced, the map lines of several terms are printed from their
+    # terms, to the same bytes
+    _, phi2 = parse_problem(text.replace(" + ", "  +  "))
+    assert phi2 == phi
+    respaced = [" + " in str(img) for img in phi.images]
+    assert sum(respaced) > 1
+    assert [kept(img) for img in phi2.images] == [not r for r in respaced]
+    assert render_report(analyze(phi2), "json") == out
 
 
 @pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)
@@ -276,9 +333,16 @@ def test_report_writer_matches_json_dumps_on_every_value_kind():
         "mixed": [1, True, "1", [1, [2, -3]], {"k": [False, 0]}],
         "matrix": [[1, 0, -7], [0, 2 ** 70, 0]],
         "scalars": {"int": -5, "big": 3 ** 100, "bool": False, "str": "s"},
+        # a list of str alone, like a report's generators, is joined in
+        # one call, as a list of int alone is
+        "strs": ["x1 - 1/2", "é\n\"", "", "😀"],
+        "no items": [],
+        "strs and ints": ["1", 1, "", 0, "-2", -2],
+        "strs and bools": ["true", True, False],
     }
     assert grammar._json(obj) == json.dumps(obj, indent=2)
-    for scalar in (0, -3, True, False, "", "é", [], {}):
+    for scalar in (0, -3, True, False, "", "é", [], {}, ["a"], [""], [1],
+                   ["1", 1], [1, "1"], [[1], ["1"]]):
         assert grammar._json(scalar) == json.dumps(scalar, indent=2)
     # a report holds no float, None, tuple or non-str key
     for bad in (1.5, [1, 2.0], {"a": [0.5]}, None, [None], (1, 2),

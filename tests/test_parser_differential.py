@@ -8,8 +8,11 @@ polynomials or the same `ParseError` message, line and column, whether
 `parse_expression` takes the flat-sum path or recursive descent.
 """
 
+import collections
+import os
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -381,3 +384,231 @@ def test_problem_files_match_reference(monkeypatch):
         else:
             assert got == want, text
     assert sum(want[0] == "error" for want in expected) == len(PROBLEMS) - 5
+
+
+# -- kept text ---------------------------------------------------------------
+#
+# A flat sum that is exactly its value's print keeps that text, and `str`
+# returns it.  Canonical lines, and seeded mutations of them, are parsed;
+# whenever a value keeps text, the text must be the stripped input, a fresh
+# print of the value's terms, and the terms must be recursive descent's.
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+BENCH_NAMED = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "bench", "named")
+KEPT_DOMAINS = (QQ, ZZ, GF(2), GF(5), GF(32003))
+COEFFICIENTS = {QQ: (1, -1, 2, -3, 12, Fraction(1, 2), Fraction(-3, 4),
+                     Fraction(7, 3)),
+                ZZ: (1, -1, 2, -3, 12, 100)}
+
+
+def fresh_print(p):
+    return MixedPoly.__str__(MixedPoly._trusted(p.ring, p.terms))
+
+
+def random_line(ring, rng):
+    """The print of a random nonzero element of up to 6 terms."""
+    dom = ring.domain
+    pool = COEFFICIENTS.get(dom) or (1, 2, 3, dom.p - 1, dom.p // 2)
+    while True:
+        terms = [(tuple(rng.randint(-3 if i < ring.laurent else 0, 3)
+                        for i in range(ring.n)), rng.choice(pool))
+                 for _ in range(rng.randint(1, 6))]
+        p = MixedPoly(ring, terms)
+        if p.terms:
+            return fresh_print(p)
+
+
+def split_terms(text):
+    """[sign, factors] per term of a canonical print."""
+    parts = re.split(r" ([-+]) ", text)
+    first = parts[0]
+    terms = [["-", first[1:]] if first[0] == "-" else ["+", first]]
+    terms += [list(t) for t in zip(parts[1::2], parts[2::2])]
+    return [[sign, body.split("*")] for sign, body in terms]
+
+
+def join_terms(terms):
+    pieces = []
+    for sign, factors in terms:
+        body = "*".join(factors)
+        if pieces:
+            pieces.append(" %s %s" % (sign, body))
+        else:
+            pieces.append(body if sign == "+" else "-" + body)
+    return "".join(pieces)
+
+
+def _variables(terms):
+    """(term, factor) positions of the variable factors."""
+    return [(t, f) for t, (_, factors) in enumerate(terms)
+            for f, factor in enumerate(factors) if factor[0] > "9"]
+
+
+def _respace(new):
+    def mutate(text, terms, rng, ring):
+        seps = [m.start() for m in re.finditer(" [-+] ", text)]
+        if not seps:
+            return None
+        at = rng.choice(seps)
+        return text[:at] + new(text[at + 1]) + text[at + 3:]
+    return mutate
+
+
+def _on_variable(edit):
+    def mutate(text, terms, rng, ring):
+        spots = _variables(terms)
+        if not spots:
+            return None
+        t, f = rng.choice(spots)
+        name, _, power = terms[t][1][f].partition("^")
+        terms[t][1][f:f + 1] = edit(name, power)
+        return join_terms(terms)
+    return mutate
+
+
+def _on_term(edit):
+    def mutate(text, terms, rng, ring):
+        edit(rng.choice(terms), ring)
+        return join_terms(terms)
+    return mutate
+
+
+def _shift(delta):
+    """A term's coefficient k, when an integer, written as k + delta·p
+    (p = 5 over QQ and ZZ): 32004 for 1 over GF(32003), -2 for 3 and 5 for
+    0 over GF(5)."""
+    def edit(term, ring):
+        sign, factors = term
+        if factors[0].isdigit():
+            k = int(factors.pop(0))
+        elif factors[0][0] > "9":
+            k = 1
+        else:
+            return  # a fraction
+        k = (-k if sign == "-" else k) + delta * (ring.domain.p or 5)
+        term[0] = "-" if k < 0 else "+"
+        factors.insert(0, str(abs(k)))
+    return _on_term(edit)
+
+
+def _insert(*numbers):
+    def edit(term, ring):
+        term[1][0:0] = numbers
+    return _on_term(edit)
+
+
+def _append(term):
+    return lambda text, terms, rng, ring: "%s + %s" % (
+        text, term % rng.choice(ring.names))
+
+
+MUTATIONS = [
+    ("doubled space", lambda text, terms, rng, ring:
+        text.replace(" ", "  ", 1)),
+    ("tab", lambda text, terms, rng, ring: text.replace(" ", "\t", 1)),
+    ("leading space", lambda text, terms, rng, ring: " " + text),
+    ("trailing space", lambda text, terms, rng, ring: text + " \n"),
+    ("glued +", _respace(lambda sign: " " + sign)),
+    ("glued term", _respace(lambda sign: sign + " ")),
+    ("no spaces", _respace(lambda sign: sign)),
+    ("- x at the start", lambda text, terms, rng, ring:
+        "- " + text[text[0] == "-":]),
+    ("negated", lambda text, terms, rng, ring:
+        text[1:] if text[0] == "-" else "-" + text),
+    ("^1", _on_variable(lambda name, power: [name + "^1"])),
+    ("^0", _on_variable(lambda name, power: [name + "^0"])),
+    ("^02", _on_variable(lambda name, power: [
+        name + "^" + re.sub("[0-9]", "0\\g<0>", power or "1", 1)])),
+    ("^-0", _on_variable(lambda name, power: [name + "^-0"])),
+    ("repeated variable", _on_variable(
+        lambda name, power: [name + "^" + power if power else name, name])),
+    ("1*", _insert("1")),
+    ("3*1*", _insert("3", "1")),
+    ("swapped factors", _on_term(lambda term, ring: term[1].reverse())),
+    ("reversed terms", lambda text, terms, rng, ring:
+        join_terms(terms[::-1])),
+    ("duplicated term", lambda text, terms, rng, ring:
+        join_terms(terms + [rng.choice(terms)])),
+    ("cancelling term", lambda text, terms, rng, ring: join_terms(
+        terms + [["-+"[t[0] == "-"], t[1]] for t in [rng.choice(terms)]])),
+    ("+ 0", lambda text, terms, rng, ring: text + " + 0"),
+    ("0*y", _append("0*%s")),
+    ("2/4", _append("2/4*%s")),
+    ("p*x", lambda text, terms, rng, ring: "%s + %d*%s" % (
+        text, ring.domain.p or 5, rng.choice(ring.names))),
+    ("k + p", _shift(1)),
+    ("k - p", _shift(-1)),
+]
+
+
+# the mutations that leave a canonical line canonical: an outer space, a
+# negation over QQ or ZZ, a coefficient moved by p over QQ or ZZ, or a
+# term appended after the others
+MAY_KEEP = {"leading space", "trailing space", "negated", "k + p", "k - p",
+            "p*x"}
+
+
+def check_kept(ring, text):
+    """Parse text; if the value keeps text, it must be the true print."""
+    try:
+        value = parse_expression(ring, text)
+    except ParseError:
+        return "error"
+    if not isinstance(value, grammar._PrintedPoly):
+        return "printed"
+    assert str(value) == text.strip() == fresh_print(value), text
+    expected = grammar._ExprParser(ring, text, 1).parse().terms
+    assert value.terms == expected, text
+    assert ([type(c) for _, c in value.terms]
+            == [type(c) for _, c in expected]), text
+    return "kept"
+
+
+def check_mutations(ring, text, rng, mutations, stats):
+    assert check_kept(ring, text) == "kept", text
+    for name, mutate in mutations:
+        mutated = mutate(text, split_terms(text), rng, ring)
+        if mutated is not None and mutated != text:
+            outcome = check_kept(ring, mutated)
+            stats[name, outcome] += 1
+            assert outcome != "kept" or name in MAY_KEEP, (name, mutated)
+
+
+def file_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        ring, phi = parse_problem(fh.read())
+    return ring, [fresh_print(img) for img in phi.images if img.terms]
+
+
+def test_kept_text_is_the_print_of_random_elements():
+    stats = collections.Counter()
+    rng = random.Random(29)
+    for dom in KEPT_DOMAINS:
+        for names, laurent in ((("x", "y", "z"), 2), (("a", "b"), 0),
+                               (("u", "v"), 2)):
+            ring = RingSignature(names, laurent, dom)
+            for _ in range(16):
+                check_mutations(ring, random_line(ring, rng), rng,
+                                MUTATIONS, stats)
+    # every mutation changed some line, and each of those that may keep a
+    # line did
+    for name, _ in MUTATIONS:
+        assert sum(n for key, n in stats.items() if key[0] == name), name
+        assert (stats[name, "kept"] > 0) == (name in MAY_KEEP), (name, stats)
+
+
+def test_kept_text_is_the_print_of_file_images():
+    stats = collections.Counter()
+    rng = random.Random(30)
+    for name in sorted(os.listdir(DATA)):
+        if name != "undeclared.ring":
+            ring, lines = file_lines(os.path.join(DATA, name))
+            for text in lines:
+                check_mutations(ring, text, rng, MUTATIONS, stats)
+    # the named files' images have up to ~1,000 terms: one mutation each
+    for name in sorted(os.listdir(BENCH_NAMED)):
+        ring, lines = file_lines(os.path.join(BENCH_NAMED, name))
+        for text in lines:
+            check_mutations(ring, text, rng, [rng.choice(MUTATIONS)], stats)
+    assert sum(stats.values()) > 200, stats
