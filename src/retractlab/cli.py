@@ -41,8 +41,9 @@ class InputReadError(Exception):
 
 
 def _load(path):
+    # utf-8-sig drops the byte-order mark that Windows editors write first
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise InputReadError(str(exc)) from None

@@ -15,11 +15,12 @@ with '#'.  The ASCII spelling ^+- is accepted for ^±; the printer always
 emits ^±.
 
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
-parses in one regex pass, a match per term.  Each distinct factor text of a
-line, such as x3^-6 or 1/2, is decoded once, and names are looked up in the
-ring's own name index.  A sum written exactly as the printer writes it
-keeps its text, and prints as that text; any other sum prints from its
-terms, to the same bytes.  Anything else goes to recursive descent over
+is cut into terms by `str.replace` and `str.split`, however its signs are
+spaced, with no regex match per term.  Each distinct factor text of a file,
+such as x3^-6 or 1/2, is checked by one regex match and decoded once, and
+names are looked up in the ring's own name index.  A sum written exactly
+as the printer writes it keeps its text, and prints as that text; any
+other sum prints from its terms, to the same bytes.  Anything else goes to recursive descent over
 the (kind, text, col) tuples of one scanning regex, which raises every
 ParseError, quoting a token as written or "end of line".
 
@@ -281,11 +282,9 @@ class _ExprParser:
             raise ParseError(str(exc), self.lineno, caret) from None
 
 
-# a term of a flat sum: an optional sign and a product of numbers and
-# variable powers with no whitespace inside
-_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|%s(?:\^-?[0-9]+)?)" % _IDENT
-_FLAT_TERM_RE = re.compile(r"\s*([-+]?)\s*(%s(?:\*%s)*)\s*"
-                           % (_FACTOR, _FACTOR))
+# a factor of a flat sum: a number or a variable power, no space inside
+_FACTOR = r"[0-9]+(?:/[0-9]+)?|%s(?:\^-?[0-9]+)?" % _IDENT
+_is_factor = re.compile(_FACTOR).fullmatch
 
 
 class _PrintedPoly(MixedPoly):
@@ -298,52 +297,51 @@ class _PrintedPoly(MixedPoly):
         return self._text
 
 
-def _parse_flat(ring, text):
-    """The value of a flat sum, matched a term at a time (a match of the
-    whole sum keeps a backtracking entry per factor), or None for anything
-    that recursive descent must parse or reject.  Each distinct factor text
-    is decoded once, into (index, power, order) or (None, coefficient,
-    order).  The pass also proves, where it holds, that the stripped text
-    is the value's print, which the value then keeps: terms joined by
-    exactly " + " or " - ", with no space after a leading "-"; a term's one
-    number, if any, first, `str` of its nonzero canonical coefficient, not
-    a 1 before a variable nor negated over GF(p); its variables in strictly
-    increasing index order, each name or name^k by `str(k)`, k not 0 or 1
-    (a factor's order is -1 for such a number, its index for such a
-    variable, else -2); exponents strictly decreasing in graded-lex order,
-    so no two terms merge.  Such terms are canonical as read."""
+def _parse_flat(ring, text, factors):
+    """The value of a flat sum, or None for anything that recursive descent
+    must parse or reject.  C-level string calls cut the stripped text into
+    words, with no regex match per term: a space either side of every sign
+    but the '-' of '^-', then `str.split`.  The words must read [-] product
+    (sign product)*, a product being factors joined by '*'.  Each distinct
+    factor text is checked by `_is_factor` and decoded once, into `factors`
+    as (index, power, order) or (None, coefficient, order).  The pass also
+    proves, where it holds, that the stripped text is the value's print,
+    which the value then keeps: the words joined by single spaces, with no
+    space after a leading '-'; a term's one number, if any, first, `str` of
+    its nonzero canonical coefficient, not a 1 before a variable nor
+    negated over GF(p); its variables in strictly increasing index order,
+    each name or name^k by `str(k)`, k not 0 or 1 (a factor's order is -1
+    for such a number, its index for such a variable, else -2); exponents
+    strictly decreasing in graded-lex order, so no two terms merge.  Such
+    terms are canonical as read."""
+    line = text.strip()
+    words = (line.replace("+", " + ").replace("-", " - ")
+             .replace("^ - ", "^-").split())
+    negated = line[:1] == "-"
+    products = words[negated::2]
+    signs = words[negated + 1::2]
+    if (len(products) != len(signs) + 1
+            or signs.count("+") + signs.count("-") != len(signs)):
+        return None
+    canonical = " ".join(words) == (line.replace("-", "- ", 1) if negated
+                                    else line)
     dom = ring.domain
     index = ring._index
     residues = dom.p is not None
-    decoded = {}
     acc = {}
-    pos = 0
-    canonical = True
-    while True:
-        m = _FLAT_TERM_RE.match(text, pos)
-        if m is None:
-            return None
-        sign, product = m.groups()
-        start, end = m.span(2)
-        # the first term may be negated, and every later one has a sign
-        if pos == 0:
-            if sign == "+":
-                return None
-            begin = start - len(sign)
-            if text[begin:start] != sign:
-                canonical = False
-        elif not sign:
-            return None
-        elif text[prev:start] not in (" + ", " - "):
-            canonical = False
+    last_key = None
+    signs.insert(0, "-" if negated else "+")
+    for sign, product in zip(signs, products):
         coeff = -1 if sign == "-" else 1
         if coeff < 0 and residues or product[:2] == "1*":
             canonical = False
         exp = [0] * ring.n
         last = -2
         for factor in product.split("*"):
-            code = decoded.get(factor)
+            code = factors.get(factor)
             if code is None:
+                if not _is_factor(factor):
+                    return None
                 if factor[0] <= "9":
                     num, _, den = factor.partition("/")
                     try:
@@ -361,7 +359,7 @@ def _parse_flat(ring, text):
                     k = int(power) if power else 1
                     code = i, k, (i if not power or k != 0 and k != 1
                                   and power == str(k) else -2)
-                decoded[factor] = code
+                factors[factor] = code
             i, k, order = code
             if order <= last:
                 canonical = False
@@ -373,23 +371,22 @@ def _parse_flat(ring, text):
         exp = tuple(exp)
         if canonical:
             key = sum(exp), exp
-            if pos and key >= last_key:
+            if last_key is not None and key >= last_key:
                 canonical = False
             last_key = key
         acc[exp] = acc.get(exp, 0) + coeff
-        prev = end
-        pos = m.end()
-        if pos == len(text):
-            if not canonical:
-                return MixedPoly._trusted(ring, _canonical_sum(acc, dom.reduce))
-            value = _PrintedPoly._trusted(ring, tuple(acc.items()))
-            value._text = text[begin:end]
-            return value
+    if not canonical:
+        return MixedPoly._trusted(ring, _canonical_sum(acc, dom.reduce))
+    value = _PrintedPoly._trusted(ring, tuple(acc.items()))
+    value._text = line
+    return value
 
 
-def parse_expression(ring, text, lineno=1):
-    """A flat sum in one regex pass, anything else by recursive descent."""
-    value = _parse_flat(ring, text)
+def parse_expression(ring, text, lineno=1, factors=None):
+    """A flat sum by string splitting, anything else by recursive descent.
+    `factors` is a dict of decoded factor texts that calls on one ring may
+    share, as `parse_problem` does over a file's lines."""
+    value = _parse_flat(ring, text, {} if factors is None else factors)
     return _ExprParser(ring, text, lineno).parse() if value is None else value
 
 
@@ -397,6 +394,7 @@ def parse_problem(text):
     """Parse a problem file into (RingSignature, Endomorphism)."""
     ring = None
     images = {}
+    factors = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -412,7 +410,7 @@ def parse_problem(text):
             raise ParseError("undeclared identifier %r" % name, lineno)
         if name in images:
             raise ParseError("duplicate map line for %r" % name, lineno)
-        images[name] = parse_expression(ring, rhs, lineno)
+        images[name] = parse_expression(ring, rhs, lineno, factors)
     if ring is None:
         raise ParseError("missing ring header")
     missing = [nm for nm in ring.names if nm not in images]

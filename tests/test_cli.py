@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -237,6 +238,29 @@ def test_non_utf8_input_is_a_read_error(tmp_path, capsys):
     bad.write_bytes("ring QQ[x^±]\nx -> x  # caf\u00e9\n".encode("latin-1"))
     assert run_cli(["check", str(bad)]) == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stray", [b"\n" + codecs.BOM_UTF8 + b"x1",
+                                   b"-> " + codecs.BOM_UTF8 + b"1"],
+                         ids=["line start", "expression"])
+def test_leading_byte_order_mark_is_skipped(stray, tmp_path, capsysbinary):
+    # Windows editors start a UTF-8 file with a byte-order mark; anywhere
+    # else it is a stray character
+    with open(path("e1.ring"), "rb") as fh:
+        text = fh.read()
+    marked = tmp_path / "marked.ring"
+    marked.write_bytes(codecs.BOM_UTF8 + text)
+    assert run_cli(["analyze", "--json", str(marked)]) == 0
+    with open(os.path.join(GOLDEN, "e1.stdout"), "rb") as fh:
+        assert capsysbinary.readouterr().out == fh.read()
+    assert run_cli(["check", str(marked)]) == 0
+    capsysbinary.readouterr()
+    plain = stray.replace(codecs.BOM_UTF8, b"")
+    assert plain in text
+    stray_file = tmp_path / "stray.ring"
+    stray_file.write_bytes(text.replace(plain, stray, 1))
+    assert run_cli(["check", str(stray_file)]) == 2
+    assert b"parse error" in capsysbinary.readouterr().err
 
 
 def test_large_prime_modulus(tmp_path, capsys):

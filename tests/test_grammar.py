@@ -253,6 +253,33 @@ def test_report_prints_no_parsed_image(monkeypatch):
     assert render_report(analyze(phi2), "json") == out
 
 
+def test_flat_path_ignores_spacing(monkeypatch):
+    # a flat sum stays on the flat path however its signs are spaced: the
+    # map lines of the named files as written, respaced, and with every
+    # space removed (recursive descent takes ~10 times as long on 1014's
+    # unspaced x4 line); a line keeps its text only where it is still
+    # spelled exactly as its print
+    def refuse(ring, text, lineno):
+        raise AssertionError("not a flat sum: %s" % text)
+    monkeypatch.setattr(grammar, "_ExprParser", refuse)
+    respellings = (lambda line: line.replace(" + ", "  +  ")
+                   .replace(" - ", "  -  "),
+                   lambda line: line.replace(" ", ""))
+    for name in sorted(os.listdir(BENCH_NAMED)):
+        with open(os.path.join(BENCH_NAMED, name), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        _, phi = parse_problem("\n".join(lines))
+        assert all(map(kept, phi.images)), name
+        for respell in respellings:
+            new = [respell(line) if "->" in line else line for line in lines]
+            _, phi2 = parse_problem("\n".join(new))
+            assert phi2.images == phi.images, name
+            unchanged = [a.split("->")[1].strip() == b.split("->")[1].strip()
+                         for a, b in zip(lines, new) if "->" in a]
+            assert [kept(img) for img in phi2.images] == unchanged, name
+            assert not all(unchanged), name
+
+
 @pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)
 def test_parse_largest_named_instance(dom):
     # the benchmark's 1014 files, the largest problem files in the repository

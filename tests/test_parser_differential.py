@@ -179,7 +179,9 @@ class _ReferenceParser:
                             else repr(tok.value)), self.lineno, tok.col)
 
 
-def reference_parse(ring, text, lineno=1):
+def reference_parse(ring, text, lineno=1, factors=None):
+    """`parse_expression`'s signature; its table of decoded factor texts
+    has no use here."""
     return _ReferenceParser(ring, text, lineno).parse()
 
 
@@ -330,6 +332,13 @@ EXPRESSIONS = [
     "w", "x + w^2", "1/2*x", "é", "x^²", "x $ 1", "3/ * x",
     "1/0", "x + )", "x 3", "(x + 1) 3/4", "(x 3/4)", "%sx%s" % ("(" * (MAX_NESTING + 1), ")" * (MAX_NESTING + 1)),
     "%sx%s" % ("(" * MAX_NESTING, ")" * MAX_NESTING),
+    # spacing around a caret and its sign, which the flat parser's word
+    # split must not glue into a factor
+    "x^ - 3", "x ^ -3", "x^\t-\t3", "x^- y", "x^+3", "x^-y+1",
+    # sign placement
+    "+x", "x + +y", "x +-y", "- x + y", "x +", "x*-y", "2*-x", "x-1/2",
+    # each kind of whitespace around a sign
+    "x\t-\ty", "x\v-\vy", "x\f-\fy", "x\u00a0-\u00a0y", "x\u2003-\u2003y",
 ]
 
 
