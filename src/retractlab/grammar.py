@@ -16,13 +16,14 @@ emits ^±.
 
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
 is cut into terms by `str.replace` and `str.split`, however its signs are
-spaced, with no regex match per term.  Each distinct factor text of a file,
+spaced, with no regex match per term.  Each distinct factor text of a line,
 such as x3^-6 or 1/2, is checked by one regex match and decoded once, and
 names are looked up in the ring's own name index.  A sum written exactly
 as the printer writes it keeps its text, and prints as that text; any
-other sum prints from its terms, to the same bytes.  Anything else goes to recursive descent over
-the (kind, text, col) tuples of one scanning regex, which raises every
-ParseError, quoting a token as written or "end of line".
+other sum prints from its terms, to the same bytes.  Anything else goes to
+recursive descent over the (kind, text, col) tuples of one scanning regex,
+which raises every ParseError, quoting a token as written or "end of
+line".
 
 A JSON report is written as `json.dumps(report, indent=2)` would write it,
 by a writer that joins each list of ints, or of strs, in one call.
@@ -297,14 +298,14 @@ class _PrintedPoly(MixedPoly):
         return self._text
 
 
-def _parse_flat(ring, text, factors):
+def _parse_flat(ring, text):
     """The value of a flat sum, or None for anything that recursive descent
     must parse or reject.  C-level string calls cut the stripped text into
     words, with no regex match per term: a space either side of every sign
     but the '-' of '^-', then `str.split`.  The words must read [-] product
     (sign product)*, a product being factors joined by '*'.  Each distinct
-    factor text is checked by `_is_factor` and decoded once, into `factors`
-    as (index, power, order) or (None, coefficient, order).  The pass also
+    factor text is checked by `_is_factor` and decoded once, into
+    (index, power, order) or (None, coefficient, order).  The pass also
     proves, where it holds, that the stripped text is the value's print,
     which the value then keeps: the words joined by single spaces, with no
     space after a leading '-'; a term's one number, if any, first, `str` of
@@ -328,6 +329,7 @@ def _parse_flat(ring, text, factors):
     dom = ring.domain
     index = ring._index
     residues = dom.p is not None
+    decoded = {}
     acc = {}
     last_key = None
     signs.insert(0, "-" if negated else "+")
@@ -338,7 +340,7 @@ def _parse_flat(ring, text, factors):
         exp = [0] * ring.n
         last = -2
         for factor in product.split("*"):
-            code = factors.get(factor)
+            code = decoded.get(factor)
             if code is None:
                 if not _is_factor(factor):
                     return None
@@ -359,7 +361,7 @@ def _parse_flat(ring, text, factors):
                     k = int(power) if power else 1
                     code = i, k, (i if not power or k != 0 and k != 1
                                   and power == str(k) else -2)
-                factors[factor] = code
+                decoded[factor] = code
             i, k, order = code
             if order <= last:
                 canonical = False
@@ -382,11 +384,9 @@ def _parse_flat(ring, text, factors):
     return value
 
 
-def parse_expression(ring, text, lineno=1, factors=None):
-    """A flat sum by string splitting, anything else by recursive descent.
-    `factors` is a dict of decoded factor texts that calls on one ring may
-    share, as `parse_problem` does over a file's lines."""
-    value = _parse_flat(ring, text, {} if factors is None else factors)
+def parse_expression(ring, text, lineno=1):
+    """A flat sum by string splitting, anything else by recursive descent."""
+    value = _parse_flat(ring, text)
     return _ExprParser(ring, text, lineno).parse() if value is None else value
 
 
@@ -394,7 +394,6 @@ def parse_problem(text):
     """Parse a problem file into (RingSignature, Endomorphism)."""
     ring = None
     images = {}
-    factors = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -410,7 +409,7 @@ def parse_problem(text):
             raise ParseError("undeclared identifier %r" % name, lineno)
         if name in images:
             raise ParseError("duplicate map line for %r" % name, lineno)
-        images[name] = parse_expression(ring, rhs, lineno, factors)
+        images[name] = parse_expression(ring, rhs, lineno)
     if ring is None:
         raise ParseError("missing ring header")
     missing = [nm for nm in ring.names if nm not in images]

@@ -179,9 +179,7 @@ class _ReferenceParser:
                             else repr(tok.value)), self.lineno, tok.col)
 
 
-def reference_parse(ring, text, lineno=1, factors=None):
-    """`parse_expression`'s signature; its table of decoded factor texts
-    has no use here."""
+def reference_parse(ring, text, lineno=1):
     return _ReferenceParser(ring, text, lineno).parse()
 
 
