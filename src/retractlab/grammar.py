@@ -34,7 +34,8 @@ from json.encoder import encode_basestring_ascii
 
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
-from .ring import MixedPoly, RingSignature, NonUnitError, _canonical_sum
+from .ring import (MixedPoly, RingSignature, NonUnitError, VARIABLE_NAME,
+                   _canonical_sum, _is_variable_name)
 
 
 class ParseError(ValueError):
@@ -51,8 +52,6 @@ class ParseError(ValueError):
 # the domain is whatever precedes the '[': `parse_domain` reads it
 _HEADER_RE = re.compile(r"^\s*ring\s+([^\[]*?)\s*\[(.*)\]\s*$")
 _DOMAIN_RE = re.compile(r"QQ|ZZ|GF\(\s*([0-9]+)\s*\)")
-_IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
-_IDENT_RE = re.compile(_IDENT)
 
 # Exponents are dense n-tuples, so a map of n variables takes memory and
 # time quadratic in n before any analysis, and a small file could exhaust
@@ -101,7 +100,7 @@ def _parse_header(line, lineno):
         else:
             name = part
             seen_plain = True
-        if not _IDENT_RE.fullmatch(name):
+        if not _is_variable_name(name):
             raise ParseError("bad variable name %r" % name, lineno)
         names.append(name)
     if len(set(names)) != len(names):
@@ -114,7 +113,7 @@ def _parse_header(line, lineno):
 # a number with an optional /denominator, an identifier, an operator, or
 # any other non-space character (an error)
 _TOKEN_RE = re.compile(r"(?P<number>[0-9]+(?:/[0-9]*)?)|(?P<ident>%s)"
-                       r"|(?P<op>[-+*^()])|(?P<other>\S)" % _IDENT)
+                       r"|(?P<op>[-+*^()])|(?P<other>\S)" % VARIABLE_NAME)
 
 
 def _tokenize(text, lineno):
@@ -284,7 +283,7 @@ class _ExprParser:
 
 
 # a factor of a flat sum: a number or a variable power, no space inside
-_FACTOR = r"[0-9]+(?:/[0-9]+)?|%s(?:\^-?[0-9]+)?" % _IDENT
+_FACTOR = r"[0-9]+(?:/[0-9]+)?|%s(?:\^-?[0-9]+)?" % VARIABLE_NAME
 _is_factor = re.compile(_FACTOR).fullmatch
 
 

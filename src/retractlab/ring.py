@@ -14,16 +14,21 @@ its result from canonical terms directly.  A ring builds its variables
 once, on the first call to `variable`, and hands out the same n elements
 after that.
 
-Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
-one helper, `_canonical_sum`, and products (`*`, `**` and every product
-inside `substitute`) in one kernel.  When either operand has one term, the
-product only shifts the other operand's exponents and scales its
-coefficients: a shift keeps graded-lex order, and the domains have no zero
-divisors, so no dict and no sort are needed.  A product by the constant 1
-is the other operand's terms, and `p ** 1` is p.  Otherwise every term pair
-is summed into one dict keyed by exponent tuple, on integer coefficients (a
-QQ operand is scaled over one common denominator, divided out at the end),
-and the dict is canonicalized by `_canonical_sum`.
+Sums (`+`, `-`, the constructor and `substitute`) end in one helper,
+`_canonical_sum`, and term-pair products (`*`, `**` and every product inside
+`substitute`) in one loop, `_add_products`, which adds each product into a
+dict keyed by exponent tuple, unreduced and unsorted.  When either operand
+of `*` has one term, the product only shifts the other operand's exponents
+and scales its coefficients: a shift keeps graded-lex order, and the
+domains have no zero divisors, so no dict and no sort are needed.  A
+product by the constant 1 is the other operand's terms, and `p ** 1` is p.
+Otherwise `*` adds every term pair on integer coefficients (a QQ operand is
+scaled over one common denominator, divided out at the end), and the dict
+is canonicalized by `_canonical_sum`.
+
+An element prints through its ring's `name^e` strings, one dict per
+variable from exponent to text, built on the ring's first print and filled
+with each exponent the first time it is printed.
 
 `substitute` maps into a ring over the same domain; images over another
 domain raise RingMismatchError.  A variable maps to its image.  Images
@@ -36,22 +41,35 @@ term by term; a variable image x_k adds nothing, as one gather per term
 moves its exponent to place k.  When no image that the element uses has
 two terms, stage 1 sums straight into the result.  Otherwise the terms are
 grouped by their exponents β on the variables with multi-term images, and
-only a group that does not cancel is multiplied by ∏ images[i]^β_i (stage
-2): the large powers that a full expansion would build, and that then
-cancel, are never formed.  When more than two groups need a product and
-each holds one term, as when the Laurent images are scalars, they are
-summed by the multivariate Horner scheme instead (Ceberio & Kreinovich,
-"Greedy algorithms for optimizing multivariate Horner schemes", 2004):
-each product then multiplies by a low power of one image, and the powers
-the groups share are built once.  Where some group holds several terms,
-each group keeps its own product, since Horner's rule would multiply those
-terms through every fold.
+only the terms of a group that do not cancel are multiplied by
+∏ images[i]^β_i (stage 2): the large powers that a full expansion would
+build, and that then cancel, are never formed.  Every group's products are
+added by `_add_products` into the one result dict, which is sorted once, as
+sparse multiplication accumulates all term products before ordering them
+(Johnson, "Sparse polynomial arithmetic", 1974).  When more than two groups
+need a product and each holds one term, as when the Laurent images are
+scalars, they are summed by the multivariate Horner scheme instead
+(Ceberio & Kreinovich, "Greedy algorithms for optimizing multivariate
+Horner schemes", 2004): each product then multiplies by a low power of one
+image, and the powers the groups share are built once.  Where some group
+holds several terms, each group keeps its own product, since Horner's rule
+would multiply those terms through every fold.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
+
+
+# a variable name, the one spelling the grammar reads
+VARIABLE_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+
+
+def _is_variable_name(name):
+    """Whether name is a str that matches VARIABLE_NAME: an ASCII
+    identifier, by str methods, which take a fraction of a regex match."""
+    return isinstance(name, str) and name.isascii() and name.isidentifier()
 
 
 class RingMismatchError(ValueError):
@@ -64,14 +82,21 @@ class NonUnitError(ValueError):
 
 class RingSignature:
     """The ambient ring: n named variables, the first `laurent` of them
-    invertible, over an exact coefficient domain.  `_index` maps each name
-    to its position, for the parser; `_variables` holds x_1..x_n, built on
-    the first call to `variable`."""
+    invertible, over an exact coefficient domain.  Each name must match
+    `VARIABLE_NAME`, so that every element prints as the grammar reads it.
+    `_index` maps each name to its position, for the parser; `_variables`
+    holds x_1..x_n, built on the first call to `variable`, and `_powers` the
+    printer's {exponent: text} dict of each variable, built on the first
+    print."""
 
-    __slots__ = ("names", "laurent", "domain", "n", "_index", "_variables")
+    __slots__ = ("names", "laurent", "domain", "n", "_index", "_variables",
+                 "_powers")
 
     def __init__(self, names, laurent, domain):
         names = tuple(names)
+        for name in names:
+            if not _is_variable_name(name):
+                raise ValueError("bad variable name %r" % (name,))
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
             raise ValueError("variable names must be pairwise distinct")
@@ -83,6 +108,7 @@ class RingSignature:
         self.n = len(names)
         self._index = index
         self._variables = None
+        self._powers = None
 
     def __eq__(self, other):
         return (isinstance(other, RingSignature)
@@ -191,15 +217,21 @@ def _product_terms(ring, f, g):
     den_f, f = _integer_terms(f)
     den_g, g = _integer_terms(g)
     acc = {}
+    _add_products(acc, f, g, add)
+    den = den_f * den_g
+    if den != 1:
+        return _canonical_sum(acc, lambda c: reduce(Fraction(c, den)))
+    return _canonical_sum(acc, reduce)
+
+
+def _add_products(acc, f, g, add):
+    """Add the product of every term of f by every term of g into acc, an
+    {exponent: coefficient} dict, unreduced and unsorted."""
     get = acc.get
     for e1, c1 in f:
         for e2, c2 in g:
             e = add(e1, e2)
             acc[e] = get(e, 0) + c1 * c2
-    den = den_f * den_g
-    if den != 1:
-        return _canonical_sum(acc, lambda c: reduce(Fraction(c, den)))
-    return _canonical_sum(acc, reduce)
 
 
 def _single_term_power(p, e):
@@ -518,7 +550,7 @@ class MixedPoly:
                 target_ring, _canonical_sum(acc, reduce)) + part
         power_cache = {}
         for beta, bucket in buckets.items():
-            terms = _canonical_sum(bucket, reduce)
+            terms = [(e, k) for e, c in bucket.items() if (k := reduce(c))]
             if not terms:
                 continue
             product = None
@@ -528,27 +560,29 @@ class MixedPoly:
                     if power is None:
                         power = power_cache[i, b] = images[i] ** b
                     product = power if product is None else product * power
-            part = MixedPoly._trusted(target_ring, terms) * product
-            for e, k in part.terms:
-                acc[e] = acc.get(e, 0) + k
+            _add_products(acc, terms, product.terms, add)
         return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
 
     # -- printing ------------------------------------------------------------
 
-    def _monomial_str(self, exp):
-        parts = []
-        for name, e in zip(self.ring.names, exp):
-            if e == 0:
-                continue
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        return "*".join(parts)
-
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        pieces = []
-        for exp, c in self.terms:
-            mono = self._monomial_str(exp)
+        ring = self.ring
+        powers = ring._powers
+        if powers is None:
+            # "" for exponent 0, which the join below skips
+            powers = ring._powers = [{0: "", 1: name} for name in ring.names]
+        out = None
+        for exp, c in terms:
+            try:
+                mono = "*".join(filter(None, map(getitem, powers, exp)))
+            except KeyError:  # an exponent printed for the first time
+                for table, name, e in zip(powers, ring.names, exp):
+                    if e not in table:
+                        table[e] = "%s^%d" % (name, e)
+                mono = "*".join(filter(None, map(getitem, powers, exp)))
             cs = str(c)
             if not mono:
                 piece = cs
@@ -557,11 +591,10 @@ class MixedPoly:
             elif cs == "-1":
                 piece = "-" + mono
             else:
-                piece = "%s*%s" % (cs, mono)
-            pieces.append(piece)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
+                piece = cs + "*" + mono
+            if out is None:
+                out = piece
+            elif piece[0] == "-":
                 out += " - " + piece[1:]
             else:
                 out += " + " + piece

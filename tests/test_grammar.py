@@ -9,6 +9,7 @@ from retractlab import (QQ, ZZ, GF, parse_problem, render_problem,
                         render_report, analyze, ParseError, RingSignature,
                         MixedPoly)
 from retractlab import grammar
+from retractlab.endo import identity
 from retractlab.grammar import parse_expression
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
 from random_elements import random_element
@@ -117,6 +118,8 @@ def test_parse_errors():
             ("x -> x\n", "expected 'ring <domain>[vars]' header", 1),
             ("ring QQ[x,,y]\n", "empty variable declaration", 1),
             ("ring QQ[1x]\n", "bad variable name '1x'", 1),
+            ("# names\nring QQ[x, y^2]\n", "bad variable name 'y^2'", 2),
+            ("\nring QQ[x^±, \u00e9]\n", "bad variable name '\u00e9'", 2),
             ("ring QQ[x,x]\n", "duplicate variable name", 1),
             ("ring QQ[x^±]\nx -> x\ny -> 1\n", "undeclared identifier 'y'", 3),
             ("# comments\n# only\n", "missing ring header", None)):
@@ -157,6 +160,15 @@ def test_print_parse_round_trip_corpus():
         ring2, phi2 = parse_problem(text)
         assert ring2 == ring and phi2 == phi
         assert render_problem(phi2) == text
+
+
+def test_every_ring_renders_a_file_that_parses():
+    # the ring accepts exactly the names the grammar reads, so every map it
+    # holds renders to a file that parses back to it
+    for names, laurent in ((["_", "x_1", "X9"], 2), (["a__", "B"], 0)):
+        ring = RingSignature(names, laurent, QQ)
+        phi = identity(ring)
+        assert parse_problem(render_problem(phi)) == (ring, phi)
 
 
 def test_round_trip_random_polynomials():
@@ -229,19 +241,18 @@ def test_report_prints_no_parsed_image(monkeypatch):
     images = set(map(id, phi.images))
     assert all(id(g) in images and kept(g) for g in rep.generators[rep.r:])
     printed = []
-    monomial_str = MixedPoly._monomial_str
+    to_str = MixedPoly.__str__
 
-    def counting(self, exp):
+    def counting(self):
         printed.append(self)
-        return monomial_str(self, exp)
-    monkeypatch.setattr(MixedPoly, "_monomial_str", counting)
+        return to_str(self)
+    monkeypatch.setattr(MixedPoly, "__str__", counting)
     out = render_report(rep, "json")
     monkeypatch.undo()
-    # one call per y-variable, one per term of the y's among the
-    # generators, one per term of each quotient generator
-    assert len(printed) == len(rep.y_variables) + sum(
-        len(g.terms) for g in rep.generators[:rep.r]
-        + rep.quotient_generators)
+    # printed from their terms: each y-variable, the y's among the
+    # generators and each quotient generator; a kept image returns its text
+    assert len(printed) == (len(rep.y_variables) + rep.r
+                            + len(rep.quotient_generators))
     assert not any(id(p) in images for p in printed)
     # respaced, the map lines of several terms are printed from their
     # terms, to the same bytes

@@ -340,6 +340,65 @@ def test_substitute_cancelling_buckets():
     assert got == x2 + x3 == reference_substitute(p + x2, images)
 
 
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_stage_two_buckets_match_reference(dom, monkeypatch):
+    # stage 2 adds each bucket's nonzero terms times its image powers into
+    # the result dict; a bucket that cancels, in the ring or mod p, makes
+    # no product.  The multi-term images are raised to the first power
+    # only, so each `_add_products` call adds a bucket's products, or
+    # multiplies the two images for β = (1, 1); no Horner fold runs
+    R = RingSignature(["x1", "x2", "x3"], 1, dom)
+    x1, x2, x3 = (R.variable(i) for i in range(3))
+    one = R.constant(1)
+    # a Fraction over QQ, a unit elsewhere
+    half = R.constant(Fraction(1, 2) if dom is QQ else -1)
+    unit = R.monomial((2, 0, 0), -1)
+    multi = [x2 * half + x3, x3 + R.constant(3)]
+    calls = []
+    add_products = ring_module._add_products
+
+    def recorded(acc, f, g, add):
+        calls.append((len(f), len(g)))
+        return add_products(acc, f, g, add)
+
+    def no_horner(*args):
+        raise AssertionError("Horner's rule on buckets of several terms")
+
+    monkeypatch.setattr(ring_module, "_add_products", recorded)
+    monkeypatch.setattr(ring_module, "_horner_sum", no_horner)
+
+    def products(p, x1_image):
+        images = [x1_image] + multi
+        del calls[:]
+        got = p.substitute(images)
+        assert got.terms == reference_substitute(p, images).terms
+        if dom is QQ:
+            assert_canonical_qq(got)
+        return calls[:]
+
+    # x1 -> 1: the x2·x3 bucket cancels, and x2 alone takes one product
+    cancelling = (x1 - one) * x2 * x3 + x2
+    assert products(cancelling, one) == [(1, 2)]
+    # 1 + 4 = 5: the x2·x3 bucket is 0 over GF(5) only
+    mod5 = x1 * x2 * x3 + R.constant(4) * x2 * x3 + x2
+    assert products(mod5, one) == ([(1, 2)] if dom.p == 5
+                                   else [(2, 2), (1, 4), (1, 2)])
+    # x1 -> -x1^2 keeps the x1-powers apart: three terms in the x2 bucket,
+    # with coefficients half, -3 and half^2, Fractions over QQ
+    several = ((half * x1 ** 2 - R.constant(3) * x1 ** -1 + half * half) * x2
+               + x1 * x3)
+    assert products(several, unit) == [(3, 2), (1, 2)]
+    # the same terms, with x1 -> 1 summing the bucket into one term
+    assert products(several, one) == [(1, 2), (1, 2)]
+    # a negative power of a multi-term image raises from stage 1, with the
+    # reference's message, before any bucket product
+    with pytest.raises(NonUnitError) as expected:
+        reference_substitute(several * x1 ** -1, [multi[0]] + multi)
+    with pytest.raises(NonUnitError) as got:
+        (several * x1 ** -1).substitute([multi[0]] + multi)
+    assert str(got.value) == str(expected.value)
+
+
 def test_substitute_non_unit_errors_match_reference():
     R = RingSignature(["x1", "x2", "x3"], 2, QQ)
     x1, x2, x3 = (R.variable(i) for i in range(3))
@@ -455,18 +514,19 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
 
 
 def multi_term_pairs(monkeypatch):
-    """A list whose first entry counts the term pairs of every product
-    `MixedPoly.__mul__` computes on two operands of several terms each; a
-    one-term operand only shifts the other one."""
+    """A list whose first entry counts the term pairs that `_add_products`
+    sums on two operands of several terms each: the pairs of `*` and of
+    substitute's bucket products.  `*` only shifts the other operand by a
+    one-term one."""
     pairs = [0]
-    mul = MixedPoly.__mul__
+    add_products = ring_module._add_products
 
-    def counted(a, b):
-        if len(a.terms) > 1 and len(b.terms) > 1:
-            pairs[0] += len(a.terms) * len(b.terms)
-        return mul(a, b)
+    def counted(acc, f, g, add):
+        if len(f) > 1 and len(g) > 1:
+            pairs[0] += len(f) * len(g)
+        return add_products(acc, f, g, add)
 
-    monkeypatch.setattr(MixedPoly, "__mul__", counted)
+    monkeypatch.setattr(ring_module, "_add_products", counted)
     return pairs
 
 

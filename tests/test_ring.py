@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
                         RingMismatchError, NonUnitError)
+from retractlab import ring as ring_module
 from retractlab.endo import identity
 from retractlab.intlinalg import IntMatrix
 from random_elements import random_element
@@ -27,6 +29,28 @@ def test_signature_invariants():
         RingSignature(("a", "b", "a"), 1, ZZ)
     with pytest.raises(ValueError):
         RingSignature(["x"], 2, QQ)
+
+
+def test_signature_rejects_names_the_grammar_cannot_read():
+    # a name is an ASCII identifier, the one spelling a problem file reads
+    for names in (["x^2", "1"], ["x", ""], ["2x"], ["x y"], ["x-1"],
+                  ["x*y"], ["\u00e9"], ["x", 1], [None]):
+        with pytest.raises(ValueError, match="^bad variable name "):
+            RingSignature(names, 0, QQ)
+    R = RingSignature(["_", "x_1", "X9", "__a"], 2, ZZ)
+    assert R.names == ("_", "x_1", "X9", "__a")
+
+
+def test_variable_name_check_is_the_pattern():
+    # the ring checks names by str methods, and the grammar's regexes are
+    # built from the pattern: both accept the same strings
+    chars = [chr(i) for i in range(128)] + ["\u00e9", "\u00b2", "\u0663",
+                                            "\u017f", "\u212a"]
+    texts = chars + [a + b for a in chars for b in chars]
+    accepted = [t for t in texts if ring_module._is_variable_name(t)]
+    assert accepted == [t for t in texts
+                        if re.fullmatch(ring_module.VARIABLE_NAME, t)]
+    assert len(accepted) == 53 + 53 * 63
 
 
 def test_negative_exponent_outside_laurent_block():
@@ -245,3 +269,69 @@ def test_substitute_is_homomorphism():
         sub = lambda f: f.substitute(images)
         assert sub(p + q) == sub(p) + sub(q)
         assert sub(p * q) == sub(p) * sub(q)
+
+
+def reference_str(p):
+    """The printer as it was before the per-ring power tables: each term
+    formats its monomial, then its sign is read off the piece."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for exp, c in p.terms:
+        mono = "*".join(name if e == 1 else "%s^%d" % (name, e)
+                        for name, e in zip(p.ring.names, exp) if e != 0)
+        cs = str(c)
+        if not mono:
+            piece = cs
+        elif cs == "1":
+            piece = mono
+        elif cs == "-1":
+            piece = "-" + mono
+        else:
+            piece = "%s*%s" % (cs, mono)
+        pieces.append(piece)
+    out = pieces[0]
+    for piece in pieces[1:]:
+        if piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out
+
+
+PRINT_COEFFICIENTS = (1, -1, 2, -2, 3, 12, -100, Fraction(1, 2),
+                      Fraction(-3, 4), Fraction(-1, 7), Fraction(22, 3))
+
+
+def test_printer_matches_reference():
+    rng = random.Random(32)
+    seen = set()
+    for dom in (QQ, ZZ, GF(2), GF(5), GF(32003)):
+        pool = [dom.coerce(c) for c in PRINT_COEFFICIENTS
+                if dom is QQ or type(c) is int]
+        # two rings with the same names hold a table each; the second
+        # prints after the first has filled its own
+        rings = [RingSignature(["x", "y1", "z_2", "w"], 2, dom)
+                 for _ in range(2)]
+        for _ in range(60):
+            ring = rng.choice(rings)
+            terms = [(tuple(rng.randint(-4 if i < ring.laurent else 0, 4)
+                            if rng.random() < 0.6 else 0
+                            for i in range(ring.n)), rng.choice(pool))
+                     for _ in range(rng.randint(0, 6))]
+            p = MixedPoly(ring, terms)
+            expected = reference_str(p)
+            assert str(p) == expected
+            assert str(p) == expected  # the filled tables are reused
+            assert repr(p) == "<%s in %r>" % (expected, ring)
+            if not p.terms:
+                seen.add("zero")
+            for exp, c in p.terms:
+                seen.add("constant" if not any(exp) else "negative exponent"
+                         if min(exp) < 0 else "monomial")
+                seen.add("one" if c == 1 else "minus one"
+                         if str(c) == "-1" else "fraction"
+                         if type(c) is Fraction else "other")
+        assert all(ring._powers is not None for ring in rings)
+    assert seen == {"zero", "constant", "negative exponent", "monomial",
+                    "one", "minus one", "fraction", "other"}
