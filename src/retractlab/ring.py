@@ -14,17 +14,16 @@ its result from canonical terms directly.  A ring builds its variables
 once, on the first call to `variable`, and hands out the same n elements
 after that.
 
-Sums (`+`, `-`, the constructor and `substitute`) end in one helper,
-`_canonical_sum`, and term-pair products (`*`, `**` and every product inside
-`substitute`) in one loop, `_add_products`, which adds each product into a
-dict keyed by exponent tuple, unreduced and unsorted.  When either operand
-of `*` has one term, the product only shifts the other operand's exponents
-and scales its coefficients: a shift keeps graded-lex order, and the
-domains have no zero divisors, so no dict and no sort are needed.  A
-product by the constant 1 is the other operand's terms, and `p ** 1` is p.
-Otherwise `*` adds every term pair on integer coefficients (a QQ operand is
-scaled over one common denominator, divided out at the end), and the dict
-is canonicalized by `_canonical_sum`.
+Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
+one helper, `_canonical_sum`, and products (`*`, `**` and every product
+inside `substitute`) in one kernel.  When either operand has one term, the
+product only shifts the other operand's exponents and scales its
+coefficients: a shift keeps graded-lex order, and the domains have no zero
+divisors, so no dict and no sort are needed.  A product by the constant 1
+is the other operand's terms, and `p ** 1` is p.  Otherwise every term pair
+is summed into one dict keyed by exponent tuple, on integer coefficients (a
+QQ operand is scaled over one common denominator, divided out at the end),
+and the dict is canonicalized by `_canonical_sum`.
 
 An element prints through its ring's `name^e` strings, one dict per
 variable from exponent to text, built on the ring's first print and filled
@@ -41,21 +40,19 @@ term by term; a variable image x_k adds nothing, as one gather per term
 moves its exponent to place k.  When no image that the element uses has
 two terms, stage 1 sums straight into the result.  Otherwise the terms are
 grouped by their exponents β on the variables with multi-term images, and
-only the terms of a group that do not cancel are multiplied by
-∏ images[i]^β_i (stage 2): the large powers that a full expansion would
-build, and that then cancel, are never formed.  Every group's products are
-added by `_add_products` into the one result dict, which is sorted once, as
-sparse multiplication accumulates all term products before ordering them
-(Johnson, "Sparse polynomial arithmetic", 1974).  When more than two groups
-need a product and each holds one term, as when the Laurent images are
-scalars, they are summed by the multivariate Horner scheme instead
-(Ceberio & Kreinovich, "Greedy algorithms for optimizing multivariate
-Horner schemes", 2004): each product then multiplies by a low power of one
-image, and the powers the groups share are built once.  Where some group
-holds several terms, each group keeps its own product, since Horner's rule
-would multiply those terms through every fold.
+only a group that does not cancel is multiplied by ∏ images[i]^β_i (stage
+2): the large powers that a full expansion would build, and that then
+cancel, are never formed.  When more than two groups need a product and
+each holds one term, as when the Laurent images are scalars, they are
+summed by the multivariate Horner scheme instead (Ceberio & Kreinovich,
+"Greedy algorithms for optimizing multivariate Horner schemes", 2004):
+each product then multiplies by a low power of one image, and the powers
+the groups share are built once.  Where some group holds several terms,
+each group keeps its own product, since Horner's rule would multiply those
+terms through every fold.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -64,12 +61,7 @@ from operator import getitem, itemgetter
 
 # a variable name, the one spelling the grammar reads
 VARIABLE_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-
-
-def _is_variable_name(name):
-    """Whether name is a str that matches VARIABLE_NAME: an ASCII
-    identifier, by str methods, which take a fraction of a regex match."""
-    return isinstance(name, str) and name.isascii() and name.isidentifier()
+_is_variable_name = re.compile(VARIABLE_NAME).fullmatch
 
 
 class RingMismatchError(ValueError):
@@ -95,7 +87,7 @@ class RingSignature:
     def __init__(self, names, laurent, domain):
         names = tuple(names)
         for name in names:
-            if not _is_variable_name(name):
+            if not isinstance(name, str) or not _is_variable_name(name):
                 raise ValueError("bad variable name %r" % (name,))
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
@@ -217,21 +209,15 @@ def _product_terms(ring, f, g):
     den_f, f = _integer_terms(f)
     den_g, g = _integer_terms(g)
     acc = {}
-    _add_products(acc, f, g, add)
-    den = den_f * den_g
-    if den != 1:
-        return _canonical_sum(acc, lambda c: reduce(Fraction(c, den)))
-    return _canonical_sum(acc, reduce)
-
-
-def _add_products(acc, f, g, add):
-    """Add the product of every term of f by every term of g into acc, an
-    {exponent: coefficient} dict, unreduced and unsorted."""
     get = acc.get
     for e1, c1 in f:
         for e2, c2 in g:
             e = add(e1, e2)
             acc[e] = get(e, 0) + c1 * c2
+    den = den_f * den_g
+    if den != 1:
+        return _canonical_sum(acc, lambda c: reduce(Fraction(c, den)))
+    return _canonical_sum(acc, reduce)
 
 
 def _single_term_power(p, e):
@@ -550,7 +536,7 @@ class MixedPoly:
                 target_ring, _canonical_sum(acc, reduce)) + part
         power_cache = {}
         for beta, bucket in buckets.items():
-            terms = [(e, k) for e, c in bucket.items() if (k := reduce(c))]
+            terms = _canonical_sum(bucket, reduce)
             if not terms:
                 continue
             product = None
@@ -560,7 +546,9 @@ class MixedPoly:
                     if power is None:
                         power = power_cache[i, b] = images[i] ** b
                     product = power if product is None else product * power
-            _add_products(acc, terms, product.terms, add)
+            part = MixedPoly._trusted(target_ring, terms) * product
+            for e, k in part.terms:
+                acc[e] = acc.get(e, 0) + k
         return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
 
     # -- printing ------------------------------------------------------------

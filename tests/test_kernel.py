@@ -342,11 +342,10 @@ def test_substitute_cancelling_buckets():
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_stage_two_buckets_match_reference(dom, monkeypatch):
-    # stage 2 adds each bucket's nonzero terms times its image powers into
-    # the result dict; a bucket that cancels, in the ring or mod p, makes
-    # no product.  The multi-term images are raised to the first power
-    # only, so each `_add_products` call adds a bucket's products, or
-    # multiplies the two images for β = (1, 1); no Horner fold runs
+    # stage 2 multiplies each bucket that does not cancel, in the ring or
+    # mod p, by its image powers.  The multi-term images are raised to the
+    # first power only, so each `*` multiplies a bucket by its product, or
+    # the two images for β = (1, 1); no Horner fold runs
     R = RingSignature(["x1", "x2", "x3"], 1, dom)
     x1, x2, x3 = (R.variable(i) for i in range(3))
     one = R.constant(1)
@@ -355,23 +354,25 @@ def test_stage_two_buckets_match_reference(dom, monkeypatch):
     unit = R.monomial((2, 0, 0), -1)
     multi = [x2 * half + x3, x3 + R.constant(3)]
     calls = []
-    add_products = ring_module._add_products
+    mul = MixedPoly.__mul__
 
-    def recorded(acc, f, g, add):
-        calls.append((len(f), len(g)))
-        return add_products(acc, f, g, add)
+    def recorded(a, b):
+        calls.append((len(a.terms), len(b.terms)))
+        return mul(a, b)
 
     def no_horner(*args):
         raise AssertionError("Horner's rule on buckets of several terms")
 
-    monkeypatch.setattr(ring_module, "_add_products", recorded)
     monkeypatch.setattr(ring_module, "_horner_sum", no_horner)
 
     def products(p, x1_image):
         images = [x1_image] + multi
+        expected = reference_substitute(p, images)
+        monkeypatch.setattr(MixedPoly, "__mul__", recorded)
         del calls[:]
         got = p.substitute(images)
-        assert got.terms == reference_substitute(p, images).terms
+        monkeypatch.setattr(MixedPoly, "__mul__", mul)
+        assert got.terms == expected.terms
         if dom is QQ:
             assert_canonical_qq(got)
         return calls[:]
@@ -514,19 +515,18 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
 
 
 def multi_term_pairs(monkeypatch):
-    """A list whose first entry counts the term pairs that `_add_products`
-    sums on two operands of several terms each: the pairs of `*` and of
-    substitute's bucket products.  `*` only shifts the other operand by a
-    one-term one."""
+    """A list whose first entry counts the term pairs of every product
+    `MixedPoly.__mul__` computes on two operands of several terms each; a
+    one-term operand only shifts the other one."""
     pairs = [0]
-    add_products = ring_module._add_products
+    mul = MixedPoly.__mul__
 
-    def counted(acc, f, g, add):
-        if len(f) > 1 and len(g) > 1:
-            pairs[0] += len(f) * len(g)
-        return add_products(acc, f, g, add)
+    def counted(a, b):
+        if len(a.terms) > 1 and len(b.terms) > 1:
+            pairs[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
 
-    monkeypatch.setattr(ring_module, "_add_products", counted)
+    monkeypatch.setattr(MixedPoly, "__mul__", counted)
     return pairs
 
 

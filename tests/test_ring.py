@@ -1,12 +1,10 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
 
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly,
                         RingMismatchError, NonUnitError)
-from retractlab import ring as ring_module
 from retractlab.endo import identity
 from retractlab.intlinalg import IntMatrix
 from random_elements import random_element
@@ -39,18 +37,6 @@ def test_signature_rejects_names_the_grammar_cannot_read():
             RingSignature(names, 0, QQ)
     R = RingSignature(["_", "x_1", "X9", "__a"], 2, ZZ)
     assert R.names == ("_", "x_1", "X9", "__a")
-
-
-def test_variable_name_check_is_the_pattern():
-    # the ring checks names by str methods, and the grammar's regexes are
-    # built from the pattern: both accept the same strings
-    chars = [chr(i) for i in range(128)] + ["\u00e9", "\u00b2", "\u0663",
-                                            "\u017f", "\u212a"]
-    texts = chars + [a + b for a in chars for b in chars]
-    accepted = [t for t in texts if ring_module._is_variable_name(t)]
-    assert accepted == [t for t in texts
-                        if re.fullmatch(ring_module.VARIABLE_NAME, t)]
-    assert len(accepted) == 53 + 53 * 63
 
 
 def test_negative_exponent_outside_laurent_block():
