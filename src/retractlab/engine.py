@@ -8,12 +8,13 @@ call.  All checks are tolerance-zero.
 
 In characteristic 0 the transcendence degree is the trace of the Jacobian
 of phi at the fixed point phi(1, ..., 1), an idempotent matrix, computed
-mod a prime above n in one pass over the images' terms.
+mod a prime above n in one pass over the images' terms, each term one
+product of powers read from per-variable tables.
 """
 
-from functools import lru_cache
 from itertools import count
-from math import isqrt
+from math import isqrt, prod
+from operator import getitem
 
 from .intlinalg import IntMatrix, decompose
 from .endo import require_idempotent
@@ -168,7 +169,11 @@ def transcendence_degree(phi, unit_rank):
     so p = F(1, ..., 1) is fixed and E = JF(p) is idempotent of rank
     trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].  It is
     read mod a prime P > n that divides no image's denominator and no
-    Laurent p_i: 2^61 - 1, else the least such prime above n.
+    Laurent p_i: 2^61 - 1, else the least such prime above n.  The powers
+    p_j^x mod P are kept in one dict per variable, shared by the n images
+    and filled the first time a power is read; image i reads x_i through a
+    table one power lower, so each term of ∂phi(x_i)/∂x_i is c·e_i times
+    one product of table entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
     is not the rank) is not built yet; a pure Laurent ring forces r.
@@ -183,20 +188,29 @@ def transcendence_degree(phi, unit_rank):
                      for den, terms in images]
             if not all(point[:ring.laurent]):
                 continue
-            # each power once: a negative one inverts anew on every pow call
-            power = lru_cache(maxsize=None)(lambda j, x: pow(point[j], x, P))
+            # {x: p_j^x mod P} per variable, shared by the images and filled
+            # on a KeyError, so each power is computed once: a negative one
+            # inverts anew on every pow call
+            tables = [{0: 1, 1: p} for p in point]
+            row = tables[:]
             trace = 0
             for i, (den, terms) in enumerate(images):
+                # ∂/∂x_i lowers x_i's power: image i reads x_i one lower
+                row[i] = {1: 1, 2: point[i]}
                 entry = 0
                 for e, c in terms:
-                    if e[i]:
-                        value = c * e[i]
-                        for j, x in enumerate(e):
-                            x -= j == i  # ∂/∂x_i lowers x_i's power
-                            if x:
-                                value = value * power(j, x) % P
-                        entry += value
-                trace += entry * pow(den, -1, P)
+                    x = e[i]
+                    if x:
+                        try:
+                            value = prod(map(getitem, row, e))
+                        except KeyError:  # a power read for the first time
+                            for j, (table, y) in enumerate(zip(row, e)):
+                                if y not in table:
+                                    table[y] = pow(point[j], y - (j == i), P)
+                            value = prod(map(getitem, row, e))
+                        entry += c * x * value
+                row[i] = tables[i]
+                trace += entry % P * pow(den, -1, P)
             return trace % P
     if ring.laurent == ring.n:
         return unit_rank

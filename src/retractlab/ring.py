@@ -27,7 +27,8 @@ and the dict is canonicalized by `_canonical_sum`.
 
 An element prints through its ring's `name^e` strings, one dict per
 variable from exponent to text, built on the ring's first print and filled
-with each exponent the first time it is printed.
+with each exponent the first time it is printed.  Its terms' pieces are
+joined once, so a print stays linear in its length.
 
 `substitute` maps into a ring over the same domain; images over another
 domain raise RingMismatchError.  A variable maps to its image.  Images
@@ -37,19 +38,20 @@ element c·x^e, most of what composition substitutes, becomes one term that
 way, and only its multi-term images are raised by `**` and multiplied in.
 Other elements take two stages.  In stage 1 the single-term images act
 term by term; a variable image x_k adds nothing, as one gather per term
-moves its exponent to place k.  When no image that the element uses has
-two terms, stage 1 sums straight into the result.  Otherwise the terms are
-grouped by their exponents β on the variables with multi-term images, and
-only a group that does not cancel is multiplied by ∏ images[i]^β_i (stage
-2): the large powers that a full expansion would build, and that then
-cancel, are never formed.  When more than two groups need a product and
-each holds one term, as when the Laurent images are scalars, they are
-summed by the multivariate Horner scheme instead (Ceberio & Kreinovich,
-"Greedy algorithms for optimizing multivariate Horner schemes", 2004):
-each product then multiplies by a low power of one image, and the powers
-the groups share are built once.  Where some group holds several terms,
-each group keeps its own product, since Horner's rule would multiply those
-terms through every fold.
+moves its exponent to place k, and an image 1 is not visited at all.
+Whether an image is a variable or 1 is worked out once per element.
+When no image that the element uses has two terms, stage 1 sums straight
+into the result.  Otherwise the terms are grouped by their exponents β on
+the variables with multi-term images, and only a group that does not
+cancel is multiplied by ∏ images[i]^β_i (stage 2): the large powers that
+a full expansion would build, and that then cancel, are never formed.
+When more than two groups need a product and each holds one term, as when
+the Laurent images are scalars, they are summed by the multivariate Horner
+scheme instead (Ceberio & Kreinovich, "Greedy algorithms for optimizing
+multivariate Horner schemes", 2004): each product then multiplies by a low
+power of one image, and the powers the groups share are built once.  Where
+some group holds several terms, each group keeps its own product, since
+Horner's rule would multiply those terms through every fold.
 """
 
 import re
@@ -336,13 +338,18 @@ class MixedPoly:
         return not self.terms
 
     def _variable_index(self):
-        """k when self is the variable x_k, else -1; worked out once."""
+        """k when self is the variable x_k, -1 when self is the constant 1,
+        else -2; worked out once."""
         try:
             return self._variable
         except AttributeError:
             e, c = self.terms[0] if len(self.terms) == 1 else ((), 0)
-            one = c == 1 and e.count(0) == len(e) - 1 and 1 in e
-            self._variable = e.index(1) if one else -1
+            if c == 1 and not any(e):
+                self._variable = -1
+            elif c == 1 and e.count(0) == len(e) - 1 and 1 in e:
+                self._variable = e.index(1)
+            else:
+                self._variable = -2
             return self._variable
 
     def _require_same_ring(self, other):
@@ -476,20 +483,25 @@ class MixedPoly:
         multi_indices = [i for i, m in enumerate(multi)
                          if m and any(exp[i] for exp, _ in terms)]
         single_powers = {}
-        # the first variable image on each x_k is gathered, with source -1
-        # the 0 appended to each exponent, unless a negative power needs it
-        # as a unit or x_k is its ring's one variable (itemgetter of one
-        # place returns no tuple); the rest are read in index order
+        # an image 1 is skipped: x^e ↦ 1 adds no exponent and no
+        # coefficient, and 1 is a unit.  The first variable image on each
+        # x_k is gathered, with source -1 the 0 appended to each exponent,
+        # unless a negative power needs it as a unit or x_k is its ring's
+        # one variable (itemgetter of one place returns no tuple); the rest
+        # are read in index order
         sources = [-1] * target_ring.n
         read = []
         for i, img in enumerate(images):
             k = img._variable_index()
+            if k == -1:
+                continue
             if (k < 0 or sources[k] >= 0 or target_ring.n == 1
                     or i < self.ring.laurent and k >= target_ring.laurent):
                 read.append(i)
             else:
                 sources[k] = i
-        gather = itemgetter(*sources) if len(read) < len(images) else None
+        gather = (itemgetter(*sources) if sources.count(-1) < target_ring.n
+                  else None)
 
         # stage 1: exponent arithmetic for the single-term images
         acc = bucket = {}
@@ -562,7 +574,7 @@ class MixedPoly:
         if powers is None:
             # "" for exponent 0, which the join below skips
             powers = ring._powers = [{0: "", 1: name} for name in ring.names]
-        out = None
+        pieces = []
         for exp, c in terms:
             try:
                 mono = "*".join(filter(None, map(getitem, powers, exp)))
@@ -580,13 +592,10 @@ class MixedPoly:
                 piece = "-" + mono
             else:
                 piece = cs + "*" + mono
-            if out is None:
-                out = piece
-            elif piece[0] == "-":
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+            pieces.append(piece)
+        # no piece holds a space, so " + -" is only ever a negative term's
+        # sign; one join keeps the print linear under a profile hook too
+        return " + ".join(pieces).replace(" + -", " - ")
 
     def __repr__(self):
         return "<%s in %r>" % (self, self.ring)

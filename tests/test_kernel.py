@@ -223,10 +223,12 @@ def variable_places(images):
 def test_substitute_matches_reference(dom):
     rng = random.Random(99)
     R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
-    # substitute also maps into rings other than the source
+    # substitute also maps into rings other than the source, one of them
+    # of one variable
     S = RingSignature(["u", "v", "w"], 1, dom)
+    U = RingSignature(["t"], 1, dom)
     seen = set()
-    for target in (R, S):
+    for target in (R, S, U):
         for _ in range(40):
             images = [random_image(target, rng, i, i < R.laurent)
                       for i in range(R.n)]
@@ -240,10 +242,17 @@ def test_substitute_matches_reference(dom):
                 seen.add("shared target")
             p = random_poly(R, rng, max_exp=2)
             if rng.random() < 0.5:
-                # x1 -> 1 makes every bucket of (x1 - 1)·q cancel
-                images[0] = target.constant(1)
+                # x_k -> 1 makes every bucket of (x_k - 1)·q cancel
+                k = rng.randrange(R.n)
+                images[k] = target.constant(1)
                 q = random_poly(R, rng, max_terms=4, max_exp=2)
-                p = p + q * (R.variable(0) - R.constant(1))
+                p = p + q * (R.variable(k) - R.constant(1))
+                if k >= R.laurent:
+                    seen.add("one at a polynomial place")
+                elif any(exp[k] < 0 for exp, _ in p.terms):
+                    seen.add("one at a negative Laurent power")
+                if target is U:
+                    seen.add("one into one variable")
             if all(len(img.terms) <= 1 for img in images):
                 # stage 1 alone, with no β buckets
                 seen.add("no multi-term image")
@@ -252,7 +261,9 @@ def test_substitute_matches_reference(dom):
             if dom is QQ:
                 assert_canonical_qq(got)
     assert seen == {"same index", "shifted index", "other index", "swap",
-                    "shared target", "no multi-term image"}
+                    "shared target", "no multi-term image",
+                    "one at a polynomial place",
+                    "one at a negative Laurent power", "one into one variable"}
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)

@@ -286,7 +286,8 @@ def reference_str(p):
 
 
 PRINT_COEFFICIENTS = (1, -1, 2, -2, 3, 12, -100, Fraction(1, 2),
-                      Fraction(-3, 4), Fraction(-1, 7), Fraction(22, 3))
+                      Fraction(-1, 2), Fraction(-3, 4), Fraction(-1, 7),
+                      Fraction(22, 3))
 
 
 def test_printer_matches_reference():
@@ -318,6 +319,18 @@ def test_printer_matches_reference():
                 seen.add("one" if c == 1 else "minus one"
                          if str(c) == "-1" else "fraction"
                          if type(c) is Fraction else "other")
+                if c == Fraction(-1, 2):
+                    seen.add("-1/2")
+            # the pieces are joined by " + ", and each " + -" becomes " - "
+            signs = [str(c)[0] == "-" for _, c in p.terms]
+            if len(signs) > 1:
+                if signs[0]:
+                    seen.add("negative first term")
+                if signs[-1]:
+                    seen.add("negative last term")
+                if dom.characteristic:
+                    seen.add("GF(p) sum")
         assert all(ring._powers is not None for ring in rings)
     assert seen == {"zero", "constant", "negative exponent", "monomial",
-                    "one", "minus one", "fraction", "other"}
+                    "one", "minus one", "fraction", "other", "-1/2",
+                    "negative first term", "negative last term", "GF(p) sum"}
