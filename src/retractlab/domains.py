@@ -12,6 +12,7 @@ arbitrary precision, and a float operand raises ValueError everywhere.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
@@ -70,7 +71,7 @@ class Domain:
         if kind not in ("rationals", "integers", "prime-field"):
             raise ValueError("unknown domain kind: %r" % (kind,))
         if kind == "prime-field":
-            if p is None or not _is_prime(p):
+            if not isinstance(p, int) or not _is_prime(p):
                 raise ValueError("prime-field modulus must be prime, got %r" % (p,))
         elif p is not None:
             raise ValueError("modulus only makes sense for prime fields")
@@ -187,5 +188,8 @@ QQ = Domain("rationals")
 ZZ = Domain("integers")
 
 
+@lru_cache(typed=True)
 def GF(p):
+    """GF(p) for a prime int p, one `Domain` per modulus, so a process tests
+    each prime once; GF(5.0) raises even after GF(5) is cached."""
     return Domain("prime-field", p)

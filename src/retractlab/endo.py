@@ -212,8 +212,8 @@ def _factorisation_proves_idempotent(phi):
     ring = phi.ring
     if not ring.domain.is_field:  # ints are canonical QQ coefficients
         ring = RingSignature(ring.names, ring.laurent, QQ)
-        phi = Endomorphism(ring, [MixedPoly._trusted(ring, img.terms)
-                                  for img in phi.images])
+        phi = Endomorphism._trusted(ring, tuple(
+            [MixedPoly._trusted(ring, img.terms) for img in phi.images]))
     d = ring.laurent
     images = phi.images
     variables = [ring.variable(j) for j in range(ring.n)]
@@ -296,12 +296,7 @@ def standard_projection(ring, keep_laurent=(), keep_poly=()):
         raise ValueError("keep_laurent indices outside the Laurent block")
     if not keep_poly <= set(range(ring.laurent, ring.n)):
         raise ValueError("keep_poly indices outside the polynomial block")
-    images = []
-    for i in range(ring.n):
-        if i in keep_laurent or i in keep_poly:
-            images.append(ring.variable(i))
-        elif i < ring.laurent:
-            images.append(ring.constant(1))
-        else:
-            images.append(ring.zero())
-    return Endomorphism(ring, images)
+    one, zero = ring.constant(1), ring.zero()
+    return Endomorphism._trusted(ring, tuple(
+        [ring.variable(i) if i in keep_laurent or i in keep_poly
+         else one if i < ring.laurent else zero for i in range(ring.n)]))

@@ -13,9 +13,10 @@ product of powers read from per-variable tables.
 """
 
 from itertools import count
-from math import isqrt, prod
+from math import prod
 from operator import getitem
 
+from .domains import _is_prime
 from .intlinalg import IntMatrix, decompose
 from .endo import require_idempotent
 from .ring import MixedPoly, RingSignature, _integer_terms
@@ -156,8 +157,8 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
 def _trace_primes(n):
     """2^61 - 1, then the primes above n in increasing order."""
     yield _P
-    for q in count(max(n + 1, 2)):
-        if all(q % k for k in range(2, isqrt(q) + 1)):
+    for q in count(n + 1):
+        if _is_prime(q):
             yield q
 
 

@@ -122,7 +122,8 @@ def _automorphism_of_kind(ring, kind, rng, complexity):
         q = _random_shift_poly(ring, j, rng, complexity)
         fwd[j] = ring.variable(j) + q
         inv[j] = ring.variable(j) - q
-    return Endomorphism(ring, fwd), Endomorphism(ring, inv)
+    return (Endomorphism._trusted(ring, tuple(fwd)),
+            Endomorphism._trusted(ring, tuple(inv)))
 
 
 def gen_random_idempotent(spec):

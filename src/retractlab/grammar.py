@@ -35,7 +35,7 @@ from json.encoder import encode_basestring_ascii
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
 from .ring import (MixedPoly, RingSignature, NonUnitError, VARIABLE_NAME,
-                   _canonical_sum, _is_variable_name)
+                   _canonical_sum)
 
 
 class ParseError(ValueError):
@@ -75,37 +75,34 @@ def parse_domain(text, lineno=None):
 
 
 def _parse_header(line, lineno):
+    """The header's ring.  The header checks its own syntax (width, empty
+    parts, Laurent before plain), then `RingSignature` checks the names, so
+    a structural error is reported before a bad or repeated name."""
     m = _HEADER_RE.match(line)
     if not m:
         raise ParseError("expected 'ring <domain>[vars]' header", lineno)
     domain = parse_domain(m.group(1), lineno)
-    names = []
-    laurent = 0
-    seen_plain = False
     parts = m.group(2).split(",")
     if len(parts) > MAX_VARIABLES:
         raise ParseError("ring declares %d variables, more than the limit "
                          "of %d" % (len(parts), MAX_VARIABLES), lineno)
+    names = []
+    laurent = 0
     for part in parts:
         part = part.strip()
         if not part:
             raise ParseError("empty variable declaration", lineno)
-        if part.endswith("^±") or part.endswith("^+-"):
-            name = part[:-2] if part.endswith("^±") else part[:-3]
-            name = name.strip()
-            if seen_plain:
+        if part.endswith(("^±", "^+-")):
+            if laurent < len(names):
                 raise ParseError(
                     "Laurent variables must precede plain ones", lineno)
             laurent += 1
-        else:
-            name = part
-            seen_plain = True
-        if not _is_variable_name(name):
-            raise ParseError("bad variable name %r" % name, lineno)
-        names.append(name)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate variable name", lineno)
-    return RingSignature(names, laurent, domain)
+            part = part[:part.rindex("^")].rstrip()
+        names.append(part)
+    try:
+        return RingSignature(names, laurent, domain)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 # -- expression tokenizer / parser -------------------------------------------
@@ -414,8 +411,8 @@ def parse_problem(text):
     missing = [nm for nm in ring.names if nm not in images]
     if missing:
         raise ParseError("missing map line for %s" % ", ".join(missing))
-    endo = Endomorphism(ring, [images[nm] for nm in ring.names])
-    return ring, endo
+    return ring, Endomorphism._trusted(
+        ring, tuple([images[nm] for nm in ring.names]))
 
 
 # -- printing ----------------------------------------------------------------

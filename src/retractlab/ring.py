@@ -77,11 +77,12 @@ class NonUnitError(ValueError):
 class RingSignature:
     """The ambient ring: n named variables, the first `laurent` of them
     invertible, over an exact coefficient domain.  Each name must match
-    `VARIABLE_NAME`, so that every element prints as the grammar reads it.
-    `_index` maps each name to its position, for the parser; `_variables`
-    holds x_1..x_n, built on the first call to `variable`, and `_powers` the
-    printer's {exponent: text} dict of each variable, built on the first
-    print."""
+    `VARIABLE_NAME`, so that every element prints as the grammar reads it;
+    this is the one check of names and their distinctness, the parser's
+    too.  `_index` maps each name to its position, for the parser;
+    `_variables` holds x_1..x_n, built on the first call to `variable`, and
+    `_powers` the printer's {exponent: text} dict of each variable, built on
+    the first print."""
 
     __slots__ = ("names", "laurent", "domain", "n", "_index", "_variables",
                  "_powers")
@@ -93,9 +94,10 @@ class RingSignature:
                 raise ValueError("bad variable name %r" % (name,))
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
-            raise ValueError("variable names must be pairwise distinct")
-        if not 0 <= laurent <= len(names):
-            raise ValueError("laurent block size out of range")
+            raise ValueError("duplicate variable name")
+        if not isinstance(laurent, int) or not 0 <= laurent <= len(names):
+            raise ValueError("laurent block size is not an int in [0, %d]: %r"
+                             % (len(names), laurent))
         self.names = names
         self.laurent = laurent
         self.domain = domain
@@ -461,9 +463,7 @@ class MixedPoly:
             for img, e in zip(images, exp):
                 if not e or e > 0 and not c:
                     continue
-                if len(img.terms) > 1:
-                    if e < 0:  # a multi-term image is not a unit
-                        raise NonUnitError("not a unit: %s" % img)
+                if len(img.terms) > 1:  # raises NonUnitError if e < 0
                     powers.append(img ** e)
                     continue
                 m, k = _single_term_power(img, e)

@@ -37,6 +37,24 @@ def test_prime_check_large_moduli():
         GF(MAX_MODULUS)
 
 
+def test_one_field_per_modulus():
+    assert GF(32003) is GF(32003)
+    # a rejected modulus is not cached: it raises on every call
+    for _ in range(2):
+        for bad in (32001, MAX_MODULUS):
+            with pytest.raises(ValueError):
+                GF(bad)
+
+
+def test_modulus_must_be_an_int():
+    # a float or Fraction modulus would give float or Fraction coefficients
+    GF(5)
+    for _ in range(2):
+        for bad in (5.0, Fraction(5), "5", None):
+            with pytest.raises(ValueError, match="must be prime, got "):
+                GF(bad)
+
+
 @pytest.mark.parametrize("c,dom,expected", [
     (1, ZZ, True),
     (2, ZZ, False),

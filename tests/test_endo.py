@@ -104,6 +104,27 @@ def test_standard_projection():
     assert standard_projection(M).images == (M.constant(1), M.zero())
 
 
+def test_library_maps_equal_checked_maps():
+    # maps the library builds from its own ring elements skip the checks;
+    # each equals the checked map of the same images, which also requires
+    # the trusted images to be a tuple
+    from retractlab.generator import _automorphism_of_kind
+    maps = [parse_problem("ring ZZ[x^±,y,z]\nx -> -x\ny -> y + 2*x^-1*z\n"
+                          "z -> 0\n")[1]]
+    for dom in (QQ, ZZ, GF(5)):
+        ring = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
+        maps += [standard_projection(ring), standard_projection(ring, {1}, {3})]
+        rng = random.Random(3)
+        for kind in ("mult", "swap", "invert", "scale", "pscale", "shift"):
+            maps += _automorphism_of_kind(ring, kind, rng, 2)
+        for seed in range(5):
+            maps.append(gen_random_idempotent(
+                GeneratorSpec(4, 2, seed % 3, seed, seed % 4, dom)))
+    for phi in maps:
+        assert type(phi.images) is tuple
+        assert Endomorphism(phi.ring, list(phi.images)) == phi
+
+
 def test_conjugate_examples():
     R = laurent2()
     alpha = Endomorphism(R, [R.variable(0),

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -12,7 +14,8 @@ from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
 from retractlab.cli import run_cli
 from retractlab.endo import identity, apply, conjugate, standard_projection
 from retractlab.engine import (classify, compute_y_variables, quotient_mod_J,
-                               rationality_verdict, transcendence_degree)
+                               rationality_verdict, transcendence_degree,
+                               _trace_primes)
 from retractlab.generator import _automorphism_of_kind
 from retractlab.intlinalg import IntMatrix
 from fraction_rank import fraction_rank
@@ -194,6 +197,20 @@ def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
             assert fraction_rank(E) == trdeg, spec.seed
             intermediate |= 0 < trdeg - spec.r < n - d
     assert fraction and negative and intermediate
+
+
+def test_trace_primes_are_the_primes_above_n():
+    # the trial division that `_trace_primes` ran before it read primality
+    # from `domains`, kept as the reference
+    def reference(n):
+        yield (1 << 61) - 1
+        for q in itertools.count(max(n + 1, 2)):
+            if all(q % k for k in range(2, math.isqrt(q) + 1)):
+                yield q
+
+    for n in list(range(12)) + [30, 97, 1000]:
+        got = list(itertools.islice(_trace_primes(n), 40))
+        assert got == list(itertools.islice(reference(n), 40)), n
 
 
 # one report per input: 2^61 - 1 divides an image's denominator, or is a

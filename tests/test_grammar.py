@@ -9,6 +9,7 @@ from retractlab import (QQ, ZZ, GF, parse_problem, render_problem,
                         render_report, analyze, ParseError, RingSignature,
                         MixedPoly)
 from retractlab import grammar
+from retractlab import ring as ring_module
 from retractlab.endo import identity
 from retractlab.grammar import parse_expression
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
@@ -121,11 +122,35 @@ def test_parse_errors():
             ("# names\nring QQ[x, y^2]\n", "bad variable name 'y^2'", 2),
             ("\nring QQ[x^±, \u00e9]\n", "bad variable name '\u00e9'", 2),
             ("ring QQ[x,x]\n", "duplicate variable name", 1),
+            ("ring QQ[x, y^±]\n", "Laurent variables must precede plain "
+             "ones", 1),
+            # the header checks its width, empty parts and the Laurent
+            # block before the ring checks the names
+            ("ring QQ[1x, y^±]\n", "Laurent variables must precede plain "
+             "ones", 1),
+            ("ring QQ[x, x, y^±]\n", "Laurent variables must precede "
+             "plain ones", 1),
+            ("ring QQ[1x,,y]\n", "empty variable declaration", 1),
+            ("ring QQ[x^±,,x]\n", "empty variable declaration", 1),
+            ("ring QQ[%s]\n" % ",".join(["1x"] * 1001), "ring declares 1001 "
+             "variables, more than the limit of 1000", 1),
             ("ring QQ[x^±]\nx -> x\ny -> 1\n", "undeclared identifier 'y'", 3),
             ("# comments\n# only\n", "missing ring header", None)):
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_problem(text)
         assert exc.value.line == line
+
+
+def test_header_names_are_checked_once_by_the_ring(monkeypatch):
+    calls = []
+    check = ring_module._is_variable_name
+    monkeypatch.setattr(ring_module, "_is_variable_name",
+                        lambda name: calls.append(name) or check(name))
+    ring, _ = parse_problem("ring GF(7)[a^±, b ^+-, c]\na -> a\nb -> b\n"
+                            "c -> c + a*b\n")
+    assert ring.names == ("a", "b", "c") and ring.laurent == 2
+    assert calls == ["a", "b", "c"]
+    assert not hasattr(grammar, "_is_variable_name")
 
 
 def test_parse_error_carries_location():

@@ -337,6 +337,9 @@ def test_one_term_substitute_identities():
     # a negative power of a multi-term image names that image
     with pytest.raises(NonUnitError, match=r"^not a unit: x1 \+ x3$"):
         R.monomial((0, -1, 0), 2).substitute([x1, p, x3])
+    # x1^-1 with x1 sent to a multi-term image: `**` raises it
+    with pytest.raises(NonUnitError, match=r"^not a unit: x1 \+ x3$"):
+        R.monomial((-1, 1, 0), 3).substitute([p, x2, x3])
 
 
 def test_substitute_cancelling_buckets():

@@ -22,11 +22,14 @@ def mixed_ring():
 def test_signature_invariants():
     with pytest.raises(ValueError):
         RingSignature(["x", "x"], 0, QQ)
-    with pytest.raises(ValueError, match="^variable names must be pairwise "
-                                         "distinct$"):
+    # the message a repeated header name reports, as the ring checks it
+    with pytest.raises(ValueError, match="^duplicate variable name$"):
         RingSignature(("a", "b", "a"), 1, ZZ)
-    with pytest.raises(ValueError):
-        RingSignature(["x"], 2, QQ)
+    # a Laurent count of 1.5 would print as QQ[x^±,y^±], and the ring's
+    # elements could not be built
+    for laurent in (3, -1, 1.5, 1.0, Fraction(1), "1", None):
+        with pytest.raises(ValueError, match="^laurent block size "):
+            RingSignature(["x", "y"], laurent, QQ)
 
 
 def test_signature_rejects_names_the_grammar_cannot_read():
