@@ -23,7 +23,10 @@ as the printer writes it keeps its text, and prints as that text; any
 other sum prints from its terms, to the same bytes.  Anything else goes to
 recursive descent over the (kind, text, col) tuples of one scanning regex,
 which raises every ParseError, quoting a token as written or "end of
-line".
+line".  Its factors are ring elements, a number a constant and a name the
+ring's variable, and products, powers and unary minus are the ring's `*`,
+`**` and `-`: `**` owns "not a unit", and the parser checks only that no
+negative power falls on a polynomial variable.
 
 A JSON report is written as `json.dumps(report, indent=2)` would write it,
 by a writer that joins each list of ints, or of strs, in one call.
@@ -145,6 +148,8 @@ MAX_NESTING = 100
 
 
 class _ExprParser:
+    """Recursive descent over `_tokenize`'s tokens on ring elements, for
+    every expression the flat parser leaves; it raises every ParseError."""
 
     def __init__(self, ring, text, lineno):
         self.ring = ring
@@ -174,52 +179,38 @@ class _ExprParser:
     def expr(self):
         """A sum of terms, canonicalized once: adding one summand at a time
         would re-sort the partial sum each time."""
-        terms = self.term()
+        terms = list(self.term().terms)
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "+":
-                terms.extend(self.term())
+                terms.extend(self.term().terms)
             else:
-                terms.extend((e, -c) for e, c in self.term())
+                terms.extend((-self.term()).terms)
         return MixedPoly(self.ring, terms)
 
     def term(self):
-        """The terms of a product of factors, each factor a run of unary
-        minus signs before a number, a variable or a parenthesised sum, and
-        an optional power.  Numbers and variable powers accumulate into one
-        coefficient and one exponent list, so they make a single term; only
-        the parenthesised factors are multiplied as polynomials."""
+        """A product of factors, each a run of unary minus signs before a
+        power of a number, a variable or a parenthesised sum."""
         ring = self.ring
-        dom = ring.domain
-        exp = [0] * ring.n
-        coeff = 1
-        factors = []
+        value = None
         while True:
+            negate = False
             while self.peek()[0] == "-":
                 self.take()
-                coeff = -coeff
+                negate = not negate
             kind, text, col = tok = self.take()
-            if kind == "ident":
+            if kind == "number":
+                num, _, den = text.partition("/")
+                try:
+                    base = ring.constant(ring.domain.from_fraction(
+                        int(num), int(den) if den else 1))
+                except ValueError as exc:
+                    raise ParseError(str(exc), self.lineno, col) from None
+            elif kind == "ident":
                 i = ring._index.get(text)
                 if i is None:
                     raise ParseError("undeclared identifier %r" % text,
                                      self.lineno, col)
-                caret, k, negative = self.exponent()
-                if negative and i >= ring.laurent:
-                    raise ParseError(
-                        "negative exponent on polynomial variable %s"
-                        % text, self.lineno, caret)
-                exp[i] += k
-            elif kind == "number":
-                num, _, den = text.partition("/")
-                try:
-                    c = dom.from_fraction(int(num), int(den) if den else 1)
-                except ValueError as exc:
-                    raise ParseError(str(exc), self.lineno, col) from None
-                caret, k, _ = self.exponent()
-                if k < 0 and not dom.is_unit(c):
-                    raise ParseError("not a unit: %s" % ring.constant(c),
-                                     self.lineno, caret)
-                coeff *= dom.pow(c, k)
+                base = ring.variable(i)
             elif kind == "(":
                 if self.depth == MAX_NESTING:
                     raise ParseError("parentheses nested deeper than %d"
@@ -228,31 +219,22 @@ class _ExprParser:
                 base = self.expr()
                 self.depth -= 1
                 self.take(")")
-                caret, k, negative = self.exponent()
-                if caret is not None:
-                    base = self.power(base, caret, k, negative)
-                factors.append(base)
             else:
                 raise ParseError("expected a term, found %s" % _found(tok),
                                  self.lineno, col)
+            factor = self.power(base)
+            if negate:
+                factor = -factor
+            value = factor if value is None else value * factor
             if self.peek()[0] != "*":
-                break
+                return value
             self.take()
-        coeff = dom.reduce(coeff)
-        if not coeff:
-            return []
-        if not factors:
-            return [(tuple(exp), coeff)]
-        value = ring.monomial(exp, coeff)
-        for factor in factors:
-            value = value * factor
-        return list(value.terms)
 
-    def exponent(self):
-        """(caret column, k, negative) for a following '^k' or '^-k', else
-        (None, 1, False); '^-0' counts as negative."""
+    def power(self, base):
+        """base ** k for a following '^k' or '^-k', else base; '^-0' on a
+        polynomial variable is rejected too."""
         if self.peek()[0] != "^":
-            return None, 1, False
+            return base
         caret = self.take()[2]
         negative = self.peek()[0] == "-"
         if negative:
@@ -260,22 +242,17 @@ class _ExprParser:
         text = self.take("number")[1]
         if "/" in text:
             raise ParseError("exponent must be an integer", self.lineno, caret)
-        k = int(text)
-        return caret, -k if negative else k, negative
-
-    def power(self, base, caret, k, negative):
-        if negative and base.is_unit() is None:
-            ring = self.ring
-            if len(base.terms) == 1 and any(
-                    base.terms[0][0][i] for i in range(ring.laurent, ring.n)):
-                bad = next(ring.names[i] for i in range(ring.laurent, ring.n)
-                           if base.terms[0][0][i])
-                raise ParseError(
-                    "negative exponent on polynomial variable %s" % bad,
-                    self.lineno, caret)
+        ring = self.ring
+        if negative and len(base.terms) == 1:
+            exp = base.terms[0][0]
+            for i in range(ring.laurent, ring.n):
+                if exp[i]:
+                    raise ParseError(
+                        "negative exponent on polynomial variable %s"
+                        % ring.names[i], self.lineno, caret)
         try:
-            return base ** k
-        except (NonUnitError, ValueError) as exc:
+            return base ** (-int(text) if negative else int(text))
+        except NonUnitError as exc:
             raise ParseError(str(exc), self.lineno, caret) from None
 
 

@@ -513,8 +513,8 @@ class MixedPoly:
                 if not e:
                     continue
                 if multi[i]:
-                    if e < 0:  # a multi-term image is not a unit
-                        raise NonUnitError("not a unit: %s" % images[i])
+                    if e < 0:  # raises NonUnitError: it is not a unit
+                        images[i] ** e
                     continue
                 power = single_powers.get((i, e))
                 if power is None:

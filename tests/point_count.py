@@ -1,0 +1,41 @@
+"""The point-count oracle: fixed points of an endomorphism mod p.
+
+ker phi is generated by the x_i - phi(x_i), so the retract A is
+B/(x - phi(x)), and its F_p-points are the fixed points of phi in
+(F_p^*)^d × F_p^(n-d).  If A ≅ F_p[y^±r, z^t] there are exactly
+(p - 1)^r·p^t of them.  The count needs only the images mod p, and no
+engine code.
+"""
+
+from itertools import product, repeat
+from math import prod
+
+
+def count_fixed_points(phi):
+    """The number of points of (F_p^*)^d × F_p^(n-d) that phi, a map over
+    GF(p), fixes."""
+    ring = phi.ring
+    p = ring.domain.p
+    images = [img.terms for img in phi.images]
+    ranges = ([range(1, p)] * ring.laurent
+              + [range(p)] * (ring.n - ring.laurent))
+    count = 0
+    for point in product(*ranges):
+        if all(sum(c * prod(map(pow, point, exp, repeat(p)))
+                   for exp, c in terms) % p == x
+               for terms, x in zip(images, point)):
+            count += 1
+    return count
+
+
+def point_count_exponents(count, p, r):
+    """t with count = (p - 1)^r·p^t, or None when count has no such form."""
+    unit_points = (p - 1) ** r
+    if count % unit_points:
+        return None
+    rest = count // unit_points
+    t = 0
+    while rest % p == 0:
+        rest //= p
+        t += 1
+    return t if rest == 1 else None

@@ -321,10 +321,20 @@ def test_parse_largest_named_instance(dom):
     # the benchmark's 1014 files, the largest problem files in the repository
     name = "%s_n6d3r2c4_s1014.ring" % ("QQ" if dom is QQ else "GF32003")
     with open(os.path.join(BENCH_NAMED, name), encoding="utf-8") as fh:
-        ring, phi = parse_problem(fh.read())
+        text = fh.read()
     expected = gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, dom))
+    ring, phi = parse_problem(text)
     assert ring == expected.ring
     assert phi.images == expected.images
+    # every '*' of a map line spaced, so that each product goes to recursive
+    # descent: images of up to 1,834 terms, with negative Laurent powers
+    spaced = "\n".join(line.replace("*", " * ") if "->" in line else line
+                       for line in text.splitlines())
+    _, phi = parse_problem(spaced)
+    assert phi.images == expected.images
+    products = [img for img in phi.images if len(img.terms) > 1]
+    assert max(len(img.terms) for img in products) == 1834
+    assert not any(isinstance(img, grammar._PrintedPoly) for img in products)
 
 
 def test_report_generator_strings_round_trip():

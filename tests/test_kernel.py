@@ -340,6 +340,14 @@ def test_one_term_substitute_identities():
     # x1^-1 with x1 sent to a multi-term image: `**` raises it
     with pytest.raises(NonUnitError, match=r"^not a unit: x1 \+ x3$"):
         R.monomial((-1, 1, 0), 3).substitute([p, x2, x3])
+    # a multi-term element whose x2^-1 maps to a multi-term image, alone,
+    # after a term whose image is zero, and in a term whose image is zero:
+    # `**` raises in stage 1, before any bucket could cancel
+    q = R.monomial((1, -1, 0), 2) + x1
+    for element, images in ((q, [x1, p, x3]), (q + x3, [x1, p, R.zero()]),
+                            (R.monomial((0, -1, 1)) + x1, [x1, p, R.zero()])):
+        with pytest.raises(NonUnitError, match=r"^not a unit: x1 \+ x3$"):
+            element.substitute(images)
 
 
 def test_substitute_cancelling_buckets():
