@@ -140,17 +140,28 @@ def build_parser():
 _parser = lru_cache(maxsize=None)(build_parser)
 
 
+def _plain_table(command):
+    """(positionals, {flag: (dest, type, default)}, defaults) of a command,
+    built once per command from `_COMMANDS`."""
+    func, _, positionals, spec = _COMMANDS[command]
+    options = {flag: (flag[2:].replace("-", "_"), kind, default)
+               for flag, kind, default in spec}
+    defaults = {dest: default for dest, _, default in options.values()}
+    defaults.update(command=command, func=func)
+    return positionals, options, defaults
+
+
+_PLAIN_TABLES = {command: _plain_table(command) for command in _COMMANDS}
+
+
 def _read_plain(argv):
     """parse_args(argv)'s Namespace if argv is plain: exact option names,
     each value next, not starting with "-" and of its type, every required
     option and the right positionals.  Otherwise None: argparse reads it."""
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _PLAIN_TABLES:
         return None
-    func, _, positionals, spec = _COMMANDS[argv[0]]
-    options = {flag: (flag[2:].replace("-", "_"), kind, default)
-               for flag, kind, default in spec}
-    args = {dest: default for dest, _, default in options.values()}
-    args.update(command=argv[0], func=func)
+    positionals, options, defaults = _PLAIN_TABLES[argv[0]]
+    args = dict(defaults)
     found = []
     tokens = iter(argv[1:])
     for token in tokens:

@@ -4,11 +4,15 @@ ker phi is generated by the x_i - phi(x_i), so the retract A is
 B/(x - phi(x)), and its F_p-points are the fixed points of phi in
 (F_p^*)^d × F_p^(n-d).  If A ≅ F_p[y^±r, z^t] there are exactly
 (p - 1)^r·p^t of them.  The count needs only the images mod p, and no
-engine code.
+engine code; `check_count` compares it with `analyze`, and `family`
+enumerates the idempotents of a family of maps drawn without `gen`.
 """
 
 from itertools import product, repeat
 from math import prod
+
+from retractlab import (Endomorphism, MixedPoly, NotIdempotentError,
+                        analyze, require_idempotent)
 
 
 def count_fixed_points(phi):
@@ -39,3 +43,38 @@ def point_count_exponents(count, p, r):
         rest //= p
         t += 1
     return t if rest == 1 else None
+
+
+def check_count(phi):
+    """(r, t) for an idempotent phi over GF(p), asserting that its count
+    is (p - 1)^r·p^t with r from `analyze` and r + t inside its trdeg."""
+    report = analyze(phi)
+    p = phi.ring.domain.p
+    count = count_fixed_points(phi)
+    t = point_count_exponents(count, p, report.r)
+    assert t is not None, (phi, count, report.r)
+    trdeg = report.trdeg
+    lo, hi = trdeg if isinstance(trdeg, tuple) else (trdeg, trdeg)
+    assert lo <= report.r + t <= hi, (phi, count, report.r, trdeg)
+    return report.r, t
+
+
+def supported(ring, monomials):
+    """Every element of a ring over GF(p) with support in monomials."""
+    p = ring.domain.p
+    return [MixedPoly(ring, zip(monomials, coeffs))
+            for coeffs in product(range(p), repeat=len(monomials))]
+
+
+def family(ring, choices):
+    """The maps x_i ↦ an element of choices[i] that `require_idempotent`
+    accepts, over every combination."""
+    idempotent = []
+    for images in product(*choices):
+        phi = Endomorphism(ring, images)
+        try:
+            require_idempotent(phi)
+        except NotIdempotentError:
+            continue
+        idempotent.append(phi)
+    return idempotent

@@ -1,6 +1,7 @@
 """The product kernel, which sums term pairs in one dict on integer
-coefficients, and the two-stage substitute, with its Horner stage, against
-the plain algorithms they replaced.
+coefficients, and the two-stage substitute, with its compiled exponent map,
+its power tables and its Horner stage, against the plain algorithms they
+replaced.
 
 `reference_mul` is the nested-loop product with domain arithmetic and one
 final sort; `reference_substitute` expands every image power and adds the
@@ -12,6 +13,7 @@ against `reference_terms`, which sums each exponent's coefficients as exact
 rationals.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ import pytest
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, NonUnitError,
                         GeneratorSpec, gen_random_idempotent, analyze)
 from retractlab import ring as ring_module
+from retractlab.cli import run_cli
 
 
 def reference_mul(p, q):
@@ -447,6 +450,34 @@ def test_substitute_non_unit_errors_match_reference():
         assert str(got.value) == str(expected.value)
 
 
+def test_stage_two_builds_each_power_from_the_last(monkeypatch):
+    # the powers of x2's image that the buckets need, 2, 3 and 5, are built
+    # as p^2, p^2·p and p^3·p^2, so `**` runs once.  A gap power the table
+    # does not hold is not built: 2 and 5 take `**` each, and a lone needed
+    # power is exactly `**`.  Two terms per bucket keep Horner's rule out
+    R = RingSignature(["x1", "x2", "x3"], 1, QQ)
+    x1, x2, x3 = (R.variable(i) for i in range(3))
+    images = [R.constant(2), x1 + x3 + R.constant(1), x3]
+    powers = []
+    pow_ = MixedPoly.__pow__
+
+    def recorded(a, k):
+        powers.append(k)
+        return pow_(a, k)
+
+    for exps, calls in (((2, 3, 5), [2]), ((2, 5), [2, 5]), ((4,), [4])):
+        p = R.zero()
+        for e in exps:
+            p = p + (x1 + x3) * x2 ** e
+        expected = reference_substitute(p, images)
+        monkeypatch.setattr(MixedPoly, "__pow__", recorded)
+        del powers[:]
+        got = p.substitute(images)
+        monkeypatch.setattr(MixedPoly, "__pow__", pow_)
+        assert got.terms == expected.terms
+        assert powers == calls
+
+
 def horner_draw(source, target, rng):
     """A polynomial and images under which every bucket of `substitute`
     holds one term: the Laurent images are unit scalars and the other
@@ -498,9 +529,9 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
     seen = set()
     horner_sum = ring_module._horner_sum
 
-    def counted(ring, images, buckets, reduce):
+    def counted(ring, tables, buckets, reduce):
         seen.add("branch")
-        for j in range(len(images)):
+        for j in range(len(tables)):
             exps = sorted({beta[j] for beta in buckets})
             if any(b - a > 1 for a, b in zip(exps, exps[1:])):
                 seen.add("gap")
@@ -508,7 +539,7 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
                 seen.add("least exponent")
         if any(not reduce(c) for b in buckets.values() for c in b.values()):
             seen.add("cancelled")
-        return horner_sum(ring, images, buckets, reduce)
+        return horner_sum(ring, tables, buckets, reduce)
 
     monkeypatch.setattr(ring_module, "_horner_sum", counted)
     rng = random.Random(1004)
@@ -534,6 +565,143 @@ def test_horner_substitute_matches_reference(dom, monkeypatch):
     assert 2 * took_branch >= draws
     assert seen >= {"gap", "least exponent", "cancelled", "all cancelled",
                     ("zero image", R.names), ("zero image", S.names)}
+
+
+def one_term_image(target, rng, source, laurent_source):
+    """A `random_image` of one term: a unit for a Laurent source."""
+    img = target.zero()
+    while len(img.terms) != 1:
+        img = random_image(target, rng, source, laurent_source)
+    return img
+
+
+def large_element(ring, rng, unused=()):
+    """An element of at least _COMPILED_MAP_TERMS terms, with negative
+    Laurent powers, that does not use the variables in `unused`."""
+    terms = {}
+    while len(terms) < ring_module._COMPILED_MAP_TERMS:
+        exp = tuple(0 if i in unused else rng.randint(-3, 3)
+                    if i < ring.laurent else rng.randint(0, 3)
+                    for i in range(ring.n))
+        terms[exp] = random_coeff(ring.domain, rng) or 1
+    return MixedPoly(ring, terms.items())
+
+
+def record_exponent_maps(monkeypatch):
+    """The list of rows each compiled exponent map is built from."""
+    built = []
+    exponent_map = ring_module._exponent_map
+
+    def recorded(rows, n):
+        built.append(rows)
+        return exponent_map(rows, n)
+
+    monkeypatch.setattr(ring_module, "_exponent_map", recorded)
+    return built
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=repr)
+def test_compiled_exponent_map_matches_reference(dom, monkeypatch):
+    # an element above the size gate whose used images each have one term,
+    # a unit at a Laurent place, maps every exponent through one compiled
+    # function; a used zero image or a non-unit at a Laurent place sends it
+    # to the per-term loop, which raises the reference's NonUnitError
+    built = record_exponent_maps(monkeypatch)
+    rng = random.Random(36)
+    R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
+    S = RingSignature(["u", "v", "w"], 1, dom)
+    U = RingSignature(["t"], 1, dom)
+    seen = set()
+    for target in (R, S, U):
+        for _ in range(16):
+            images = [one_term_image(target, rng, i, i < R.laurent)
+                      for i in range(R.n)]
+            kind = rng.randrange(5)
+            unused = ()
+            bad = None
+            if kind == 1:
+                # a zero image: not a unit at a Laurent place
+                bad = target.zero()
+                images[rng.randrange(R.n)] = bad
+            elif kind == 2 and target.laurent < target.n:
+                # x1 sent to a polynomial variable, not a unit
+                bad = images[0] = target.variable(target.n - 1)
+            elif kind == 3:
+                # an image the element does not use: zero or several terms
+                j = rng.randrange(R.n)
+                images[j] = rng.choice((target.zero(), target.variable(0)
+                                        + target.constant(1)))
+                unused = (j,)
+            p = large_element(R, rng, unused)
+            compiles = all(len(img.terms) == 1 and (i >= R.laurent
+                                                    or img.is_unit())
+                           for i, img in enumerate(images) if i not in unused)
+            del built[:]
+            try:
+                expected = reference_substitute(p, images, target)
+            except NonUnitError as error:
+                seen.add("not a unit" if bad.terms else "zero, not a unit")
+                with pytest.raises(NonUnitError) as got:
+                    p.substitute(images)
+                assert str(got.value) == str(error) == "not a unit: %s" % bad
+                assert not built
+                continue
+            got = p.substitute(images)
+            assert got.ring is target
+            assert got.terms == expected.terms
+            if dom is QQ:
+                assert_canonical_qq(got)
+            assert len(built) == compiles
+            if not compiles:
+                seen.add("zero image, per-term loop")
+                continue
+            if any(e < 0 for exp, _ in p.terms for e in exp[:R.laurent]):
+                seen.add("negative Laurent power")
+            if any(img.terms[0][1] != 1 for img in images if img.terms):
+                seen.add("scalar other than 1")
+            if any(k != i for i, k in variable_places(images).items()):
+                seen.add("variable at another index")
+            if target is U:
+                seen.add("one-variable target")
+            if unused:
+                seen.add("unused image")
+    assert seen == {"negative Laurent power", "scalar other than 1",
+                    "variable at another index", "one-variable target",
+                    "unused image", "zero image, per-term loop",
+                    "zero, not a unit", "not a unit"}
+    # one term fewer than the gate, or a ring wider than the gate, takes
+    # the per-term loop
+    p = large_element(R, rng)
+    p = MixedPoly._trusted(R, p.terms[:ring_module._COMPILED_MAP_TERMS - 1])
+    width = ring_module._COMPILED_MAP_WIDTH + 1
+    W = RingSignature(["y%d" % i for i in range(width)], 2, dom)
+    for p in (p, large_element(W, rng)):
+        images = [p.ring.variable(i) for i in range(p.ring.n)]
+        images[0] = images[0] ** -1
+        del built[:]
+        assert p.substitute(images).terms == \
+            reference_substitute(p, images).terms
+        assert not built
+    # into a ring of no variables, every image a scalar
+    Z = RingSignature([], 0, dom)
+    p = large_element(R, rng)
+    images = [Z.constant(random_unit(dom, rng)) for _ in range(R.n)]
+    assert p.substitute(images).terms == \
+        reference_substitute(p, images, Z).terms
+    assert built
+
+
+def test_analyzing_golden_files_compiles_no_map(monkeypatch, capsys):
+    # the golden files stay below the size gate, while 1014's `gen` maps
+    # its 1834-term image through a compiled map
+    built = record_exponent_maps(monkeypatch)
+    data = os.path.join(os.path.dirname(__file__), "data")
+    for name in sorted(os.listdir(data)):
+        run_cli(["analyze", "--json", os.path.join(data, name)])
+    capsys.readouterr()
+    assert not built
+    gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, QQ))
+    assert built
 
 
 def multi_term_pairs(monkeypatch):
@@ -568,7 +736,7 @@ def test_gen_1014_term_pairs(monkeypatch):
     # of several terms, so all of them keep the per-bucket products
     pairs = multi_term_pairs(monkeypatch)
     gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, QQ))
-    assert pairs[0] <= 4448
+    assert pairs[0] == 3197
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)

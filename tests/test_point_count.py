@@ -3,33 +3,18 @@
 An idempotent phi over GF(p) must fix exactly (p - 1)^r·p^t points of
 (F_p^*)^d × F_p^(n-d), with r the unit rank that `analyze` reports and
 r + t the transcendence degree, inside today's trdeg interval.  The maps
-are generated ones, and two families enumerated without `gen`: every map
-whose images lie in a fixed support, kept when `require_idempotent`
-accepts it.  A count of this form is evidence for r and trdeg, not a proof
-of the classification tag.
+are generated ones, and four families enumerated without `gen`: every map
+whose images lie in a fixed support, two of them on a Laurent x1, kept
+when `require_idempotent` accepts it.  A count of this form is evidence
+for r and trdeg, not a proof of the classification tag.  The two slow
+families of `slow_point_count.py` run outside the suite.
 """
-
-from itertools import product
 
 import pytest
 
-from retractlab import (GF, Endomorphism, GeneratorSpec, MixedPoly,
-                        NotIdempotentError, RingSignature, analyze,
+from retractlab import (GF, GeneratorSpec, RingSignature,
                         gen_random_idempotent, require_idempotent)
-from point_count import count_fixed_points, point_count_exponents
-
-
-def check_count(phi):
-    """Assert the count's form for an idempotent phi over GF(p)."""
-    report = analyze(phi)
-    p = phi.ring.domain.p
-    count = count_fixed_points(phi)
-    t = point_count_exponents(count, p, report.r)
-    assert t is not None, (phi, count, report.r)
-    trdeg = report.trdeg
-    lo, hi = trdeg if isinstance(trdeg, tuple) else (trdeg, trdeg)
-    assert lo <= report.r + t <= hi, (phi, count, report.r, trdeg)
-    return report.r, t
+from point_count import check_count, family, supported
 
 
 def test_generated_maps_fix_a_point_count_of_their_rank():
@@ -51,23 +36,6 @@ def test_generated_maps_fix_a_point_count_of_their_rank():
     assert any(r and t for r, t in seen), seen
 
 
-def family(p, monomials):
-    """Every map of GF(p)[x1,x2] whose images have support in monomials,
-    and the number of them that `require_idempotent` accepts."""
-    ring = RingSignature(["x1", "x2"], 0, GF(p))
-    images = [MixedPoly(ring, zip(monomials, coeffs))
-              for coeffs in product(range(p), repeat=len(monomials))]
-    idempotent = []
-    for pair in product(images, repeat=2):
-        phi = Endomorphism(ring, pair)
-        try:
-            require_idempotent(phi)
-        except NotIdempotentError:
-            continue
-        idempotent.append(phi)
-    return idempotent
-
-
 @pytest.mark.parametrize("p, monomials, idempotents", [
     # GF(2)[x1,x2] of degree at most 2: 4,096 maps
     (2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 65),
@@ -76,7 +44,24 @@ def family(p, monomials):
 ], ids=["GF(2) degree 2", "GF(3) multilinear"])
 def test_exhaustive_families_fix_a_point_count_of_their_rank(
         p, monomials, idempotents):
-    maps = family(p, monomials)
+    ring = RingSignature(["x1", "x2"], 0, GF(p))
+    images = supported(ring, monomials)
+    maps = family(ring, [images, images])
     assert len(maps) == idempotents
     # a retract of GF(p)[x1,x2] of each dimension 0, 1 and 2 occurs
     assert {check_count(phi) for phi in maps} == {(0, 0), (0, 1), (0, 2)}
+
+
+@pytest.mark.parametrize("p, idempotents", [(2, 27), (3, 196)],
+                         ids=["GF(2)", "GF(3)"])
+def test_laurent_families_fix_a_point_count_of_their_rank(p, idempotents):
+    # GF(p)[x1^±,x2] with x1 sent to c·x1^a, a in -1..1, and x2 to any
+    # element with support x1^(-1..1)·x2^(0..1): 192 and 4,374 maps
+    ring = RingSignature(["x1", "x2"], 1, GF(p))
+    first_images = [ring.monomial((a, 0), c)
+                    for a in (-1, 0, 1) for c in range(1, p)]
+    monomials = [(a, b) for a in (-1, 0, 1) for b in (0, 1)]
+    maps = family(ring, [first_images, supported(ring, monomials)])
+    assert len(maps) == idempotents
+    assert {check_count(phi) for phi in maps} == {(0, 0), (0, 1), (1, 0),
+                                                 (1, 1)}
