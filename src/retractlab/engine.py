@@ -6,10 +6,20 @@ the retract, the transcendence degree, a classification verdict, and a
 rationality verdict, each backed by exact certificates computed inside the
 call.  All checks are tolerance-zero.
 
-In characteristic 0 the transcendence degree is the trace of the Jacobian
-of phi at the fixed point phi(1, ..., 1), an idempotent matrix, computed
-mod a prime above n in one pass over the images' terms, each term one
-product of powers read from per-variable tables.
+The transcendence degree is read off phi mod J.  J is generated by the
+y - 1 for the killed y, phi(J) = 0, and B/J ≅ S[z] with
+S = R[y1^±,...,yr^±].  An a in A ∩ J, A = phi(B), has a = phi(a) = 0, so
+A embeds in S[z], as the image of the endomorphism φ̄: y_k ↦ y_k,
+z_j ↦ phi(x_j) mod J, whose images `quotient_mod_J` builds for the
+generators.  With π the quotient map, φ̄∘π = π∘phi, and π is onto, so φ̄
+is idempotent.  S[z] is smooth, so in characteristic 0 trdeg A is the trace
+of φ̄'s Jacobian at its fixed point φ̄(1, ..., 1), an idempotent matrix
+(a retract of a smooth algebra is smooth: Costa, "Retracts of polynomial
+rings", J. Algebra 1977).  The y-block adds r, 1 for each y_k ↦ y_k, and
+each z_j adds ∂φ̄(z_j)/∂z_j, read mod a prime above n in one pass over the
+image's terms, each term one product of powers from per-variable tables.
+φ̄'s images can be far smaller than phi's: 5 terms against 1,916 on the
+n = 6, d = 3 instance seed 1014.
 """
 
 from itertools import count
@@ -18,7 +28,7 @@ from operator import getitem
 
 from .domains import _is_prime
 from .intlinalg import IntMatrix, decompose
-from .endo import require_idempotent
+from .endo import Endomorphism, require_idempotent
 from .ring import MixedPoly, RingSignature, _integer_terms
 
 # the first modulus of the fixed-point trace, the Mersenne prime 2^61 - 1
@@ -118,8 +128,10 @@ def compute_y_variables(phi):
 
 
 def quotient_mod_J(ring, polys, decomposition, y_variables):
-    """Images of polys in B/J ≅ S^[n-d], written in y-coordinates: the ring
-    of y_1..y_r, names made collision-free, and the polynomial variables.
+    """(S^[n-d], the images of polys in B/J ≅ S^[n-d]), written in
+    y-coordinates: the ring of y_1..y_r, names made collision-free, and the
+    polynomial variables.  The ring is returned too, since polys may be
+    empty.
 
     A Laurent exponent v has coordinates c = T·v, and J sets each killed y_i,
     i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
@@ -151,7 +163,7 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
         # a unit: its exponent is T's ints, its scalar a product of units
         images.append(MixedPoly._trusted(target, ((column + tail, scalar),)))
     images += [target.variable(k) for k in range(r, target.n)]
-    return [p.substitute(images) for p in polys]
+    return target, [p.substitute(images) for p in polys]
 
 
 def _trace_primes(n):
@@ -163,18 +175,22 @@ def _trace_primes(n):
 
 
 def transcendence_degree(phi, unit_rank):
-    """Transcendence degree of the retract A of phi.
+    """Transcendence degree of the retract A of phi, for an idempotent phi
+    of a ring B; `analyze` passes φ̄, phi mod J (see the module docstring).
 
-    Characteristic 0: A is a retract of a smooth algebra, so it is smooth
-    (Costa, J. Algebra 1977).  With F = (phi(x_1), ..., phi(x_n)), F∘F = F,
-    so p = F(1, ..., 1) is fixed and E = JF(p) is idempotent of rank
-    trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].  It is
-    read mod a prime P > n that divides no image's denominator and no
-    Laurent p_i: 2^61 - 1, else the least such prime above n.  The powers
-    p_j^x mod P are kept in one dict per variable, shared by the n images
-    and filled the first time a power is read; image i reads x_i through a
-    table one power lower, so each term of ∂phi(x_i)/∂x_i is c·e_i times
-    one product of table entries.
+    Characteristic 0: A is a retract of the smooth algebra B, so it is
+    smooth (Costa, J. Algebra 1977).  With F = (phi(x_1), ..., phi(x_n)),
+    F∘F = F, so p = F(1, ..., 1) is fixed and E = JF(p) is idempotent of
+    rank trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].
+    A one-term image c·x^e adds e_i with no table read: p_i = c ≠ 0 and
+    F_i(p) = p_i, so ∂(c·x^e)/∂x_i (p) = e_i·F_i(p)/p_i = e_i.  So each
+    y_k ↦ y_k of φ̄ adds 1, and the unit images of the Laurent block add
+    their diagonal exponents.  The other images are read mod a prime P > n
+    that divides no image's denominator and no Laurent p_i: 2^61 - 1, else
+    the least such prime above n.  The powers p_j^x mod P are kept in one
+    dict per variable, shared by the n images and filled the first time a
+    power is read; image i reads x_i through a table one power lower, so
+    each term of ∂phi(x_i)/∂x_i is c·e_i times one product of table entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
     is not the rank) is not built yet; a pure Laurent ring forces r.
@@ -196,6 +212,9 @@ def transcendence_degree(phi, unit_rank):
             row = tables[:]
             trace = 0
             for i, (den, terms) in enumerate(images):
+                if len(terms) == 1:
+                    trace += terms[0][0][i]  # c·x^e adds e_i, as above
+                    continue
                 # ∂/∂x_i lowers x_i's power: image i reads x_i one lower
                 row[i] = {1: 1, 2: point[i]}
                 entry = 0
@@ -316,9 +335,12 @@ def analyze(phi):
 
     generators = [y.poly for y in yvars[:r]] + \
         [phi.images[j] for j in range(d, n)]
-    quotient_gens = quotient_mod_J(ring, generators, dec, yvars)
+    target, quotient_gens = quotient_mod_J(ring, generators, dec, yvars)
 
-    trdeg = transcendence_degree(phi, r)
+    # φ̄ = phi mod J, y_k ↦ y_k and z_j ↦ phi(x_j) mod J: idempotent, with
+    # image ≅ A on the smooth ring B/J, so its trace is trdeg A too
+    trdeg = transcendence_degree(
+        Endomorphism._trusted(target, tuple(quotient_gens)), r)
     verdict = classify(n, d, r, trdeg)
     if verdict.tag == "UFDClassified" and _generators_witness_shape(
             quotient_gens, r, verdict.params["s"]):

@@ -66,9 +66,10 @@ def test_quotient_mod_j_e1():
     phi = e1()
     dec, ys = compute_y_variables(phi)
     R = phi.ring
-    x2, y1, y1sq = quotient_mod_J(
+    target, (x2, y1, y1sq) = quotient_mod_J(
         R, [R.variable(1), R.variable(0) * R.variable(1), R.monomial((2, 2))],
         dec, ys)
+    assert target.names == ("y1",) and target is y1.ring
     # the killed y = x2 goes to its normalizer, the constant 1
     assert x2.terms == (((0,), 1),)
     assert str(y1) == "y1"
@@ -126,7 +127,7 @@ def test_quotient_mod_j_matches_reference():
                                      for t in row)
                 polys = [random_element(R, rng, max_terms=6, max_exp=4,
                                         max_coeff=7) for _ in range(25)]
-                got = quotient_mod_J(R, polys, dec, ys)
+                _, got = quotient_mod_J(R, polys, dec, ys)
                 for p, q in zip(polys, got, strict=True):
                     want = reference_quotient_mod_J(p, dec, ys, q.ring)
                     assert q == want, (phi, p)
@@ -169,34 +170,125 @@ def _value(p, point):
     return total
 
 
-def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
-    # E = JF(p) at p = F(1, ..., 1), built from MixedPoly derivatives and
-    # evaluated over Fraction, is idempotent, and its rank by exact
-    # elimination is the trace that transcendence_degree reads mod a prime
-    rng = random.Random(59)
-    fraction = negative = intermediate = False
+def _fixed_point_jacobian(phi):
+    """E = JF(p) at p = F(1, ..., 1), built from MixedPoly derivatives and
+    evaluated over Fraction."""
+    n = phi.ring.n
+    p = [_value(g, (1,) * n) for g in phi.images]
+    return [[_value(_derivative(g, j), p) for j in range(n)]
+            for g in phi.images]
+
+
+def _draws(rng, count):
+    """count seeded idempotent maps over each of QQ and ZZ, n in [1, 5] and
+    d in [0, n]."""
     for dom in (QQ, ZZ):
-        for _ in range(150):
+        for _ in range(count):
             n = rng.randint(1, 5)
             d = rng.randint(0, n)
             spec = GeneratorSpec(n, d, rng.randint(0, d), rng.randrange(10 ** 6),
                                  rng.randint(0, 3), dom)
-            phi = gen_random_idempotent(spec)
-            terms = [t for g in phi.images for t in g.terms]
-            fraction |= any(type(c) is Fraction for _, c in terms)
-            negative |= any(min(e) < 0 for e, _ in terms)
-            p = [_value(g, (1,) * n) for g in phi.images]
-            E = [[_value(_derivative(g, j), p) for j in range(n)]
-                 for g in phi.images]
-            EE = [[sum(E[i][k] * E[k][j] for k in range(n)) for j in range(n)]
-                  for i in range(n)]
-            assert EE == E, spec.seed
-            # conjugation keeps the unit rank, so spec.r is r without the
-            # idempotency proof, which is slow on some draws
-            trdeg = transcendence_degree(phi, spec.r)
-            assert fraction_rank(E) == trdeg, spec.seed
-            intermediate |= 0 < trdeg - spec.r < n - d
+            yield spec, gen_random_idempotent(spec)
+
+
+def _shape(phi):
+    """(has a Fraction coefficient, has a negative power) over its images."""
+    terms = [t for g in phi.images for t in g.terms]
+    return (any(type(c) is Fraction for _, c in terms),
+            any(min(e) < 0 for e, _ in terms))
+
+
+def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
+    # E = JF(p) is idempotent, and its rank by exact elimination is the
+    # trace that transcendence_degree reads mod a prime
+    fraction = negative = intermediate = False
+    for spec, phi in _draws(random.Random(59), 150):
+        n = phi.ring.n
+        has_fraction, has_negative = _shape(phi)
+        fraction |= has_fraction
+        negative |= has_negative
+        E = _fixed_point_jacobian(phi)
+        EE = [[sum(E[i][k] * E[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
+        assert EE == E, spec.seed
+        # conjugation keeps the unit rank, so spec.r is r without the
+        # idempotency proof, which is slow on some draws
+        trdeg = transcendence_degree(phi, spec.r)
+        assert fraction_rank(E) == trdeg, spec.seed
+        intermediate |= 0 < trdeg - spec.r < spec.n - spec.d
     assert fraction and negative and intermediate
+
+
+def _analyze_recording_traces(monkeypatch, phi):
+    """analyze(phi), and the maps it handed transcendence_degree."""
+    from retractlab import engine
+    maps = []
+    trace = engine.transcendence_degree
+
+    def recording(psi, unit_rank):
+        maps.append(psi)
+        return trace(psi, unit_rank)
+    monkeypatch.setattr(engine, "transcendence_degree", recording)
+    rep = analyze(phi)
+    monkeypatch.undo()
+    return rep, maps
+
+
+def test_analyze_trdeg_equals_the_exact_rank_on_B(monkeypatch):
+    # analyze traces φ̄ = phi mod J; on B itself the exact QQ rank of JF(p)
+    # and the trace of phi must give the same trdeg.  The draws are not
+    # those above: that stream holds n4d0c3 seed 9128, whose idempotency
+    # proof runs for a minute over QQ
+    fraction = negative = intermediate = False
+    seen_d = set()
+    for spec, phi in _draws(random.Random(61), 150):
+        has_fraction, has_negative = _shape(phi)
+        fraction |= has_fraction
+        negative |= has_negative
+        seen_d.add(spec.d)
+        rep, (phibar,) = _analyze_recording_traces(monkeypatch, phi)
+        assert phibar.ring is not phi.ring, spec
+        assert rep.trdeg == fraction_rank(_fixed_point_jacobian(phi)), spec
+        assert rep.trdeg == transcendence_degree(phi, rep.r), spec
+        intermediate |= 0 < rep.trdeg - rep.r < spec.n - spec.d
+    assert fraction and negative and intermediate
+    assert seen_d == set(range(6))
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+with open(os.path.join(os.path.dirname(DATA), "golden",
+                       "exit_codes.json")) as _codes:
+    # the tests/data files that analyze accepts
+    ANALYZED = sorted(os.path.join(DATA, name)
+                      for name, code in json.load(_codes).items() if code == 0)
+NAMED_FILES = sorted(os.path.join(BENCH_NAMED, name)
+                     for name in os.listdir(BENCH_NAMED))
+
+
+@pytest.mark.parametrize("path", ANALYZED + NAMED_FILES,
+                         ids=os.path.basename)
+def test_trace_of_phi_mod_J_equals_the_trace_of_phi(path, monkeypatch):
+    with open(path, encoding="utf-8") as f:
+        phi = parse_problem(f.read())[1]
+    rep, (phibar,) = _analyze_recording_traces(monkeypatch, phi)
+    assert transcendence_degree(phibar, rep.r) == rep.trdeg
+    assert transcendence_degree(phi, rep.r) == rep.trdeg
+
+
+def test_analyze_traces_phi_mod_J_once(monkeypatch):
+    # on QQ 1014, phi's polynomial images hold 1,916 terms; analyze hands
+    # the trace one map, φ̄ on the quotient ring, whose images hold 5
+    path = os.path.join(BENCH_NAMED, "QQ_n6d3r2c4_s1014.ring")
+    with open(path, encoding="utf-8") as f:
+        phi = parse_problem(f.read())[1]
+    d = phi.ring.laurent
+    assert sum(len(g.terms) for g in phi.images[d:]) == 1916
+    rep, maps = _analyze_recording_traces(monkeypatch, phi)
+    phibar, = maps
+    assert phibar.ring is rep.quotient_generators[0].ring
+    assert list(phibar.images) == rep.quotient_generators
+    assert sum(len(g.terms) for g in phibar.images) == 5
+    assert rep.trdeg == 5
 
 
 def test_trace_primes_are_the_primes_above_n():
@@ -214,8 +306,10 @@ def test_trace_primes_are_the_primes_above_n():
 
 
 # one report per input: 2^61 - 1 divides an image's denominator, or is a
-# Laurent coordinate of the fixed point, so the trace falls back to a prime
-# above n; each report's bytes are pinned by their SHA-256
+# Laurent coordinate of the fixed point, so the trace of phi falls back to a
+# prime above n.  φ̄ = phi mod J, which analyze traces, keeps the
+# denominator; its Laurent coordinates are y_k ↦ y_k, all 1 at the fixed
+# point.  Each report's bytes are pinned by their SHA-256
 PRIME_FALLBACK = [
     ("ring QQ[x^±,y]\nx -> x\ny -> 1/2305843009213693951*x\n",
      1, "PureLaurent(r=1)",
@@ -235,8 +329,9 @@ PRIME_FALLBACK = [
 @pytest.mark.parametrize("text,trdeg,verdict,digest", PRIME_FALLBACK,
                          ids=["denominator", "laurent-zero", "laurent-inverse"])
 def test_trace_falls_back_to_a_prime_above_n(text, trdeg, verdict, digest):
-    rep = analyze(parse_problem(text)[1])
-    assert rep.trdeg == trdeg
+    phi = parse_problem(text)[1]
+    rep = analyze(phi)
+    assert rep.trdeg == trdeg == transcendence_degree(phi, rep.r)
     assert repr(rep.classification) == verdict
     report = render_report(rep, "json").encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
@@ -411,7 +506,8 @@ def test_scalar_fixedness_and_injectivity_samples():
         b = random_element(R, rng)
         img = apply(phi, b)
         if not img.is_zero():
-            q, = quotient_mod_J(R, [img], rep.decomposition, rep.y_variables)
+            _, (q,) = quotient_mod_J(R, [img], rep.decomposition,
+                                     rep.y_variables)
             assert not q.is_zero()
 
 
