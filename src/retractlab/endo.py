@@ -15,6 +15,14 @@ fails, each image joins C in leading-term order unless subduction by C
 finds its witness (Robbiano & Sweedler, "Subalgebra bases", 1990).  Both
 equalities are checked by exact substitution.  phi∘phi is expanded instead
 when that is cheap (EXPANSION_PRODUCTS) or no factorisation holds.
+
+The proof also fixes variables mod J, the ideal of the killed y-variables
+(see `engine`): every c in C whose image uses no polynomial variable
+outside C has phi(x_c) ≡ x_c mod J.  With π: B → B/J and φ̄ = phi mod J,
+π∘phi = φ̄∘π and φ̄ fixes the Laurent part of B/J, so π∘ω = π on
+R[x_L^±][x_C], where ω(x_i) = phi(x_i) and ω(x_c) = x_c; so
+π(phi(x_c)) = π(ω(phi(x_c))) = π(ω(x_c)) = π(x_c).  `require_idempotent`
+returns those c as `MonomialData.fixed`, empty after an expanded phi∘phi.
 """
 
 from math import prod
@@ -69,13 +77,16 @@ class Endomorphism:
 
 
 class MonomialData:
-    """Unit-lattice matrix and scalar parts of the Laurent-block images."""
+    """Unit-lattice matrix and scalar parts of the Laurent-block images, and
+    the polynomial variables x_c that the idempotency proof shows to have
+    phi(x_c) ≡ x_c mod J (see the module docstring)."""
 
-    __slots__ = ("matrix", "lambdas")
+    __slots__ = ("matrix", "lambdas", "fixed")
 
     def __init__(self, matrix, lambdas):
         self.matrix = matrix
         self.lambdas = tuple(lambdas)
+        self.fixed = ()
 
 
 def identity(ring):
@@ -204,11 +215,22 @@ def _factorisation_holds(phi, sigma, omega, witnessed):
     return True
 
 
+def _fixed_mod_J(images, d, C):
+    """The c in C whose image uses no polynomial variable outside C: each
+    has phi(x_c) ≡ x_c mod J once ω∘phi = ω holds (module docstring)."""
+    outside = [j for j in range(d, len(images)) if j not in C]
+    if not outside:
+        return tuple(C)
+    return tuple(c for c in C
+                 if not any(e[j] for e, _ in images[c].terms for j in outside))
+
+
 def _factorisation_proves_idempotent(phi):
-    """Whether a factorisation phi = σ∘ω with ω∘phi = ω is found and
-    checked (see the module docstring); False proves nothing.  A map over
-    ZZ is searched over QQ, where any nonzero lead is a unit: phi∘phi = phi
-    holds over both or neither."""
+    """The variables `_fixed_mod_J` reads off a factorisation phi = σ∘ω
+    with ω∘phi = ω that is found and checked (see the module docstring),
+    or None, which proves nothing.  A map over ZZ is searched over QQ,
+    where any nonzero lead is a unit: phi∘phi = phi holds over both or
+    neither."""
     ring = phi.ring
     if not ring.domain.is_field:  # ints are canonical QQ coefficients
         ring = RingSignature(ring.names, ring.laurent, QQ)
@@ -221,7 +243,7 @@ def _factorisation_proves_idempotent(phi):
             if any(any(e[d:]) for e, _ in images[j].terms)]
     omega = [variables[j] if j in free else p for j, p in enumerate(images)]
     if _factorisation_holds(phi, None, omega, ()):
-        return True
+        return _fixed_mod_J(images, d, free)
     leads = {j: _leading(images[j], d) for j in free}
     gens = []
     budget = [SUBDUCTION_PAIRS]
@@ -230,27 +252,32 @@ def _factorisation_proves_idempotent(phi):
         if omega[j] is None:
             alpha, lead = leads[j]
             if len(lead) != 1 or not ring.domain.is_unit(lead[0][1]):
-                return False
+                return None
             (exp, c), = lead
             gens.append((j, alpha, (c, exp), [images[j]]))
             omega[j] = variables[j]
     witnessed = [j for j in free if omega[j] is not variables[j]]
     if not witnessed:
-        return False  # that ω failed above
+        return None  # that ω failed above
     sigma = list(variables)
     for c, _, _, powers in gens:
         sigma[c] = powers[0]
-    return _factorisation_holds(phi, sigma, omega, witnessed)
+    if not _factorisation_holds(phi, sigma, omega, witnessed):
+        return None
+    return _fixed_mod_J(images, d, [g[0] for g in gens])
 
 
 def require_idempotent(phi):
     """The check every input passes: return monomial_part(phi), which raises
     InvalidEndomorphismError unless each Laurent variable maps to a unit,
-    or raise NotIdempotentError naming the first variable with
-    phi²(x) != phi(x)."""
+    with the `fixed` variables of a factorisation proof, or raise
+    NotIdempotentError naming the first variable with phi²(x) != phi(x)."""
     mono = monomial_part(phi)
-    if _expansion_exceeds(phi) and _factorisation_proves_idempotent(phi):
-        return mono
+    if _expansion_exceeds(phi):
+        fixed = _factorisation_proves_idempotent(phi)
+        if fixed is not None:
+            mono.fixed = fixed
+            return mono
     for name, delta in zip(phi.ring.names, idempotency_defect(phi)):
         if not delta.is_zero():
             raise NotIdempotentError(

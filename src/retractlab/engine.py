@@ -20,6 +20,15 @@ each z_j adds ∂φ̄(z_j)/∂z_j, read mod a prime above n in one pass over the
 image's terms, each term one product of powers from per-variable tables.
 φ̄'s images can be far smaller than phi's: 5 terms against 1,916 on the
 n = 6, d = 3 instance seed 1014.
+
+Some of them are read off the idempotency proof instead.  A factorisation
+phi = σ∘ω (see `endo`) fixes a set C of polynomial variables with
+ω∘phi = ω, and ω ≡ id mod J on R[x_L^±][x_C], since π∘phi = φ̄∘π and φ̄
+fixes S.  So each c in C whose image uses no polynomial variable outside
+C has phi(x_c) ≡ ω(phi(x_c)) = x_c mod J, and `analyze` hands
+`quotient_mod_J` the variable x_c, which maps to z_c at once, in place of
+phi(x_c); the report's generators stay phi's images.  On seed 1014 that
+is every polynomial variable, so the 1,834-term phi(x4) is never mapped.
 """
 
 from itertools import count
@@ -95,7 +104,9 @@ class RetractReport:
 
 
 def compute_y_variables(phi):
-    """New Laurent coordinates, read from the monomial part (M, λ) of phi.
+    """(decomposition, y-variables, the polynomial variables the proof
+    fixes mod J): the new Laurent coordinates, read from the monomial part
+    (M, λ) of phi, and `MonomialData.fixed` (see the module docstring).
 
     After the exact idempotency check (`require_idempotent`, which returns
     (M, λ)), phi sends x^b to λ^b·x^(M·b), so one product M·b checks each
@@ -124,7 +135,7 @@ def compute_y_variables(phi):
         y = MixedPoly._trusted(ring, ((exp, dom.invert(lam)),))
         yvars.append(YVariable(exp, lam, "fixed" if fixed else "killed", y,
                                verified))
-    return dec, yvars
+    return dec, yvars, mono.fixed
 
 
 def quotient_mod_J(ring, polys, decomposition, y_variables):
@@ -136,7 +147,11 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
     A Laurent exponent v has coordinates c = T·v, and J sets each killed y_i,
     i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
     μ_j = ∏_{i≥r} λ_i^T[i][j], and a polynomial variable to itself in S^[n-d].
-    The n images are built once, and each p goes through `substitute`.
+    The n images are built once, and each p goes through `substitute`, so a
+    polynomial variable x_c comes back as z_c at once: `analyze` passes x_c
+    for phi(x_c) when the idempotency proof shows phi(x_c) ≡ x_c mod J,
+    that is when ω∘phi = ω, ω fixes x_c and phi(x_c) lies in
+    R[x_L^±][x_C], on which ω ≡ id mod J (see the module docstring).
     """
     d = ring.laurent
     r = decomposition.r
@@ -185,18 +200,24 @@ def transcendence_degree(phi, unit_rank):
     A one-term image c·x^e adds e_i with no table read: p_i = c ≠ 0 and
     F_i(p) = p_i, so ∂(c·x^e)/∂x_i (p) = e_i·F_i(p)/p_i = e_i.  So each
     y_k ↦ y_k of φ̄ adds 1, and the unit images of the Laurent block add
-    their diagonal exponents.  The other images are read mod a prime P > n
-    that divides no image's denominator and no Laurent p_i: 2^61 - 1, else
-    the least such prime above n.  The powers p_j^x mod P are kept in one
-    dict per variable, shared by the n images and filled the first time a
-    power is read; image i reads x_i through a table one power lower, so
-    each term of ∂phi(x_i)/∂x_i is c·e_i times one product of table entries.
+    their diagonal exponents.  When no image has two terms, the trace is
+    that sum, read with no fixed point and no prime (a zero image adds 0),
+    as on φ̄ of seed 1014 and of a Laurent identity.  Otherwise the other
+    images are read mod a prime P > n that divides no image's denominator
+    and no Laurent p_i: 2^61 - 1, else the least such prime above n.  The
+    powers p_j^x mod P are kept in one dict per variable, shared by the n
+    images and filled the first time a power is read; image i reads x_i
+    through a table one power lower, so each term of ∂phi(x_i)/∂x_i is
+    c·e_i times one product of table entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
     is not the rank) is not built yet; a pure Laurent ring forces r.
     """
     ring = phi.ring
     if ring.domain.characteristic == 0:
+        if all(len(g.terms) <= 1 for g in phi.images):
+            return sum(g.terms[0][0][i]
+                       for i, g in enumerate(phi.images) if g.terms)
         images = [_integer_terms(g.terms) for g in phi.images]
         for P in _trace_primes(ring.n):
             if any(den % P == 0 for den, _ in images):
@@ -306,7 +327,7 @@ def _generators_witness_shape(quotient_gens, r, s):
 def analyze(phi):
     """Run the whole pipeline on an idempotent endomorphism and return a
     RetractReport with exact certificates."""
-    dec, yvars = compute_y_variables(phi)
+    dec, yvars, fixed = compute_y_variables(phi)
     ring = phi.ring
     n, d = ring.n, ring.laurent
     r = dec.r
@@ -333,9 +354,12 @@ def analyze(phi):
         # before the trace, whose trdeg holds only for an idempotent phi
         raise CertificateError("certificate check failed", certificates)
 
-    generators = [y.poly for y in yvars[:r]] + \
-        [phi.images[j] for j in range(d, n)]
-    target, quotient_gens = quotient_mod_J(ring, generators, dec, yvars)
+    units = [y.poly for y in yvars[:r]]
+    generators = units + [phi.images[j] for j in range(d, n)]
+    # phi(x_c) ≡ x_c mod J for each c the proof fixes (module docstring)
+    target, quotient_gens = quotient_mod_J(
+        ring, units + [ring.variable(j) if j in fixed else phi.images[j]
+                       for j in range(d, n)], dec, yvars)
 
     # φ̄ = phi mod J, y_k ↦ y_k and z_j ↦ phi(x_j) mod J: idempotent, with
     # image ≅ A on the smooth ring B/J, so its trace is trdeg A too

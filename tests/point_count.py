@@ -6,13 +6,16 @@ B/(x - phi(x)), and its F_p-points are the fixed points of phi in
 (p - 1)^r·p^t of them.  The count needs only the images mod p, and no
 engine code; `check_count` compares it with `analyze`, and `family`
 enumerates the idempotents of a family of maps drawn without `gen`.
+`plane_family` and `laurent_family` are the first four such families,
+built once per process: the metamorphic tests conjugate them too.
 """
 
+from functools import cache
 from itertools import product, repeat
 from math import prod
 
-from retractlab import (Endomorphism, MixedPoly, NotIdempotentError,
-                        analyze, require_idempotent)
+from retractlab import (GF, Endomorphism, MixedPoly, NotIdempotentError,
+                        RingSignature, analyze, require_idempotent)
 
 
 def count_fixed_points(phi):
@@ -78,3 +81,32 @@ def family(ring, choices):
             continue
         idempotent.append(phi)
     return idempotent
+
+
+# the image support of GF(p)[x1,x2]'s family: degree at most 2 over GF(2),
+# multilinear over GF(3)
+PLANE_SUPPORTS = {
+    2: [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)],
+    3: [(0, 0), (1, 0), (0, 1), (1, 1)],
+}
+
+
+@cache
+def plane_family(p):
+    """The idempotents of GF(p)[x1,x2] whose images have support
+    PLANE_SUPPORTS[p]: of 4,096 maps over GF(2) and 6,561 over GF(3)."""
+    ring = RingSignature(["x1", "x2"], 0, GF(p))
+    images = supported(ring, PLANE_SUPPORTS[p])
+    return tuple(family(ring, [images, images]))
+
+
+@cache
+def laurent_family(p):
+    """The idempotents of GF(p)[x1^±,x2] with x1 sent to c·x1^a, a in
+    -1..1, and x2 to any element with support x1^(-1..1)·x2^(0..1): of 192
+    maps over GF(2) and 4,374 over GF(3)."""
+    ring = RingSignature(["x1", "x2"], 1, GF(p))
+    first_images = [ring.monomial((a, 0), c)
+                    for a in (-1, 0, 1) for c in range(1, p)]
+    monomials = [(a, b) for a in (-1, 0, 1) for b in (0, 1)]
+    return tuple(family(ring, [first_images, supported(ring, monomials)]))

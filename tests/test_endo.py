@@ -279,13 +279,15 @@ def test_certificate_on_small_strata():
                             GeneratorSpec(n, d, seed % (d + 1), seed, c, dom))
                         assert accepted(phi) and exactly_idempotent(phi)
                         drawn += 1
-                        proved += endo._factorisation_proves_idempotent(phi)
+                        proved += (endo._factorisation_proves_idempotent(phi)
+                                   is not None)
                         for i in (0, n - 1):
                             bad = perturbed(phi, i)
                             exact = exactly_idempotent(bad)
                             assert accepted(bad) == exact
-                            assert exact or \
-                                not endo._factorisation_proves_idempotent(bad)
+                            assert exact or (
+                                endo._factorisation_proves_idempotent(bad)
+                                is None)
     assert drawn == 660 and proved >= 0.9 * drawn
 
 
@@ -339,7 +341,7 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
         w = subduce(*args)
         return None if w is None else w + one
     monkeypatch.setattr(endo, "_subduce", off_by_one)
-    assert not endo._factorisation_proves_idempotent(phi)
+    assert endo._factorisation_proves_idempotent(phi) is None
     calls = counted_compositions(monkeypatch)
     require_idempotent(phi)
     assert calls == [(phi, phi)]
@@ -351,7 +353,7 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
 ])
 def test_subduction_budget_gives_up(pairs, monkeypatch):
     phi = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
-    assert endo._factorisation_proves_idempotent(phi)
+    assert endo._factorisation_proves_idempotent(phi) is not None
     monkeypatch.setattr(endo, "SUBDUCTION_PAIRS", pairs)
     subduce = endo._subduce
     overdrawn = []
@@ -361,7 +363,7 @@ def test_subduction_budget_gives_up(pairs, monkeypatch):
         overdrawn.append(w is None and budget[0] < 0)
         return w
     monkeypatch.setattr(endo, "_subduce", spying)
-    assert not endo._factorisation_proves_idempotent(phi)
+    assert endo._factorisation_proves_idempotent(phi) is None
     assert overdrawn[-1]
     calls = counted_compositions(monkeypatch)
     require_idempotent(phi)
@@ -376,8 +378,8 @@ def test_witness_with_a_unit_lead_and_a_laurent_part():
     square = (x1 * x2) ** 2
     phi = Endomorphism(R, [R.constant(1), x1 * x2, square + R.constant(3)])
     assert exactly_idempotent(phi)
-    assert endo._factorisation_proves_idempotent(phi)
+    assert endo._factorisation_proves_idempotent(phi) is not None
     bad = Endomorphism(R, [R.constant(1), x1 * x2,
                            square + x1 + R.constant(3)])
     assert not exactly_idempotent(bad)
-    assert not endo._factorisation_proves_idempotent(bad)
+    assert endo._factorisation_proves_idempotent(bad) is None

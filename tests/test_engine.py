@@ -31,8 +31,8 @@ def e1():
 
 
 def test_compute_y_variables_e1():
-    dec, ys = compute_y_variables(e1())
-    assert dec.r == 1
+    dec, ys, fixed = compute_y_variables(e1())
+    assert dec.r == 1 and fixed == ()  # phi∘phi was expanded
     assert [y.kind for y in ys] == ["fixed", "killed"]
     assert ys[0].exponent == (1, 1)
     assert ys[1].exponent == (0, 1)
@@ -42,7 +42,7 @@ def test_compute_y_variables_e1():
 def test_compute_y_variables_scaled():
     R = RingSignature(["x1", "x2"], 2, QQ)
     phi = Endomorphism(R, [R.variable(0), R.constant(3)])
-    dec, ys = compute_y_variables(phi)
+    dec, ys, _ = compute_y_variables(phi)
     assert dec.r == 1
     assert ys[0].poly == R.variable(0)
     assert ys[1].normalizer == 3
@@ -51,7 +51,7 @@ def test_compute_y_variables_scaled():
 
 def test_compute_y_variables_identity():
     R = RingSignature(["x1", "x2"], 2, QQ)
-    dec, ys = compute_y_variables(identity(R))
+    dec, ys, _ = compute_y_variables(identity(R))
     assert dec.r == 2 and all(y.kind == "fixed" for y in ys)
     assert [y.exponent for y in ys] == [(1, 0), (0, 1)]
 
@@ -64,7 +64,7 @@ def test_compute_y_variables_rejects_non_idempotent():
 
 def test_quotient_mod_j_e1():
     phi = e1()
-    dec, ys = compute_y_variables(phi)
+    dec, ys, _ = compute_y_variables(phi)
     R = phi.ring
     target, (x2, y1, y1sq) = quotient_mod_J(
         R, [R.variable(1), R.variable(0) * R.variable(1), R.monomial((2, 2))],
@@ -120,7 +120,7 @@ def test_quotient_mod_j_matches_reference():
                 for kind in kinds:
                     phi = conjugate(phi,
                                     *_automorphism_of_kind(R, kind, rng, 1))
-                dec, ys = compute_y_variables(phi)
+                dec, ys, _ = compute_y_variables(phi)
                 assert dec.r == r
                 seen_normalizer |= any(y.normalizer != 1 for y in ys)
                 seen_negative |= any(t < 0 for row in dec.T.entries
@@ -289,6 +289,104 @@ def test_analyze_traces_phi_mod_J_once(monkeypatch):
     assert list(phibar.images) == rep.quotient_generators
     assert sum(len(g.terms) for g in phibar.images) == 5
     assert rep.trdeg == 5
+
+
+def _quotient_of_phi(rep):
+    """The quotient generators of a report, read from phi's own images."""
+    return quotient_mod_J(rep.ring, rep.generators, rep.decomposition,
+                          rep.y_variables)[1]
+
+
+def _analyze_recording_quotient(monkeypatch, phi):
+    """analyze(phi), and the polys it handed quotient_mod_J."""
+    from retractlab import engine
+    handed = []
+    quotient = engine.quotient_mod_J
+
+    def recording(ring, polys, decomposition, y_variables):
+        handed.extend(polys)
+        return quotient(ring, polys, decomposition, y_variables)
+    monkeypatch.setattr(engine, "quotient_mod_J", recording)
+    rep = analyze(phi)
+    monkeypatch.undo()
+    return rep, handed
+
+
+def _named(name):
+    with open(os.path.join(BENCH_NAMED, name + ".ring"),
+              encoding="utf-8") as f:
+        return parse_problem(f.read())[1]
+
+
+@pytest.mark.parametrize("phi", [
+    # 1004: ω fixes x4 and sends x5 to the witness 2*x4^2 + 2*x4, and
+    # phi(x4) uses x5
+    _named("QQ_n5d3r0c3_s1004"),
+    # ω fixes z and phi(z) uses w, which ω kills
+    parse_problem("ring QQ[x^±,z,w]\nx -> x\nz -> z + w*(z + x)^6\n"
+                  "w -> 0\n")[1],
+], ids=["1004", "killed-w"])
+def test_proof_fixes_no_variable_whose_image_leaves_C(phi, monkeypatch):
+    from retractlab import endo
+    assert endo._expansion_exceeds(phi)
+    assert endo._factorisation_proves_idempotent(phi) == ()
+    rep, handed = _analyze_recording_quotient(monkeypatch, phi)
+    assert handed == rep.generators
+    assert rep.quotient_generators == _quotient_of_phi(rep)
+
+
+def test_quotient_generators_past_the_gate_are_those_of_phi():
+    # maps past the expansion gate that a factorisation proves: analyze
+    # takes x_c for phi(x_c) on most, and its quotient generators must be
+    # those of phi's own images on all.  A map with no factorisation
+    # expands phi∘phi, which runs for minutes on some draws, so it is left
+    from retractlab import endo
+    domains = set()
+    shortcut = 0
+    for dom in (QQ, ZZ, GF(5), GF(32003)):
+        for n, d in ((4, 0), (5, 0), (6, 0), (5, 1), (6, 1)):
+            for seed in range(30):
+                phi = gen_random_idempotent(
+                    GeneratorSpec(n, d, seed % (d + 1), seed, 4, dom))
+                if not endo._expansion_exceeds(phi):
+                    continue
+                fixed = endo._factorisation_proves_idempotent(phi)
+                if fixed is None:
+                    continue
+                rep = analyze(phi)
+                assert rep.quotient_generators == _quotient_of_phi(rep), \
+                    (dom, n, d, seed)
+                domains.add(dom)
+                shortcut += bool(fixed)
+    assert len(domains) == 4 and shortcut >= 15
+
+
+def test_analyze_maps_none_of_1014s_polynomial_images(monkeypatch):
+    # the proof fixes x4, x5 and x6 of QQ 1014 mod J, so the quotient gets
+    # the variables, and the report's generators stay phi's images
+    phi = _named("QQ_n6d3r2c4_s1014")
+    R = phi.ring
+    rep, handed = _analyze_recording_quotient(monkeypatch, phi)
+    assert not any(p == img for p in handed for img in phi.images[3:])
+    assert handed[rep.r:] == [R.variable(j) for j in range(3, 6)]
+    assert rep.generators[rep.r:] == list(phi.images[3:])
+    assert rep.quotient_generators == _quotient_of_phi(rep)
+
+
+def test_trace_of_one_term_images_needs_no_prime(monkeypatch):
+    # every image of φ̄ of QQ 1014, of a Laurent identity and of a map with
+    # a zero image has at most one term: the trace is Σ e_i, with no point
+    from retractlab import engine
+    monkeypatch.setattr(engine, "_trace_primes", None)
+    assert analyze(_named("QQ_n6d3r2c4_s1014")).trdeg == 5
+    R = RingSignature(["x%d" % i for i in range(40)], 40, QQ)
+    assert analyze(identity(R)).trdeg == 40
+    # M = [[2, -1], [2, -1]] is idempotent, of trace 2 - 1
+    phi = parse_problem("ring QQ[x^±,y^±,w]\nx -> x^2*y^2\n"
+                        "y -> x^-1*y^-1\nw -> 0\n")[1]
+    rep = analyze(phi)
+    assert rep.trdeg == transcendence_degree(phi, rep.r) == 1
+    assert fraction_rank(_fixed_point_jacobian(phi)) == 1
 
 
 def test_trace_primes_are_the_primes_above_n():
@@ -578,13 +676,13 @@ def test_compute_y_variables_alone_names_the_defect():
 def test_y_image_certificates_record_the_checks(monkeypatch):
     from retractlab import engine
     from retractlab.engine import CertificateError
-    _, ys = compute_y_variables(e1())
+    _, ys, _ = compute_y_variables(e1())
     assert [y.verified for y in ys] == [True, True]
 
     def unchecked(phi):
-        dec, ys = compute_y_variables(phi)
+        dec, ys, fixed = compute_y_variables(phi)
         ys[1].verified = False  # as if the killed-image check never ran
-        return dec, ys
+        return dec, ys, fixed
     monkeypatch.setattr(engine, "compute_y_variables", unchecked)
     with pytest.raises(CertificateError) as exc:
         analyze(e1())

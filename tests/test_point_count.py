@@ -3,18 +3,20 @@
 An idempotent phi over GF(p) must fix exactly (p - 1)^r·p^t points of
 (F_p^*)^d × F_p^(n-d), with r the unit rank that `analyze` reports and
 r + t the transcendence degree, inside today's trdeg interval.  The maps
-are generated ones, and four families enumerated without `gen`: every map
-whose images lie in a fixed support, two of them on a Laurent x1, kept
-when `require_idempotent` accepts it.  A count of this form is evidence
-for r and trdeg, not a proof of the classification tag.  The two slow
-families of `slow_point_count.py` run outside the suite.
+are generated ones, and six families enumerated without `gen`: every map
+whose images lie in a fixed support, two of them on a Laurent x1 and one
+on a torus, kept when `require_idempotent` accepts it.  That is 1,028 maps
+in all.  A count of this form is evidence for r and trdeg, not a proof of
+the classification tag.  The two slow families of `slow_point_count.py`
+run outside the suite.
 """
 
 import pytest
 
 from retractlab import (GF, GeneratorSpec, RingSignature,
                         gen_random_idempotent, require_idempotent)
-from point_count import check_count, family, supported
+from point_count import (check_count, family, laurent_family, plane_family,
+                         supported)
 
 
 def test_generated_maps_fix_a_point_count_of_their_rank():
@@ -36,17 +38,10 @@ def test_generated_maps_fix_a_point_count_of_their_rank():
     assert any(r and t for r, t in seen), seen
 
 
-@pytest.mark.parametrize("p, monomials, idempotents", [
-    # GF(2)[x1,x2] of degree at most 2: 4,096 maps
-    (2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 65),
-    # GF(3)[x1,x2] multilinear: 6,561 maps
-    (3, [(0, 0), (1, 0), (0, 1), (1, 1)], 82),
-], ids=["GF(2) degree 2", "GF(3) multilinear"])
-def test_exhaustive_families_fix_a_point_count_of_their_rank(
-        p, monomials, idempotents):
-    ring = RingSignature(["x1", "x2"], 0, GF(p))
-    images = supported(ring, monomials)
-    maps = family(ring, [images, images])
+@pytest.mark.parametrize("p, idempotents", [(2, 65), (3, 82)],
+                         ids=["GF(2) degree 2", "GF(3) multilinear"])
+def test_exhaustive_families_fix_a_point_count_of_their_rank(p, idempotents):
+    maps = plane_family(p)
     assert len(maps) == idempotents
     # a retract of GF(p)[x1,x2] of each dimension 0, 1 and 2 occurs
     assert {check_count(phi) for phi in maps} == {(0, 0), (0, 1), (0, 2)}
@@ -55,13 +50,29 @@ def test_exhaustive_families_fix_a_point_count_of_their_rank(
 @pytest.mark.parametrize("p, idempotents", [(2, 27), (3, 196)],
                          ids=["GF(2)", "GF(3)"])
 def test_laurent_families_fix_a_point_count_of_their_rank(p, idempotents):
-    # GF(p)[x1^±,x2] with x1 sent to c·x1^a, a in -1..1, and x2 to any
-    # element with support x1^(-1..1)·x2^(0..1): 192 and 4,374 maps
-    ring = RingSignature(["x1", "x2"], 1, GF(p))
-    first_images = [ring.monomial((a, 0), c)
-                    for a in (-1, 0, 1) for c in range(1, p)]
-    monomials = [(a, b) for a in (-1, 0, 1) for b in (0, 1)]
-    maps = family(ring, [first_images, supported(ring, monomials)])
+    maps = laurent_family(p)
     assert len(maps) == idempotents
     assert {check_count(phi) for phi in maps} == {(0, 0), (0, 1), (1, 0),
                                                  (1, 1)}
+
+
+def test_affine_maps_of_three_variables_fix_a_point_count_of_their_rank():
+    # GF(2)[x1,x2,x3], each image with support {1, x1, x2, x3}: 4,096 maps.
+    # x ↦ Ax + b is idempotent when A² = A and Ab = 0: 8 + 28·4 + 28·2 + 1
+    ring = RingSignature(["x1", "x2", "x3"], 0, GF(2))
+    images = supported(ring, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    maps = family(ring, [images] * 3)
+    assert len(maps) == 177
+    assert {check_count(phi) for phi in maps} == {(0, 0), (0, 1), (0, 2),
+                                                 (0, 3)}
+
+
+def test_monomial_maps_of_a_torus_fix_a_point_count_of_their_rank():
+    # GF(5)[x1^±,x2^±] with x1 and x2 each sent to c·x1^a·x2^b, a and b in
+    # -1..1: 1,296 maps, whose retracts are tori of each rank 0, 1 and 2
+    ring = RingSignature(["x1", "x2"], 2, GF(5))
+    images = [ring.monomial((a, b), c) for a in (-1, 0, 1)
+              for b in (-1, 0, 1) for c in range(1, 5)]
+    maps = family(ring, [images, images])
+    assert len(maps) == 57
+    assert {check_count(phi) for phi in maps} == {(0, 0), (1, 0), (2, 0)}

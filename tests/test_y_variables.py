@@ -53,7 +53,7 @@ def fields(yvars):
 
 
 def assert_matches_reference(phi):
-    dec, ys = compute_y_variables(phi)
+    dec, ys, _ = compute_y_variables(phi)
     ref_dec, ref = reference_y_variables(phi)
     assert dec.fixed_basis == ref_dec.fixed_basis
     assert dec.kernel_basis == ref_dec.kernel_basis
