@@ -6,30 +6,37 @@ induced action on the unit lattice Z^d is extracted as MonomialData with the
 convention: column i of the matrix is the Laurent exponent of the image of
 x_i, so composition multiplies matrices in application order.
 
-`require_idempotent` proves phi∘phi = phi from phi = σ∘ω with ω∘phi = ω,
-as phi∘phi = σ∘(ω∘phi) = σ∘ω, in any characteristic.  ω keeps phi's images
-in R[x_L^±], fixes a set C of the other variables, and sends the rest to
-witnesses W_j in R[x_L^±][x_C], phi(x_j) = W_j(phi(x_C)); σ sends x_c in C
-to phi(x_c) and fixes the rest.  C first holds all of them; if that ω
-fails, each image joins C in leading-term order unless subduction by C
-finds its witness (Robbiano & Sweedler, "Subalgebra bases", 1990).  Both
-equalities are checked by exact substitution.  phi∘phi is expanded instead
-when that is cheap (EXPANSION_PRODUCTS) or no factorisation holds.
+`require_idempotent` decides phi∘phi = phi by one subalgebra search
+(Robbiano & Sweedler, "Subalgebra bases", 1990), in any characteristic.
+With L = R[x_L^±] and S = phi(L), phi must first fix its images in L; then
+it fixes S, and a q in L with phi(q) = q lies in S.  The search builds G
+in phi(B), each g_j named by the x_j whose image it comes from, and P_j in
+S[x_G] with phi(x_j) = P_j(G).  With ω: x_j ↦ P_j, ω = phi on L, and
+σ: x_j ↦ g_j fixing L, phi = σ∘ω, so phi(g_j) − g_j = σ(ω(g_j) − x_j): if
+that is 0 for every g_j, phi fixes S[G], which holds every image, and a
+nonzero one refutes idempotency.  G first holds the images.  If some
+ω(g_j) ≠ x_j, each image is instead subduced, in graded-lex order of its
+lead in the polynomial variables, by the g_k whose lead coefficient
+lc(g_k) in L is a unit: a lead Σ a_k·lead(g_k), split by backtracking,
+goes with q·∏ g_k^a_k when q = lc/∏ lc(g_k)^a_k has phi(q) = q, and the
+remainder joins G when it does not.  phi∘phi is expanded instead when
+that is cheap (EXPANSION_PRODUCTS), after a refutation, for its message,
+and past SUBDUCTION_PAIRS.
 
 The proof also fixes variables mod J, the ideal of the killed y-variables
-(see `engine`): every c in C whose image uses no polynomial variable
-outside C has phi(x_c) ≡ x_c mod J.  With π: B → B/J and φ̄ = phi mod J,
-π∘phi = φ̄∘π and φ̄ fixes the Laurent part of B/J, so π∘ω = π on
-R[x_L^±][x_C], where ω(x_i) = phi(x_i) and ω(x_c) = x_c; so
-π(phi(x_c)) = π(ω(phi(x_c))) = π(ω(x_c)) = π(x_c).  `require_idempotent`
-returns those c as `MonomialData.fixed`, empty after an expanded phi∘phi.
+(see `engine`).  Let C hold the x_c with P_c = x_c and ω(g_c) = x_c.  With
+π: B → B/J and φ̄ = phi mod J, π∘phi = φ̄∘π and φ̄ fixes the Laurent part
+of B/J, so π∘ω = π on R[x_L^±][x_C]; each c in C whose image uses no
+polynomial variable outside C has π(phi(x_c)) = π(ω(g_c)) = π(x_c).
+`require_idempotent` returns them as `MonomialData.fixed`, empty after an
+expanded phi∘phi.
 """
 
 from math import prod
 
 from .domains import QQ
 from .intlinalg import IntMatrix
-from .ring import MixedPoly, RingMismatchError, RingSignature
+from .ring import MixedPoly, RingMismatchError, RingSignature, _term_key
 
 
 class InvalidEndomorphismError(ValueError):
@@ -120,11 +127,12 @@ def idempotency_defect(phi):
 
 
 # phi∘phi is expanded up to this many term products.  On generated maps of
-# n 2-6, trying the factorisation first took 1-1.6x as long below 100,
+# n 2-6, trying a factorisation proof first took 1-1.6x as long below 100,
 # about as long to ~2,500, and a tenth or less past 10,000 if idempotent.
 EXPANSION_PRODUCTS = 1000
-# term pairs the witness search may multiply before it gives up
-SUBDUCTION_PAIRS = 100000
+# term pairs (in subduction and σ) and backtracking steps the subalgebra
+# search may take: the costliest proof seen, GF(5) n4d0r0c5 seed 7, ~0.98M
+SUBDUCTION_PAIRS = 2000000
 
 
 def _expansion_exceeds(phi):
@@ -144,80 +152,113 @@ def _expansion_exceeds(phi):
 
 
 def _leading(p, d):
-    """(α, the terms of p on x^α), x^α p's graded-lex leading monomial in
-    the polynomial variables."""
+    """(α, c): x^α, p's graded-lex leading monomial in the polynomial
+    variables, and its coefficient c in R[x_L^±]."""
     alpha = max((sum(e[d:]), e[d:]) for e, _ in p.terms)[1]
-    return alpha, [(e, c) for e, c in p.terms if e[d:] == alpha]
+    return alpha, MixedPoly._trusted(p.ring, tuple(
+        (e[:d] + (0,) * len(alpha), c) for e, c in p.terms if e[d:] == alpha))
 
 
-def _split(alpha, leads):
-    """Multiplicities a ≥ 0 with Σ a_k·leads[k] = alpha, each as large as
-    it goes in turn, or None."""
-    split = []
-    for lead in leads:
-        k = min(a // b for a, b in zip(alpha, lead) if b)
-        alpha = tuple(a - k * b for a, b in zip(alpha, lead))
-        split.append(k)
-    return None if any(alpha) else split
+class _PastBudget(Exception):
+    pass
 
 
-def _subduce(f, gens, d, budget):
-    """W in R[x_L^±][x_C] with f = W(phi(x_C)), by leading-term subduction
-    against gens = [(c, α_c, (λ, E), [phi(x_c), phi(x_c)^2, ...])], where
-    λ·x^E, λ a unit, leads phi(x_c); None if that fails or passes budget."""
-    ring = f.ring
-    dom = ring.domain
-    witness = []
-    while f.terms:
-        alpha, lead = _leading(f, d)
-        if not any(alpha):
-            witness.extend(f.terms)  # f lies in R[x_L^±]
-            break
-        split = _split(alpha, [g[1] for g in gens])
-        if split is None:
-            return None
-        # ∏ phi(x_c)^a_c has leading term scale·x^shift: q times it takes
-        # the leading term of f away
-        scale, shift, x_c = 1, (0,) * ring.n, [0] * (ring.n - d)
-        for (c, _, (lam, exp), _), k in zip(gens, split):
-            scale = dom.mul(scale, dom.pow(lam, k))
-            shift = tuple(s + k * x for s, x in zip(shift, exp))
-            x_c[c - d] = k
-        inverse = dom.invert(scale)
-        part = q = MixedPoly._trusted(ring, tuple(
-            (tuple(x - s for x, s in zip(e, shift)), dom.mul(c, inverse))
-            for e, c in lead))
-        for (_, _, _, powers), k in zip(gens, split):
-            while len(powers) < k:
-                budget[0] -= len(powers[-1].terms) * len(powers[0].terms)
-                if budget[0] < 0:
-                    return None
-                powers.append(powers[-1] * powers[0])
-            if k:
-                budget[0] -= len(part.terms) * len(powers[k - 1].terms)
-                if budget[0] < 0:
-                    return None
-                part = part * powers[k - 1]
-        f = f - part
-        witness.extend((e[:d] + tuple(x_c), c) for e, c in q.terms)
-    return MixedPoly(ring, witness)
+def _spend(budget, pairs):
+    budget[0] -= pairs
+    if budget[0] < 0:
+        raise _PastBudget
 
 
-def _factorisation_holds(phi, sigma, omega, witnessed):
-    """Whether σ∘ω = phi on the witnessed variables, where it does not hold
-    by construction, and ω∘phi = ω; the smallest images are checked first."""
+def _multiplicities(alpha, leads, budget):
+    """a ≥ 0 with Σ a_k·leads[k] = alpha, each a_k as large as it goes
+    first, by backtracking that drops a branch once alpha's rest needs a
+    variable that no later lead holds; or None.  A step costs budget[0] 1."""
+    _spend(budget, 1)
+    if not leads:
+        return None if any(alpha) else ()
+    if not all(any(lead[i] for lead in leads)
+               for i, r in enumerate(alpha) if r):
+        return None
+    lead = leads[0]
+    for a in range(min(r // b for r, b in zip(alpha, lead) if b), -1, -1):
+        tail = _multiplicities(tuple(r - a * b for r, b in zip(alpha, lead)),
+                               leads[1:], budget)
+        if tail is not None:
+            return (a,) + tail
+    return None
+
+
+def _times_powers(q, split, powers, budget):
+    """q·∏ g_j^k over (j, k) in split, with g_j^k = powers[j][k - 1], each
+    power built once; budget[0] pays each product's term pairs."""
+    for j, k in split:
+        if k:
+            table = powers[j]
+            while len(table) < k:
+                _spend(budget, len(table[-1].terms) * len(table[0].terms))
+                table.append(table[-1] * table[0])
+            _spend(budget, len(q.terms) * len(table[k - 1].terms))
+            q = q * table[k - 1]
+    return q
+
+
+def _subalgebra(phi, free, budget):
+    """(powers, ω): powers[j] = [g_j, g_j^2, ...] for each g_j in G, and ω's
+    images, with phi(x_j) = ω(x_j)(G) for each free j, by subduction (see
+    the module docstring); phi must fix its images in L."""
     ring, images = phi.ring, phi.images
-    if any(omega[j].substitute(sigma) != images[j] for j in witnessed):
-        return False
-    for i in sorted(range(ring.n), key=lambda i: len(images[i].terms)):
-        if images[i].substitute(omega) != omega[i]:
-            return False
-    return True
+    omega, powers, units = list(images), {}, {}  # units: j ↦ (α, lc(g_j))
+    first = {j: _leading(images[j], ring.laurent) for j in free}
+    for j in sorted(free, key=lambda j: _term_key(first[j][0])):
+        f, (alpha, lc), omega[j] = images[j], first[j], ring.zero()
+        while True:
+            dividers = sorted(units, key=lambda k: _term_key(units[k][0]),
+                              reverse=True)
+            split = _multiplicities(alpha, [units[k][0] for k in dividers],
+                                    budget)
+            if split is not None:
+                split, q = list(zip(dividers, split)), lc
+                for k, a in split:
+                    q = q * units[k][1] ** -a
+            if split is None or q.substitute(images) != q:  # q is not in S
+                if any(alpha) and lc.is_unit():
+                    units[j] = (alpha, lc)
+                powers[j] = [f]
+                omega[j] = omega[j] + ring.variable(j)
+                break
+            f = f - _times_powers(q, split, powers, budget)
+            omega[j] = omega[j] + prod(
+                (ring.variable(k) ** a for k, a in split), start=q)
+            if not f.terms:
+                break
+            alpha, lc = _leading(f, ring.laurent)
+    return powers, omega
+
+
+def _sigma(f, powers, budget):
+    """σ(f) for f in R[x_L^±][x_G] by Horner's rule, the g_j with most terms
+    outermost: f's terms are grouped by their exponent a of x_j, and the
+    groups, mapped by the inner g's, folded as acc ← acc·g_j^gap + inner."""
+    order = sorted(powers, key=lambda j: len(powers[j][0].terms), reverse=True)
+
+    def horner(terms, depth):
+        if depth == len(order):
+            return MixedPoly._trusted(f.ring, tuple(terms))
+        j, groups = order[depth], {}
+        for e, c in terms:
+            groups.setdefault(e[j], []).append((e[:j] + (0,) + e[j + 1:], c))
+        acc, last = f.ring.zero(), max(groups)
+        for a in sorted(groups, reverse=True):
+            acc = (_times_powers(acc, [(j, last - a)], powers, budget)
+                   + horner(groups[a], depth + 1))
+            last = a
+        return _times_powers(acc, [(j, last)], powers, budget)
+
+    return horner(f.terms, 0)
 
 
 def _fixed_mod_J(images, d, C):
-    """The c in C whose image uses no polynomial variable outside C: each
-    has phi(x_c) ≡ x_c mod J once ω∘phi = ω holds (module docstring)."""
+    """The c in C whose image uses no polynomial variable outside C."""
     outside = [j for j in range(d, len(images)) if j not in C]
     if not outside:
         return tuple(C)
@@ -225,57 +266,50 @@ def _fixed_mod_J(images, d, C):
                  if not any(e[j] for e, _ in images[c].terms for j in outside))
 
 
-def _factorisation_proves_idempotent(phi):
-    """The variables `_fixed_mod_J` reads off a factorisation phi = σ∘ω
-    with ω∘phi = ω that is found and checked (see the module docstring),
-    or None, which proves nothing.  A map over ZZ is searched over QQ,
-    where any nonzero lead is a unit: phi∘phi = phi holds over both or
-    neither."""
+def _subalgebra_proof(phi):
+    """(True, `MonomialData.fixed`) when the subalgebra search proves phi
+    idempotent, (False, ()) when it proves it is not, and (None, ()) past
+    SUBDUCTION_PAIRS.  A map over ZZ is searched over QQ, where any nonzero
+    lead is a unit: phi∘phi = phi holds over both or neither."""
     ring = phi.ring
     if not ring.domain.is_field:  # ints are canonical QQ coefficients
         ring = RingSignature(ring.names, ring.laurent, QQ)
         phi = Endomorphism._trusted(ring, tuple(
             [MixedPoly._trusted(ring, img.terms) for img in phi.images]))
-    d = ring.laurent
-    images = phi.images
-    variables = [ring.variable(j) for j in range(ring.n)]
+    d, images = ring.laurent, phi.images
+    x = [ring.variable(j) for j in range(ring.n)]
     free = [j for j in range(d, ring.n)
             if any(any(e[d:]) for e, _ in images[j].terms)]
-    omega = [variables[j] if j in free else p for j, p in enumerate(images)]
-    if _factorisation_holds(phi, None, omega, ()):
-        return _fixed_mod_J(images, d, free)
-    leads = {j: _leading(images[j], d) for j in free}
-    gens = []
+    # the first candidate, G = the free images: ω(x_j) = x_j, else phi(x_j)
+    omega = [x[j] if j in free else p for j, p in enumerate(images)]
+    if any(images[i].substitute(omega) != images[i]
+           for i in range(ring.n) if i not in free):
+        return False, ()
+    if all(images[j].substitute(omega) == x[j]
+           for j in sorted(free, key=lambda j: len(images[j].terms))):
+        return True, _fixed_mod_J(images, d, free)
     budget = [SUBDUCTION_PAIRS]
-    for j in sorted(free, key=lambda j: (sum(leads[j][0]), leads[j][0], j)):
-        omega[j] = _subduce(images[j], gens, d, budget)
-        if omega[j] is None:
-            alpha, lead = leads[j]
-            if len(lead) != 1 or not ring.domain.is_unit(lead[0][1]):
-                return None
-            (exp, c), = lead
-            gens.append((j, alpha, (c, exp), [images[j]]))
-            omega[j] = variables[j]
-    witnessed = [j for j in free if omega[j] is not variables[j]]
-    if not witnessed:
-        return None  # that ω failed above
-    sigma = list(variables)
-    for c, _, _, powers in gens:
-        sigma[c] = powers[0]
-    if not _factorisation_holds(phi, sigma, omega, witnessed):
-        return None
-    return _fixed_mod_J(images, d, [g[0] for g in gens])
+    try:
+        powers, omega = _subalgebra(phi, free, budget)
+        delta = {j: g.substitute(omega) - x[j] for j, (g, *_) in powers.items()}
+        if any(p.terms and _sigma(p, powers, budget).terms
+               for p in delta.values()):
+            return False, ()
+    except _PastBudget:
+        return None, ()
+    return True, _fixed_mod_J(images, d, [
+        j for j, p in delta.items() if not p.terms and omega[j] == x[j]])
 
 
 def require_idempotent(phi):
     """The check every input passes: return monomial_part(phi), which raises
     InvalidEndomorphismError unless each Laurent variable maps to a unit,
-    with the `fixed` variables of a factorisation proof, or raise
+    with the `fixed` variables of a subalgebra proof, or raise
     NotIdempotentError naming the first variable with phi²(x) != phi(x)."""
     mono = monomial_part(phi)
     if _expansion_exceeds(phi):
-        fixed = _factorisation_proves_idempotent(phi)
-        if fixed is not None:
+        proved, fixed = _subalgebra_proof(phi)
+        if proved:
             mono.fixed = fixed
             return mono
     for name, delta in zip(phi.ring.names, idempotency_defect(phi)):

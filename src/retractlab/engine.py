@@ -21,11 +21,11 @@ image's terms, each term one product of powers from per-variable tables.
 φ̄'s images can be far smaller than phi's: 5 terms against 1,916 on the
 n = 6, d = 3 instance seed 1014.
 
-Some of them are read off the idempotency proof instead.  A factorisation
-phi = σ∘ω (see `endo`) fixes a set C of polynomial variables with
-ω∘phi = ω, and ω ≡ id mod J on R[x_L^±][x_C], since π∘phi = φ̄∘π and φ̄
-fixes S.  So each c in C whose image uses no polynomial variable outside
-C has phi(x_c) ≡ ω(phi(x_c)) = x_c mod J, and `analyze` hands
+Some of them are read off the idempotency proof instead.  Its phi = σ∘ω
+(see `endo`) fixes a set C of polynomial variables with ω(phi(x_c)) =
+ω(x_c) = x_c, and ω ≡ id mod J on R[x_L^±][x_C], since π∘phi = φ̄∘π and
+φ̄ fixes S.  So each c in C whose image uses no polynomial variable
+outside C has phi(x_c) ≡ ω(phi(x_c)) = x_c mod J, and `analyze` hands
 `quotient_mod_J` the variable x_c, which maps to z_c at once, in place of
 phi(x_c); the report's generators stay phi's images.  On seed 1014 that
 is every polynomial variable, so the 1,834-term phi(x4) is never mapped.

@@ -58,13 +58,6 @@ run of consecutive powers costs one product by the image each (Fateman,
 "On the computation of powers of sparse polynomials", Stud. Appl. Math.
 53, 1974: on sparse inputs, building powers from lower ones beats
 repeated squaring); any other, a lone needed power among them, is `**`.
-When more than two groups need a product and each holds one term, as when
-the Laurent images are scalars, they are summed by the multivariate Horner
-scheme instead (Ceberio & Kreinovich, "Greedy algorithms for optimizing
-multivariate Horner schemes", 2004): each product then multiplies by a low
-power of one image, read from the same power tables.  Where some group
-holds several terms, each group keeps its own product, since Horner's rule
-would multiply those terms through every fold.
 """
 
 import re
@@ -289,57 +282,6 @@ def _canonical_sum(acc, reduce):
             terms.append((e, c))
     terms.sort(key=lambda t: _term_key(t[0]), reverse=True)
     return tuple(terms)
-
-
-def _power(table, k):
-    """image^k from an image's power table {exponent: power}, which holds
-    the image itself at 1; a power not yet in it is raised by `**` and
-    kept."""
-    p = table.get(k)
-    if p is None:
-        p = table[k] = table[1] ** k
-    return p
-
-
-def _horner_sum(ring, tables, buckets, reduce):
-    """Σ c·x^s·∏ images[j]^β_j over buckets {β: {s: c}} of one entry each,
-    by Horner's rule, images[j] being tables[j][1]: group the buckets by
-    their exponent a on the outermost image, evaluate each group on the
-    images inside it, and fold the groups from the highest a down,
-    acc ← acc·image^gap + inner, ending with one multiplication by
-    image^(least a) when that is not 0.  Every power comes from the
-    image's power table, every product goes through `*` and `**`, and
-    every sum through `+`."""
-    # the image with most terms outermost: an inner level is evaluated once
-    # per exponent combination of the levels around it
-    order = sorted(range(len(tables)), key=lambda j: len(tables[j][1].terms),
-                   reverse=True)
-    tables = [tables[j] for j in order]
-    entries = []
-    for beta, bucket in buckets.items():
-        (s, c), = bucket.items()
-        c = reduce(c)
-        if c:
-            entries.append((tuple([beta[j] for j in order]), (s, c)))
-    if not entries:
-        return ring.zero()
-
-    def horner(entries, depth):
-        if depth == len(tables):
-            (_, term), = entries
-            return MixedPoly._trusted(ring, (term,))
-        groups = {}
-        for entry in entries:
-            groups.setdefault(entry[0][depth], []).append(entry)
-        acc = None
-        for a in sorted(groups, reverse=True):
-            inner = horner(groups[a], depth + 1)
-            acc = inner if acc is None else \
-                acc * _power(tables[depth], last - a) + inner
-            last = a
-        return acc * _power(tables[depth], last) if last else acc
-
-    return horner(entries, 0)
 
 
 class MixedPoly:
@@ -594,12 +536,6 @@ class MixedPoly:
         # of multi-term image powers, read from one power table per image
         acc = buckets.pop((0,) * len(multi_indices), None) or {}
         tables = [{1: images[i]} for i in multi_indices]
-        if len(buckets) > 2 and all(len(b) == 1 for b in buckets.values()):
-            # one term per bucket, as when the Laurent images are scalars:
-            # Horner's rule shares the image powers between the buckets
-            part = _horner_sum(target_ring, tables, buckets, reduce)
-            return MixedPoly._trusted(
-                target_ring, _canonical_sum(acc, reduce)) + part
         parts = []
         for beta, bucket in buckets.items():
             terms = _canonical_sum(bucket, reduce)

@@ -226,7 +226,7 @@ def _swap_pair():
     return sw, sw
 
 
-# -- the factorisation certificate of require_idempotent ----------------------
+# -- the subalgebra search of require_idempotent -----------------------------
 
 def named(name):
     with open(os.path.join(BENCH_NAMED, name + ".ring"), encoding="utf-8") as fh:
@@ -240,6 +240,15 @@ def perturbed(phi, i):
     square = R.variable(i) ** 2
     images = list(phi.images)
     images[i] = images[i] * square if i < R.laurent else images[i] + square
+    return Endomorphism(R, images)
+
+
+def control(phi):
+    """phi with x_{d+1}·x_n added to the image of x_{d+1}."""
+    R = phi.ring
+    i = R.laurent
+    images = list(phi.images)
+    images[i] = images[i] + R.variable(i) * R.variable(R.n - 1)
     return Endomorphism(R, images)
 
 
@@ -268,7 +277,7 @@ def counted_compositions(monkeypatch):
 
 def test_certificate_on_small_strata():
     # every small-stratum draw and two perturbed copies: the decision is
-    # the exact one, and the certificate proves only idempotent maps
+    # the exact one, and the search proves only idempotent maps
     drawn = proved = 0
     for dom in (QQ, ZZ, GF(5), GF(32003)):
         for n in range(2, 6):
@@ -279,15 +288,13 @@ def test_certificate_on_small_strata():
                             GeneratorSpec(n, d, seed % (d + 1), seed, c, dom))
                         assert accepted(phi) and exactly_idempotent(phi)
                         drawn += 1
-                        proved += (endo._factorisation_proves_idempotent(phi)
-                                   is not None)
+                        proved += endo._subalgebra_proof(phi)[0] is True
                         for i in (0, n - 1):
                             bad = perturbed(phi, i)
                             exact = exactly_idempotent(bad)
                             assert accepted(bad) == exact
                             assert exact or (
-                                endo._factorisation_proves_idempotent(bad)
-                                is None)
+                                endo._subalgebra_proof(bad)[0] is not True)
     assert drawn == 660 and proved >= 0.9 * drawn
 
 
@@ -299,7 +306,7 @@ def test_map_with_nothing_to_factor_is_expanded_once(monkeypatch):
     image = MixedPoly(R, [((k, 0), 1) for k in range(1001)])
     phi = Endomorphism(R, [x1 * R.constant(2), image])
     assert not endo._expansion_exceeds(phi)
-    monkeypatch.setattr(endo, "_factorisation_proves_idempotent", None)
+    monkeypatch.setattr(endo, "_subalgebra_proof", None)
     calls = counted_compositions(monkeypatch)
     with pytest.raises(NotIdempotentError, match=r"phi²\(x1\) - phi\(x1\)"):
         require_idempotent(phi)
@@ -316,7 +323,7 @@ def test_tail_instance_is_proved_without_phi_squared(name, monkeypatch):
     bad = perturbed(phi, 4)
     with pytest.raises(NotIdempotentError, match=r"phi²\(x4\) - phi\(x4\)"):
         require_idempotent(bad)
-    assert calls == [(bad, bad)]  # the certificate failed; phi∘phi ran
+    assert calls == [(bad, bad)]  # the search refuted it; phi∘phi ran
 
 
 def test_tampered_factorisation_does_not_certify(monkeypatch):
@@ -324,50 +331,80 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
     R = phi.ring
     x = [R.variable(i) for i in range(R.n)]
     one = R.constant(1)
-    # C = {x4}, and x5 has the witness 2*x4^2 + 2*x4
+    # G = {phi(x4)}, named x4, and x5 has the witness 2*x4^2 + 2*x4
     witness = (x[3] * x[3] + x[3]) * R.constant(2)
     assert phi.images[4] == witness.substitute(x[:3] + [phi.images[3], x[4]])
-    omega = list(phi.images[:3]) + [x[3], witness]
-    sigma = x[:3] + [phi.images[3], x[4]]
-    assert endo._factorisation_holds(phi, sigma, omega, [4])
-    assert not endo._factorisation_holds(
-        phi, sigma, omega[:4] + [witness + one], [4])
-    assert not endo._factorisation_holds(
-        phi, x[:3] + [phi.images[3] + one, x[4]], omega, [4])
+    powers, omega = endo._subalgebra(phi, [3, 4], [endo.SUBDUCTION_PAIRS])
+    assert list(powers) == [3] and powers[3][0] == phi.images[3]
+    assert omega == list(phi.images[:3]) + [x[3], witness]
+    assert endo._subalgebra_proof(phi) == (True, ())
 
-    subduce = endo._subduce
+    subalgebra = endo._subalgebra
 
     def off_by_one(*args):
-        w = subduce(*args)
-        return None if w is None else w + one
-    monkeypatch.setattr(endo, "_subduce", off_by_one)
-    assert endo._factorisation_proves_idempotent(phi) is None
-    calls = counted_compositions(monkeypatch)
-    require_idempotent(phi)
-    assert calls == [(phi, phi)]
+        powers, omega = subalgebra(*args)
+        omega[4] = omega[4] + one
+        return powers, omega
+
+    def tampered_sigma(*args):
+        powers, omega = subalgebra(*args)
+        powers[3] = [powers[3][0] + one]
+        return powers, omega
+
+    for tampered in (off_by_one, tampered_sigma):
+        monkeypatch.setattr(endo, "_subalgebra", tampered)
+        assert endo._subalgebra_proof(phi)[0] is not True
+        calls = counted_compositions(monkeypatch)
+        require_idempotent(phi)
+        assert calls == [(phi, phi)]
+        monkeypatch.undo()
 
 
-@pytest.mark.parametrize("pairs", [
-    40,   # spent while the search grows a generator's powers
-    100,  # spent while it multiplies a subduction step by those powers
+@pytest.mark.parametrize("pairs, last", [
+    # spent while the search grows a generator's powers: phi(x4)^2, 9 × 9
+    pytest.param(40, 81, id="40"),
+    # spent while it multiplies a subduction step by those powers, 1 × 39
+    pytest.param(100, 39, id="100"),
 ])
-def test_subduction_budget_gives_up(pairs, monkeypatch):
+def test_subduction_budget_gives_up(pairs, last, monkeypatch):
     phi = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
-    assert endo._factorisation_proves_idempotent(phi) is not None
+    assert endo._subalgebra_proof(phi)[0] is True
     monkeypatch.setattr(endo, "SUBDUCTION_PAIRS", pairs)
-    subduce = endo._subduce
-    overdrawn = []
+    spend = endo._spend
+    spent = []
 
-    def spying(f, gens, d, budget):
-        w = subduce(f, gens, d, budget)
-        overdrawn.append(w is None and budget[0] < 0)
-        return w
-    monkeypatch.setattr(endo, "_subduce", spying)
-    assert endo._factorisation_proves_idempotent(phi) is None
-    assert overdrawn[-1]
+    def spying(budget, pairs):
+        spent.append(pairs)
+        spend(budget, pairs)
+    monkeypatch.setattr(endo, "_spend", spying)
+    assert endo._subalgebra_proof(phi) == (None, ())
+    assert spent[-1] == last and sum(spent) > pairs >= sum(spent[:-1])
     calls = counted_compositions(monkeypatch)
     require_idempotent(phi)
     assert calls == [(phi, phi)]
+
+
+def test_sigma_is_charged_to_the_budget(monkeypatch):
+    # seed 9128 is proved through σ(ω(g) - x_j): one pair short of what
+    # the whole proof takes, the search ends in σ and gives up
+    phi = gen_random_idempotent(GeneratorSpec(4, 0, 0, 9128, 3, QQ))
+    spent, entered = [], []
+    spend, sigma = endo._spend, endo._sigma
+
+    def counting(budget, pairs):
+        spent.append(pairs)
+        spend(budget, pairs)
+
+    def spying(f, powers, budget):
+        entered.append(f)
+        return sigma(f, powers, budget)
+    monkeypatch.setattr(endo, "_spend", counting)
+    monkeypatch.setattr(endo, "_sigma", spying)
+    assert endo._subalgebra_proof(phi)[0] is True and entered
+    monkeypatch.setattr(endo, "SUBDUCTION_PAIRS", sum(spent) - 1)
+    del entered[:]
+    assert endo._subalgebra_proof(phi) == (None, ())
+    assert entered
 
 
 def test_witness_with_a_unit_lead_and_a_laurent_part():
@@ -378,8 +415,63 @@ def test_witness_with_a_unit_lead_and_a_laurent_part():
     square = (x1 * x2) ** 2
     phi = Endomorphism(R, [R.constant(1), x1 * x2, square + R.constant(3)])
     assert exactly_idempotent(phi)
-    assert endo._factorisation_proves_idempotent(phi) is not None
+    assert endo._subalgebra_proof(phi)[0] is True
     bad = Endomorphism(R, [R.constant(1), x1 * x2,
                            square + x1 + R.constant(3)])
     assert not exactly_idempotent(bad)
-    assert endo._factorisation_proves_idempotent(bad) is None
+    assert endo._subalgebra_proof(bad)[0] is not True
+
+
+@pytest.mark.parametrize("text, proved", [
+    # the image x is not in S = R, so it joins G, and σ(ω(x) - z) = 1 - x
+    ("z -> x", False),
+    # phi mod J is the zero map, which is idempotent, but (x - 1)*z joins G
+    # with no unit lead, and σ(-z) = z - x*z
+    ("z -> x*z - z", False),
+    # G = {x*z}, and ω(x*z) = z
+    ("z -> x*z", True),
+], ids=["image-in-L", "zero-mod-J", "unit-multiple"])
+def test_soundness_traps(text, proved):
+    phi = parse_problem("ring QQ[x^±,z]\nx -> 1\n%s\n" % text)[1]
+    assert endo._subalgebra_proof(phi)[0] is proved
+    assert exactly_idempotent(phi) == proved == accepted(phi)
+
+
+@pytest.mark.parametrize("n, seed, dom", [
+    (n, seed, dom) for n, seed in ((4, 26), (5, 21))
+    for dom in (QQ, ZZ, GF(5), GF(32003))] + [(4, 49, QQ)], ids=repr)
+def test_d0_draws_that_expanded_for_minutes_are_proved(n, seed, dom,
+                                                      monkeypatch):
+    phi = gen_random_idempotent(GeneratorSpec(n, 0, 0, seed, 4, dom))
+    assert endo._expansion_exceeds(phi)
+    assert endo._subalgebra_proof(phi)[0] is True
+    calls = counted_compositions(monkeypatch)
+    require_idempotent(phi)
+    assert calls == []
+
+
+def test_search_decides_seeded_maps_of_every_d(monkeypatch):
+    # maps past the expansion gate, of every d from 0 to 3, and their
+    # controls: each decision is confirmed by phi∘phi where that expands at
+    # most 2*10^7 term products with no cancellation, and never wrong
+    confirmed = set()
+    for dom in (QQ, GF(32003)):
+        for n, d, c in ((4, 0, 3), (5, 1, 4), (6, 1, 4), (5, 2, 4),
+                        (5, 3, 3), (6, 3, 3)):
+            for seed in range(100):
+                phi = gen_random_idempotent(
+                    GeneratorSpec(n, d, seed % (d + 1), seed, c, dom))
+                if not endo._expansion_exceeds(phi):
+                    continue
+                for kind, psi in (("map", phi), ("control", control(phi))):
+                    proved = endo._subalgebra_proof(psi)[0]
+                    assert proved is not None, (dom, n, d, c, seed, kind)
+                    assert kind == "control" or proved
+                    with monkeypatch.context() as m:
+                        m.setattr(endo, "EXPANSION_PRODUCTS", 2 * 10 ** 7)
+                        if endo._expansion_exceeds(psi):
+                            continue
+                    assert exactly_idempotent(psi) == proved, \
+                        (dom, n, d, c, seed, kind)
+                    confirmed.add((d, proved))
+    assert confirmed == {(d, p) for d in range(4) for p in (True, False)}

@@ -236,9 +236,8 @@ def _analyze_recording_traces(monkeypatch, phi):
 
 def test_analyze_trdeg_equals_the_exact_rank_on_B(monkeypatch):
     # analyze traces φ̄ = phi mod J; on B itself the exact QQ rank of JF(p)
-    # and the trace of phi must give the same trdeg.  The draws are not
-    # those above: that stream holds n4d0c3 seed 9128, whose idempotency
-    # proof runs for a minute over QQ
+    # and the trace of phi must give the same trdeg.  The draws come from
+    # another stream than those above, so the two tests cover other maps
     fraction = negative = intermediate = False
     seen_d = set()
     for spec, phi in _draws(random.Random(61), 150):
@@ -329,16 +328,16 @@ def _named(name):
 def test_proof_fixes_no_variable_whose_image_leaves_C(phi, monkeypatch):
     from retractlab import endo
     assert endo._expansion_exceeds(phi)
-    assert endo._factorisation_proves_idempotent(phi) == ()
+    assert endo._subalgebra_proof(phi) == (True, ())
     rep, handed = _analyze_recording_quotient(monkeypatch, phi)
     assert handed == rep.generators
     assert rep.quotient_generators == _quotient_of_phi(rep)
 
 
 def test_quotient_generators_past_the_gate_are_those_of_phi():
-    # maps past the expansion gate that a factorisation proves: analyze
-    # takes x_c for phi(x_c) on most, and its quotient generators must be
-    # those of phi's own images on all.  A map with no factorisation
+    # maps past the expansion gate that the subalgebra search proves:
+    # analyze takes x_c for phi(x_c) on most, and its quotient generators
+    # must be those of phi's own images on all.  A map it does not prove
     # expands phi∘phi, which runs for minutes on some draws, so it is left
     from retractlab import endo
     domains = set()
@@ -350,8 +349,8 @@ def test_quotient_generators_past_the_gate_are_those_of_phi():
                     GeneratorSpec(n, d, seed % (d + 1), seed, 4, dom))
                 if not endo._expansion_exceeds(phi):
                     continue
-                fixed = endo._factorisation_proves_idempotent(phi)
-                if fixed is None:
+                proved, fixed = endo._subalgebra_proof(phi)
+                if not proved:
                     continue
                 rep = analyze(phi)
                 assert rep.quotient_generators == _quotient_of_phi(rep), \
@@ -622,8 +621,8 @@ def _count_compositions(monkeypatch):
 
 
 def test_analyze_proves_idempotency_once(monkeypatch):
-    # one proof per analyze: phi∘phi expanded once, or on 1004 a
-    # factorisation phi = σ∘ω that expands no phi∘phi
+    # one proof per analyze: phi∘phi expanded once, or on 1004 the
+    # subalgebra search, which expands no phi∘phi
     from retractlab import engine
     from retractlab.generator import GeneratorSpec, gen_random_idempotent
     generated = gen_random_idempotent(GeneratorSpec(4, 2, 1, 7, 2, QQ))
@@ -646,7 +645,7 @@ def test_analyze_proves_idempotency_once(monkeypatch):
 
 def test_analyze_reads_the_laurent_block_once(monkeypatch):
     # require_idempotent returns the monomial part (M, λ) it reads, after
-    # an expanded proof (e1) and a factorised one (1004), and analyze reads
+    # an expanded proof (e1) and a subalgebra search (1004), and analyze reads
     # the Laurent block nowhere else
     from retractlab import endo
     from retractlab.generator import GeneratorSpec, gen_random_idempotent

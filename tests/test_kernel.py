@@ -370,7 +370,7 @@ def test_stage_two_buckets_match_reference(dom, monkeypatch):
     # stage 2 multiplies each bucket that does not cancel, in the ring or
     # mod p, by its image powers.  The multi-term images are raised to the
     # first power only, so each `*` multiplies a bucket by its product, or
-    # the two images for β = (1, 1); no Horner fold runs
+    # the two images for β = (1, 1)
     R = RingSignature(["x1", "x2", "x3"], 1, dom)
     x1, x2, x3 = (R.variable(i) for i in range(3))
     one = R.constant(1)
@@ -384,11 +384,6 @@ def test_stage_two_buckets_match_reference(dom, monkeypatch):
     def recorded(a, b):
         calls.append((len(a.terms), len(b.terms)))
         return mul(a, b)
-
-    def no_horner(*args):
-        raise AssertionError("Horner's rule on buckets of several terms")
-
-    monkeypatch.setattr(ring_module, "_horner_sum", no_horner)
 
     def products(p, x1_image):
         images = [x1_image] + multi
@@ -454,7 +449,7 @@ def test_stage_two_builds_each_power_from_the_last(monkeypatch):
     # the powers of x2's image that the buckets need, 2, 3 and 5, are built
     # as p^2, p^2·p and p^3·p^2, so `**` runs once.  A gap power the table
     # does not hold is not built: 2 and 5 take `**` each, and a lone needed
-    # power is exactly `**`.  Two terms per bucket keep Horner's rule out
+    # power is exactly `**`
     R = RingSignature(["x1", "x2", "x3"], 1, QQ)
     x1, x2, x3 = (R.variable(i) for i in range(3))
     images = [R.constant(2), x1 + x3 + R.constant(1), x3]
@@ -480,12 +475,14 @@ def test_stage_two_builds_each_power_from_the_last(monkeypatch):
 
 def horner_draw(source, target, rng):
     """A polynomial and images under which every bucket of `substitute`
-    holds one term: the Laurent images are unit scalars and the other
-    single-term images scalars or zero, while 1-3 polynomial variables get
-    multi-term images.  Their exponents are drawn from 0, 1, 2 and 4, so folds skip
-    exponents, and a shared factor sometimes makes the least exponent
-    positive.  With x1 -> 1, adding q·(x1 - 1) makes some buckets cancel,
-    and q·(x1 - 1) alone makes every bucket cancel."""
+    holds one term, the shape on which a Horner fold could share image
+    powers between buckets: the Laurent images are unit scalars and the
+    other single-term images scalars or zero, while 1-3 polynomial
+    variables get multi-term images.  Their exponents are drawn from 0, 1,
+    2 and 4, so needed powers skip exponents, and a shared factor sometimes
+    makes the least exponent positive.  With x1 -> 1, adding q·(x1 - 1)
+    makes some buckets cancel, and q·(x1 - 1) alone makes every bucket
+    cancel."""
     dom = target.domain
     d, n = source.laurent, source.n
     multi = rng.sample(range(d, n), rng.randint(1, 3))
@@ -525,46 +522,18 @@ def horner_draw(source, target, rng):
 
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
-def test_horner_substitute_matches_reference(dom, monkeypatch):
-    seen = set()
-    horner_sum = ring_module._horner_sum
-
-    def counted(ring, tables, buckets, reduce):
-        seen.add("branch")
-        for j in range(len(tables)):
-            exps = sorted({beta[j] for beta in buckets})
-            if any(b - a > 1 for a, b in zip(exps, exps[1:])):
-                seen.add("gap")
-            if exps[0]:
-                seen.add("least exponent")
-        if any(not reduce(c) for b in buckets.values() for c in b.values()):
-            seen.add("cancelled")
-        return horner_sum(ring, tables, buckets, reduce)
-
-    monkeypatch.setattr(ring_module, "_horner_sum", counted)
+def test_horner_substitute_matches_reference(dom):
     rng = random.Random(1004)
     R = RingSignature(["x1", "x2", "x3", "x4", "x5", "x6"], 2, dom)
     S = RingSignature(["u", "v", "w"], 1, dom)
-    draws = took_branch = 0
     for target in (R, S):
         for _ in range(20):
             p, images = horner_draw(R, target, rng)
-            seen.discard("branch")
             got = p.substitute(images)
             expected = reference_substitute(p, images, target)
             assert got.terms == expected.terms
             if dom is QQ:
                 assert_canonical_qq(got)
-            draws += 1
-            if "branch" in seen:
-                took_branch += 1
-                if any(img.is_zero() for img in images):
-                    seen.add(("zero image", target.names))
-                if not got.terms:
-                    seen.add("all cancelled")
-    assert 2 * took_branch >= draws
-    assert seen >= {"gap", "least exponent", "cancelled", "all cancelled",
-                    ("zero image", R.names), ("zero image", S.names)}
 
 
 def one_term_image(target, rng, source, laurent_source):
@@ -723,8 +692,8 @@ def multi_term_pairs(monkeypatch):
 @pytest.mark.parametrize("dom", [QQ, GF(32003)], ids=repr)
 def test_tail_instance_1004_term_pairs(dom, monkeypatch):
     # the benchmark's named instance 1004: expanding phi∘phi makes ~116k
-    # term pairs, and require_idempotent proves it from the factorisation
-    # phi(x5) = 2*phi(x4)^2 + 2*phi(x4) instead
+    # term pairs, and require_idempotent's subalgebra search proves it from
+    # the witness phi(x5) = 2*phi(x4)^2 + 2*phi(x4) instead
     phi = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, dom))
     pairs = multi_term_pairs(monkeypatch)
     analyze(phi)
@@ -732,8 +701,8 @@ def test_tail_instance_1004_term_pairs(dom, monkeypatch):
 
 
 def test_gen_1014_term_pairs(monkeypatch):
-    # each of its substitutions has at most two product buckets or a bucket
-    # of several terms, so all of them keep the per-bucket products
+    # every substitution multiplies each bucket by its own product of
+    # image powers
     pairs = multi_term_pairs(monkeypatch)
     gen_random_idempotent(GeneratorSpec(6, 3, 2, 1014, 4, QQ))
     assert pairs[0] == 3197
