@@ -32,6 +32,7 @@ polynomial variable outside C has π(phi(x_c)) = π(ω(g_c)) = π(x_c).
 expanded phi∘phi.
 """
 
+from itertools import compress
 from math import prod
 
 from .domains import QQ
@@ -333,10 +334,10 @@ def monomial_part(phi):
                 "image of Laurent variable %s is not a unit: %s"
                 % (phi.ring.names[i], phi.images[i]))
         c, exp = unit
-        cols.append(exp[:d])
+        exp = exp[:d]
+        cols.append(tuple(compress(enumerate(exp), exp)))
         lambdas.append(c)
-    M = IntMatrix(tuple(zip(*cols))) if d else IntMatrix(())
-    return MonomialData(M, lambdas)
+    return MonomialData(IntMatrix.from_columns(d, cols), lambdas)
 
 
 def conjugate(phi, alpha, alpha_inv):

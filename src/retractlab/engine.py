@@ -36,7 +36,7 @@ from math import prod
 from operator import getitem
 
 from .domains import _is_prime
-from .intlinalg import IntMatrix, decompose
+from .intlinalg import decompose, is_inverse
 from .endo import Endomorphism, require_idempotent
 from .ring import MixedPoly, RingSignature, _integer_terms
 
@@ -114,23 +114,26 @@ def compute_y_variables(phi):
     y = λ^-b·x^b, normalizer λ^b, is verified when M·b = b for a fixed y
     and M·b = 0 for a killed one, as recorded in `YVariable.verified`.
     `analyze` raises on a failed one, and on a fixed y whose normalizer is
-    not 1.
+    not 1.  The basis vectors are Y's sparse columns, so M·b and λ^b cost
+    the nonzero entries they meet.
     """
     mono = require_idempotent(phi)
     ring = phi.ring
-    d = ring.laurent
+    n = ring.n
     dom = ring.domain
+    lambdas = mono.lambdas
     dec = decompose(mono.matrix)
     yvars = []
-    for i, b in enumerate(dec.fixed_basis + dec.kernel_basis):
-        image = mono.matrix.apply(b)
-        exp = tuple(b) + (0,) * (ring.n - d)
+    for i, b in enumerate(dec.Y.columns):
+        image = mono.matrix.times(b)
+        exp = [0] * n
         lam = 1
-        for c, e in zip(mono.lambdas, b):
-            if e:
-                lam = dom.mul(lam, dom.pow(c, e))
+        for k, e in b:
+            exp[k] = e
+            lam = dom.mul(lam, dom.pow(lambdas[k], e))
+        exp = tuple(exp)
         fixed = i < dec.r
-        verified = image == b if fixed else not any(image)
+        verified = image == b if fixed else not image
         # decompose's int basis vectors need no exponent check
         y = MixedPoly._trusted(ring, ((exp, dom.invert(lam)),))
         yvars.append(YVariable(exp, lam, "fixed" if fixed else "killed", y,
@@ -164,19 +167,20 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
         names.append(name)
     target = RingSignature(tuple(names) + poly_names, r, ring.domain)
     dom = ring.domain
-    T = decomposition.T.entries
     tail = (0,) * (ring.n - d)
-    killed = [(T[i], y_variables[i].normalizer) for i in range(r, d)
-              if y_variables[i].normalizer != 1]
-    columns = list(zip(*T[:r])) if r else [()] * d  # the T[:r, j]
+    normalizers = [y.normalizer for y in y_variables]
     images = []
-    for j, column in enumerate(columns):
+    for column in decomposition.T.columns:  # sparse, rows ascending
+        exp = [0] * r
         scalar = 1
-        for row, lam in killed:  # a normalizer 1 adds no scalar
-            if row[j]:
-                scalar = dom.mul(scalar, dom.pow(lam, row[j]))
+        for i, t in column:
+            if i < r:
+                exp[i] = t
+            elif normalizers[i] != 1:  # a normalizer 1 adds no scalar
+                scalar = dom.mul(scalar, dom.pow(normalizers[i], t))
         # a unit: its exponent is T's ints, its scalar a product of units
-        images.append(MixedPoly._trusted(target, ((column + tail, scalar),)))
+        images.append(MixedPoly._trusted(target,
+                                         ((tuple(exp) + tail, scalar),)))
     images += [target.variable(k) for k in range(r, target.n)]
     return target, [p.substitute(images) for p in polys]
 
@@ -332,7 +336,7 @@ def analyze(phi):
     n, d = ring.n, ring.laurent
     r = dec.r
 
-    unimodular = dec.Y * dec.T == IntMatrix.identity(d)
+    unimodular = dec.Y.rows == d and is_inverse(dec.Y, dec.T)
     # with Y·T = I, M·b = b on Y's fixed columns and M·b = 0 on its killed
     # ones give M = Y·diag(I_r, 0)·T: so M·M = M, and T·M = diag(I_r, 0)·T,
     # whose zero rows from r on put M's columns in the fixed lattice

@@ -3,24 +3,58 @@
 For idempotent M, Z^d = im M ⊕ im(I - M): the fixed lattice is spanned by
 the columns of M and the kernel by the columns of I - M.  Both bases are
 canonicalized by Hermite normal form (positive pivots, entries above a pivot
-reduced into [0, pivot)), so every decomposition is byte-reproducible.  The
-assembled basis Y = [fixed | kernel] is then unimodular, and its inverse T
-is read off the two bases by back-substitution.  A square M is idempotent
-exactly when the ranks of its two lattices sum to d, so `decompose` forms no
-product.  All arithmetic is exact.  Matrices are stored densely, and
-`row_hnf`, `decompose` and `apply`'s row scan walk dense rows, so a sparse
-matrix of width d costs at least d^2, not its nonzero entries.
+reduced into [0, pivot)), which is unique, so every decomposition is
+byte-reproducible.  The assembled basis Y = [fixed | kernel] is then
+unimodular, and its inverse T is read off the two bases by
+back-substitution.  A square M is idempotent exactly when the ranks of its
+two lattices sum to d, so `decompose` forms no product.  All arithmetic is
+exact.
+
+Storage is sparse.  A vector is a tuple of (index, value) pairs with
+increasing indices and nonzero values; a matrix keeps its row count and its
+columns as such vectors, so the columns of Y are the two bases.  `row_hnf`,
+the echelon solve, `times` and `is_inverse` touch nonzero entries only, and
+a d×d matrix with N nonzero entries costs O(d + N), not d^2.  Dense rows
+exist only as views: `IntMatrix.entries`, and the bases of a
+`SummandDecomposition`.  `decompose` is memoized per M: matrices and
+decompositions are immutable, and equal matrices hash alike, so the
+analyses of maps with the same monomial part share one decomposition.
 """
 
-from heapq import heappop, heappush
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from operator import index
 
+# distinct matrices whose decompositions are kept.  An entry holds O(d + N)
+# sparse pairs, ~0.4 MB at the widest ring (d = 1000), so the bound needs
+# no width limit; a benchmark pass meets at most 38 distinct M.
+DECOMPOSE_CACHE_SIZE = 64
+
+
+def _dense(vector, width):
+    """The dense tuple of a sparse vector."""
+    entries = [0] * width
+    for i, a in vector:
+        entries[i] = a
+    return tuple(entries)
+
+
+def _combine(columns, vector):
+    """{i: the sum of x·columns[k][i]} over the pairs (k, x) of a sparse
+    vector, zero sums kept."""
+    image = {}
+    for k, x in vector:
+        for i, a in columns[k]:
+            image[i] = image.get(i, 0) + a * x
+    return image
+
 
 class IntMatrix:
-    """Immutable integer matrix, stored densely."""
+    """Immutable integer matrix, stored as its row count and its columns as
+    sparse vectors."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("rows", "columns")
 
     def __init__(self, rows):
         try:
@@ -29,33 +63,46 @@ class IntMatrix:
             raise ValueError("matrix entries must be ints") from None
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self.entries = rows
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "columns", tuple(
+            tuple(compress(enumerate(col), col)) for col in zip(*rows)))
 
     @classmethod
-    def _trusted(cls, rows):
-        """Wrap rows the caller built: a tuple of equally long int tuples,
-        skipping the constructor's checks."""
+    def from_columns(cls, rows, columns):
+        """Wrap sparse columns the caller built, each a tuple of (index,
+        value) pairs with increasing indices below `rows` and nonzero
+        values, skipping the constructor's checks."""
         matrix = object.__new__(cls)
-        matrix.entries = rows
+        object.__setattr__(matrix, "rows", rows)
+        object.__setattr__(matrix, "columns", tuple(columns))
         return matrix
 
-    @property
-    def rows(self):
-        return len(self.entries)
+    def __setattr__(self, name, value):
+        raise AttributeError("IntMatrix is immutable")
 
     @property
     def cols(self):
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.columns)
+
+    @property
+    def entries(self):
+        """The dense rows, as a tuple of int tuples."""
+        dense = [[0] * len(self.columns) for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                dense[i][j] = a
+        return tuple(map(tuple, dense))
 
     @staticmethod
     def identity(n):
-        return IntMatrix._trusted(tuple(map(tuple, _identity_rows(n))))
+        return IntMatrix.from_columns(n, (((i, 1),) for i in range(n)))
 
     def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.entries == other.entries
+        return (isinstance(other, IntMatrix) and self.rows == other.rows
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.rows, self.columns))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.entries)),)
@@ -64,81 +111,123 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch %dx%d · %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        # row i of the product sums a·(row k of other), over the nonzero
-        # entries a = self[i][k] and the nonzero entries of row k
-        sparse = [[(j, b) for j, b in enumerate(row) if b]
-                  for row in other.entries]
-        product = [[0] * other.cols for _ in self.entries]
-        for row, acc in zip(self.entries, product):
-            for k, a in enumerate(row):
-                if a:
-                    for j, b in sparse[k]:
-                        acc[j] += a * b
-        return IntMatrix._trusted(tuple(map(tuple, product)))
+        return IntMatrix.from_columns(self.rows,
+                                      map(self.times, other.columns))
+
+    def times(self, vector):
+        """M·v for a sparse vector v, as a sparse vector."""
+        return tuple([p for p in sorted(_combine(self.columns, vector).items())
+                      if p[1]])
 
     def column(self, j):
-        return tuple(row[j] for row in self.entries)
+        return _dense(self.columns[j], self.rows)
 
     def apply(self, v):
+        """M·v for a dense vector v, as a dense tuple."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        # M·v sums x·(column k) over the nonzero entries x = v[k]
-        image = [0] * self.rows
-        for k, x in enumerate(v):
-            if x:
-                for i, row in enumerate(self.entries):
-                    if row[k]:
-                        image[i] += row[k] * x
-        return tuple(image)
+        return _dense(self.times(compress(enumerate(v), v)), self.rows)
 
 
-def _identity_rows(n):
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+def is_inverse(A, B):
+    """True when A·B = I for square A and B, read one column of the product
+    at a time against the unit vector, so no product and no identity are
+    built and the cost is the product's nonzero multiplications."""
+    if not A.rows == A.cols == B.rows == B.cols:
+        return False
+    for j, col in enumerate(B.columns):
+        image = _combine(A.columns, col)
+        if image.pop(j, 0) != 1 or any(image.values()):
+            return False
+    return True
+
+
+def _subtract(row, q, other):
+    """row -= q·other in place, for a dict row and a sparse vector other."""
+    for j, b in other:
+        x = row.get(j, 0) - q * b
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def row_hnf(rows):
-    """The nonzero rows, as tuples, of the row Hermite normal form H of the
-    given rows: a canonical basis of the lattice they span, in row echelon
-    form with positive pivots and reduced entries above."""
-    m = len(rows)
-    H = [list(r) for r in rows]
-    n = len(H[0]) if H else 0
-    pivot = 0
-    for col in range(n):
-        while True:
-            live = [i for i in range(pivot, m) if H[i][col] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: abs(H[i][col]))
-            H[i0], H[pivot] = H[pivot], H[i0]
-            if len(live) == 1:
-                break
-            for i in [i for i in range(pivot + 1, m) if H[i][col]]:
-                q = H[i][col] // H[pivot][col]
-                H[i] = [a - q * b for a, b in zip(H[i], H[pivot])]
-        if pivot < m and H[pivot][col] != 0:
-            if H[pivot][col] < 0:
-                H[pivot] = [-a for a in H[pivot]]
-            for i in [i for i in range(pivot) if H[i][col]]:
-                q = H[i][col] // H[pivot][col]
-                H[i] = [a - q * b for a, b in zip(H[i], H[pivot])]
-            pivot += 1
-    return [tuple(r) for r in H[:pivot]]
+    """The nonzero rows, as sparse vectors, of the row Hermite normal form H
+    of the given sparse rows: a canonical basis of the lattice they span, in
+    row echelon form with positive pivots and reduced entries above.
+
+    Rows wait in buckets by their leading index, taken in increasing order.
+    A bucket's rows are reduced by the one with the smallest lead until one
+    is left, which is the pivot row; a reduced row whose lead vanishes moves
+    to its new lead's bucket.  Then each echelon row, last first, is reduced
+    at the later pivots it meets, smallest first, by those final rows."""
+    buckets = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(row[0][0], []).append(dict(row))
+    leads = list(buckets)
+    heapify(leads)
+    echelon = []
+    while leads:
+        col = heappop(leads)
+        live = buckets.pop(col)
+        while len(live) > 1:
+            pivot = min(live, key=lambda row: abs(row[col]))
+            lead = pivot[col]
+            items = tuple(pivot.items())
+            left = [pivot]
+            for row in live:
+                if row is not pivot:
+                    _subtract(row, row[col] // lead, items)
+                    if col in row:
+                        left.append(row)
+                    elif row:
+                        k = min(row)
+                        if k in buckets:
+                            buckets[k].append(row)
+                        else:
+                            buckets[k] = [row]
+                            heappush(leads, k)
+            live = left
+        row, = live
+        if row[col] < 0:
+            for j in row:
+                row[j] = -row[j]
+        echelon.append((col, row))
+    final = {}  # pivot index -> (pivot, finished row)
+    hnf = []
+    for col, row in reversed(echelon):
+        todo = [k for k in row if k in final]
+        heapify(todo)
+        while todo:
+            k = heappop(todo)
+            lead, done = final[k]
+            x = row.get(k, 0)
+            if not 0 <= x < lead:
+                _subtract(row, x // lead, done)
+                for j, _ in done:
+                    if j in final and j > k:
+                        heappush(todo, j)
+        done = tuple(sorted(row.items()))
+        final[col] = row[col], done
+        hnf.append(done)
+    hnf.reverse()
+    return hnf
 
 
 def _echelon_coordinates(rows, vectors):
-    """Integer coordinates of each vector in the nonzero echelon rows, or
-    None if one lies outside their span.  Back-substitution visits what is
-    left of a vector at its nonzero indices, smallest first: there the rows
-    with a smaller pivot are done and the others vanish, so it is a pivot."""
-    pivots = {}
-    for i, row in enumerate(rows):
-        (k, lead), *tail = compress(enumerate(row), row)
-        pivots[k] = i, lead, tail
+    """Integer coordinates, as sparse vectors, of each sparse vector in the
+    nonzero echelon rows, or None if one lies outside their span.
+    Back-substitution visits what is left of a vector at its nonzero
+    indices, smallest first: there the rows with a smaller pivot are done
+    and the others vanish, so it is a pivot, and the coordinates come out
+    in increasing row order."""
+    pivots = {row[0][0]: (i, row[0][1], row[1:]) for i, row in enumerate(rows)}
     solved = []
     for v in vectors:
-        coords = [0] * len(rows)
-        rest = dict(compress(enumerate(v), v))
+        coords = []
+        rest = dict(v)
         todo = list(rest)  # ascending, so already a heap
         while todo:
             k = heappop(todo)
@@ -147,7 +236,8 @@ def _echelon_coordinates(rows, vectors):
                 if k not in pivots or x % pivots[k][1]:
                     return None
                 i, lead, tail = pivots[k]
-                q = coords[i] = x // lead
+                q = x // lead
+                coords.append((i, q))
                 for j, a in tail:
                     rest[j] = rest.get(j, 0) - q * a
                     heappush(todo, j)
@@ -158,19 +248,28 @@ def _echelon_coordinates(rows, vectors):
 class SummandDecomposition:
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
     the assembled basis matrix Y (fixed columns first, r of them) and its
-    integer inverse T."""
+    integer inverse T.  Immutable, since `decompose` shares it between
+    analyses; the bases are dense views of Y's columns."""
 
-    __slots__ = ("M", "r", "fixed_basis", "kernel_basis", "Y", "T")
+    __slots__ = ("M", "r", "Y", "T")
 
-    def __init__(self, M, r, fixed_basis, kernel_basis, Y, T):
-        self.M = M
-        self.r = r
-        self.fixed_basis = tuple(fixed_basis)
-        self.kernel_basis = tuple(kernel_basis)
-        self.Y = Y
-        self.T = T
+    def __init__(self, M, r, Y, T):
+        for name, value in zip(self.__slots__, (M, r, Y, T)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SummandDecomposition is immutable")
+
+    @property
+    def fixed_basis(self):
+        return tuple(_dense(b, self.Y.rows) for b in self.Y.columns[:self.r])
+
+    @property
+    def kernel_basis(self):
+        return tuple(_dense(b, self.Y.rows) for b in self.Y.columns[self.r:])
 
 
+@lru_cache(maxsize=DECOMPOSE_CACHE_SIZE)
 def decompose(M):
     """Full summand decomposition of an idempotent d×d matrix: the canonical
     Z-bases of the fixed lattice {v : Mv = v} (the columns of M) and of the
@@ -180,24 +279,29 @@ def decompose(M):
     lattices meet in 0, that is when M·(I - M) = 0.  Column j of T = Y^-1
     stacks the coordinates of M·e_j in the fixed basis on those of
     (I - M)·e_j in the kernel basis.  A non-square or non-idempotent M
-    raises ValueError."""
+    raises ValueError.  Memoized per M, up to DECOMPOSE_CACHE_SIZE
+    matrices."""
     if M.rows != M.cols:
         raise ValueError("idempotency only makes sense for square matrices")
     d = M.rows
-    columns = list(zip(*M.entries))
-    killed = [[e - a for e, a in zip(unit, col)]
-              for unit, col in zip(_identity_rows(d), columns)]
+    columns = M.columns
+    killed = []
+    for j, col in enumerate(columns):
+        v = {i: -a for i, a in col}
+        v[j] = v.get(j, 0) + 1
+        killed.append(tuple(sorted((i, a) for i, a in v.items() if a)))
     fixed = row_hnf(columns)
     kernel = row_hnf(killed)
-    if len(fixed) + len(kernel) != d:
+    r = len(fixed)
+    if r + len(kernel) != d:
         raise ValueError("matrix is not idempotent")
     # each basis is the HNF of the vectors solved in it, so no solve fails
-    Y = tuple(zip(*(fixed + kernel)))
-    T = tuple(zip(*(f + k for f, k in zip(
+    T = [f + tuple((r + i, c) for i, c in k) for f, k in zip(
         _echelon_coordinates(fixed, columns),
-        _echelon_coordinates(kernel, killed)))))
-    return SummandDecomposition(M, len(fixed), fixed, kernel,
-                                IntMatrix._trusted(Y), IntMatrix._trusted(T))
+        _echelon_coordinates(kernel, killed))]
+    return SummandDecomposition(M, r,
+                                IntMatrix.from_columns(d, fixed + kernel),
+                                IntMatrix.from_columns(d, T))
 
 
 def solve_in_lattice(v, basis):
@@ -205,12 +309,19 @@ def solve_in_lattice(v, basis):
     Dependent spanning sets work too: the HNF of the rows b_i ‖ e_i carries,
     beside each echelon row of the b_i, the combination of the b_i that
     makes it, so coordinates in those rows pull back to the b_i."""
-    v, basis = tuple(v), [list(b) for b in basis]
+    v, basis = tuple(v), [tuple(b) for b in basis]
     n, m = len(v), len(basis)
     if any(len(b) != n for b in basis):
         raise ValueError("vector lengths differ")
-    H = [h for h in row_hnf([b + e for b, e in zip(basis, _identity_rows(m))])
-         if any(h[:n])]
-    solved = _echelon_coordinates([h[:n] for h in H], [v])
-    return None if solved is None else tuple(
-        sum(c * h[j] for c, h in zip(solved[0], H)) for j in range(n, n + m))
+    H = [h for h in row_hnf([tuple(compress(enumerate(b), b)) + ((n + i, 1),)
+                             for i, b in enumerate(basis)]) if h[0][0] < n]
+    solved = _echelon_coordinates([tuple(p for p in h if p[0] < n) for h in H],
+                                  [tuple(compress(enumerate(v), v))])
+    if solved is None:
+        return None
+    coords = [0] * m
+    for i, c in solved[0]:
+        for j, a in H[i]:
+            if j >= n:
+                coords[j - n] += c * a
+    return tuple(coords)

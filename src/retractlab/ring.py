@@ -365,7 +365,12 @@ class MixedPoly:
             self.ring, tuple((e, dom.neg(c)) for e, c in self.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._require_same_ring(other)
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc[e] - c if e in acc else -c
+        return MixedPoly._trusted(
+            self.ring, _canonical_sum(acc, self.ring.domain.reduce))
 
     def __mul__(self, other):
         self._require_same_ring(other)

@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from retractlab.intlinalg import IntMatrix, decompose, solve_in_lattice
+from dense_hnf import dense_decompose, dense_row_hnf
+from retractlab import QQ, Endomorphism, RingSignature
+from retractlab.endo import monomial_part
+from retractlab.intlinalg import (IntMatrix, decompose, row_hnf,
+                                  solve_in_lattice)
 
 
 def test_fixed_lattice_basis_examples():
@@ -169,3 +173,73 @@ def test_built_matrices_equal_checked_ones():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(ValueError, match="ragged rows"):
         IntMatrix(([1], [2, 3]))
+
+
+def _conjugated_projection(d, rank, rng):
+    """C·D·C^-1 with a unimodular C of 2d + 4 row operations and a 0/1
+    diagonal D of the given rank."""
+    C, Cinv = _random_unimodular(d, rng, steps=2 * d + 4)
+    D = IntMatrix([[1 if i == j and i < rank else 0 for j in range(d)]
+                   for i in range(d)])
+    return C * D * Cinv, C, Cinv
+
+
+def test_sparse_layer_matches_dense_reference():
+    # the HNF is unique, so the sparse layer returns the dense bases, Y and
+    # T byte for byte; a non-idempotent M raises, as the dense ranks say
+    rng = random.Random(1012)
+    for d in range(1, 13):
+        for _ in range(12):
+            rank = rng.randint(0, d)
+            M, C, Cinv = _conjugated_projection(d, rank, rng)
+            dec = decompose(M)
+            assert dec.r == rank
+            assert (dec.fixed_basis, dec.kernel_basis, dec.Y.entries,
+                    dec.T.entries) == dense_decompose(M.entries)
+            assert dec.Y * dec.T == IntMatrix.identity(d)
+            if d >= 2:
+                nilpotent = IntMatrix([[int((i, j) == (0, 1))
+                                        for j in range(d)] for i in range(d)])
+                for bad in (C * nilpotent * Cinv, IntMatrix(
+                        [[2 * a for a in row] for row in M.entries])):
+                    if bad.entries != M.entries:
+                        assert dense_decompose(bad.entries) is None
+                        with pytest.raises(ValueError,
+                                           match="not idempotent"):
+                            decompose(bad)
+
+
+def test_row_hnf_matches_dense_reference():
+    # dependent rows, zero rows and negative leads, beyond idempotent input
+    rng = random.Random(44)
+    for _ in range(400):
+        m, n = rng.randint(0, 6), rng.randint(1, 7)
+        rows = [tuple(rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
+                      for _ in range(n)) for _ in range(m)]
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(a - 2 * b for a, b in zip(rows[0], rows[-1])))
+        sparse = [tuple((j, a) for j, a in enumerate(row) if a)
+                  for row in rows]
+        got = [tuple(dict(h).get(j, 0) for j in range(n))
+               for h in row_hnf(sparse)]
+        assert got == dense_row_hnf(rows)
+
+
+def test_equal_matrices_share_one_key():
+    # decompose is memoized per M, so a matrix's hash and equality follow
+    # its entries, however it was built
+    R = RingSignature(["x1", "x2"], 2, QQ)
+    e1 = Endomorphism(R, [R.monomial((1, 1)), R.constant(1)])
+    built = [IntMatrix([[1, 0], [1, 0]]),
+             IntMatrix(((1, 0), (1, 0))),
+             IntMatrix(iter([iter([1, 0]), iter([1, 0])])),
+             IntMatrix.from_columns(2, [((0, 1), (1, 1)), ()]),
+             IntMatrix.identity(2) * IntMatrix([[1, 0], [1, 0]]),
+             monomial_part(e1).matrix]
+    assert len(set(built)) == 1 and len({hash(M) for M in built}) == 1
+    assert all(M == built[0] for M in built)
+    assert IntMatrix([[1, 0], [1, 0]]) != IntMatrix([[1, 0], [0, 1]])
+    assert IntMatrix([]) == IntMatrix.identity(0) != IntMatrix([[], []])
+    decompose.cache_clear()
+    assert len({id(decompose(M)) for M in built}) == 1
+    assert decompose.cache_info().misses == 1

@@ -233,6 +233,22 @@ def test_ring_axioms_random(domain):
             assert not (p * q).is_zero()
 
 
+@pytest.mark.parametrize("domain", [QQ, ZZ, GF(5), GF(32003)])
+def test_sub_equals_add_of_negation_random(domain):
+    # a - b merges the two term tuples itself, without building -b
+    R = RingSignature(["x1", "x2", "x3"], 2, domain)
+    rng = random.Random(222)
+    for _ in range(60):
+        p, q = (random_element(R, rng, max_terms=6, max_exp=1, max_coeff=9)
+                for _ in range(2))
+        diff = p - q
+        assert diff == p + (-q)
+        assert MixedPoly(R, diff.terms) == diff  # canonical
+        assert (p - p).is_zero() and p - (p + q) == -q
+    with pytest.raises(RingMismatchError):
+        R.constant(1) - mixed_ring().constant(1)
+
+
 def test_unit_iff_invertible_random():
     R = ring2()
     rng = random.Random(7)

@@ -126,6 +126,7 @@ def test_analyze_substitutes_for_idempotency_then_once_per_generator(
         return row_hnf(rows)
     monkeypatch.setattr(MixedPoly, "substitute", counting_substitute)
     monkeypatch.setattr(intlinalg, "row_hnf", counting_hnf)
+    decompose.cache_clear()  # a memoized M would make no HNF
     rep = analyze(phi)
     assert rep.r == 1 and all(rep.certificates.values())
     # phi∘phi substitutes into each of the n images, and the quotient into
@@ -133,6 +134,38 @@ def test_analyze_substitutes_for_idempotency_then_once_per_generator(
     # reads the inverse of Y off the two
     assert substitutions == list(phi.images) + rep.generators
     assert len(hnfs) == 2
+
+
+def test_maps_with_one_matrix_share_one_decomposition(monkeypatch):
+    # x1 -> c·x1·x2, x2 -> c^-1 has the same M for every unit c, so the
+    # memo decomposes it once; the shared decomposition cannot be changed
+    maps = []
+    for dom, c in ((QQ, 1), (QQ, 3), (GF(5), 2)):
+        R = RingSignature(["x1", "x2"], 2, dom)
+        maps.append(Endomorphism(R, [R.monomial((1, 1), c),
+                                     R.constant(dom.invert(c))]))
+    hnfs = []
+    row_hnf = intlinalg.row_hnf
+
+    def counting_hnf(rows):
+        hnfs.append(rows)
+        return row_hnf(rows)
+    monkeypatch.setattr(intlinalg, "row_hnf", counting_hnf)
+    decompose.cache_clear()
+    reports = [analyze(phi) for phi in maps]
+    assert len(hnfs) == 2
+    dec = reports[0].decomposition
+    assert all(rep.decomposition is dec for rep in reports)
+    assert all(all(rep.certificates.values()) for rep in reports)
+    assert [y.normalizer for y in reports[1].y_variables] == [
+        1, Fraction(1, 3)]
+    for obj, name in ((dec, "r"), (dec, "Y"), (dec.Y, "columns"),
+                      (dec.T, "rows"), (dec.M, "columns")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    assert all(type(col) is tuple for A in (dec.M, dec.Y, dec.T)
+               for col in A.columns)
+    assert analyze(maps[0]).decomposition is dec
 
 
 def e1():
@@ -144,7 +177,7 @@ def tampered(fixed, kernel, T):
     """A decomposition of e1's matrix with the given bases and T."""
     M = IntMatrix([[1, 0], [1, 0]])
     Y = IntMatrix(zip(*(fixed + kernel)))
-    return SummandDecomposition(M, len(fixed), fixed, kernel, Y, IntMatrix(T))
+    return SummandDecomposition(M, len(fixed), Y, IntMatrix(T))
 
 
 # matrix_idempotent and image_lattice_membership follow from Y·T = I and
