@@ -36,7 +36,7 @@ from math import prod
 from operator import getitem
 
 from .domains import _is_prime
-from .intlinalg import decompose, is_inverse
+from .intlinalg import IntMatrix, decompose
 from .endo import Endomorphism, require_idempotent
 from .ring import MixedPoly, RingSignature, _integer_terms
 
@@ -336,7 +336,7 @@ def analyze(phi):
     n, d = ring.n, ring.laurent
     r = dec.r
 
-    unimodular = dec.Y.rows == d and is_inverse(dec.Y, dec.T)
+    unimodular = dec.Y * dec.T == IntMatrix.identity(d)
     # with Y·T = I, M·b = b on Y's fixed columns and M·b = 0 on its killed
     # ones give M = Y·diag(I_r, 0)·T: so M·M = M, and T·M = diag(I_r, 0)·T,
     # whose zero rows from r on put M's columns in the fixed lattice

@@ -13,14 +13,18 @@ exact.
 Storage is sparse.  A vector is a tuple of (index, value) pairs with
 increasing indices and nonzero values; a matrix keeps its row count and its
 columns as such vectors, so the columns of Y are the two bases.  `row_hnf`,
-the echelon solve, `times` and `is_inverse` touch nonzero entries only, and
+the echelon solve, `times` and the product touch nonzero entries only, and
 a d×d matrix with N nonzero entries costs O(d + N), not d^2.  Dense rows
 exist only as views: `IntMatrix.entries`, and the bases of a
 `SummandDecomposition`.  `decompose` is memoized per M: matrices and
 decompositions are immutable, and equal matrices hash alike, so the
-analyses of maps with the same monomial part share one decomposition.
+analyses of maps with the same monomial part share one decomposition.  An
+analysis decomposes once, so the memo pays only when one process analyzes
+several maps with one M; a single `analyze` from the command line never
+hits it.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -28,7 +32,8 @@ from operator import index
 
 # distinct matrices whose decompositions are kept.  An entry holds O(d + N)
 # sparse pairs, ~0.4 MB at the widest ring (d = 1000), so the bound needs
-# no width limit; a benchmark pass meets at most 38 distinct M.
+# no width limit; one pass of a benchmark analyze workload meets 15-42
+# distinct M.
 DECOMPOSE_CACHE_SIZE = 64
 
 
@@ -38,16 +43,6 @@ def _dense(vector, width):
     for i, a in vector:
         entries[i] = a
     return tuple(entries)
-
-
-def _combine(columns, vector):
-    """{i: the sum of x·columns[k][i]} over the pairs (k, x) of a sparse
-    vector, zero sums kept."""
-    image = {}
-    for k, x in vector:
-        for i, a in columns[k]:
-            image[i] = image.get(i, 0) + a * x
-    return image
 
 
 class IntMatrix:
@@ -116,30 +111,11 @@ class IntMatrix:
 
     def times(self, vector):
         """M·v for a sparse vector v, as a sparse vector."""
-        return tuple([p for p in sorted(_combine(self.columns, vector).items())
-                      if p[1]])
-
-    def column(self, j):
-        return _dense(self.columns[j], self.rows)
-
-    def apply(self, v):
-        """M·v for a dense vector v, as a dense tuple."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return _dense(self.times(compress(enumerate(v), v)), self.rows)
-
-
-def is_inverse(A, B):
-    """True when A·B = I for square A and B, read one column of the product
-    at a time against the unit vector, so no product and no identity are
-    built and the cost is the product's nonzero multiplications."""
-    if not A.rows == A.cols == B.rows == B.cols:
-        return False
-    for j, col in enumerate(B.columns):
-        image = _combine(A.columns, col)
-        if image.pop(j, 0) != 1 or any(image.values()):
-            return False
-    return True
+        image = {}
+        for k, x in vector:
+            for i, a in self.columns[k]:
+                image[i] = image.get(i, 0) + a * x
+        return tuple([p for p in sorted(image.items()) if p[1]])
 
 
 def _subtract(row, q, other):
@@ -245,20 +221,13 @@ def _echelon_coordinates(rows, vectors):
     return solved
 
 
-class SummandDecomposition:
+class SummandDecomposition(namedtuple("SummandDecomposition", "M r Y T")):
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
     the assembled basis matrix Y (fixed columns first, r of them) and its
-    integer inverse T.  Immutable, since `decompose` shares it between
-    analyses; the bases are dense views of Y's columns."""
+    integer inverse T.  A tuple, so immutable, since `decompose` shares it
+    between analyses; the bases are dense views of Y's columns."""
 
-    __slots__ = ("M", "r", "Y", "T")
-
-    def __init__(self, M, r, Y, T):
-        for name, value in zip(self.__slots__, (M, r, Y, T)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SummandDecomposition is immutable")
+    __slots__ = ()
 
     @property
     def fixed_basis(self):

@@ -51,7 +51,7 @@ def test_criterion_1_pure_laurent_retracts_are_laurent_rings():
         assert M * M == M
         assert dec.Y * dec.T == IntMatrix.identity(spec.d)
         for i in range(spec.d):
-            assert solve_in_lattice(M.column(i),
+            assert solve_in_lattice([row[i] for row in M.entries],
                                     rep.decomposition.fixed_basis) is not None
     print("PASS criterion-1: 500 pure-Laurent instances all PureLaurent(r) "
           "with exact certificates")

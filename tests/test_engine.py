@@ -96,7 +96,7 @@ def reference_quotient_mod_J(p, decomposition, y_variables, target):
     dom = ring.domain
     terms = []
     for exp, coeff in p.terms:
-        c = dec.T.apply(exp[:d]) if d else ()
+        c = [sum(t * e for t, e in zip(row, exp)) for row in dec.T.entries]
         for i in range(r, d):
             lam = y_variables[i].normalizer
             coeff = dom.mul(coeff, dom.pow(lam, c[i]))
@@ -691,33 +691,24 @@ def test_y_image_certificates_record_the_checks(monkeypatch):
 
 def test_analyze_never_squares_the_unit_matrix(monkeypatch):
     # M·M = M and the zero rows of T·M past r follow from Y·T = I and the
-    # column checks, and Y·T = I is read a column at a time against the unit
-    # vectors, so an analysis forms no matrix product at all
-    from retractlab import engine
+    # column checks, so Y·T is the one matrix product of an analysis
     from retractlab.generator import GeneratorSpec, gen_random_idempotent
     products = []
-    inverse_checks = []
     mul = IntMatrix.__mul__
-    is_inverse = engine.is_inverse
 
     def counting(a, b):
         products.append((a, b))
         return mul(a, b)
-
-    def counting_check(a, b):
-        inverse_checks.append((a, b))
-        return is_inverse(a, b)
     monkeypatch.setattr(IntMatrix, "__mul__", counting)
-    monkeypatch.setattr(engine, "is_inverse", counting_check)
     tail = gen_random_idempotent(GeneratorSpec(5, 3, 1, 1005, 2, QQ))
     for phi in (e1(), tail):
         products.clear()
-        inverse_checks.clear()
         rep = analyze(phi)
         dec = rep.decomposition
         assert all(rep.certificates.values())
-        assert products == []
-        assert inverse_checks == [(dec.Y, dec.T)]
+        assert (dec.M, dec.M) not in products
+        assert (dec.T, dec.M) not in products
+        assert products == [(dec.Y, dec.T)]
 
 
 def _every_second_variable_to_one(R):

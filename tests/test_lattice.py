@@ -28,7 +28,7 @@ def test_non_idempotent_rejected(monkeypatch):
     products = []
     monkeypatch.setattr(IntMatrix, "__mul__",
                         lambda a, b: products.append((a, b)))
-    monkeypatch.setattr(IntMatrix, "apply",
+    monkeypatch.setattr(IntMatrix, "times",
                         lambda a, v: products.append((a, v)))
     for M in (IntMatrix([[0, 1], [1, 0]]), IntMatrix([[2, 0], [0, 0]]),
               IntMatrix([[0, 1], [0, 0]])):
@@ -110,7 +110,8 @@ def test_decompose_random_idempotents():
         assert M * dec.Y == dec.Y * D
         # every column of M lies in the fixed lattice
         for j in range(d):
-            assert solve_in_lattice(M.column(j), dec.fixed_basis) is not None
+            column = [row[j] for row in M.entries]
+            assert solve_in_lattice(column, dec.fixed_basis) is not None
         checked += 1
 
 
