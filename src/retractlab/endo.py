@@ -32,6 +32,7 @@ polynomial variable outside C has π(phi(x_c)) = π(ω(g_c)) = π(x_c).
 expanded phi∘phi.
 """
 
+from collections import namedtuple
 from itertools import compress
 from math import prod
 
@@ -84,17 +85,13 @@ class Endomorphism:
         return "Endomorphism(%s)" % maps
 
 
-class MonomialData:
+class MonomialData(namedtuple("MonomialData", "matrix lambdas fixed")):
     """Unit-lattice matrix and scalar parts of the Laurent-block images, and
     the polynomial variables x_c that the idempotency proof shows to have
-    phi(x_c) ≡ x_c mod J (see the module docstring)."""
+    phi(x_c) ≡ x_c mod J (see the module docstring).  A tuple, so
+    immutable: `require_idempotent` returns a new one with `fixed` set."""
 
-    __slots__ = ("matrix", "lambdas", "fixed")
-
-    def __init__(self, matrix, lambdas):
-        self.matrix = matrix
-        self.lambdas = tuple(lambdas)
-        self.fixed = ()
+    __slots__ = ()
 
 
 def identity(ring):
@@ -127,9 +124,9 @@ def idempotency_defect(phi):
             for s, p in zip(sq.images, phi.images)]
 
 
-# phi∘phi is expanded up to this many term products.  On generated maps of
-# n 2-6, trying a factorisation proof first took 1-1.6x as long below 100,
-# about as long to ~2,500, and a tenth or less past 10,000 if idempotent.
+# phi∘phi is expanded up to this many term products.  Searching every map
+# with a free image instead kept every byte but made the `small` benchmark's
+# op_p50_ms 6% and op_max_ms 20% slower, and `tail-qq` op_p95_ms 21%.
 EXPANSION_PRODUCTS = 1000
 # term pairs (in subduction and σ) and backtracking steps the subalgebra
 # search may take: the costliest proof seen, GF(5) n4d0r0c5 seed 7, ~0.98M
@@ -305,14 +302,13 @@ def _subalgebra_proof(phi):
 def require_idempotent(phi):
     """The check every input passes: return monomial_part(phi), which raises
     InvalidEndomorphismError unless each Laurent variable maps to a unit,
-    with the `fixed` variables of a subalgebra proof, or raise
+    with `fixed` replaced by those of a subalgebra proof, or raise
     NotIdempotentError naming the first variable with phi²(x) != phi(x)."""
     mono = monomial_part(phi)
     if _expansion_exceeds(phi):
         proved, fixed = _subalgebra_proof(phi)
         if proved:
-            mono.fixed = fixed
-            return mono
+            return mono._replace(fixed=fixed)
     for name, delta in zip(phi.ring.names, idempotency_defect(phi)):
         if not delta.is_zero():
             raise NotIdempotentError(
@@ -321,8 +317,8 @@ def require_idempotent(phi):
 
 
 def monomial_part(phi):
-    """(M, λ) with images[i] = λ_i·x^{M·e_i} for Laurent-block i, the one
-    reader of the Laurent block: raise InvalidEndomorphismError for the
+    """(M, λ, ()) with images[i] = λ_i·x^{M·e_i} for Laurent-block i, the
+    one reader of the Laurent block: raise InvalidEndomorphismError for the
     first image that is not a unit."""
     d = phi.ring.laurent
     cols = []
@@ -337,7 +333,7 @@ def monomial_part(phi):
         exp = exp[:d]
         cols.append(tuple(compress(enumerate(exp), exp)))
         lambdas.append(c)
-    return MonomialData(IntMatrix.from_columns(d, cols), lambdas)
+    return MonomialData(IntMatrix.from_columns(d, cols), tuple(lambdas), ())
 
 
 def conjugate(phi, alpha, alpha_inv):

@@ -10,15 +10,16 @@ The transcendence degree is read off phi mod J.  J is generated by the
 y - 1 for the killed y, phi(J) = 0, and B/J ≅ S[z] with
 S = R[y1^±,...,yr^±].  An a in A ∩ J, A = phi(B), has a = phi(a) = 0, so
 A embeds in S[z], as the image of the endomorphism φ̄: y_k ↦ y_k,
-z_j ↦ phi(x_j) mod J, whose images `quotient_mod_J` builds for the
-generators.  With π the quotient map, φ̄∘π = π∘phi, and π is onto, so φ̄
-is idempotent.  S[z] is smooth, so in characteristic 0 trdeg A is the trace
+z_j ↦ phi(x_j) mod J.  Y·T = I and λ^b = 1 on a fixed column b make the
+unit y_k = x^b map to y^(T·b) = y_k, so `quotient_mod_J` maps only the
+z_j.  With π the quotient map, φ̄∘π = π∘phi, and π is onto, so φ̄ is
+idempotent.  S[z] is smooth, so in characteristic 0 trdeg A is the trace
 of φ̄'s Jacobian at its fixed point φ̄(1, ..., 1), an idempotent matrix
 (a retract of a smooth algebra is smooth: Costa, "Retracts of polynomial
-rings", J. Algebra 1977).  The y-block adds r, 1 for each y_k ↦ y_k, and
-each z_j adds ∂φ̄(z_j)/∂z_j, read mod a prime above n in one pass over the
-image's terms, each term one product of powers from per-variable tables.
-φ̄'s images can be far smaller than phi's: 5 terms against 1,916 on the
+rings", J. Algebra 1977).  A one-term image c·x^e adds e_i, so the y-block
+adds r; the other images are read mod a prime above n, each term one
+product of powers from per-variable tables built before the read.  φ̄'s
+images can be far smaller than phi's: 5 terms against 1,916 on the
 n = 6, d = 3 instance seed 1014.
 
 Some of them are read off the idempotency proof instead.  Its phi = σ∘ω
@@ -33,7 +34,7 @@ is every polynomial variable, so the 1,834-term phi(x4) is never mapped.
 
 from itertools import count
 from math import prod
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .domains import _is_prime
 from .intlinalg import IntMatrix, decompose
@@ -151,10 +152,11 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
     i ≥ r, to its normalizer λ_i.  So x_j maps to the unit μ_j·y^(T[:r, j]),
     μ_j = ∏_{i≥r} λ_i^T[i][j], and a polynomial variable to itself in S^[n-d].
     The n images are built once, and each p goes through `substitute`, so a
-    polynomial variable x_c comes back as z_c at once: `analyze` passes x_c
-    for phi(x_c) when the idempotency proof shows phi(x_c) ≡ x_c mod J,
-    that is when ω∘phi = ω, ω fixes x_c and phi(x_c) lies in
-    R[x_L^±][x_C], on which ω ≡ id mod J (see the module docstring).
+    polynomial variable x_c comes back as z_c at once.  `analyze` passes
+    only phi's n - d polynomial images, as the fixed units map to y_1..y_r,
+    and x_c for phi(x_c) when the proof shows phi(x_c) ≡ x_c mod J: ω∘phi
+    = ω, ω fixes x_c and phi(x_c) lies in R[x_L^±][x_C], on which ω ≡ id
+    mod J (see the module docstring).
     """
     d = ring.laurent
     r = decomposition.r
@@ -201,60 +203,50 @@ def transcendence_degree(phi, unit_rank):
     smooth (Costa, J. Algebra 1977).  With F = (phi(x_1), ..., phi(x_n)),
     F∘F = F, so p = F(1, ..., 1) is fixed and E = JF(p) is idempotent of
     rank trdeg A, which is its trace Σ_i ∂phi(x_i)/∂x_i (p), in [0, n].
-    A one-term image c·x^e adds e_i with no table read: p_i = c ≠ 0 and
-    F_i(p) = p_i, so ∂(c·x^e)/∂x_i (p) = e_i·F_i(p)/p_i = e_i.  So each
-    y_k ↦ y_k of φ̄ adds 1, and the unit images of the Laurent block add
-    their diagonal exponents.  When no image has two terms, the trace is
-    that sum, read with no fixed point and no prime (a zero image adds 0),
-    as on φ̄ of seed 1014 and of a Laurent identity.  Otherwise the other
-    images are read mod a prime P > n that divides no image's denominator
-    and no Laurent p_i: 2^61 - 1, else the least such prime above n.  The
-    powers p_j^x mod P are kept in one dict per variable, shared by the n
-    images and filled the first time a power is read; image i reads x_i
-    through a table one power lower, so each term of ∂phi(x_i)/∂x_i is
-    c·e_i times one product of table entries.
+    A one-term image c·x^e adds e_i: p_i = c ≠ 0 and F_i(p) = p_i, so
+    ∂(c·x^e)/∂x_i (p) = e_i·F_i(p)/p_i = e_i, and a zero image adds 0.
+    When no image has two terms, the trace is that sum, read with no fixed
+    point and no prime, as on φ̄ of seed 1014 and of a Laurent identity.
+    Otherwise the other images are read mod a prime P > n that divides no
+    image's denominator and no Laurent p_i: 2^61 - 1, else the least such
+    prime above n.  The tables {x: p_j^x mod P}, one per variable, hold
+    every power those images' exponents read, each computed once; image i
+    reads through a copy of them whose x_i table is one power lower, so
+    each term of ∂phi(x_i)/∂x_i is c·e_i times one product of entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
     is not the rank) is not built yet; a pure Laurent ring forces r.
     """
     ring = phi.ring
     if ring.domain.characteristic == 0:
-        if all(len(g.terms) <= 1 for g in phi.images):
-            return sum(g.terms[0][0][i]
-                       for i, g in enumerate(phi.images) if g.terms)
+        trace, multi = 0, []
+        for i, g in enumerate(phi.images):
+            if len(g.terms) == 1:
+                trace += g.terms[0][0][i]  # c·x^e adds e_i, as above
+            elif g.terms:
+                multi.append(i)
+        if not multi:
+            return trace
         images = [_integer_terms(g.terms) for g in phi.images]
+        # the powers of each variable that the multi-term images read
+        exponents = [e for i in multi for e, _ in images[i][1]]
+        read = [set(map(itemgetter(j), exponents)) for j in range(ring.n)]
         for P in _trace_primes(ring.n):
             if any(den % P == 0 for den, _ in images):
                 continue
-            point = [sum(c for _, c in terms) * pow(den, -1, P) % P
+            point = [sum(map(itemgetter(1), terms)) * pow(den, -1, P) % P
                      for den, terms in images]
             if not all(point[:ring.laurent]):
                 continue
-            # {x: p_j^x mod P} per variable, shared by the images and filled
-            # on a KeyError, so each power is computed once: a negative one
-            # inverts anew on every pow call
-            tables = [{0: 1, 1: p} for p in point]
-            row = tables[:]
-            trace = 0
-            for i, (den, terms) in enumerate(images):
-                if len(terms) == 1:
-                    trace += terms[0][0][i]  # c·x^e adds e_i, as above
-                    continue
+            tables = [{x: pow(p, x, P) for x in powers}
+                      for p, powers in zip(point, read)]
+            for i in multi:
+                den, terms = images[i]
                 # ∂/∂x_i lowers x_i's power: image i reads x_i one lower
-                row[i] = {1: 1, 2: point[i]}
-                entry = 0
-                for e, c in terms:
-                    x = e[i]
-                    if x:
-                        try:
-                            value = prod(map(getitem, row, e))
-                        except KeyError:  # a power read for the first time
-                            for j, (table, y) in enumerate(zip(row, e)):
-                                if y not in table:
-                                    table[y] = pow(point[j], y - (j == i), P)
-                            value = prod(map(getitem, row, e))
-                        entry += c * x * value
-                row[i] = tables[i]
+                row = tables[:]
+                row[i] = {x: pow(point[i], x - 1, P) for x in read[i] if x}
+                entry = sum(c * e[i] * prod(map(getitem, row, e))
+                            for e, c in terms if e[i])
                 trace += entry % P * pow(den, -1, P)
             return trace % P
     if ring.laurent == ring.n:
@@ -358,12 +350,13 @@ def analyze(phi):
         # before the trace, whose trdeg holds only for an idempotent phi
         raise CertificateError("certificate check failed", certificates)
 
-    units = [y.poly for y in yvars[:r]]
-    generators = units + [phi.images[j] for j in range(d, n)]
+    generators = [y.poly for y in yvars[:r]] + list(phi.images[d:])
     # phi(x_c) ≡ x_c mod J for each c the proof fixes (module docstring)
-    target, quotient_gens = quotient_mod_J(
-        ring, units + [ring.variable(j) if j in fixed else phi.images[j]
-                       for j in range(d, n)], dec, yvars)
+    target, images = quotient_mod_J(
+        ring, [ring.variable(j) if j in fixed else phi.images[j]
+               for j in range(d, n)], dec, yvars)
+    # y_k ↦ y_k exactly, by Y·T = I and λ^b = 1 (certified above)
+    quotient_gens = [target.variable(k) for k in range(r)] + images
 
     # φ̄ = phi mod J, y_k ↦ y_k and z_j ↦ phi(x_j) mod J: idempotent, with
     # image ≅ A on the smooth ring B/J, so its trace is trdeg A too

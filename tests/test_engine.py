@@ -198,15 +198,27 @@ def _shape(phi):
             any(min(e) < 0 for e, _ in terms))
 
 
+# z ↦ z - z·w, w ↦ 0 is idempotent with fixed point p = (1, 0, 0): the
+# seeded draws hold no multi-term image with a term of e_i = 1 at p_i = 0,
+# whose ∂/∂x_i reads p_i^0 = 1 from the lowered table
+ZERO_POWER = (GeneratorSpec(3, 1, 1, 0, 0, QQ), parse_problem(
+    "ring QQ[x^±,z,w]\nx -> x\nz -> z - z*w\nw -> 0\n")[1])
+
+
 def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
     # E = JF(p) is idempotent, and its rank by exact elimination is the
     # trace that transcendence_degree reads mod a prime
-    fraction = negative = intermediate = False
-    for spec, phi in _draws(random.Random(59), 150):
+    fraction = negative = intermediate = zero_power = False
+    for spec, phi in itertools.chain(_draws(random.Random(59), 150),
+                                     [ZERO_POWER]):
         n = phi.ring.n
         has_fraction, has_negative = _shape(phi)
         fraction |= has_fraction
         negative |= has_negative
+        p = [_value(g, (1,) * n) for g in phi.images]
+        zero_power |= any(len(g.terms) > 1 and p[i] == 0
+                          and any(e[i] == 1 for e, _ in g.terms)
+                          for i, g in enumerate(phi.images))
         E = _fixed_point_jacobian(phi)
         EE = [[sum(E[i][k] * E[k][j] for k in range(n)) for j in range(n)]
               for i in range(n)]
@@ -216,7 +228,7 @@ def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
         trdeg = transcendence_degree(phi, spec.r)
         assert fraction_rank(E) == trdeg, spec.seed
         intermediate |= 0 < trdeg - spec.r < spec.n - spec.d
-    assert fraction and negative and intermediate
+    assert fraction and negative and intermediate and zero_power
 
 
 def _analyze_recording_traces(monkeypatch, phi):
@@ -330,7 +342,7 @@ def test_proof_fixes_no_variable_whose_image_leaves_C(phi, monkeypatch):
     assert endo._expansion_exceeds(phi)
     assert endo._subalgebra_proof(phi) == (True, ())
     rep, handed = _analyze_recording_quotient(monkeypatch, phi)
-    assert handed == rep.generators
+    assert handed == rep.generators[rep.r:]
     assert rep.quotient_generators == _quotient_of_phi(rep)
 
 
@@ -362,13 +374,17 @@ def test_quotient_generators_past_the_gate_are_those_of_phi():
 
 def test_analyze_maps_none_of_1014s_polynomial_images(monkeypatch):
     # the proof fixes x4, x5 and x6 of QQ 1014 mod J, so the quotient gets
-    # the variables, and the report's generators stay phi's images
+    # the variables, and the report's generators stay phi's images; the
+    # fixed units are handed nothing, their images y_k read off Y·T = I
     phi = _named("QQ_n6d3r2c4_s1014")
     R = phi.ring
     rep, handed = _analyze_recording_quotient(monkeypatch, phi)
     assert not any(p == img for p in handed for img in phi.images[3:])
-    assert handed[rep.r:] == [R.variable(j) for j in range(3, 6)]
+    assert handed == [R.variable(j) for j in range(3, 6)]
     assert rep.generators[rep.r:] == list(phi.images[3:])
+    S = rep.quotient_generators[0].ring
+    assert rep.quotient_generators[:rep.r] == [S.variable(k)
+                                               for k in range(rep.r)]
     assert rep.quotient_generators == _quotient_of_phi(rep)
 
 
@@ -645,14 +661,18 @@ def test_analyze_proves_idempotency_once(monkeypatch):
 
 def test_analyze_reads_the_laurent_block_once(monkeypatch):
     # require_idempotent returns the monomial part (M, λ) it reads, after
-    # an expanded proof (e1) and a subalgebra search (1004), and analyze reads
-    # the Laurent block nowhere else
+    # an expanded proof (e1) and a subalgebra search (1004, and 1014, whose
+    # proof fixes x4, x5 and x6 mod J), as a new immutable record with the
+    # proof's fixed set, and analyze reads the Laurent block nowhere else
     from retractlab import endo
     from retractlab.generator import GeneratorSpec, gen_random_idempotent
     tail = gen_random_idempotent(GeneratorSpec(5, 3, 0, 1004, 3, QQ))
-    for phi in (e1(), tail):
-        got, want = endo.require_idempotent(phi), endo.monomial_part(phi)
-        assert (got.matrix, got.lambdas) == (want.matrix, want.lambdas)
+    for phi, fixed in ((e1(), ()), (tail, ()),
+                       (_named("QQ_n6d3r2c4_s1014"), (3, 4, 5))):
+        got = endo.require_idempotent(phi)
+        assert got == endo.monomial_part(phi)._replace(fixed=fixed)
+        with pytest.raises(AttributeError):
+            got.fixed = ()
         reads = []
         monomial_part = endo.monomial_part
 

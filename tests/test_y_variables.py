@@ -130,9 +130,10 @@ def test_analyze_substitutes_for_idempotency_then_once_per_generator(
     rep = analyze(phi)
     assert rep.r == 1 and all(rep.certificates.values())
     # phi∘phi substitutes into each of the n images, and the quotient into
-    # each generator once; the decomposition takes one HNF per lattice and
-    # reads the inverse of Y off the two
-    assert substitutions == list(phi.images) + rep.generators
+    # each polynomial generator once, the fixed units mapping to y_k by
+    # Y·T = I; the decomposition takes one HNF per lattice and reads the
+    # inverse of Y off the two
+    assert substitutions == list(phi.images) + rep.generators[rep.r:]
     assert len(hnfs) == 2
 
 
