@@ -1,10 +1,11 @@
 """R-algebra endomorphisms of a mixed Laurent/polynomial ring.
 
-An endomorphism is given by the images of the n variables.  Laurent-block
-variables must map to units, otherwise no ring map exists on x_i^-1.  The
-induced action on the unit lattice Z^d is extracted as MonomialData with the
-convention: column i of the matrix is the Laurent exponent of the image of
-x_i, so composition multiplies matrices in application order.
+An `Endomorphism` is an immutable namedtuple of its ring and the tuple of
+the images of the n variables.  Laurent-block variables must map to units,
+otherwise no ring map exists on x_i^-1.  The induced action on the unit
+lattice Z^d is extracted as MonomialData with the convention: column i of
+the matrix is the Laurent exponent of the image of x_i, so composition
+multiplies matrices in application order.
 
 `require_idempotent` decides phi∘phi = phi by one subalgebra search
 (Robbiano & Sweedler, "Subalgebra bases", 1990), in any characteristic.
@@ -49,11 +50,10 @@ class NotIdempotentError(ValueError):
     pass
 
 
-class Endomorphism:
+class Endomorphism(namedtuple("Endomorphism", "ring images")):
+    __slots__ = ()
 
-    __slots__ = ("ring", "images")
-
-    def __init__(self, ring, images):
+    def __new__(cls, ring, images):
         images = tuple(images)
         if len(images) != ring.n:
             raise ValueError("expected %d images, got %d" % (ring.n, len(images)))
@@ -61,23 +61,12 @@ class Endomorphism:
             if not isinstance(img, MixedPoly) or (img.ring is not ring
                                                   and img.ring != ring):
                 raise RingMismatchError("image not in the endomorphism's ring")
-        self.ring = ring
-        self.images = images
+        return tuple.__new__(cls, (ring, images))
 
     @classmethod
     def _trusted(cls, ring, images):
         """Wrap a tuple of n images already in ring, skipping the checks."""
-        phi = object.__new__(cls)
-        phi.ring = ring
-        phi.images = images
-        return phi
-
-    def __eq__(self, other):
-        return (isinstance(other, Endomorphism)
-                and self.ring == other.ring and self.images == other.images)
-
-    def __hash__(self):
-        return hash((self.ring, self.images))
+        return tuple.__new__(cls, (ring, images))
 
     def __repr__(self):
         maps = ", ".join("%s -> %s" % (name, img)

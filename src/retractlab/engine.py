@@ -4,7 +4,10 @@ From an idempotent endomorphism of R[x1^±,...,xd^±, x_{d+1},...,xn] this
 module produces the new Laurent coordinates (y-variables), the generators of
 the retract, the transcendence degree, a classification verdict, and a
 rationality verdict, each backed by exact certificates computed inside the
-call.  All checks are tolerance-zero.
+call.  All checks are tolerance-zero.  The records, `YVariable`,
+`ClassificationVerdict` (a tag and a dict of its parameters) and the
+`RetractReport` that `analyze` returns, are immutable namedtuples, read
+by field name.
 
 The transcendence degree is read off phi mod J.  J is generated by the
 y - 1 for the killed y, phi(J) = 0, and B/J ≅ S[z] with
@@ -32,6 +35,7 @@ phi(x_c); the report's generators stay phi's images.  On seed 1014 that
 is every polynomial variable, so the 1,834-term phi(x4) is never mapped.
 """
 
+from collections import namedtuple
 from itertools import count
 from math import prod
 from operator import getitem, itemgetter
@@ -53,36 +57,25 @@ class CertificateError(RuntimeError):
         self.evidence = evidence or {}
 
 
-class YVariable:
-    """A new Laurent coordinate y = normalizer^-1 · x^exponent.
+class YVariable(namedtuple("YVariable",
+                           "exponent normalizer kind poly verified")):
+    """A new Laurent coordinate y = normalizer^-1 · x^exponent; `poly` is
+    that element of B.  For b = exponent, phi(x^b) = λ^b·x^(M·b), and the
+    normalizer is λ^b.  `kind` is "fixed" (phi(y) = y: M·b = b and
+    normalizer 1) or "killed" (phi(y) = 1: M·b = 0), and `verified`
+    records whether the equality on M·b holds."""
 
-    For the basis vector b = exponent, phi(x^b) = λ^b·x^(M·b), and the
-    normalizer is λ^b.  A fixed y has phi(y) = y, that is M·b = b and
-    normalizer 1; a killed y has phi(y) = 1, that is M·b = 0.  `verified`
-    records whether the equality on M·b holds.
-    """
-
-    __slots__ = ("exponent", "normalizer", "kind", "poly", "verified")
-
-    def __init__(self, exponent, normalizer, kind, poly, verified=False):
-        self.exponent = tuple(exponent)
-        self.normalizer = normalizer
-        self.kind = kind  # "fixed" | "killed"
-        self.poly = poly  # the element of B: normalizer^-1 · x^exponent
-        self.verified = verified
+    __slots__ = ()
 
 
-class ClassificationVerdict:
+class ClassificationVerdict(namedtuple("ClassificationVerdict", "tag params")):
+    __slots__ = ()
 
-    __slots__ = ("tag", "params")
+    def __new__(cls, tag, **params):
+        return tuple.__new__(cls, (tag, params))
 
-    def __init__(self, tag, **params):
-        self.tag = tag
-        self.params = params
-
-    def __eq__(self, other):
-        return (isinstance(other, ClassificationVerdict)
-                and self.tag == other.tag and self.params == other.params)
+    def __getnewargs_ex__(self):  # so copy and pickle pass params by name
+        return (self.tag,), self.params
 
     def __repr__(self):
         if not self.params:
@@ -91,17 +84,10 @@ class ClassificationVerdict:
         return "%s(%s)" % (self.tag, inner)
 
 
-class RetractReport:
-
-    __slots__ = ("ring", "r", "decomposition", "y_variables", "generators",
-                 "quotient_generators", "trdeg",
-                 "classification", "rationality", "certificates")
-
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw.pop(name))
-        if kw:
-            raise TypeError("unexpected fields: %s" % sorted(kw))
+class RetractReport(namedtuple("RetractReport", (
+        "ring r decomposition y_variables generators quotient_generators "
+        "trdeg classification rationality certificates"))):
+    __slots__ = ()
 
 
 def compute_y_variables(phi):
@@ -365,9 +351,8 @@ def analyze(phi):
     verdict = classify(n, d, r, trdeg)
     if verdict.tag == "UFDClassified" and _generators_witness_shape(
             quotient_gens, r, verdict.params["s"]):
-        verdict = ClassificationVerdict("UFDClassified", r=r,
-                                        s=verdict.params["s"],
-                                        generatorsExplicit=True)
+        verdict = verdict._replace(params=dict(verdict.params,
+                                               generatorsExplicit=True))
     rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
 
     return RetractReport(

@@ -6,13 +6,18 @@ maps, unit rescalings, and triangular shifts on polynomial variables), each
 carrying a closed-form inverse.  Conjugation preserves idempotency and the
 unit rank, so every generated instance analyzes back to the requested r.
 
-The random source is Python's Mersenne Twister; generated files record the
-algorithm identifier `mt19937-py` in their header for reproducibility.
+A `GeneratorSpec`, an immutable namedtuple checked when it is built, names
+the draw: n and d, the unit rank r, the seed (kept to 64 bits), the number
+of conjugations (complexity) and the domain.  The random source is
+Python's Mersenne Twister; generated files record the algorithm identifier
+`mt19937-py` in their header for reproducibility.
 """
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
+from .domains import Domain
 from .endo import Endomorphism, standard_projection, conjugate
 from .grammar import MAX_VARIABLES, render_problem
 from .ring import MixedPoly, RingSignature
@@ -20,11 +25,16 @@ from .ring import MixedPoly, RingSignature
 RNG_ALGORITHM = "mt19937-py"
 
 
-class GeneratorSpec:
+class GeneratorSpec(namedtuple("GeneratorSpec",
+                               "n d r seed complexity domain")):
+    __slots__ = ()
 
-    __slots__ = ("n", "d", "r", "seed", "complexity", "domain")
-
-    def __init__(self, n, d, r, seed, complexity, domain):
+    def __new__(cls, n, d, r, seed, complexity, domain):
+        for name, value in zip(cls._fields, (n, d, r, seed, complexity)):
+            if not isinstance(value, int):
+                raise ValueError("%s must be an int, got %r" % (name, value))
+        if not isinstance(domain, Domain):
+            raise ValueError("domain must be a Domain, got %r" % (domain,))
         if n < 1:
             raise ValueError("need n >= 1, got %d" % n)
         if n > MAX_VARIABLES:
@@ -33,12 +43,8 @@ class GeneratorSpec:
             raise ValueError("need 0 <= r <= d <= n")
         if complexity < 0:
             raise ValueError("complexity must be >= 0")
-        self.n = n
-        self.d = d
-        self.r = r
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
-        self.complexity = complexity
-        self.domain = domain
+        return tuple.__new__(cls, (n, d, r, seed & 0xFFFFFFFFFFFFFFFF,
+                                   complexity, domain))
 
     def ring(self):
         return RingSignature(["x%d" % (i + 1) for i in range(self.n)],

@@ -477,7 +477,7 @@ def render_report(report, fmt="text"):
     lines.append("ring           %r" % report.ring)
     lines.append("unit rank r    %d" % obj["r"])
     lines.append("trdeg          %s" % (obj["trdeg"],))
-    lines.append("classification %r" % report.classification)
+    lines.append("classification %r" % (report.classification,))
     lines.append("rationality    %s" % obj["rationality"])
     for y, lam, kind in zip(obj["yVariables"], obj["normalizers"], obj["yKinds"]):
         lines.append("y (%s)%s %s   [normalizer %s]"

@@ -11,17 +11,17 @@ two lattices sum to d, so `decompose` forms no product.  All arithmetic is
 exact.
 
 Storage is sparse.  A vector is a tuple of (index, value) pairs with
-increasing indices and nonzero values; a matrix keeps its row count and its
-columns as such vectors, so the columns of Y are the two bases.  `row_hnf`,
-the echelon solve, `times` and the product touch nonzero entries only, and
-a d×d matrix with N nonzero entries costs O(d + N), not d^2.  Dense rows
-exist only as views: `IntMatrix.entries`, and the bases of a
-`SummandDecomposition`.  `decompose` is memoized per M: matrices and
-decompositions are immutable, and equal matrices hash alike, so the
-analyses of maps with the same monomial part share one decomposition.  An
-analysis decomposes once, so the memo pays only when one process analyzes
-several maps with one M; a single `analyze` from the command line never
-hits it.
+increasing indices and nonzero values; an `IntMatrix` is a namedtuple of
+its row count and its columns as such vectors, so the columns of Y are the
+two bases.  `row_hnf`, the echelon solve, `times` and the product touch
+nonzero entries only, and a d×d matrix with N nonzero entries costs
+O(d + N), not d^2.  Dense rows exist only as views: `IntMatrix.entries`,
+and the bases of a `SummandDecomposition`.  `decompose` is memoized per M:
+matrices and decompositions are namedtuples, so immutable, and equal
+matrices hash alike, so the analyses of maps with the same monomial part
+share one decomposition.  An analysis decomposes once, so the memo pays
+only when one process analyzes several maps with one M; a single
+`analyze` from the command line never hits it.
 """
 
 from collections import namedtuple
@@ -45,35 +45,27 @@ def _dense(vector, width):
     return tuple(entries)
 
 
-class IntMatrix:
-    """Immutable integer matrix, stored as its row count and its columns as
-    sparse vectors."""
+class IntMatrix(namedtuple("IntMatrix", "rows columns")):
+    """Integer matrix: its row count and its columns as sparse vectors."""
 
-    __slots__ = ("rows", "columns")
+    __slots__ = ()
 
-    def __init__(self, rows):
+    def __new__(cls, rows):
         try:
             rows = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:
             raise ValueError("matrix entries must be ints") from None
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "columns", tuple(
-            tuple(compress(enumerate(col), col)) for col in zip(*rows)))
+        return tuple.__new__(cls, (len(rows), tuple(
+            tuple(compress(enumerate(col), col)) for col in zip(*rows))))
 
     @classmethod
     def from_columns(cls, rows, columns):
         """Wrap sparse columns the caller built, each a tuple of (index,
         value) pairs with increasing indices below `rows` and nonzero
         values, skipping the constructor's checks."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", rows)
-        object.__setattr__(matrix, "columns", tuple(columns))
-        return matrix
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntMatrix is immutable")
+        return tuple.__new__(cls, (rows, tuple(columns)))
 
     @property
     def cols(self):
@@ -91,13 +83,6 @@ class IntMatrix:
     @staticmethod
     def identity(n):
         return IntMatrix.from_columns(n, (((i, 1),) for i in range(n)))
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.columns == other.columns)
-
-    def __hash__(self):
-        return hash((self.rows, self.columns))
 
     def __repr__(self):
         return "IntMatrix(%r)" % (list(map(list, self.entries)),)

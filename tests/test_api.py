@@ -1,4 +1,13 @@
+import copy
+import pickle
+
+import pytest
+
 import retractlab
+from retractlab import (QQ, ClassificationVerdict, Endomorphism,
+                        GeneratorSpec, RingSignature, analyze)
+from retractlab.engine import YVariable
+from retractlab.intlinalg import IntMatrix
 
 # the package root's API: README's example and the benchmark's corpus, the
 # types a caller builds or gets back, and the errors those calls raise;
@@ -19,3 +28,46 @@ def test_package_root_exports_exactly_the_api():
     assert set(retractlab.__all__) == API
     for name in API:
         assert getattr(retractlab, name).__module__.startswith("retractlab.")
+
+
+def _e1():
+    R = RingSignature(["x1", "x2"], 2, QQ)
+    return Endomorphism(R, [R.variable(0) * R.variable(1), R.constant(1)])
+
+
+# each record, built twice from equal fields, and whether it is hashable:
+# a verdict holds its params dict and a report its lists
+RECORDS = {
+    "Endomorphism": (_e1, True),
+    "IntMatrix": (lambda: IntMatrix([[1, 2], [0, 1]]), True),
+    "GeneratorSpec": (lambda: GeneratorSpec(3, 2, 1, 5, 2, QQ), True),
+    "YVariable": (lambda: YVariable((1, 0), 1, "fixed", _e1().images[0],
+                                    True), True),
+    "ClassificationVerdict": (
+        lambda: ClassificationVerdict("PureLaurent", r=1), False),
+    "RetractReport": (lambda: analyze(_e1()), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_immutable_values(name):
+    build, hashable = RECORDS[name]
+    record, twin = build(), build()
+    assert type(record).__name__ == name
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert record == twin
+    if hashable:
+        assert hash(record) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_a_verdict_survives_copy_and_pickle():
+    # its constructor takes the params by name, not as the one dict it holds
+    verdict = ClassificationVerdict("UFDClassified", r=1, s=2,
+                                    generatorsExplicit=False)
+    for twin in (copy.copy(verdict), pickle.loads(pickle.dumps(verdict))):
+        assert type(twin) is ClassificationVerdict and twin == verdict

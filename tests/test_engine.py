@@ -700,7 +700,8 @@ def test_y_image_certificates_record_the_checks(monkeypatch):
 
     def unchecked(phi):
         dec, ys, fixed = compute_y_variables(phi)
-        ys[1].verified = False  # as if the killed-image check never ran
+        # as if the killed-image check never ran
+        ys[1] = ys[1]._replace(verified=False)
         return dec, ys, fixed
     monkeypatch.setattr(engine, "compute_y_variables", unchecked)
     with pytest.raises(CertificateError) as exc:

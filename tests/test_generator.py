@@ -70,6 +70,18 @@ def test_header_records_algorithm_and_seed():
     assert RNG_ALGORITHM in head and "seed=42" in head and "GF(7)" in head
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 2.0), ("d", 1.0), ("r", 1.0), ("seed", 3.0), ("complexity", 1.0),
+    ("seed", "3"), ("domain", "QQ")])
+def test_spec_rejects_a_field_of_the_wrong_type(field, value):
+    # each field is checked for its type as well as its size, so a float or
+    # a domain's name fails here with ValueError, not later in the draw
+    fields = dict(n=2, d=1, r=1, seed=3, complexity=1, domain=QQ)
+    fields[field] = value
+    with pytest.raises(ValueError, match="^%s must be " % field):
+        GeneratorSpec(**fields)
+
+
 def test_elementary_inverses_are_two_sided():
     # every kind's closed-form inverse, on each domain, drawn directly
     # rather than only as the kinds the generator happens to pick
