@@ -35,26 +35,32 @@ def _e1():
     return Endomorphism(R, [R.variable(0) * R.variable(1), R.constant(1)])
 
 
-# each record, built twice from equal fields, and whether it is hashable:
-# a verdict holds its params dict and a report its lists
+# each record, built twice from equal fields, its fields, and whether it is
+# hashable: a verdict holds its params dict and a report its lists
 RECORDS = {
-    "Endomorphism": (_e1, True),
-    "IntMatrix": (lambda: IntMatrix([[1, 2], [0, 1]]), True),
-    "GeneratorSpec": (lambda: GeneratorSpec(3, 2, 1, 5, 2, QQ), True),
+    "Endomorphism": (_e1, "ring images", True),
+    "IntMatrix": (lambda: IntMatrix([[1, 2], [0, 1]]), "rows columns", True),
+    "GeneratorSpec": (lambda: GeneratorSpec(3, 2, 1, 5, 2, QQ),
+                      "n d r seed complexity domain", True),
     "YVariable": (lambda: YVariable((1, 0), 1, "fixed", _e1().images[0],
-                                    True), True),
+                                    True),
+                  "exponent normalizer kind poly verified", True),
     "ClassificationVerdict": (
-        lambda: ClassificationVerdict("PureLaurent", r=1), False),
-    "RetractReport": (lambda: analyze(_e1()), False),
+        lambda: ClassificationVerdict("PureLaurent", r=1), "tag params",
+        False),
+    "RetractReport": (lambda: analyze(_e1()),
+                      "ring r decomposition y_variables generators "
+                      "quotient_generators trdeg classification "
+                      "rationality certificates", False),
 }
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_records_are_immutable_values(name):
-    build, hashable = RECORDS[name]
+    build, fields, hashable = RECORDS[name]
     record, twin = build(), build()
     assert type(record).__name__ == name
-    for field in record._fields:
+    for field in fields.split():
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert record == twin
