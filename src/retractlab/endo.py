@@ -52,6 +52,7 @@ class NotIdempotentError(ValueError):
 
 class Endomorphism(namedtuple("Endomorphism", "ring images")):
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     def __new__(cls, ring, images):
         images = tuple(images)
@@ -81,6 +82,7 @@ class MonomialData(namedtuple("MonomialData", "matrix lambdas fixed")):
     immutable: `require_idempotent` returns a new one with `fixed` set."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
 
 def identity(ring):

@@ -66,10 +66,12 @@ class YVariable(namedtuple("YVariable",
     records whether the equality on M·b holds."""
 
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
 
 class ClassificationVerdict(namedtuple("ClassificationVerdict", "tag params")):
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     def __new__(cls, tag, **params):
         return tuple.__new__(cls, (tag, params))
@@ -88,6 +90,7 @@ class RetractReport(namedtuple("RetractReport", (
         "ring r decomposition y_variables generators quotient_generators "
         "trdeg classification rationality certificates"))):
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
 
 def compute_y_variables(phi):

@@ -28,6 +28,7 @@ RNG_ALGORITHM = "mt19937-py"
 class GeneratorSpec(namedtuple("GeneratorSpec",
                                "n d r seed complexity domain")):
     __slots__ = ()
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
     def __new__(cls, n, d, r, seed, complexity, domain):
         for name, value in zip(cls._fields, (n, d, r, seed, complexity)):

@@ -28,8 +28,8 @@ ring's variable, and products, powers and unary minus are the ring's `*`,
 `**` and `-`: `**` owns "not a unit", and the parser checks only that no
 negative power falls on a polynomial variable.
 
-A JSON report is written as `json.dumps(report, indent=2)` would write it,
-by a writer that joins each list of ints, or of strs, in one call.
+A JSON report is written in one pass from the report's fields, with the
+bytes of `json.dumps(report, indent=2)`, by `render_report`.
 """
 
 import re
@@ -404,87 +404,89 @@ def render_problem(endo, header_comments=()):
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report):
-    ring = report.ring
-    dom = ring.domain
-    verdict = {"tag": report.classification.tag}
-    verdict.update(report.classification.params)
-    trdeg = report.trdeg if isinstance(report.trdeg, int) else list(report.trdeg)
-    return {
-        "n": ring.n,
-        "d": ring.laurent,
-        "domain": repr(dom),
-        "r": report.r,
-        "trdeg": trdeg,
-        "classification": verdict,
-        "rationality": report.rationality,
-        # decompose's int exponents need no check
-        "yVariables": [str(MixedPoly._trusted(ring, ((y.exponent, 1),)))
-                       for y in report.y_variables],
-        "normalizers": [str(y.normalizer) for y in report.y_variables],
-        "yKinds": [y.kind for y in report.y_variables],
-        "fixedBasis": [list(b) for b in report.decomposition.fixed_basis],
-        "kernelBasis": [list(b) for b in report.decomposition.kernel_basis],
-        "Y": [list(r) for r in report.decomposition.Y.entries],
-        "T": [list(r) for r in report.decomposition.T.entries],
-        "generators": [str(g) for g in report.generators],
-        "quotientGenerators": [str(g) for g in report.quotient_generators],
-        "certificates": dict(report.certificates),
-    }
+# the report's keys in order, as `json.dumps(report, indent=2)` writes them
+_REPORT = ('{\n  "n": %d,\n  "d": %d,\n  "domain": %s,\n  "r": %d,\n'
+           '  "trdeg": %s,\n  "classification": %s,\n  "rationality": %s,\n'
+           '  "yVariables": %s,\n  "normalizers": %s,\n  "yKinds": %s,\n'
+           '  "fixedBasis": %s,\n  "kernelBasis": %s,\n  "Y": %s,\n'
+           '  "T": %s,\n  "generators": %s,\n  "quotientGenerators": %s,\n'
+           '  "certificates": %s\n}\n')
 
 
-def _json(obj, indent=""):
-    """obj as `json.dumps(obj, indent=2)` writes it, for the types a report
-    holds: dicts with str keys, lists, str, bool and int.  Any other type,
-    a float included, raises TypeError.  json's C encoder takes no indent,
-    and its pure-Python one takes seconds on the Y and T of a wide ring."""
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return repr(obj)
-    if kind is not dict and kind is not list:
-        raise TypeError("Object of type %s is not JSON serializable"
-                        % kind.__name__)
-    brackets = "{}" if kind is dict else "[]"
-    if not obj:
-        return brackets
-    inner = indent + "  "
-    if kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner)
-                 for k, v in obj.items()]
-    else:
-        kinds = set(map(type, obj))
-        if kinds == {int}:
-            items = map(repr, obj)
-        elif kinds == {str}:
-            items = map(encode_basestring_ascii, obj)
-        else:
-            items = [_json(v, inner) for v in obj]
-    return "%s\n%s%s\n%s%s" % (brackets[0], inner,
-                             (",\n" + inner).join(items), indent, brackets[1])
+def _strs(items):
+    """A list of str, joined in one call."""
+    return ("[\n    %s\n  ]" % ",\n    ".join(map(encode_basestring_ascii,
+                                                items)) if items else "[]")
+
+
+def _flat(pairs):
+    """A nonempty dict of str, int and bool (whose str, lowered, is JSON)."""
+    return "{\n    %s\n  }" % ",\n    ".join([
+        "%s: %s" % (encode_basestring_ascii(k), encode_basestring_ascii(v)
+                    if type(v) is str else str(v).lower()) for k, v in pairs])
+
+
+def _rows(vectors, width):
+    """A list of int rows of the given width, given as sparse vectors, each
+    joined in one call from a list of "0" strings with its nonzeros set."""
+    rows = []
+    for vector in vectors:
+        row = ["0"] * width
+        for i, a in vector:
+            row[i] = repr(a)
+        rows.append(",\n      ".join(row))
+    return ("[\n    [\n      %s\n    ]\n  ]"
+            % "\n    ],\n    [\n      ".join(rows) if rows else "[]")
+
+
+def _transposed(matrix):
+    """The rows of an IntMatrix as sparse vectors, from its columns."""
+    rows = [[] for _ in range(matrix.rows)]
+    for j, column in enumerate(matrix.columns):
+        for i, a in column:
+            rows[i].append((j, a))
+    return rows
 
 
 def render_report(report, fmt="text"):
+    """The report as text, or as JSON in one pass: the keys are fixed text,
+    each list of strs is joined in one call, the bases are Y's sparse
+    columns, and Y's and T's rows their transposed columns."""
     if fmt not in ("text", "json"):
         raise ValueError("report format is not 'text' or 'json': %r" % (fmt,))
-    obj = report_to_dict(report)
+    ring = report.ring
+    yvars = report.y_variables
+    # decompose's int exponents need no check
+    names = [str(MixedPoly._trusted(ring, ((y.exponent, 1),))) for y in yvars]
+    trdeg = report.trdeg
     if fmt == "json":
-        return _json(obj) + "\n"
-    lines = []
-    lines.append("ring           %r" % report.ring)
-    lines.append("unit rank r    %d" % obj["r"])
-    lines.append("trdeg          %s" % (obj["trdeg"],))
-    lines.append("classification %r" % (report.classification,))
-    lines.append("rationality    %s" % obj["rationality"])
-    for y, lam, kind in zip(obj["yVariables"], obj["normalizers"], obj["yKinds"]):
+        dec, verdict = report.decomposition, report.classification
+        Y, r = dec.Y, dec.r
+        return _REPORT % (
+            ring.n, ring.laurent, encode_basestring_ascii(repr(ring.domain)),
+            report.r, "%d" % trdeg if isinstance(trdeg, int)
+            else "[\n    %d,\n    %d\n  ]" % trdeg,
+            _flat((("tag", verdict.tag),) + tuple(verdict.params.items())),
+            encode_basestring_ascii(report.rationality), _strs(names),
+            _strs([str(y.normalizer) for y in yvars]),
+            _strs([y.kind for y in yvars]), _rows(Y.columns[:r], Y.rows),
+            _rows(Y.columns[r:], Y.rows), _rows(_transposed(Y), Y.cols),
+            _rows(_transposed(dec.T), dec.T.cols),
+            _strs([str(g) for g in report.generators]),
+            _strs([str(g) for g in report.quotient_generators]),
+            _flat(report.certificates.items()))
+    lines = ["ring           %r" % ring,
+             "unit rank r    %d" % report.r,
+             "trdeg          %s" % (trdeg if isinstance(trdeg, int)
+                                    else list(trdeg),),
+             "classification %r" % (report.classification,),
+             "rationality    %s" % report.rationality]
+    for y, name in zip(yvars, names):
         lines.append("y (%s)%s %s   [normalizer %s]"
-                     % (kind, " " * (6 - len(kind)), y, lam))
-    lines.append("generators     %s" % "; ".join(obj["generators"]) if
-                 obj["generators"] else "generators     (none)")
+                     % (y.kind, " " * (6 - len(y.kind)), name, y.normalizer))
+    lines.append("generators     %s" % ("; ".join(map(str, report.generators))
+                                        if report.generators else "(none)"))
     lines.append("certificates   %s" % ", ".join(
         "%s=%s" % (k, "ok" if v else "FAIL")
-        for k, v in obj["certificates"].items()))
+        for k, v in report.certificates.items()))
     return "\n".join(lines) + "\n"

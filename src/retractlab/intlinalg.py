@@ -15,8 +15,9 @@ increasing indices and nonzero values; an `IntMatrix` is a namedtuple of
 its row count and its columns as such vectors, so the columns of Y are the
 two bases.  `row_hnf`, the echelon solve, `times` and the product touch
 nonzero entries only, and a d×d matrix with N nonzero entries costs
-O(d + N), not d^2.  Dense rows exist only as views: `IntMatrix.entries`,
-and the bases of a `SummandDecomposition`.  `decompose` is memoized per M:
+O(d + N), not d^2.  Dense rows exist only in `IntMatrix.entries`, which
+`repr` and the tests read; the report writer reads the sparse columns.
+`decompose` is memoized per M:
 matrices and decompositions are namedtuples, so immutable, and equal
 matrices hash alike, so the analyses of maps with the same monomial part
 share one decomposition.  An analysis decomposes once, so the memo pays
@@ -37,18 +38,11 @@ from operator import index
 DECOMPOSE_CACHE_SIZE = 64
 
 
-def _dense(vector, width):
-    """The dense tuple of a sparse vector."""
-    entries = [0] * width
-    for i, a in vector:
-        entries[i] = a
-    return tuple(entries)
-
-
 class IntMatrix(namedtuple("IntMatrix", "rows columns")):
     """Integer matrix: its row count and its columns as sparse vectors."""
 
     __slots__ = ()
+    __add__ = __rmul__ = lambda self, other: NotImplemented
 
     def __new__(cls, rows):
         try:
@@ -66,6 +60,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows columns")):
         value) pairs with increasing indices below `rows` and nonzero
         values, skipping the constructor's checks."""
         return tuple.__new__(cls, (rows, tuple(columns)))
+
+    def __reduce__(self):  # so copy and pickle pass the sparse columns
+        return IntMatrix.from_columns, tuple(self)
 
     @property
     def cols(self):
@@ -88,6 +85,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows columns")):
         return "IntMatrix(%r)" % (list(map(list, self.entries)),)
 
     def __mul__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("dimension mismatch %dx%d · %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
@@ -210,17 +209,10 @@ class SummandDecomposition(namedtuple("SummandDecomposition", "M r Y T")):
     """Z^d = fixed lattice ⊕ kernel for an idempotent matrix M, witnessed by
     the assembled basis matrix Y (fixed columns first, r of them) and its
     integer inverse T.  A tuple, so immutable, since `decompose` shares it
-    between analyses; the bases are dense views of Y's columns."""
+    between analyses; the two bases are Y's columns."""
 
     __slots__ = ()
-
-    @property
-    def fixed_basis(self):
-        return tuple(_dense(b, self.Y.rows) for b in self.Y.columns[:self.r])
-
-    @property
-    def kernel_basis(self):
-        return tuple(_dense(b, self.Y.rows) for b in self.Y.columns[self.r:])
+    __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
 
 
 @lru_cache(maxsize=DECOMPOSE_CACHE_SIZE)

@@ -1,7 +1,27 @@
 """Dense reference for the lattice layer: row Hermite normal form and the
 summand decomposition on dense rows, the way `intlinalg` computed them
 before it stored matrices sparse.  The HNF of a lattice is unique, so the
-sparse layer must return the same bases, Y and T."""
+sparse layer must return the same bases, Y and T.  `fixed_basis` and
+`kernel_basis` are a decomposition's two bases as dense tuples, read off
+Y's sparse columns."""
+
+
+def _dense(vector, width):
+    """The dense tuple of a sparse vector."""
+    entries = [0] * width
+    for i, a in vector:
+        entries[i] = a
+    return tuple(entries)
+
+
+def fixed_basis(dec):
+    """The fixed lattice's basis: Y's first r columns, dense."""
+    return tuple(_dense(b, dec.Y.rows) for b in dec.Y.columns[:dec.r])
+
+
+def kernel_basis(dec):
+    """The kernel's basis: Y's columns from r on, dense."""
+    return tuple(_dense(b, dec.Y.rows) for b in dec.Y.columns[dec.r:])
 
 
 def dense_row_hnf(rows):

@@ -16,6 +16,7 @@ from retractlab.endo import apply, is_idempotent, monomial_part
 from retractlab.engine import quotient_mod_J
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
 from retractlab.intlinalg import IntMatrix, solve_in_lattice
+from dense_hnf import fixed_basis
 from fraction_rank import fraction_rank
 from random_elements import random_element
 
@@ -52,7 +53,7 @@ def test_criterion_1_pure_laurent_retracts_are_laurent_rings():
         assert dec.Y * dec.T == IntMatrix.identity(spec.d)
         for i in range(spec.d):
             assert solve_in_lattice([row[i] for row in M.entries],
-                                    rep.decomposition.fixed_basis) is not None
+                                    fixed_basis(rep.decomposition)) is not None
     print("PASS criterion-1: 500 pure-Laurent instances all PureLaurent(r) "
           "with exact certificates")
 
@@ -99,10 +100,11 @@ def test_criterion_3_retract_presentation_invariants():
         ring = phi.ring
         rng = random.Random(spec.seed)
         dec = rep.decomposition
+        basis = fixed_basis(dec)
         # scalar-fixedness on random fixed-lattice vectors
         for _ in range(10):
-            coeffs = [rng.randint(-3, 3) for _ in dec.fixed_basis]
-            b = tuple(sum(c * v[k] for c, v in zip(coeffs, dec.fixed_basis))
+            coeffs = [rng.randint(-3, 3) for _ in basis]
+            b = tuple(sum(c * v[k] for c, v in zip(coeffs, basis))
                       for k in range(ring.laurent))
             mono = ring.monomial(b + (0,) * (ring.n - ring.laurent))
             assert apply(phi, mono) == mono

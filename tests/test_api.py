@@ -5,7 +5,7 @@ import pytest
 
 import retractlab
 from retractlab import (QQ, ClassificationVerdict, Endomorphism,
-                        GeneratorSpec, RingSignature, analyze)
+                        GeneratorSpec, RingSignature, analyze, render_report)
 from retractlab.engine import YVariable
 from retractlab.intlinalg import IntMatrix
 
@@ -64,6 +64,11 @@ def test_records_are_immutable_values(name):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert record == twin
+    # no tuple arithmetic: a record neither concatenates nor repeats
+    for operation in (lambda: record + twin, lambda: 2 * record,
+                      lambda: record * 2):
+        with pytest.raises(TypeError):
+            operation()
     if hashable:
         assert hash(record) == hash(twin)
     else:
@@ -77,3 +82,16 @@ def test_a_verdict_survives_copy_and_pickle():
                                     generatorsExplicit=False)
     for twin in (copy.copy(verdict), pickle.loads(pickle.dumps(verdict))):
         assert type(twin) is ClassificationVerdict and twin == verdict
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_survive_copy_and_pickle(name):
+    # an IntMatrix is rebuilt from its sparse columns, so e1's report, which
+    # holds Y and T, round-trips to the same JSON bytes
+    record = RECORDS[name][0]()
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
+        if name == "RetractReport":
+            assert (render_report(twin, "json")
+                    == render_report(record, "json"))

@@ -18,6 +18,7 @@ from retractlab.engine import (classify, compute_y_variables, quotient_mod_J,
                                _trace_primes)
 from retractlab.generator import _automorphism_of_kind
 from retractlab.intlinalg import IntMatrix
+from dense_hnf import fixed_basis
 from fraction_rank import fraction_rank
 from random_elements import random_element
 
@@ -610,8 +611,9 @@ def test_scalar_fixedness_and_injectivity_samples():
     R = phi.ring
     rng = random.Random(5)
     for _ in range(20):
-        coeffs = [rng.randint(-3, 3) for _ in rep.decomposition.fixed_basis]
-        b = tuple(sum(c * v[k] for c, v in zip(coeffs, rep.decomposition.fixed_basis))
+        basis = fixed_basis(rep.decomposition)
+        coeffs = [rng.randint(-3, 3) for _ in basis]
+        b = tuple(sum(c * v[k] for c, v in zip(coeffs, basis))
                   for k in range(R.laurent))
         mono = R.monomial(b)
         assert apply(phi, mono) == mono

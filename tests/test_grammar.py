@@ -13,6 +13,7 @@ from retractlab import ring as ring_module
 from retractlab.endo import identity
 from retractlab.grammar import parse_expression
 from retractlab.generator import GeneratorSpec, gen_random_idempotent
+from dense_hnf import fixed_basis, kernel_basis
 from random_elements import random_element
 
 DOMAINS = (QQ, ZZ, GF(5), GF(32003))
@@ -359,66 +360,148 @@ def test_render_report_shapes():
             render_report(rep, fmt)
 
 
-def test_report_writer_matches_json_dumps_on_golden_reports():
+def report_to_dict(report):
+    """The report's fields as the dict that `json.dumps(..., indent=2)`
+    writes to the JSON report's bytes, built from the dense views."""
+    ring = report.ring
+    verdict = {"tag": report.classification.tag}
+    verdict.update(report.classification.params)
+    trdeg = report.trdeg if isinstance(report.trdeg, int) else list(report.trdeg)
+    return {
+        "n": ring.n,
+        "d": ring.laurent,
+        "domain": repr(ring.domain),
+        "r": report.r,
+        "trdeg": trdeg,
+        "classification": verdict,
+        "rationality": report.rationality,
+        "yVariables": [str(ring.monomial(y.exponent))
+                       for y in report.y_variables],
+        "normalizers": [str(y.normalizer) for y in report.y_variables],
+        "yKinds": [y.kind for y in report.y_variables],
+        "fixedBasis": [list(b) for b in fixed_basis(report.decomposition)],
+        "kernelBasis": [list(b) for b in kernel_basis(report.decomposition)],
+        "Y": [list(r) for r in report.decomposition.Y.entries],
+        "T": [list(r) for r in report.decomposition.T.entries],
+        "generators": [str(g) for g in report.generators],
+        "quotientGenerators": [str(g) for g in report.quotient_generators],
+        "certificates": dict(report.certificates),
+    }
+
+
+def _analyzed_golden_files():
     with open(os.path.join(GOLDEN, "exit_codes.json"), encoding="utf-8") as fh:
         analyzed = [name for name, code in sorted(json.load(fh).items())
                     if code == 0]
-    assert len(analyzed) == 4
-    for name in analyzed:
+    assert analyzed == ["e1.ring", "e3.ring", "e7.ring", "ufd.ring"]
+    return analyzed
+
+
+def test_report_writer_matches_json_dumps_on_golden_reports():
+    for name in _analyzed_golden_files():
         stdout = os.path.join(GOLDEN, name[:-len(".ring")] + ".stdout")
         with open(stdout, encoding="utf-8") as fh:
             text = fh.read()
-        obj = json.loads(text)
-        assert grammar._json(obj) + "\n" == text, name
-        assert json.dumps(obj, indent=2) + "\n" == text, name
+        rep = analyze(parse_problem(load(name))[1])
+        assert render_report(rep, "json") == text, name
+        assert json.dumps(report_to_dict(rep), indent=2) + "\n" == text, name
+        assert json.dumps(json.loads(text), indent=2) + "\n" == text, name
+
+
+def _wide_pairs_map():
+    """QQ[x1^±..x41^±, z]: x_2k+1 -> x_2k+1*x_2k+2^-(k+1) and x_2k+2 -> 1
+    for k < 20, x41 and z fixed; an M with negative entries at d = 41."""
+    lines = ["ring QQ[%s,z]" % ",".join("x%d^±" % i for i in range(1, 42))]
+    for k in range(20):
+        lines += ["x%d -> x%d*x%d^-%d" % (2 * k + 1, 2 * k + 1, 2 * k + 2,
+                                          k + 1), "x%d -> 1" % (2 * k + 2)]
+    lines += ["x41 -> x41", "z -> z"]
+    return parse_problem("\n".join(lines))[1]
 
 
 def test_report_writer_matches_json_dumps_on_generated_reports():
+    phis = [gen_random_idempotent(GeneratorSpec(n, d, r, seed, 2, dom))
+            for dom in DOMAINS for n in (2, 3, 4, 5)
+            for d in range(min(n, 3) + 1) for r in sorted({0, d // 2, d})
+            for seed in (0, 1)]
+    phis += [parse_problem(load(name))[1] for name in _analyzed_golden_files()]
+    phis += [gen_random_idempotent(GeneratorSpec(42, 40, 17, 3, 2, QQ)),
+             gen_random_idempotent(GeneratorSpec(43, 40, 13, 1, 2, GF(5))),
+             _wide_pairs_map()]
     tags = set()
-    empty = set()
-    for dom in DOMAINS:
-        for n in (2, 3, 4, 5):
-            for d in range(min(n, 3) + 1):
-                for r in sorted({0, d // 2, d}):
-                    for seed in (0, 1):
-                        spec = GeneratorSpec(n, d, r, seed, 2, dom)
-                        rep = analyze(gen_random_idempotent(spec))
-                        obj = grammar.report_to_dict(rep)
-                        want = json.dumps(obj, indent=2) + "\n"
-                        assert render_report(rep, "json") == want, (
-                            n, d, r, seed, dom)
-                        tags.add(obj["classification"]["tag"])
-                        empty.update(key for key in ("kernelBasis",
-                                                     "generators")
-                                     if not obj[key])
+    seen = set()
+    for phi in phis:
+        rep = analyze(phi)
+        obj = report_to_dict(rep)
+        want = json.dumps(obj, indent=2) + "\n"
+        assert render_report(rep, "json") == want, phi
+        tags.add(obj["classification"]["tag"])
+        seen.update(key for key in ("fixedBasis", "kernelBasis", "Y", "T",
+                                    "generators") if not obj[key])
+        if isinstance(obj["trdeg"], list):
+            seen.add("interval " + obj["classification"]["tag"])
+        verdict = obj["classification"]
+        if "generatorsExplicit" in verdict:
+            seen.add("explicit %s" % verdict["generatorsExplicit"])
+        if obj["d"] >= 40:
+            seen.add("wide")
+            if any(min(row) < 0 for row in obj["T"]):
+                seen.add("wide negative")
     assert {"BoundsOnly", "UFDClassified"} <= tags, tags
-    assert empty == {"kernelBasis", "generators"}
+    # d = 0 leaves Y and T empty; GF(p) with d < n gives an interval
+    assert seen == {"fixedBasis", "kernelBasis", "Y", "T", "generators",
+                    "interval BoundsOnly", "explicit True", "explicit False",
+                    "wide", "wide negative"}, seen
 
 
-def test_report_writer_matches_json_dumps_on_every_value_kind():
-    obj = {
-        "ascii": "x1^-2*x2 + 1/2",
-        "non-ascii": "é ∘ φ² \u2028 😀 \"quoted\" \\ \t\n\x00",
-        "ключ": ["ünï", "", "\x7f"],
-        "empty": {"dict": {}, "list": [], "nested": [[], {}, [[]]]},
-        "bools": [True, False, {"t": True, "f": False}],
-        "ints": [0, -1, 2 ** 63, -2 ** 64 - 1, 10 ** 40, -(10 ** 40)],
-        "mixed": [1, True, "1", [1, [2, -3]], {"k": [False, 0]}],
-        "matrix": [[1, 0, -7], [0, 2 ** 70, 0]],
-        "scalars": {"int": -5, "big": 3 ** 100, "bool": False, "str": "s"},
-        # a list of str alone, like a report's generators, is joined in
-        # one call, as a list of int alone is
-        "strs": ["x1 - 1/2", "é\n\"", "", "😀"],
-        "no items": [],
-        "strs and ints": ["1", 1, "", 0, "-2", -2],
-        "strs and bools": ["true", True, False],
-    }
-    assert grammar._json(obj) == json.dumps(obj, indent=2)
-    for scalar in (0, -3, True, False, "", "é", [], {}, ["a"], [""], [1],
-                   ["1", 1], [1, "1"], [[1], ["1"]]):
-        assert grammar._json(scalar) == json.dumps(scalar, indent=2)
-    # a report holds no float, None, tuple or non-str key
-    for bad in (1.5, [1, 2.0], {"a": [0.5]}, None, [None], (1, 2),
-                {1: 2}):
-        with pytest.raises(TypeError):
-            grammar._json(bad)
+# the text reports of the analyzed golden files
+TEXT_REPORTS = {
+    "e1.ring": """\
+ring           QQ[x1^±,x2^±]
+unit rank r    1
+trdeg          1
+classification PureLaurent(r=1)
+rationality    Rational
+y (fixed)  x1*x2   [normalizer 1]
+y (killed) x2   [normalizer 1]
+generators     x1*x2
+""",
+    "e3.ring": """\
+ring           QQ[x1^±,x2]
+unit rank r    1
+trdeg          1
+classification PureLaurent(r=1)
+rationality    Rational
+y (fixed)  x1   [normalizer 1]
+generators     x1; x1 + x1^-1
+""",
+    "e7.ring": """\
+ring           QQ[x1^±,x2^±,x3]
+unit rank r    1
+trdeg          2
+classification LaurentTensorPoly(r=1, s=1)
+rationality    Rational
+y (fixed)  x1   [normalizer 1]
+y (killed) x2   [normalizer 1]
+generators     x1; x2 + x3 - 1
+""",
+    "ufd.ring": """\
+ring           QQ[x1^±,x2,x3]
+unit rank r    1
+trdeg          2
+classification UFDClassified(generatorsExplicit=True, r=1, s=1)
+rationality    Rational
+y (fixed)  x1   [normalizer 1]
+generators     x1; x2; x2
+""",
+}
+CERTIFICATES_LINE = (
+    "certificates   matrix_idempotent=ok, unimodular_basis=ok, "
+    "fixed_y_images=ok, killed_y_images=ok, ideal_killed=ok, "
+    "image_lattice_membership=ok\n")
+
+
+def test_text_report_bytes_of_golden_files():
+    for name in _analyzed_golden_files():
+        rep = analyze(parse_problem(load(name))[1])
+        assert render_report(rep) == TEXT_REPORTS[name] + CERTIFICATES_LINE
