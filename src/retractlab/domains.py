@@ -124,16 +124,9 @@ class Domain:
     def coerce(self, value):
         """Normalize a Python int / Fraction into this domain's canonical
         form; any other value, a float included, raises ValueError."""
-        _exact(value)
-        if self.kind == "rationals":
-            return _qq(Fraction(value))
-        if self.kind == "integers":
-            if isinstance(value, Fraction) and value.denominator != 1:
-                raise ValueError("%s is not an integer" % (value,))
-            return int(value)
-        if isinstance(value, Fraction):
+        if isinstance(_exact(value), Fraction):
             return self.from_fraction(value.numerator, value.denominator)
-        return int(value) % self.p
+        return int(value) % self.p if self.p else int(value)
 
     # -- arithmetic ----------------------------------------------------------
 

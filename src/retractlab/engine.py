@@ -184,7 +184,7 @@ def _trace_primes(n):
             yield q
 
 
-def transcendence_degree(phi, unit_rank):
+def transcendence_degree(phi):
     """Transcendence degree of the retract A of phi, for an idempotent phi
     of a ring B; `analyze` passes φ̄, phi mod J (see the module docstring).
 
@@ -204,7 +204,10 @@ def transcendence_degree(phi, unit_rank):
     each term of ∂phi(x_i)/∂x_i is c·e_i times one product of entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
-    is not the rank) is not built yet; a pure Laurent ring forces r.
+    is not the rank) is not built yet; a pure Laurent ring has trdeg r.
+    r = rank M = trace M for the idempotent M of the Laurent block, whose
+    entry (i, i) is x_i's exponent in the unit phi(x_i): on φ̄, each
+    y_k ↦ y_k adds 1.
     """
     ring = phi.ring
     if ring.domain.characteristic == 0:
@@ -238,9 +241,8 @@ def transcendence_degree(phi, unit_rank):
                             for e, c in terms if e[i])
                 trace += entry % P * pow(den, -1, P)
             return trace % P
-    if ring.laurent == ring.n:
-        return unit_rank
-    return (unit_rank, unit_rank + ring.n - ring.laurent)
+    r = sum(g.terms[0][0][i] for i, g in enumerate(phi.images[:ring.laurent]))
+    return r if ring.laurent == ring.n else (r, r + ring.n - ring.laurent)
 
 
 def classify(n, d, r, trdeg):
@@ -277,7 +279,7 @@ def classify(n, d, r, trdeg):
     return ClassificationVerdict("BoundsOnly", lo=r, hi=r + n - d)
 
 
-def rationality_verdict(n, d, r, trdeg, domain):
+def rationality_verdict(n, d, trdeg, domain):
     """"Rational" when the fraction field of the retract is known rational
     over the coefficient field, else "Unknown"; "NotApplicable" when the
     coefficients do not form a field."""
@@ -290,23 +292,22 @@ def rationality_verdict(n, d, r, trdeg, domain):
     return "Unknown"
 
 
-def _generators_witness_shape(quotient_gens, r, s):
-    """True when the quotient images already exhibit R^[±r] ⊗ R^[s]: every
-    generator is either supported on the y-block or a distinct polynomial
-    variable, up to a unit scalar."""
+def _generators_witness_shape(quotient_gens, r):
+    """True when the quotient images already exhibit R^[±r] ⊗ R^[1], the
+    one shape `UFDClassified` can take: n - d = 2 and r < trdeg < r + 2
+    give s = 1.  Every generator outside S must be a unit scalar times one
+    and the same polynomial variable."""
     seen = set()
     for g in quotient_gens:
-        if all(all(e == 0 for e in exp[r:]) for exp, _ in g.terms):
+        if not any(any(exp[r:]) for exp, _ in g.terms):
             continue  # lies in S
-        if len(g.terms) != 1:
+        exp, c = g.terms[0]
+        # g lies outside S, so a lone entry 1 of g is a polynomial variable
+        if (len(g.terms) != 1 or exp.count(0) != len(exp) - 1
+                or 1 not in exp or not g.ring.domain.is_unit(c)):
             return False
-        (exp, c), = g.terms
-        hot = [i for i, e in enumerate(exp) if e]
-        # g lies outside S, so a lone variable of g is past the y-block
-        if len(hot) != 1 or exp[hot[0]] != 1 or not g.ring.domain.is_unit(c):
-            return False
-        seen.add(hot[0])
-    return len(seen) == s
+        seen.add(exp)
+    return len(seen) == 1
 
 
 def analyze(phi):
@@ -350,13 +351,13 @@ def analyze(phi):
     # φ̄ = phi mod J, y_k ↦ y_k and z_j ↦ phi(x_j) mod J: idempotent, with
     # image ≅ A on the smooth ring B/J, so its trace is trdeg A too
     trdeg = transcendence_degree(
-        Endomorphism._trusted(target, tuple(quotient_gens)), r)
+        Endomorphism._trusted(target, tuple(quotient_gens)))
     verdict = classify(n, d, r, trdeg)
     if verdict.tag == "UFDClassified" and _generators_witness_shape(
-            quotient_gens, r, verdict.params["s"]):
+            quotient_gens, r):
         verdict = verdict._replace(params=dict(verdict.params,
                                                generatorsExplicit=True))
-    rationality = rationality_verdict(n, d, r, trdeg, ring.domain)
+    rationality = rationality_verdict(n, d, trdeg, ring.domain)
 
     return RetractReport(
         ring=ring, r=r, decomposition=dec, y_variables=yvars,

@@ -35,11 +35,11 @@ domain raise RingMismatchError.  A variable maps to its image.  Images
 with at most one term (units, scalars, zero), such as the Laurent images
 of an endomorphism, act by exponent arithmetic (stage 1): a one-term
 element c·x^e, most of what composition substitutes, becomes one term that
-way, and only its multi-term images are raised by `**` and multiplied in.
-Other elements take two stages.  In stage 1 the single-term images act
-term by term; a variable image x_k adds nothing, as one gather per term
-moves its exponent to place k, and an image 1 is not visited at all.
-Whether an image is a variable or 1 is worked out once per element.
+way unless it uses a multi-term image.  Other elements take two stages.
+In stage 1 the single-term images act term by term; a variable image x_k
+adds nothing, as one gather per term moves its exponent to place k, and
+an image 1 is not visited at all.  Whether an image is a variable or 1 is
+worked out once per element.
 An element of at least `_COMPILED_MAP_TERMS` terms, in rings of at most
 `_COMPILED_MAP_WIDTH` variables, whose used images each have one term, a
 unit where it stands for a Laurent variable, instead maps every exponent
@@ -309,6 +309,7 @@ class MixedPoly:
                 ring.check_exponent(exp)  # raises: negative exponent
         self.ring = ring
         self.terms = terms
+        self._variable = None
 
     @classmethod
     def _trusted(cls, ring, terms):
@@ -318,6 +319,7 @@ class MixedPoly:
         p = object.__new__(cls)
         p.ring = ring
         p.terms = terms
+        p._variable = None
         return p
 
     def __eq__(self, other):
@@ -332,18 +334,18 @@ class MixedPoly:
 
     def _variable_index(self):
         """k when self is the variable x_k, -1 when self is the constant 1,
-        else -2; worked out once."""
-        try:
-            return self._variable
-        except AttributeError:
+        else -2; worked out on the first call."""
+        k = self._variable
+        if k is None:
             e, c = self.terms[0] if len(self.terms) == 1 else ((), 0)
             if c == 1 and not any(e):
-                self._variable = -1
+                k = -1
             elif c == 1 and e.count(0) == len(e) - 1 and 1 in e:
-                self._variable = e.index(1)
+                k = e.index(1)
             else:
-                self._variable = -2
-            return self._variable
+                k = -2
+            self._variable = k
+        return k
 
     def _require_same_ring(self, other):
         if self.ring is not other.ring and self.ring != other.ring:
@@ -365,12 +367,7 @@ class MixedPoly:
             self.ring, tuple((e, dom.neg(c)) for e, c in self.terms))
 
     def __sub__(self, other):
-        self._require_same_ring(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc[e] - c if e in acc else -c
-        return MixedPoly._trusted(
-            self.ring, _canonical_sum(acc, self.ring.domain.reduce))
+        return self + -other
 
     def __mul__(self, other):
         self._require_same_ring(other)
@@ -450,29 +447,23 @@ class MixedPoly:
         reduce = target_ring.domain.reduce
         terms = self.terms
         if len(terms) == 1:
-            # stage 1's exponent arithmetic on the single-term images, then
-            # a product by each multi-term power; once the coefficient is
-            # zero, only a negative power (it may raise) is still looked at
+            # stage 1's exponent arithmetic, unless a used image has two
+            # terms: then the element takes the two stages below
             (exp, c), = terms
             shift = zero_exp
-            powers = []
             for img, e in zip(images, exp):
-                if not e or e > 0 and not c:
+                if not e:
                     continue
-                if len(img.terms) > 1:  # raises NonUnitError if e < 0
-                    powers.append(img ** e)
-                    continue
+                if len(img.terms) > 1:
+                    break
                 m, k = _single_term_power(img, e)
                 if any(m):
                     shift = add(shift, m)
                 if k != 1:
                     c = c * k
-            if not c:
-                return target_ring.zero()
-            result = MixedPoly._trusted(target_ring, ((shift, reduce(c)),))
-            for power in powers:
-                result = result * power
-            return result
+            else:  # no zero divisors: c is 0 only after a zero image
+                return MixedPoly._trusted(
+                    target_ring, ((shift, reduce(c)),) if c else ())
         multi = [len(img.terms) > 1 for img in images]
         # the multi-term images that the terms use: with none, stage 1
         # sums into the result

@@ -137,19 +137,19 @@ def test_quotient_mod_j_matches_reference():
 
 def test_transcendence_degree_examples():
     M = RingSignature(["x1", "x2"], 1, QQ)
-    assert transcendence_degree(identity(M), 1) == 2
+    assert transcendence_degree(identity(M)) == 2
     R3 = RingSignature(["x1", "x2", "x3"], 2, QQ)
-    assert transcendence_degree(standard_projection(R3, [0], [2]), 1) == 2
-    assert transcendence_degree(standard_projection(R3, [1]), 1) == 1
-    assert transcendence_degree(e1(), 1) == 1
+    assert transcendence_degree(standard_projection(R3, [0], [2])) == 2
+    assert transcendence_degree(standard_projection(R3, [1])) == 1
+    assert transcendence_degree(e1()) == 1
 
 
 def test_transcendence_degree_char_p():
     R = RingSignature(["x1", "x2"], 1, GF(5))
-    assert transcendence_degree(identity(R), 1) == (1, 2)
+    assert transcendence_degree(identity(R)) == (1, 2)
     L = RingSignature(["x1", "x2"], 2, GF(5))
     phi = Endomorphism(L, [L.variable(0) * L.variable(1), L.constant(1)])
-    assert transcendence_degree(phi, 1) == 1
+    assert transcendence_degree(phi) == 1
 
 
 def _derivative(p, i):
@@ -224,9 +224,9 @@ def test_trace_equals_exact_rank_of_the_fixed_point_jacobian():
         EE = [[sum(E[i][k] * E[k][j] for k in range(n)) for j in range(n)]
               for i in range(n)]
         assert EE == E, spec.seed
-        # conjugation keeps the unit rank, so spec.r is r without the
-        # idempotency proof, which is slow on some draws
-        trdeg = transcendence_degree(phi, spec.r)
+        # the trace needs no idempotency proof, which is slow on some
+        # draws; conjugation keeps the unit rank, so spec.r is r
+        trdeg = transcendence_degree(phi)
         assert fraction_rank(E) == trdeg, spec.seed
         intermediate |= 0 < trdeg - spec.r < spec.n - spec.d
     assert fraction and negative and intermediate and zero_power
@@ -238,9 +238,9 @@ def _analyze_recording_traces(monkeypatch, phi):
     maps = []
     trace = engine.transcendence_degree
 
-    def recording(psi, unit_rank):
+    def recording(psi):
         maps.append(psi)
-        return trace(psi, unit_rank)
+        return trace(psi)
     monkeypatch.setattr(engine, "transcendence_degree", recording)
     rep = analyze(phi)
     monkeypatch.undo()
@@ -261,7 +261,7 @@ def test_analyze_trdeg_equals_the_exact_rank_on_B(monkeypatch):
         rep, (phibar,) = _analyze_recording_traces(monkeypatch, phi)
         assert phibar.ring is not phi.ring, spec
         assert rep.trdeg == fraction_rank(_fixed_point_jacobian(phi)), spec
-        assert rep.trdeg == transcendence_degree(phi, rep.r), spec
+        assert rep.trdeg == transcendence_degree(phi), spec
         intermediate |= 0 < rep.trdeg - rep.r < spec.n - spec.d
     assert fraction and negative and intermediate
     assert seen_d == set(range(6))
@@ -283,8 +283,8 @@ def test_trace_of_phi_mod_J_equals_the_trace_of_phi(path, monkeypatch):
     with open(path, encoding="utf-8") as f:
         phi = parse_problem(f.read())[1]
     rep, (phibar,) = _analyze_recording_traces(monkeypatch, phi)
-    assert transcendence_degree(phibar, rep.r) == rep.trdeg
-    assert transcendence_degree(phi, rep.r) == rep.trdeg
+    assert transcendence_degree(phibar) == rep.trdeg
+    assert transcendence_degree(phi) == rep.trdeg
 
 
 def test_analyze_traces_phi_mod_J_once(monkeypatch):
@@ -401,7 +401,7 @@ def test_trace_of_one_term_images_needs_no_prime(monkeypatch):
     phi = parse_problem("ring QQ[x^±,y^±,w]\nx -> x^2*y^2\n"
                         "y -> x^-1*y^-1\nw -> 0\n")[1]
     rep = analyze(phi)
-    assert rep.trdeg == transcendence_degree(phi, rep.r) == 1
+    assert rep.trdeg == transcendence_degree(phi) == 1
     assert fraction_rank(_fixed_point_jacobian(phi)) == 1
 
 
@@ -445,7 +445,7 @@ PRIME_FALLBACK = [
 def test_trace_falls_back_to_a_prime_above_n(text, trdeg, verdict, digest):
     phi = parse_problem(text)[1]
     rep = analyze(phi)
-    assert rep.trdeg == trdeg == transcendence_degree(phi, rep.r)
+    assert rep.trdeg == trdeg == transcendence_degree(phi)
     assert repr(rep.classification) == verdict
     report = render_report(rep, "json").encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest
@@ -511,13 +511,13 @@ def test_classify_interval():
     (5, 1, 1, 5, "Rational"),
 ])
 def test_rationality(n, d, r, t, expected):
-    assert rationality_verdict(n, d, r, t, QQ) == expected
+    assert rationality_verdict(n, d, t, QQ) == expected
 
 
 def test_rationality_requires_field():
     # over ZZ the verdict does not apply, whatever the invariants
     for n, d, r, t in ((5, 1, 1, 3), (3, 1, 1, 2), (5, 1, 1, 1)):
-        assert rationality_verdict(n, d, r, t, ZZ) == "NotApplicable"
+        assert rationality_verdict(n, d, t, ZZ) == "NotApplicable"
 
 
 def test_analyze_e1():

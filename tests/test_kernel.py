@@ -271,10 +271,11 @@ def test_substitute_matches_reference(dom):
 
 @pytest.mark.parametrize("dom", DOMAINS, ids=repr)
 def test_one_term_substitute_matches_reference(dom):
-    # a one-term element c·x^e maps to c·∏ images[i]^e_i, its single-term
-    # images by exponent arithmetic and the others by `*` and `**`:
-    # coefficients other than 1, negative Laurent exponents, zero images,
-    # constants and a target ring smaller than the source
+    # a one-term element c·x^e maps to c·∏ images[i]^e_i: by exponent
+    # arithmetic when its used images have one term each, else by the
+    # two-stage path at its first multi-term image: coefficients other
+    # than 1, negative Laurent exponents, zero images, constants and a
+    # target ring smaller than the source
     rng = random.Random(2027)
     R = RingSignature(["x1", "x2", "x3", "x4"], 2, dom)
     S = RingSignature(["u", "v", "w"], 1, dom)

@@ -6,14 +6,17 @@ An automorphism α of B that keeps the Laurent and polynomial blocks gives
 So the exit class, r, trdeg, tag and rationality of the two analyses must
 agree, though the bytes may differ.  `generatorsExplicit` is exempt: it
 reads the shape of the quotient images, so it describes the presentation,
-and `tests/data/ufd.ring` flips it under conjugation.
+and `tests/data/ufd.ring` flips it under conjugation.  A permutation of
+each block, with the variables renamed, must keep it too, as it maps a
+lone variable to a lone variable.
 """
 
 import os
 import random
 
-from retractlab import (GF, QQ, ZZ, GeneratorSpec, InvalidEndomorphismError,
-                        NotIdempotentError, ParseError, analyze,
+from retractlab import (GF, QQ, ZZ, Endomorphism, GeneratorSpec,
+                        InvalidEndomorphismError, NotIdempotentError,
+                        ParseError, RingSignature, analyze,
                         gen_random_idempotent, parse_problem)
 from retractlab.endo import conjugate
 from retractlab.generator import _elementary_automorphism
@@ -22,15 +25,16 @@ from point_count import laurent_family, plane_family
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
-def invariants(phi):
+def invariants(phi, explicit=False):
     """(exit class, r, trdeg, tag and its parameters but
-    generatorsExplicit, rationality); (1,) for a rejected map."""
+    generatorsExplicit, unless `explicit`, rationality); (1,) for a
+    rejected map."""
     try:
         rep = analyze(phi)
     except (InvalidEndomorphismError, NotIdempotentError):
         return (1,)
     params = sorted((k, v) for k, v in rep.classification.params.items()
-                    if k != "generatorsExplicit")
+                    if explicit or k != "generatorsExplicit")
     return (0, rep.r, rep.trdeg, rep.classification.tag, params,
             rep.rationality)
 
@@ -41,6 +45,24 @@ def conjugated(phi, rng):
         alpha, alpha_inv = _elementary_automorphism(phi.ring, rng, 1)
         phi = conjugate(phi, alpha, alpha_inv)
     return phi
+
+
+def permuted(phi, rng):
+    """phi conjugated by a random permutation of each block, on a ring
+    whose variables are renamed y1..yn in a random order, so that the
+    quotient ring's y-names collide with polynomial ones."""
+    ring = phi.ring
+    d, n = ring.laurent, ring.n
+    order = rng.sample(range(d), d) + rng.sample(range(d, n), n - d)
+    alpha = Endomorphism(ring, [ring.variable(k) for k in order])
+    inverse = [None] * n
+    for i, k in enumerate(order):
+        inverse[k] = ring.variable(i)
+    psi = conjugate(phi, alpha, Endomorphism(ring, inverse))
+    renamed = RingSignature(["y%d" % k for k in rng.sample(range(1, n + 1), n)],
+                            d, ring.domain)
+    names = [renamed.variable(k) for k in range(n)]
+    return Endomorphism(renamed, [g.substitute(names) for g in psi.images])
 
 
 def golden_maps():
@@ -67,7 +89,9 @@ def small_specs():
                                             dom)
 
 
-def test_conjugation_keeps_the_invariants():
+def all_maps():
+    """The golden maps, the small strata's draws and the point-count
+    families over GF(2) and GF(3): 1,037 maps."""
     golden = golden_maps()
     assert sorted(golden) == ["e1.ring", "e3.ring", "e7.ring", "gf5.ring",
                               "swap.ring", "ufd.ring", "zz.ring"]
@@ -76,13 +100,37 @@ def test_conjugation_keeps_the_invariants():
     for p in (2, 3):
         maps += plane_family(p) + laurent_family(p)
     assert len(maps) == 7 + 660 + 65 + 82 + 27 + 196
+    return maps
+
+
+def test_conjugation_keeps_the_invariants():
     rng = random.Random(14)
     classes = set()
-    for phi in maps:
+    for phi in all_maps():
         want = invariants(phi)
         assert invariants(conjugated(phi, rng)) == want, phi
         classes.add(want[0])
     assert classes == {0, 1}  # gf5, swap and zz stay non-idempotent
+
+
+def test_block_permutation_keeps_the_invariants_and_generators_explicit():
+    # a permutation maps a lone variable to a lone variable, so even the
+    # presentation's generatorsExplicit must survive it
+    rng = random.Random(47)
+    classes = set()
+    explicit = set()
+    moved = False
+    for phi in all_maps():
+        psi = permuted(phi, rng)
+        moved |= psi.ring.names != tuple("y%d" % (k + 1)
+                                         for k in range(phi.ring.n))
+        want = invariants(phi, explicit=True)
+        assert invariants(psi, explicit=True) == want, (phi, psi)
+        classes.add(want[0])
+        if want[0] == 0:
+            explicit.add(dict(want[4]).get("generatorsExplicit"))
+    assert classes == {0, 1} and moved
+    assert explicit == {None, False, True}
 
 
 def test_ufd_ring_flips_generators_explicit_under_conjugation():
