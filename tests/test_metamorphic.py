@@ -55,14 +55,13 @@ def permuted(phi, rng):
     d, n = ring.laurent, ring.n
     order = rng.sample(range(d), d) + rng.sample(range(d, n), n - d)
     alpha = Endomorphism(ring, [ring.variable(k) for k in order])
-    inverse = [None] * n
-    for i, k in enumerate(order):
-        inverse[k] = ring.variable(i)
-    psi = conjugate(phi, alpha, Endomorphism(ring, inverse))
-    renamed = RingSignature(["y%d" % k for k in rng.sample(range(1, n + 1), n)],
-                            d, ring.domain)
-    names = [renamed.variable(k) for k in range(n)]
-    return Endomorphism(renamed, [g.substitute(names) for g in psi.images])
+    inverse = Endomorphism(ring, [ring.variable(order.index(k))
+                                  for k in range(n)])
+    psi = conjugate(phi, alpha, inverse)
+    names = ["y%d" % k for k in rng.sample(range(1, n + 1), n)]
+    renamed = RingSignature(names, d, ring.domain)
+    images = [renamed.variable(k) for k in range(n)]
+    return Endomorphism(renamed, [g.substitute(images) for g in psi.images])
 
 
 def golden_maps():
