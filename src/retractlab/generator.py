@@ -114,16 +114,11 @@ def _automorphism_of_kind(ring, kind, rng, complexity):
         i = rng.randrange(d)
         fwd[i] = ring.variable(i) ** -1
         inv[i] = ring.variable(i) ** -1
-    elif kind == "scale":
-        i = rng.randrange(d)
+    elif kind in ("scale", "pscale"):
+        i = rng.randrange(d) if kind == "scale" else rng.randrange(d, n)
         u = _random_unit_scalar(ring.domain, rng)
         fwd[i] = ring.variable(i) * ring.constant(u)
         inv[i] = ring.variable(i) * ring.constant(ring.domain.invert(u))
-    elif kind == "pscale":
-        j = rng.randrange(d, n)
-        u = _random_unit_scalar(ring.domain, rng)
-        fwd[j] = ring.variable(j) * ring.constant(u)
-        inv[j] = ring.variable(j) * ring.constant(ring.domain.invert(u))
     else:  # shift
         j = rng.randrange(d, n)
         q = _random_shift_poly(ring, j, rng, complexity)

@@ -13,16 +13,15 @@ exact.
 Storage is sparse.  A vector is a tuple of (index, value) pairs with
 increasing indices and nonzero values; an `IntMatrix` is a namedtuple of
 its row count and its columns as such vectors, so the columns of Y are the
-two bases.  `row_hnf`, the echelon solve, `times` and the product touch
-nonzero entries only, and a d×d matrix with N nonzero entries costs
-O(d + N), not d^2.  Dense rows exist only in `IntMatrix.entries`, which
-`repr` and the tests read; the report writer reads the sparse columns.
-`decompose` is memoized per M:
+two bases.  `row_hnf` scans its columns once, the echelon solve walks a
+heap of nonzero indices, and `times` and the product touch nonzero entries
+only, so a d×d matrix with N nonzero entries costs O(d + N), not d^2.
+Dense rows exist only in `IntMatrix.entries`, for `repr` and the tests; the
+report writer reads the sparse columns.  `decompose` is memoized per M:
 matrices and decompositions are namedtuples, so immutable, and equal
-matrices hash alike, so the analyses of maps with the same monomial part
-share one decomposition.  An analysis decomposes once, so the memo pays
-only when one process analyzes several maps with one M; a single
-`analyze` from the command line never hits it.
+matrices hash alike, so maps with the same monomial part share one
+decomposition.  An analysis decomposes once, so the memo pays only when one
+process analyzes several maps with one M, never in a single CLI `analyze`.
 """
 
 from collections import namedtuple
@@ -117,21 +116,23 @@ def row_hnf(rows):
     of the given sparse rows: a canonical basis of the lattice they span, in
     row echelon form with positive pivots and reduced entries above.
 
-    Rows wait in buckets by their leading index, taken in increasing order.
-    A bucket's rows are reduced by the one with the smallest lead until one
-    is left, which is the pivot row; a reduced row whose lead vanishes moves
-    to its new lead's bucket.  Then each echelon row, last first, is reduced
-    at the later pivots it meets, smallest first, by those final rows."""
-    buckets = {}
+    Rows wait in buckets by their leading index, taken by one ascending scan
+    of the columns up to the largest index of any row, since a reduced row
+    can move past every starting lead.  A bucket's rows are reduced by the
+    one with the smallest lead until one is left, which is the pivot row; a
+    reduced row whose lead vanishes moves to its new lead's bucket.  Then
+    each echelon row, last first, is reduced at the later pivots it meets,
+    smallest first, by those final rows."""
+    buckets, width = {}, 0
     for row in rows:
         if row:
             buckets.setdefault(row[0][0], []).append(dict(row))
-    leads = list(buckets)
-    heapify(leads)
+            width = max(width, row[-1][0] + 1)
     echelon = []
-    while leads:
-        col = heappop(leads)
-        live = buckets.pop(col)
+    for col in range(width):
+        live = buckets.pop(col, ())
+        if not live:
+            continue
         while len(live) > 1:
             pivot = min(live, key=lambda row: abs(row[col]))
             lead = pivot[col]
@@ -143,12 +144,7 @@ def row_hnf(rows):
                     if col in row:
                         left.append(row)
                     elif row:
-                        k = min(row)
-                        if k in buckets:
-                            buckets[k].append(row)
-                        else:
-                            buckets[k] = [row]
-                            heappush(leads, k)
+                        buckets.setdefault(min(row), []).append(row)
             live = left
         row, = live
         if row[col] < 0:

@@ -362,9 +362,9 @@ class MixedPoly:
             self.ring, _canonical_sum(acc, self.ring.domain.reduce))
 
     def __neg__(self):
-        dom = self.ring.domain
+        reduce = self.ring.domain.reduce
         return MixedPoly._trusted(
-            self.ring, tuple((e, dom.neg(c)) for e, c in self.terms))
+            self.ring, tuple((e, reduce(-c)) for e, c in self.terms))
 
     def __sub__(self, other):
         return self + -other
@@ -406,7 +406,7 @@ class MixedPoly:
         exp, c = self.terms[0]
         if not self.ring.domain.is_unit(c):
             return None
-        if any(exp[i] != 0 for i in range(self.ring.laurent, self.ring.n)):
+        if any(exp[self.ring.laurent:]):
             return None
         return (c, exp)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -54,6 +55,40 @@ def test_named_instances_match_their_files(n, d, r, seed, complexity, dom,
         expected = fh.read()
     spec = GeneratorSpec(n, d, r, seed, complexity, dom)
     assert problem_text(spec).encode("utf-8") == expected
+
+
+# the named files above draw only shift and invert: each of these n=4, d=2,
+# r=1, complexity-6 draws meets all six kinds, scale and pscale among them,
+# so the unit scalars' random stream and printed bytes are pinned by SHA-256
+EVERY_KIND = [
+    (QQ, 21,
+     "6af3cb87bb6ed49e113a4ace91b9aacec8389209d45d07be5fc3e36737874da2"),
+    (ZZ, 99,
+     "a60a453cd44b7fd86fe44143334e1c91ef428bd7256cfa3dd8dcf01556497197"),
+    (GF(5), 99,
+     "fea05d58b80e9b510e2a9fbae04359372263dd1f5644bc93124eeb2632ba905f"),
+    (GF(32003), 2,
+     "1296cdb35a4ef8ff71ca0b35ce9874521ac2f5201f1c79f57687664fbf756b4b"),
+]
+
+
+@pytest.mark.parametrize("dom,seed,digest", EVERY_KIND,
+                         ids=["QQ", "ZZ", "GF5", "GF32003"])
+def test_draws_of_every_kind_keep_their_bytes(dom, seed, digest,
+                                              monkeypatch):
+    from retractlab import generator
+    kinds = []
+    draw = generator._automorphism_of_kind
+
+    def spy(ring, kind, rng, complexity):
+        kinds.append(kind)
+        return draw(ring, kind, rng, complexity)
+
+    monkeypatch.setattr(generator, "_automorphism_of_kind", spy)
+    text = problem_text(GeneratorSpec(4, 2, 1, seed, 6, dom))
+    assert set(kinds) == {"mult", "swap", "invert", "scale", "pscale",
+                          "shift"}
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_determinism():

@@ -212,7 +212,12 @@ def test_sparse_layer_matches_dense_reference():
 
 
 def test_row_hnf_matches_dense_reference():
-    # dependent rows, zero rows and negative leads, beyond idempotent input
+    # dependent rows, zero rows and negative leads, beyond idempotent input.
+    # In the first fixed input the reduced row's lead moves past every
+    # starting lead, to 2; in the second a row moves to the later bucket 1
+    # and cancels to zero there
+    cases = [(3, [(1, 0, 0), (1, 0, 1)]),
+             (3, [(1, 1, 0), (1, 2, 0), (0, 1, 0)])]
     rng = random.Random(44)
     for _ in range(400):
         m, n = rng.randint(0, 6), rng.randint(1, 7)
@@ -220,6 +225,8 @@ def test_row_hnf_matches_dense_reference():
                       for _ in range(n)) for _ in range(m)]
         if rows and rng.random() < 0.3:
             rows.append(tuple(a - 2 * b for a, b in zip(rows[0], rows[-1])))
+        cases.append((n, rows))
+    for n, rows in cases:
         sparse = [tuple((j, a) for j, a in enumerate(row) if a)
                   for row in rows]
         got = [tuple(dict(h).get(j, 0) for j in range(n))
