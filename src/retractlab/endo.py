@@ -22,7 +22,8 @@ lc(g_k) in L is a unit: a lead Σ a_k·lead(g_k), split by backtracking,
 goes with q·∏ g_k^a_k when q = lc/∏ lc(g_k)^a_k has phi(q) = q, and the
 remainder joins G when it does not.  phi∘phi is expanded instead when
 that is cheap (EXPANSION_PRODUCTS), after a refutation, for its message,
-and past SUBDUCTION_PAIRS.
+and past SUBDUCTION_PAIRS: image by image in ring order, up to the first
+x with phi²(x) ≠ phi(x), which the message names.
 
 The proof also fixes variables mod J, the ideal of the killed y-variables
 (see `engine`).  Let C hold the x_c with P_c = x_c and ω(g_c) = x_c.  With
@@ -105,14 +106,19 @@ def compose(phi, psi):
 
 
 def is_idempotent(phi):
-    return compose(phi, phi) == phi
+    return idempotency_defect(phi) is None
 
 
 def idempotency_defect(phi):
-    """Per-variable differences phi²(x_i) − phi(x_i); all zero iff idempotent."""
-    sq = compose(phi, phi)
-    return [s - p if s != p else phi.ring.zero()
-            for s, p in zip(sq.images, phi.images)]
+    """(name, phi²(x) − phi(x)) for the first variable x in ring order with
+    phi²(x) ≠ phi(x), or None when phi is idempotent; no image after that
+    x is substituted."""
+    images = phi.images
+    for name, img in zip(phi.ring.names, images):
+        square = img.substitute(images)
+        if square != img:
+            return name, square - img
+    return None
 
 
 # phi∘phi is expanded up to this many term products.  Searching every map
@@ -300,10 +306,11 @@ def require_idempotent(phi):
         proved, fixed = _subalgebra_proof(phi)
         if proved:
             return mono._replace(fixed=fixed)
-    for name, delta in zip(phi.ring.names, idempotency_defect(phi)):
-        if not delta.is_zero():
-            raise NotIdempotentError(
-                "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
+    defect = idempotency_defect(phi)
+    if defect:
+        name, delta = defect
+        raise NotIdempotentError(
+            "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
     return mono
 
 

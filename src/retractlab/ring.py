@@ -42,10 +42,10 @@ an image 1 is not visited at all.  Whether an image is a variable or 1 is
 worked out once per element.
 An element of at least `_COMPILED_MAP_TERMS` terms, in rings of at most
 `_COMPILED_MAP_WIDTH` variables, whose used images each have one term, a
-unit where it stands for a Laurent variable, instead maps every exponent
-through one function compiled from the images' exponents, e ↦ Σ e_i·m_i,
-and scales only by the scalars other than 1; any other image keeps the
-per-term loop, which raises every NonUnitError.
+unit where it stands for a Laurent variable, takes each term's exponent in
+the same loop from one function compiled from the images' exponents,
+e ↦ Σ e_i·m_i, in place of the gather, and reads only the images whose
+scalar is not 1; any other element gathers, and raises every NonUnitError.
 When no image that the element uses has two terms, stage 1 sums straight
 into the result.  Otherwise the terms are grouped by their exponents β on
 the variables with multi-term images, and only a group that does not
@@ -190,10 +190,11 @@ def _exponent_adder(n):
 
 
 # an element of at least this many terms, whose used images each have one
-# term, maps its exponents through one `_exponent_map`.  Building a map
-# takes ~37 µs and saves ~0.6 µs a term over the per-term loop (Python
-# 3.11), so a map built for one element breaks even at 64-96 terms, and
-# one that `compose` reuses for the next image at fewer
+# term, takes its exponents in stage 1's loop from one `_exponent_map` in
+# place of the gather and the exponent additions.  Building a map
+# takes ~37 µs and saves ~0.6 µs a term over gathering (Python 3.11), so
+# a map built for one element breaks even at 64-96 terms, and one reused
+# for the next image of a composition at fewer
 _COMPILED_MAP_TERMS = 64
 # ... in rings of at most this many variables.  The map builds each place
 # in Python code where the loop gathers them in C, and its build grows as
@@ -469,37 +470,49 @@ class MixedPoly:
         # sums into the result
         multi_indices = [i for i, m in enumerate(multi)
                          if m and any(exp[i] for exp, _ in terms)]
+        # the compiled map, when the element is large and its used images
+        # each have one term, a unit at a Laurent place; it adds every
+        # image's exponent, and `read` keeps the images whose scalar is not 1
+        mapped = gather = None
         if (not multi_indices and len(terms) >= _COMPILED_MAP_TERMS
                 and max(self.ring.n, target_ring.n) <= _COMPILED_MAP_WIDTH):
-            mapped = self._mapped_terms(images)
-            if mapped is not None:
-                return MixedPoly._trusted(target_ring, mapped)
+            laurent = self.ring.laurent
+            rows = [img.terms[0][0] if len(img.terms) == 1
+                    and (i >= laurent or img.is_unit()) else None
+                    for i, img in enumerate(images)]
+            if all(row is not None or not any(exp[i] for exp, _ in terms)
+                   for i, row in enumerate(rows)):
+                mapped = _exponent_map(tuple(rows), target_ring.n)
+                read = [i for i, row in enumerate(rows)
+                        if row is not None and images[i].terms[0][1] != 1]
         single_powers = {}
         # an image 1 is skipped: x^e ↦ 1 adds no exponent and no
-        # coefficient, and 1 is a unit.  The first variable image on each
-        # x_k is gathered, with source -1 the 0 appended to each exponent,
-        # unless a negative power needs it as a unit or x_k is its ring's
-        # one variable (itemgetter of one place returns no tuple); the rest
-        # are read in index order
-        sources = [-1] * target_ring.n
-        read = []
-        for i, img in enumerate(images):
-            k = img._variable_index()
-            if k == -1:
-                continue
-            if (k < 0 or sources[k] >= 0 or target_ring.n == 1
-                    or i < self.ring.laurent and k >= target_ring.laurent):
-                read.append(i)
-            else:
-                sources[k] = i
-        gather = (itemgetter(*sources) if sources.count(-1) < target_ring.n
-                  else None)
+        # coefficient, and 1 is a unit.  Without the map, the first variable
+        # image on each x_k is gathered, with source -1 the 0 appended to
+        # each exponent, unless a negative power needs it as a unit or x_k
+        # is its ring's one variable (itemgetter of one place returns no
+        # tuple); the rest are read in index order
+        if mapped is None:
+            sources = [-1] * target_ring.n
+            read = []
+            for i, img in enumerate(images):
+                k = img._variable_index()
+                if k == -1:
+                    continue
+                if (k < 0 or sources[k] >= 0 or target_ring.n == 1
+                        or i < self.ring.laurent and k >= target_ring.laurent):
+                    read.append(i)
+                else:
+                    sources[k] = i
+            if sources.count(-1) < target_ring.n:
+                gather = itemgetter(*sources)
 
         # stage 1: exponent arithmetic for the single-term images
         acc = bucket = {}
         buckets = {}
         for exp, c in terms:
-            shift = gather(exp + (0,)) if gather else zero_exp
+            shift = (mapped(exp) if mapped else gather(exp + (0,)) if gather
+                     else zero_exp)
             for i in read:
                 e = exp[i]
                 if not e:
@@ -511,9 +524,10 @@ class MixedPoly:
                 power = single_powers.get((i, e))
                 if power is None:
                     m, k = _single_term_power(images[i], e)
-                    power = single_powers[i, e] = (m if any(m) else None, k)
+                    power = single_powers[i, e] = (
+                        m if any(m) and not mapped else None, k)
                 m, k = power
-                if m:  # a scalar power adds no exponent
+                if m:  # a scalar power, or one the map added, adds none
                     shift = m if shift is zero_exp else add(shift, m)
                 if k != 1:
                     c = c * k
@@ -560,43 +574,6 @@ class MixedPoly:
             for e, k in part.terms:
                 acc[e] = acc.get(e, 0) + k
         return MixedPoly._trusted(target_ring, _canonical_sum(acc, reduce))
-
-    def _mapped_terms(self, images):
-        """The canonical terms of self.substitute(images) by one compiled
-        `_exponent_map`, or None unless every image that self uses has one
-        term and, for a Laurent variable, is a unit: any other image takes
-        the per-term loop, which raises every NonUnitError."""
-        terms = self.terms
-        laurent = self.ring.laurent
-        rows = []
-        scalars = []
-        for i, img in enumerate(images):
-            if len(img.terms) == 1 and (i >= laurent or img.is_unit()):
-                m, s = img.terms[0]
-                rows.append(m)
-                if s != 1:
-                    scalars.append((i, s))
-            elif any(exp[i] for exp, _ in terms):
-                return None
-            else:
-                rows.append(None)
-        target_ring = images[0].ring
-        mapped = _exponent_map(tuple(rows), target_ring.n)
-        domain = target_ring.domain
-        scalar_powers = {}
-        acc = {}
-        get = acc.get
-        for exp, c in terms:
-            for i, s in scalars:
-                e = exp[i]
-                if e:
-                    k = scalar_powers.get((i, e))
-                    if k is None:
-                        k = scalar_powers[i, e] = domain.pow(s, e)
-                    c = c * k
-            e = mapped(exp)
-            acc[e] = get(e, 0) + c
-        return _canonical_sum(acc, domain.reduce)
 
     # -- printing ------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -8,6 +9,7 @@ from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
                         gen_random_idempotent, InvalidEndomorphismError,
                         NotIdempotentError)
 from retractlab import endo
+from retractlab.cli import run_cli
 from retractlab.endo import (identity, apply, compose, is_idempotent,
                              monomial_part, conjugate, standard_projection,
                              idempotency_defect)
@@ -253,7 +255,7 @@ def control(phi):
 
 
 def exactly_idempotent(phi):
-    return all(delta.is_zero() for delta in idempotency_defect(phi))
+    return idempotency_defect(phi) is None
 
 
 def accepted(phi):
@@ -265,13 +267,14 @@ def accepted(phi):
 
 
 def counted_compositions(monkeypatch):
+    # the maps whose phi∘phi the check expands, image by image
     calls = []
-    compose = endo.compose
+    defect = endo.idempotency_defect
 
-    def counting(phi, psi):
-        calls.append((phi, psi))
-        return compose(phi, psi)
-    monkeypatch.setattr(endo, "compose", counting)
+    def counting(phi):
+        calls.append(phi)
+        return defect(phi)
+    monkeypatch.setattr(endo, "idempotency_defect", counting)
     return calls
 
 
@@ -310,7 +313,7 @@ def test_map_with_nothing_to_factor_is_expanded_once(monkeypatch):
     calls = counted_compositions(monkeypatch)
     with pytest.raises(NotIdempotentError, match=r"phi²\(x1\) - phi\(x1\)"):
         require_idempotent(phi)
-    assert calls == [(phi, phi)]
+    assert calls == [phi]
 
 
 @pytest.mark.parametrize("name", ["QQ_n5d3r0c3_s1004",
@@ -323,7 +326,38 @@ def test_tail_instance_is_proved_without_phi_squared(name, monkeypatch):
     bad = perturbed(phi, 4)
     with pytest.raises(NotIdempotentError, match=r"phi²\(x4\) - phi\(x4\)"):
         require_idempotent(bad)
-    assert calls == [(bad, bad)]  # the search refuted it; phi∘phi ran
+    assert calls == [bad]  # the search refuted it; phi∘phi ran
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("QQ_n5d3r0c3_s1004",
+     "82f8f90020278c4489a48d83d2a0ff41bbc1d020af83b1736a529ef5678c9485"),
+    ("GF32003_n5d3r0c3_s1004",
+     "f16b6a45ba341b11da42a9a4513d59c5b32b2f00555359af54f35ead50de0617"),
+])
+def test_check_stops_at_the_first_defect(name, digest, tmp_path, capsys,
+                                         monkeypatch):
+    # x5's term 512*x1^3*x2^-12*x3^-4*x4^7 raised to x4^17: x4 is the first
+    # defect, and phi(phi(x5)), 87,394 terms, took 14-19 s when phi∘phi was
+    # expanded whole.  The stderr line is that expansion's
+    with open(os.path.join(BENCH_NAMED, name + ".ring"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("x4^7 ") == 1
+    path = tmp_path / "x4_17.ring"
+    path.write_text(text.replace("x4^7 ", "x4^17 "), encoding="utf-8")
+    images = parse_problem(path.read_text(encoding="utf-8"))[1].images
+    substitute, substituted = MixedPoly.substitute, []
+
+    def spying(p, into):
+        if tuple(into) == images:
+            substituted.append(p)
+        return substitute(p, into)
+    monkeypatch.setattr(MixedPoly, "substitute", spying)
+    assert run_cli(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("not idempotent: phi²(x4) - phi(x4) = ")
+    assert hashlib.sha256(err.encode("utf-8")).hexdigest() == digest
+    assert images[3] in substituted and images[4] not in substituted
 
 
 def test_tampered_factorisation_does_not_certify(monkeypatch):
@@ -356,7 +390,7 @@ def test_tampered_factorisation_does_not_certify(monkeypatch):
         assert endo._subalgebra_proof(phi)[0] is not True
         calls = counted_compositions(monkeypatch)
         require_idempotent(phi)
-        assert calls == [(phi, phi)]
+        assert calls == [phi]
         monkeypatch.undo()
 
 
@@ -381,7 +415,7 @@ def test_subduction_budget_gives_up(pairs, last, monkeypatch):
     assert spent[-1] == last and sum(spent) > pairs >= sum(spent[:-1])
     calls = counted_compositions(monkeypatch)
     require_idempotent(phi)
-    assert calls == [(phi, phi)]
+    assert calls == [phi]
 
 
 def test_sigma_is_charged_to_the_budget(monkeypatch):
