@@ -11,11 +11,12 @@ stderr: "invalid: ..." when a Laurent variable does not map to a unit, and
 
 Exit codes: 0 success or --help, 1 invalid/not idempotent, 2 parse error (of
 a problem file, a ring header of more than MAX_VARIABLES = 1000 variables
-included, or of `gen` arguments: the `--domain` spelling, sizes outside
-0 <= r <= d <= n or n outside [1, 1000], a negative complexity, a count
-below 1), usage error (argparse's usage line: unknown option, missing
-required `gen` option, non-integer value), unreadable input (missing, a
-directory, not UTF-8) or unwritable output, 3 internal certificate failure.
+and a number past Python's int digit limit included, or of `gen` arguments:
+the `--domain` spelling, sizes outside 0 <= r <= d <= n or n outside
+[1, 1000], a negative complexity, a count below 1), usage error (argparse's
+usage line: unknown option, missing required `gen` option, non-integer
+value), unreadable input (missing, a directory, not UTF-8) or unwritable
+output, 3 internal certificate failure.
 run_cli returns the code; argparse reads `--opt=value` and abbreviations.
 """
 

@@ -112,10 +112,9 @@ class Domain:
         if self.kind == "rationals":
             return _qq(Fraction(num, den))
         if self.kind == "integers":
-            q = Fraction(num, den)
-            if q.denominator != 1:
+            if num % den:
                 raise ValueError("%d/%d is not an integer" % (num, den))
-            return int(q)
+            return num // den
         d = den % self.p
         if d == 0:
             raise ValueError("denominator %d is zero mod %d" % (den, self.p))
@@ -174,7 +173,7 @@ class Domain:
             a, k = self.invert(a), -k
         if self.kind == "prime-field":
             return pow(a, k, self.p)
-        return a ** k
+        return a ** k if k else 1  # a Fraction ** 0 is Fraction(1)
 
 
 QQ = Domain("rationals")

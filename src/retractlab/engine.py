@@ -20,10 +20,10 @@ idempotent.  S[z] is smooth, so in characteristic 0 trdeg A is the trace
 of φ̄'s Jacobian at its fixed point φ̄(1, ..., 1), an idempotent matrix
 (a retract of a smooth algebra is smooth: Costa, "Retracts of polynomial
 rings", J. Algebra 1977).  A one-term image c·x^e adds e_i, so the y-block
-adds r; the other images are read mod a prime above n, each term one
-product of powers from per-variable tables built before the read.  φ̄'s
-images can be far smaller than phi's: 5 terms against 1,916 on the
-n = 6, d = 3 instance seed 1014.
+adds r; the other images are read mod the least usable prime above n,
+each term one product of powers from per-variable tables built before
+the read.  φ̄'s images can be far smaller than phi's: 5 terms against
+1,916 on the n = 6, d = 3 instance seed 1014.
 
 Some of them are read off the idempotency proof instead.  Its phi = σ∘ω
 (see `endo`) fixes a set C of polynomial variables with ω(phi(x_c)) =
@@ -44,9 +44,6 @@ from .domains import _is_prime
 from .intlinalg import IntMatrix, decompose
 from .endo import Endomorphism, require_idempotent
 from .ring import MixedPoly, RingSignature, _integer_terms
-
-# the first modulus of the fixed-point trace, the Mersenne prime 2^61 - 1
-_P = (1 << 61) - 1
 
 
 class CertificateError(RuntimeError):
@@ -176,14 +173,6 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
     return target, [p.substitute(images) for p in polys]
 
 
-def _trace_primes(n):
-    """2^61 - 1, then the primes above n in increasing order."""
-    yield _P
-    for q in count(n + 1):
-        if _is_prime(q):
-            yield q
-
-
 def transcendence_degree(phi):
     """Transcendence degree of the retract A of phi, for an idempotent phi
     of a ring B; `analyze` passes φ̄, phi mod J (see the module docstring).
@@ -196,12 +185,13 @@ def transcendence_degree(phi):
     ∂(c·x^e)/∂x_i (p) = e_i·F_i(p)/p_i = e_i, and a zero image adds 0.
     When no image has two terms, the trace is that sum, read with no fixed
     point and no prime, as on φ̄ of seed 1014 and of a Laurent identity.
-    Otherwise the other images are read mod a prime P > n that divides no
-    image's denominator and no Laurent p_i: 2^61 - 1, else the least such
-    prime above n.  The tables {x: p_j^x mod P}, one per variable, hold
-    every power those images' exponents read, each computed once; image i
-    reads through a copy of them whose x_i table is one power lower, so
-    each term of ∂phi(x_i)/∂x_i is c·e_i times one product of entries.
+    Otherwise the other images are read mod P, the least prime above n
+    that divides no image's denominator and leaves every Laurent p_i
+    nonzero: the trace mod P is the rank, as rank ≤ n < P.  The tables
+    {x: p_j^x mod P}, one per variable, hold every power those images'
+    exponents read, each computed once; image i reads through a copy of
+    them whose x_i table is one power lower, so each term of
+    ∂phi(x_i)/∂x_i is c·e_i times one product of entries.
     Characteristic p: rank E = trdeg A there too, but GF(p) keeps the
     interval [r, r + n - d], as the rank step for p <= n (where the trace
     is not the rank) is not built yet; a pure Laurent ring has trdeg r.
@@ -223,7 +213,7 @@ def transcendence_degree(phi):
         # the powers of each variable that the multi-term images read
         exponents = [e for i in multi for e, _ in images[i][1]]
         read = [set(map(itemgetter(j), exponents)) for j in range(ring.n)]
-        for P in _trace_primes(ring.n):
+        for P in filter(_is_prime, count(ring.n + 1)):
             if any(den % P == 0 for den, _ in images):
                 continue
             point = [sum(map(itemgetter(1), terms)) * pow(den, -1, P) % P

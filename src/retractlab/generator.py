@@ -63,7 +63,6 @@ def _random_unit_scalar(domain, rng):
 
 def _random_shift_poly(ring, skip, rng, complexity):
     """Small random element not involving variable `skip`."""
-    dom = ring.domain
     bound = max(1, min(complexity, 2))
     terms = []
     for _ in range(rng.randint(1, 2)):
@@ -78,7 +77,7 @@ def _random_shift_poly(ring, skip, rng, complexity):
         c = 0
         while c == 0:
             c = rng.randint(-2, 2)
-        terms.append((tuple(exp), dom.coerce(c)))
+        terms.append((tuple(exp), c))
     return MixedPoly(ring, terms)
 
 

@@ -37,8 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
-from .ring import (MixedPoly, RingSignature, NonUnitError, VARIABLE_NAME,
-                   _canonical_sum)
+from .ring import MixedPoly, RingSignature, VARIABLE_NAME, _canonical_sum
 
 
 class ParseError(ValueError):
@@ -250,9 +249,9 @@ class _ExprParser:
                     raise ParseError(
                         "negative exponent on polynomial variable %s"
                         % ring.names[i], self.lineno, caret)
-        try:
+        try:  # a NonUnitError, or a number past the int digit limit
             return base ** (-int(text) if negative else int(text))
-        except NonUnitError as exc:
+        except ValueError as exc:
             raise ParseError(str(exc), self.lineno, caret) from None
 
 
@@ -317,23 +316,24 @@ def _parse_flat(ring, text):
             if code is None:
                 if not _is_factor(factor):
                     return None
-                if factor[0] <= "9":
-                    num, _, den = factor.partition("/")
-                    try:
+                try:  # past the int digit limit, or no quotient in dom
+                    if factor[0] <= "9":
+                        num, _, den = factor.partition("/")
                         k = (dom.from_fraction(int(num), int(den))
                              if den else int(num))
-                    except ValueError:
-                        return None
-                    code = None, k, (-1 if k and str(dom.reduce(k)) == factor
-                                     else -2)
-                else:
-                    name, _, power = factor.partition("^")
-                    i = index.get(name)
-                    if i is None or i >= ring.laurent and power[:1] == "-":
-                        return None
-                    k = int(power) if power else 1
-                    code = i, k, (i if not power or k != 0 and k != 1
-                                  and power == str(k) else -2)
+                        code = None, k, (-1 if k and str(dom.reduce(k))
+                                         == factor else -2)
+                    else:
+                        name, _, power = factor.partition("^")
+                        i = index.get(name)
+                        if (i is None or i >= ring.laurent
+                                and power[:1] == "-"):
+                            return None
+                        k = int(power) if power else 1
+                        code = i, k, (i if not power or k != 0 and k != 1
+                                      and power == str(k) else -2)
+                except ValueError:  # recursive descent reports it
+                    return None
                 decoded[factor] = code
             i, k, order = code
             if order <= last:

@@ -381,9 +381,9 @@ class MixedPoly:
         if k == 1:
             return self
         if len(self.terms) == 1:
-            exp, c = _single_term_power(self, k)
+            # 1 and Domain.pow of a canonical coefficient are canonical
             return MixedPoly._trusted(self.ring,
-                                      ((exp, self.ring.domain.reduce(c)),))
+                                      (_single_term_power(self, k),))
         if k < 0:
             raise NonUnitError("not a unit: %s" % self)
         result = self.ring.constant(1)

@@ -222,6 +222,23 @@ def test_deep_parentheses_are_a_parse_error(tmp_path, capsys):
     assert "nested deeper" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("image,col", [("x^%s", 3), ("(x)^%s", 5),
+                                       ("%s*x", 2)],
+                         ids=["exponent", "bracketed-exponent", "coefficient"])
+def test_number_past_the_int_digit_limit_is_a_parse_error(image, col,
+                                                          tmp_path, capsys):
+    # int() raises ValueError past sys.get_int_max_str_digits(), in the
+    # flat-sum pass and at the caret alike
+    big = tmp_path / "big.ring"
+    number = "1" + "0" * sys.get_int_max_str_digits()
+    big.write_text("ring QQ[x]\nx -> %s\n" % (image % number))
+    for command in ("check", "analyze"):
+        assert run_cli([command, str(big)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: Exceeds the limit")
+        assert err.endswith(" (line 2, col %d)\n" % col), err[-40:]
+
+
 def test_directory_input_is_a_read_error(tmp_path, capsys):
     assert run_cli(["analyze", str(tmp_path)]) == 2
     assert "cannot read input" in capsys.readouterr().err

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from retractlab import QQ, ZZ, GF
-from retractlab.domains import MAX_MODULUS
+from retractlab.domains import MAX_MODULUS, Domain
 
 
 def test_flags():
@@ -114,3 +114,22 @@ def test_unit_inverses_keep_the_canonical_type():
     # ZZ and GF(p) are unchanged
     assert ZZ.invert(-1) == -1 and ZZ.pow(-1, -3) == -1
     assert GF(5).invert(4) == 4 and GF(5).pow(2, -3) == 2
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: Domain("reals"), "unknown domain kind: 'reals'"),
+    (lambda: Domain("prime-field", 6),
+     "prime-field modulus must be prime, got 6"),
+    (lambda: Domain("prime-field", 5.0),
+     "prime-field modulus must be prime, got 5.0"),
+    (lambda: Domain("rationals", 5),
+     "modulus only makes sense for prime fields"),
+    (lambda: ZZ.invert(2), "2 is not a unit in ZZ"),
+    (lambda: QQ.invert(0), "0 is not a unit in QQ"),
+    (lambda: GF(7).invert(0), "0 is not a unit in GF(7)"),
+], ids=["kind", "composite", "float-modulus", "stray-modulus", "zz-non-unit",
+        "qq-zero", "gf-zero"])
+def test_domain_checks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

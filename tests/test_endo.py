@@ -7,7 +7,7 @@ import pytest
 from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
                         require_idempotent, GeneratorSpec,
                         gen_random_idempotent, InvalidEndomorphismError,
-                        NotIdempotentError)
+                        NotIdempotentError, RingMismatchError)
 from retractlab import endo
 from retractlab.cli import run_cli
 from retractlab.endo import (identity, apply, compose, is_idempotent,
@@ -509,3 +509,33 @@ def test_search_decides_seeded_maps_of_every_d(monkeypatch):
                         (dom, n, d, c, seed, kind)
                     confirmed.add((d, proved))
     assert confirmed == {(d, p) for d in range(4) for p in (True, False)}
+
+
+_R = RingSignature(["x", "y"], 1, QQ)
+_S = RingSignature(["x"], 1, QQ)
+_PHI = Endomorphism(_R, [_R.variable(0), _R.zero()])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Endomorphism(_R, [_R.variable(0)]), ValueError,
+     "expected 2 images, got 1"),
+    (lambda: Endomorphism(_R, [_R.variable(0), 1]), RingMismatchError,
+     "image not in the endomorphism's ring"),
+    (lambda: Endomorphism(_R, [_R.variable(0), _S.variable(0)]),
+     RingMismatchError, "image not in the endomorphism's ring"),
+    (lambda: compose(_PHI, identity(_S)), RingMismatchError,
+     "cannot compose endomorphisms of different rings"),
+    (lambda: standard_projection(_R, keep_laurent=[1]), ValueError,
+     "keep_laurent indices outside the Laurent block"),
+    (lambda: standard_projection(_R, keep_poly=[0]), ValueError,
+     "keep_poly indices outside the polynomial block"),
+    (lambda: repr(_PHI), None, "Endomorphism(x -> x, y -> 0)"),
+], ids=["image-count", "not-a-poly", "other-ring", "compose-rings",
+        "keep-laurent", "keep-poly", "repr"])
+def test_endomorphism_checks_and_repr(call, error, message):
+    if error is None:
+        assert call() == message
+    else:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message

@@ -14,8 +14,7 @@ from retractlab import (QQ, ZZ, GF, RingSignature, MixedPoly, Endomorphism,
 from retractlab.cli import run_cli
 from retractlab.endo import identity, apply, conjugate, standard_projection
 from retractlab.engine import (classify, compute_y_variables, quotient_mod_J,
-                               rationality_verdict, transcendence_degree,
-                               _trace_primes)
+                               rationality_verdict, transcendence_degree)
 from retractlab.generator import _automorphism_of_kind
 from retractlab.intlinalg import IntMatrix
 from dense_hnf import fixed_basis
@@ -393,7 +392,11 @@ def test_trace_of_one_term_images_needs_no_prime(monkeypatch):
     # every image of φ̄ of QQ 1014, of a Laurent identity and of a map with
     # a zero image has at most one term: the trace is Σ e_i, with no point
     from retractlab import engine
-    monkeypatch.setattr(engine, "_trace_primes", None)
+
+    def no_prime(q):
+        raise AssertionError("the trace sought a prime: %d" % q)
+
+    monkeypatch.setattr(engine, "_is_prime", no_prime)
     assert analyze(_named("QQ_n6d3r2c4_s1014")).trdeg == 5
     R = RingSignature(["x%d" % i for i in range(40)], 40, QQ)
     assert analyze(identity(R)).trdeg == 40
@@ -406,46 +409,72 @@ def test_trace_of_one_term_images_needs_no_prime(monkeypatch):
 
 
 def test_trace_primes_are_the_primes_above_n():
-    # the trial division that `_trace_primes` ran before it read primality
-    # from `domains`, kept as the reference
+    # the trial division that the trace ran before it read primality from
+    # `domains`, kept as the reference
+    from retractlab import engine
+
     def reference(n):
-        yield (1 << 61) - 1
         for q in itertools.count(max(n + 1, 2)):
             if all(q % k for k in range(2, math.isqrt(q) + 1)):
                 yield q
 
     for n in list(range(12)) + [30, 97, 1000]:
-        got = list(itertools.islice(_trace_primes(n), 40))
-        assert got == list(itertools.islice(reference(n), 40)), n
+        primes = filter(engine._is_prime, itertools.count(n + 1))
+        assert (list(itertools.islice(primes, 40))
+                == list(itertools.islice(reference(n), 40))), n
 
 
-# one report per input: 2^61 - 1 divides an image's denominator, or is a
-# Laurent coordinate of the fixed point, so the trace of phi falls back to a
-# prime above n.  φ̄ = phi mod J, which analyze traces, keeps the
+# one report per input, each with an image of two terms, so the trace seeks
+# a prime, and n = 2: 3, the least prime above n, divides an image's
+# denominator, or is a Laurent coordinate of the fixed point, so the trace
+# of phi moves on to 5.  φ̄ = phi mod J, which analyze traces, keeps the
 # denominator; its Laurent coordinates are y_k ↦ y_k, all 1 at the fixed
-# point.  Each report's bytes are pinned by their SHA-256
+# point, and the two maps with x ↦ 3 have a one-term φ̄.  Each report's
+# bytes are pinned by their SHA-256, recorded with a trace that tried
+# 2^61 - 1 first: trdeg is the rank whatever the prime
 PRIME_FALLBACK = [
-    ("ring QQ[x^±,y]\nx -> x\ny -> 1/2305843009213693951*x\n",
-     1, "PureLaurent(r=1)",
-     "2c865181d8e6462ea03f06957f5050306637df4fb00ee1fb5a01753d8e029556"),
-    ("ring QQ[x^±,z^±,y]\nx -> 2305843009213693951\nz -> z\n"
-     "y -> y + x - 2305843009213693951\n",
-     2, "LaurentTensorPoly(r=1, s=1)",
-     "7a2e814398afcedc28412efd0f1c376ff956157bd0dce1a0696ca40325778214"),
+    ("denominator", "ring QQ[x^±,y]\nx -> x\ny -> x + 1/3*x^2\n",
+     1, "PureLaurent(r=1)", [3, 5],
+     "e5e1c1285f9f7a64cebdc8d1a16e6ed95c4c2db4d6bd1f1bf20d4e04859f139a"),
+    ("laurent-zero", "ring QQ[x^±,y]\nx -> 3\ny -> y + x - 3\n",
+     1, "LaurentTensorPoly(r=0, s=1)", [],
+     "54bbfd68721a6858ec2a7483a07546bccc50545262fa2686e2ad226e2503122e"),
     # here the trace needs the inverse of that Laurent coordinate
-    ("ring QQ[x^±,y]\nx -> 2305843009213693951\n"
-     "y -> 2305843009213693951*x^-1*y\n",
-     1, "LaurentTensorPoly(r=0, s=1)",
-     "3b10d734a182e6e86b4fd491c004dc358c16bd0047510b9057eeda094298acd3"),
+    ("laurent-inverse", "ring QQ[x^±,y]\nx -> 3\ny -> 3*x^-1*y + x - 3\n",
+     1, "LaurentTensorPoly(r=0, s=1)", [],
+     "e58674ad8599673251ac8b7a2c470d1a1caf8fec6c7160fccd1f93d52f3dfd93"),
 ]
 
 
-@pytest.mark.parametrize("text,trdeg,verdict,digest", PRIME_FALLBACK,
-                         ids=["denominator", "laurent-zero", "laurent-inverse"])
-def test_trace_falls_back_to_a_prime_above_n(text, trdeg, verdict, digest):
+@pytest.mark.parametrize("reason,text,trdeg,verdict,analyze_tried,digest",
+                         PRIME_FALLBACK, ids=[c[0] for c in PRIME_FALLBACK])
+def test_trace_falls_back_to_a_prime_above_n(reason, text, trdeg, verdict,
+                                             analyze_tried, digest,
+                                             monkeypatch):
+    from retractlab import engine
+    is_prime = engine._is_prime
+    tried = []
+
+    def spy(q):  # records the primes the trace reads
+        if is_prime(q):
+            tried.append(q)
+            return True
+        return False
+
+    monkeypatch.setattr(engine, "_is_prime", spy)
     phi = parse_problem(text)[1]
     rep = analyze(phi)
+    assert tried == analyze_tried
+    del tried[:]
     assert rep.trdeg == trdeg == transcendence_degree(phi)
+    assert tried == [3, 5]
+    # 3 fails for the reason the id names, and for no other
+    point = [sum(c for _, c in g.terms) for g in phi.images]
+    laurent_zero = any(Fraction(point[i]).numerator % 3 == 0
+                       for i in range(phi.ring.laurent))
+    denominator = any(Fraction(c).denominator % 3 == 0
+                      for g in phi.images for _, c in g.terms)
+    assert denominator == (reason == "denominator") != laurent_zero
     assert repr(rep.classification) == verdict
     report = render_report(rep, "json").encode("utf-8")
     assert hashlib.sha256(report).hexdigest() == digest

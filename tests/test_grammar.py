@@ -360,6 +360,17 @@ def test_render_report_shapes():
             render_report(rep, fmt)
 
 
+@pytest.mark.parametrize("header,line", [
+    ("GF(5)[x^±,y]", "trdeg          [1, 2]"),
+    ("QQ[x^±,y]", "trdeg          2"),
+    ("GF(5)[x^±,y^±]", "trdeg          2"),
+], ids=["interval", "exact", "pure-laurent"])
+def test_text_report_trdeg_line(header, line):
+    # GF(p) keeps the interval [r, r + n - d] unless the ring is pure Laurent
+    _, phi = parse_problem("ring %s\nx -> x\ny -> y\n" % header)
+    assert render_report(analyze(phi)).splitlines()[2] == line
+
+
 def report_to_dict(report):
     """The report's fields as the dict that `json.dumps(..., indent=2)`
     writes to the JSON report's bytes, built from the dense views."""

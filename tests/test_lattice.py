@@ -252,3 +252,22 @@ def test_equal_matrices_share_one_key():
     decompose.cache_clear()
     assert len({id(decompose(M)) for M in built}) == 1
     assert decompose.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: repr(IntMatrix([[1, 2], [0, -3]])), None,
+     "IntMatrix([[1, 2], [0, -3]])"),
+    (lambda: IntMatrix([[1, 2]]) * IntMatrix([[1, 2]]), ValueError,
+     "dimension mismatch 1x2 · 1x2"),
+    (lambda: IntMatrix([[1, 2]]) * 2, TypeError,
+     "unsupported operand type(s) for *: 'IntMatrix' and 'int'"),
+    (lambda: solve_in_lattice((1, 2), [(1, 0), (0, 1, 0)]), ValueError,
+     "vector lengths differ"),
+], ids=["repr", "product-dimensions", "product-operand", "solve-lengths"])
+def test_int_matrix_checks_and_repr(call, error, message):
+    if error is None:
+        assert call() == message
+    else:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message

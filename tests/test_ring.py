@@ -353,3 +353,20 @@ def test_printer_matches_reference():
     assert seen == {"zero", "constant", "negative exponent", "monomial",
                     "one", "minus one", "fraction", "other", "-1/2",
                     "negative first term", "negative last term", "GF(p) sum"}
+
+
+@pytest.mark.parametrize("dom,coeffs", [
+    (QQ, [Fraction(3, 2), Fraction(-2, 3), 2, -1]), (ZZ, [1, -1]),
+    (GF(5), [1, 2, 4])], ids=["QQ", "ZZ", "GF5"])
+def test_one_term_powers_are_canonical(dom, coeffs):
+    # __pow__ wraps the term of `_single_term_power` unreduced, so each
+    # power's coefficient must already be canonical: ** 0 gives the int 1
+    # even from a Fraction, whose ** 0 is Fraction(1)
+    R = RingSignature(["x1", "x2"], 1, dom)
+    for c in coeffs:
+        p = MixedPoly(R, [((1, 0), c)])
+        for k in range(-3, 4):
+            got = (p ** k).terms
+            expected = MixedPoly(R, [((k, 0), Fraction(c) ** k)]).terms
+            assert [(e, v, type(v)) for e, v in got] == [
+                (e, v, type(v)) for e, v in expected], (c, k)
