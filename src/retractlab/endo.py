@@ -34,6 +34,7 @@ polynomial variable outside C has π(phi(x_c)) = π(ω(g_c)) = π(x_c).
 expanded phi∘phi.
 """
 
+import sys
 from collections import namedtuple
 from itertools import compress
 from math import prod
@@ -309,8 +310,13 @@ def require_idempotent(phi):
     defect = idempotency_defect(phi)
     if defect:
         name, delta = defect
+        try:
+            shown = "= %s != 0" % delta
+        except ValueError:  # str of an int past sys.get_int_max_str_digits()
+            shown = ("!= 0 (not printed: it holds a number of more than %d "
+                     "digits)" % sys.get_int_max_str_digits())
         raise NotIdempotentError(
-            "phi²(%s) - phi(%s) = %s != 0" % (name, name, delta))
+            "phi²(%s) - phi(%s) %s" % (name, name, shown))
     return mono
 
 

@@ -16,13 +16,15 @@ A embeds in S[z], as the image of the endomorphism φ̄: y_k ↦ y_k,
 z_j ↦ phi(x_j) mod J.  Y·T = I and λ^b = 1 on a fixed column b make the
 unit y_k = x^b map to y^(T·b) = y_k, so `quotient_mod_J` maps only the
 z_j.  With π the quotient map, φ̄∘π = π∘phi, and π is onto, so φ̄ is
-idempotent.  S[z] is smooth, so in characteristic 0 trdeg A is the trace
-of φ̄'s Jacobian at its fixed point φ̄(1, ..., 1), an idempotent matrix
-(a retract of a smooth algebra is smooth: Costa, "Retracts of polynomial
-rings", J. Algebra 1977).  A one-term image c·x^e adds e_i, so the y-block
-adds r; the other images are read mod the least usable prime above n,
-each term one product of powers from per-variable tables built before
-the read.  φ̄'s images can be far smaller than phi's: 5 terms against
+idempotent.  A process builds S[z] once per (polynomial names, r,
+domain), in a memo of its own, so that it is never the input ring
+(`ring.ring_memo`).  S[z] is smooth, so in characteristic 0 trdeg A is
+the trace of φ̄'s Jacobian at its fixed point φ̄(1, ..., 1), an idempotent
+matrix (a retract of a smooth algebra is smooth: Costa, "Retracts of
+polynomial rings", J. Algebra 1977).  A one-term image c·x^e adds e_i, so
+the y-block adds r; the other images are read mod the least usable prime
+above n, each term one product of powers from per-variable tables built
+before the read.  φ̄'s images can be far smaller than phi's: 5 terms against
 1,916 on the n = 6, d = 3 instance seed 1014.
 
 Some of them are read off the idempotency proof instead.  Its phi = σ∘ω
@@ -43,7 +45,7 @@ from operator import getitem, itemgetter
 from .domains import _is_prime
 from .intlinalg import IntMatrix, decompose
 from .endo import Endomorphism, require_idempotent
-from .ring import MixedPoly, RingSignature, _integer_terms
+from .ring import MixedPoly, RingSignature, _integer_terms, ring_memo
 
 
 class CertificateError(RuntimeError):
@@ -146,14 +148,7 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
     """
     d = ring.laurent
     r = decomposition.r
-    poly_names = ring.names[d:]
-    names = []
-    for i in range(r):
-        name = "y%d" % (i + 1)
-        while name in poly_names or name in names:
-            name = name + "_"
-        names.append(name)
-    target = RingSignature(tuple(names) + poly_names, r, ring.domain)
+    target = _quotient_ring(ring.names[d:], r, ring.domain)
     dom = ring.domain
     tail = (0,) * (ring.n - d)
     normalizers = [y.normalizer for y in y_variables]
@@ -171,6 +166,18 @@ def quotient_mod_J(ring, polys, decomposition, y_variables):
                                          ((tuple(exp) + tail, scalar),)))
     images += [target.variable(k) for k in range(r, target.n)]
     return target, [p.substitute(images) for p in polys]
+
+
+@ring_memo(lambda poly_names, r, domain: len(poly_names) + r)
+def _quotient_ring(poly_names, r, domain):
+    # a memo of its own, so that S[z] is never the input ring itself
+    names = []
+    for i in range(r):
+        name = "y%d" % (i + 1)
+        while name in poly_names or name in names:
+            name = name + "_"
+        names.append(name)
+    return RingSignature(tuple(names) + poly_names, r, domain)
 
 
 def transcendence_degree(phi):

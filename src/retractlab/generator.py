@@ -8,9 +8,10 @@ unit rank, so every generated instance analyzes back to the requested r.
 
 A `GeneratorSpec`, an immutable namedtuple checked when it is built, names
 the draw: n and d, the unit rank r, the seed (kept to 64 bits), the number
-of conjugations (complexity) and the domain.  The random source is
-Python's Mersenne Twister; generated files record the algorithm identifier
-`mt19937-py` in their header for reproducibility.
+of conjugations (complexity) and the domain.  A process builds the ring
+of each (n, d, domain) once, under `ring.ring_memo`'s bound.  The random
+source is Python's Mersenne Twister; generated files record the algorithm
+identifier `mt19937-py` in their header for reproducibility.
 """
 
 import random
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .domains import Domain
 from .endo import Endomorphism, standard_projection, conjugate
 from .grammar import MAX_VARIABLES, render_problem
-from .ring import MixedPoly, RingSignature
+from .ring import MixedPoly, RingSignature, ring_memo
 
 RNG_ALGORITHM = "mt19937-py"
 
@@ -48,8 +49,12 @@ class GeneratorSpec(namedtuple("GeneratorSpec",
                                    complexity, domain))
 
     def ring(self):
-        return RingSignature(["x%d" % (i + 1) for i in range(self.n)],
-                             self.d, self.domain)
+        return _ring(self.n, self.d, self.domain)
+
+
+@ring_memo(lambda n, d, domain: n)
+def _ring(n, d, domain):
+    return RingSignature(["x%d" % (i + 1) for i in range(n)], d, domain)
 
 
 def _random_unit_scalar(domain, rng):

@@ -9,10 +9,13 @@ Grammar:
 
 Expressions use + - * ^ ( ), integer or a/b coefficients, and negative
 exponents only on Laurent variables; parentheses nest at most `MAX_NESTING`
-deep, and a ring declares at most `MAX_VARIABLES` variables.  Numbers, and
-the p of GF(p), are ASCII digits.  Whitespace is ignored; comments start
-with '#'.  The ASCII spelling ^+- is accepted for ^±; the printer always
-emits ^±.
+deep, and a ring declares at most `MAX_VARIABLES` variables.  A process
+builds each header's ring once, keeping 64 rings of at most 64 variables
+(`ring.ring_memo`): sharing is safe, as a ring's lazily built variables
+and print tables depend only on its signature.  Numbers, and the p of
+GF(p), are ASCII digits.  Whitespace is ignored; comments start with
+'#'.  The ASCII spelling ^+- is accepted for ^±; the printer always emits
+^±.
 
 A flat sum such as -2*x1^5*x3^-6 + 1/2*x2, the form `render_problem` writes,
 is cut into terms by `str.replace` and `str.split`, however its signs are
@@ -37,7 +40,8 @@ from json.encoder import encode_basestring_ascii
 
 from .domains import QQ, ZZ, GF
 from .endo import Endomorphism
-from .ring import MixedPoly, RingSignature, VARIABLE_NAME, _canonical_sum
+from .ring import (MixedPoly, RingSignature, VARIABLE_NAME, _canonical_sum,
+                   ring_memo)
 
 
 class ParseError(ValueError):
@@ -76,10 +80,12 @@ def parse_domain(text, lineno=None):
         raise ParseError(str(exc), lineno) from None
 
 
+@ring_memo(lambda line, lineno: line.count(",") + 1)
 def _parse_header(line, lineno):
-    """The header's ring.  The header checks its own syntax (width, empty
-    parts, Laurent before plain), then `RingSignature` checks the names, so
-    a structural error is reported before a bad or repeated name."""
+    """The header's ring, built once (`ring_memo`).  The header checks its
+    own syntax (width, empty parts, Laurent before plain), then
+    `RingSignature` checks the names, so a structural error is reported
+    before a bad or repeated name."""
     m = _HEADER_RE.match(line)
     if not m:
         raise ParseError("expected 'ring <domain>[vars]' header", lineno)

@@ -62,7 +62,7 @@ repeated squaring); any other, a lone needed power among them, is `**`.
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import lcm
 from operator import getitem, itemgetter
 
@@ -173,6 +173,27 @@ class RingSignature:
         self.check_exponent(exp)
         c = self.domain.coerce(coeff)
         return MixedPoly._trusted(self, ((exp, c),) if c else ())
+
+
+RING_MEMO_SIZE = RING_MEMO_WIDTH = 64
+
+
+def ring_memo(width):
+    """Memoize a ring builder, so that a process builds each ring, with its
+    variables and print tables, once: sharing is safe, as what a ring
+    builds lazily depends only on its signature.  A builder keeps its last
+    RING_MEMO_SIZE rings, and builds one of more than RING_MEMO_WIDTH
+    variables, width(*args), on every call: the 1000-variable identity's
+    ring holds ~9 MB."""
+    def decorate(build):
+        memo = lru_cache(maxsize=RING_MEMO_SIZE)(build)
+
+        @wraps(build)
+        def call(*args):
+            return (memo if width(*args) <= RING_MEMO_WIDTH else build)(*args)
+        call.cache_info, call.cache_clear = memo.cache_info, memo.cache_clear
+        return call
+    return decorate
 
 
 def _term_key(exp):

@@ -239,6 +239,26 @@ def test_number_past_the_int_digit_limit_is_a_parse_error(image, col,
         assert err.endswith(" (line 2, col %d)\n" % col), err[-40:]
 
 
+@pytest.mark.parametrize("header,images", [
+    ("QQ[x]", "x -> x^%s"), ("QQ[x^±,y]", "x -> x^%s\ny -> y"),
+    ("QQ[x]", "x -> %s*x")],
+    ids=["exponent", "laurent-exponent", "coefficient"])
+def test_defect_past_the_int_digit_limit_is_not_printed(header, images,
+                                                        tmp_path, capsys):
+    # the number parses, and phi²(x) - phi(x) holds its square, which has
+    # more digits than str may print
+    limit = sys.get_int_max_str_digits()
+    big = tmp_path / "big.ring"
+    big.write_text("ring %s\n%s\n"
+                   % (header, images % ("1" + "0" * (limit * 2 // 3))),
+                   encoding="utf-8")
+    for command in ("check", "analyze"):
+        assert run_cli([command, str(big)]) == 1
+        assert capsys.readouterr() == ("", (
+            "not idempotent: phi²(x) - phi(x) != 0 (not printed: it holds "
+            "a number of more than %d digits)\n" % limit))
+
+
 def test_directory_input_is_a_read_error(tmp_path, capsys):
     assert run_cli(["analyze", str(tmp_path)]) == 2
     assert "cannot read input" in capsys.readouterr().err
