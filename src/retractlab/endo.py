@@ -1,11 +1,11 @@
 """R-algebra endomorphisms of a mixed Laurent/polynomial ring.
 
 An `Endomorphism` is an immutable namedtuple of its ring and the tuple of
-the images of the n variables.  Laurent-block variables must map to units,
-otherwise no ring map exists on x_i^-1.  The induced action on the unit
-lattice Z^d is extracted as MonomialData with the convention: column i of
-the matrix is the Laurent exponent of the image of x_i, so composition
-multiplies matrices in application order.
+the images of the n variables; Laurent-block variables map to units, or no
+ring map exists on x_i^-1.  `compose` looks a variable image x_k up as
+phi.images[k] and substitutes the rest.  On the unit lattice Z^d, column i
+of MonomialData's matrix is the Laurent exponent of the image of x_i, so
+composition multiplies matrices in application order.
 
 `require_idempotent` decides phi∘phi = phi by one subalgebra search
 (Robbiano & Sweedler, "Subalgebra bases", 1990), in any characteristic.
@@ -88,8 +88,7 @@ class MonomialData(namedtuple("MonomialData", "matrix lambdas fixed")):
 
 
 def identity(ring):
-    return Endomorphism._trusted(
-        ring, tuple([ring.variable(i) for i in range(ring.n)]))
+    return Endomorphism._trusted(ring, ring.variables())
 
 
 def apply(phi, p):
@@ -97,13 +96,15 @@ def apply(phi, p):
 
 
 def compose(phi, psi):
-    """The endomorphism p ↦ phi(psi(p))."""
+    """The endomorphism p ↦ phi(psi(p)), in phi's ring.  A variable image
+    x_k of psi gives phi.images[k], as `substitute` does, but without
+    checking the rings of phi's n images again; others are substituted."""
     if phi.ring is not psi.ring and phi.ring != psi.ring:
         raise RingMismatchError("cannot compose endomorphisms of different rings")
-    # each image substitutes into phi's images, so it lies in phi's ring
     images = phi.images
-    return Endomorphism._trusted(
-        phi.ring, tuple([img.substitute(images) for img in psi.images]))
+    return Endomorphism._trusted(phi.ring, tuple([
+        images[k] if (k := img._variable_index()) >= 0
+        else img.substitute(images) for img in psi.images]))
 
 
 def is_idempotent(phi):
@@ -273,7 +274,7 @@ def _subalgebra_proof(phi):
         phi = Endomorphism._trusted(ring, tuple(
             [MixedPoly._trusted(ring, img.terms) for img in phi.images]))
     d, images = ring.laurent, phi.images
-    x = [ring.variable(j) for j in range(ring.n)]
+    x = ring.variables()
     free = [j for j in range(d, ring.n)
             if any(any(e[d:]) for e, _ in images[j].terms)]
     # the first candidate, G = the free images: ω(x_j) = x_j, else phi(x_j)
@@ -360,5 +361,6 @@ def standard_projection(ring, keep_laurent=(), keep_poly=()):
         raise ValueError("keep_poly indices outside the polynomial block")
     one, zero = ring.constant(1), ring.zero()
     return Endomorphism._trusted(ring, tuple(
-        [ring.variable(i) if i in keep_laurent or i in keep_poly
-         else one if i < ring.laurent else zero for i in range(ring.n)]))
+        [x if i in keep_laurent or i in keep_poly
+         else one if i < ring.laurent else zero
+         for i, x in enumerate(ring.variables())]))

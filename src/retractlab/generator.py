@@ -1,10 +1,10 @@
 """Seeded random generation of idempotent endomorphisms.
 
 Construction: start from a standard projection of the requested unit rank,
-then conjugate by a chain of elementary automorphisms (unimodular monomial
-maps, unit rescalings, and triangular shifts on polynomial variables), each
-carrying a closed-form inverse.  Conjugation preserves idempotency and the
-unit rank, so every generated instance analyzes back to the requested r.
+then conjugate by a chain of elementary automorphisms with closed-form
+inverses: unimodular monomial maps and unit rescalings, written as terms,
+and triangular shifts on polynomial variables.  Conjugation preserves
+idempotency and the rank, so every instance analyzes back to the same r.
 
 A `GeneratorSpec`, an immutable namedtuple checked when it is built, names
 the draw: n and d, the unit rank r, the seed (kept to 64 bits), the number
@@ -101,33 +101,38 @@ def _elementary_automorphism(ring, rng, complexity):
 
 def _automorphism_of_kind(ring, kind, rng, complexity):
     """An elementary automorphism of the given kind and its closed-form
-    inverse; the tests check that the two are inverse for every kind."""
-    d, n = ring.laurent, ring.n
-    fwd = [ring.variable(i) for i in range(n)]
+    inverse; the tests check that the two are inverse for every kind.  A
+    moved image is written as its canonical term c·x^e, but for shift."""
+    d, n, domain = ring.laurent, ring.n, ring.domain
+    fwd = list(ring.variables())
     inv = list(fwd)
+
+    def term(c, *places):  # c·x^e, with e zero but at the given places
+        exp = [0] * n
+        for i, e in places:
+            exp[i] = e
+        return MixedPoly._trusted(ring, ((tuple(exp), c),))
+
     if kind == "mult":
         i, j = rng.sample(range(d), 2)
         c = rng.choice([-2, -1, 1, 2])
-        fwd[i] = ring.variable(i) * ring.variable(j) ** c
-        inv[i] = ring.variable(i) * ring.variable(j) ** (-c)
+        fwd[i], inv[i] = term(1, (i, 1), (j, c)), term(1, (i, 1), (j, -c))
     elif kind == "swap":
         i, j = rng.sample(range(d), 2)
         fwd[i], fwd[j] = fwd[j], fwd[i]
         inv[i], inv[j] = inv[j], inv[i]
     elif kind == "invert":
         i = rng.randrange(d)
-        fwd[i] = ring.variable(i) ** -1
-        inv[i] = ring.variable(i) ** -1
+        fwd[i] = inv[i] = term(1, (i, -1))
     elif kind in ("scale", "pscale"):
         i = rng.randrange(d) if kind == "scale" else rng.randrange(d, n)
-        u = _random_unit_scalar(ring.domain, rng)
-        fwd[i] = ring.variable(i) * ring.constant(u)
-        inv[i] = ring.variable(i) * ring.constant(ring.domain.invert(u))
+        u = domain.coerce(_random_unit_scalar(domain, rng))
+        fwd[i], inv[i] = term(u, (i, 1)), term(domain.invert(u), (i, 1))
     else:  # shift
         j = rng.randrange(d, n)
         q = _random_shift_poly(ring, j, rng, complexity)
-        fwd[j] = ring.variable(j) + q
-        inv[j] = ring.variable(j) - q
+        fwd[j] = fwd[j] + q
+        inv[j] = inv[j] - q
     return (Endomorphism._trusted(ring, tuple(fwd)),
             Endomorphism._trusted(ring, tuple(inv)))
 

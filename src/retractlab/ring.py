@@ -11,7 +11,7 @@ integral and a `Fraction` otherwise, so a coefficient prints by `str`.
 coefficients, merges repeated exponents and sorts.  `monomial` checks and
 coerces one term, `constant` coerces one, and every operation below builds
 its result from canonical terms directly.  A ring builds its variables
-once, on the first call to `variable`, and hands out the same n elements
+once, on the first call to `variables`, and hands out the same n elements
 after that.
 
 Sums (`+`, `-`, the constructor and the bucket sums of `substitute`) end in
@@ -27,8 +27,10 @@ and the dict is canonicalized by `_canonical_sum`.
 
 An element prints through its ring's `name^e` strings, one dict per
 variable from exponent to text, built on the ring's first print and filled
-with each exponent the first time it is printed.  Its terms' pieces are
-joined once, so a print stays linear in its length.
+with each exponent the first time it is printed; a dict that holds
+`PRINT_TABLE_SIZE` exponents starts again from {0: "", 1: name}, so a
+shared ring's tables stay bounded.  Its terms' pieces are joined once, so
+a print stays linear in its length.
 
 `substitute` maps into a ring over the same domain; images over another
 domain raise RingMismatchError.  A variable maps to its image.  Images
@@ -86,7 +88,7 @@ class RingSignature:
     `VARIABLE_NAME`, so that every element prints as the grammar reads it;
     this is the one check of names and their distinctness, the parser's
     too.  `_index` maps each name to its position, for the parser;
-    `_variables` holds x_1..x_n, built on the first call to `variable`, and
+    `_variables` holds x_1..x_n, built on the first call to `variables`, and
     `_powers` the printer's {exponent: text} dict of each variable, built on
     the first print."""
 
@@ -149,16 +151,20 @@ class RingSignature:
         # the zero exponent is valid in every ring
         return MixedPoly._trusted(self, (((0,) * self.n, c),) if c else ())
 
-    def variable(self, i):
-        """x_i, the one element the ring holds for it."""
-        if not 0 <= i < self.n:
-            raise ValueError("variable index %d outside a ring of %d variables"
-                             % (i, self.n))
+    def variables(self):
+        """(x_1, ..., x_n), the one element the ring holds for each."""
         variables = self._variables
         if variables is None:
             variables = self._variables = tuple(
                 self._build_variable(k) for k in range(self.n))
-        return variables[i]
+        return variables
+
+    def variable(self, i):
+        """x_i, read from `variables`."""
+        if not 0 <= i < self.n:
+            raise ValueError("variable index %d outside a ring of %d variables"
+                             % (i, self.n))
+        return self.variables()[i]
 
     def _build_variable(self, i):
         # x_i is valid once i is in range, and 1 is canonical in every domain
@@ -176,6 +182,8 @@ class RingSignature:
 
 
 RING_MEMO_SIZE = RING_MEMO_WIDTH = 64
+# the most exponents a printer's {exponent: text} dict holds
+PRINT_TABLE_SIZE = 1024
 
 
 def ring_memo(width):
@@ -292,6 +300,8 @@ def _single_term_power(p, e):
     if not p.terms:
         return (0,) * p.ring.n, 0
     exp, c = p.terms[0]
+    if e == 1:
+        return exp, c
     return tuple(x * e for x in exp), c if c == 1 else p.ring.domain.pow(c, e)
 
 
@@ -614,6 +624,9 @@ class MixedPoly:
             except KeyError:  # an exponent printed for the first time
                 for table, name, e in zip(powers, ring.names, exp):
                     if e not in table:
+                        if len(table) >= PRINT_TABLE_SIZE:
+                            table.clear()
+                            table.update({0: "", 1: name})
                         table[e] = "%s^%d" % (name, e)
                 mono = "*".join(filter(None, map(getitem, powers, exp)))
             cs = str(c)

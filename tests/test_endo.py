@@ -539,3 +539,47 @@ def test_endomorphism_checks_and_repr(call, error, message):
         with pytest.raises(error) as info:
             call()
         assert type(info.value) is error and str(info.value) == message
+
+
+def test_conjugation_contract(monkeypatch):
+    # conjugate checks alpha_inv on both sides before it composes
+    # alpha∘phi∘alpha_inv: four compositions a step, the inverse check kept
+    from retractlab import generator
+    composed, conjugated = [], []
+    real_compose, real_conjugate = endo.compose, generator.conjugate
+
+    def spy_compose(phi, psi):
+        composed.append(phi.ring)
+        return real_compose(phi, psi)
+
+    def spy_conjugate(phi, alpha, alpha_inv):
+        conjugated.append(phi.ring)
+        return real_conjugate(phi, alpha, alpha_inv)
+
+    monkeypatch.setattr(endo, "compose", spy_compose)
+    monkeypatch.setattr(generator, "conjugate", spy_conjugate)
+    for seed, dom in enumerate((QQ, ZZ, GF(5), GF(32003)) * 3):
+        spec = GeneratorSpec(2 + seed % 4, 1 + seed % 2, seed % 2, seed,
+                             seed % 5, dom)
+        composed.clear()
+        conjugated.clear()
+        gen_random_idempotent(spec)
+        assert len(conjugated) == spec.complexity, spec
+        assert len(composed) == 4 * spec.complexity, spec
+
+    R = laurent2()
+    alpha = Endomorphism(R, [R.variable(0) * R.variable(1), R.variable(1)])
+    with pytest.raises(ValueError, match="not a two-sided inverse"):
+        conjugate(standard_projection(R, {0}), alpha, alpha)
+
+    # composing with the identity hands out phi's own images
+    M = RingSignature(["x1", "x2", "x3"], 1, GF(7))
+    rng = random.Random(52)
+    maps = [e1(), swap2(), identity(R), standard_projection(M, (), {2})]
+    maps += [Endomorphism(M, [M.variable(0) ** rng.choice([-1, 1])]
+                          + [random_element(M, rng) for _ in range(2)])
+             for _ in range(20)]
+    for phi in maps:
+        got = compose(phi, identity(phi.ring))
+        assert got == phi
+        assert all(a is b for a, b in zip(got.images, phi.images))

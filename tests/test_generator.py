@@ -165,3 +165,65 @@ def test_trdeg_oracle_on_conjugated_projections():
             assert lo <= t <= hi, case
         else:
             assert report.trdeg == t, case
+
+
+def _by_arithmetic(ring, kind, rng, complexity):
+    """`_automorphism_of_kind`'s pair from the same draws, each moved image
+    built through `*`, `**` and `constant`: the reference it must match."""
+    from retractlab.generator import _random_shift_poly, _random_unit_scalar
+    d, n, x = ring.laurent, ring.n, ring.variable
+    fwd = [x(i) for i in range(n)]
+    inv = list(fwd)
+    if kind == "mult":
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        fwd[i], inv[i] = x(i) * x(j) ** c, x(i) * x(j) ** (-c)
+    elif kind == "swap":
+        i, j = rng.sample(range(d), 2)
+        fwd[i], fwd[j] = fwd[j], fwd[i]
+        inv[i], inv[j] = inv[j], inv[i]
+    elif kind == "invert":
+        i = rng.randrange(d)
+        fwd[i] = inv[i] = x(i) ** -1
+    elif kind in ("scale", "pscale"):
+        i = rng.randrange(d) if kind == "scale" else rng.randrange(d, n)
+        u = _random_unit_scalar(ring.domain, rng)
+        fwd[i] = x(i) * ring.constant(u)
+        inv[i] = x(i) * ring.constant(ring.domain.invert(u))
+    else:
+        j = rng.randrange(d, n)
+        q = _random_shift_poly(ring, j, rng, complexity)
+        fwd[j], inv[j] = x(j) + q, x(j) - q
+    return fwd + inv
+
+
+@pytest.mark.parametrize("dom", [QQ, ZZ, GF(5), GF(32003)],
+                         ids=["QQ", "ZZ", "GF5", "GF32003"])
+def test_library_automorphisms_are_canonical_term_for_term(dom):
+    # the generator writes a moved image as its one term, c·x^e, without
+    # the constructor: each must be canonical with the coefficient types
+    # that the constructor and ring arithmetic give (Fraction(2, 1) == 2,
+    # so `==` alone would not show an unreduced scalar)
+    from retractlab import MixedPoly, RingSignature
+    from retractlab.generator import _automorphism_of_kind
+
+    def typed(terms):
+        return [(e, tuple(map(type, e)), c, type(c)) for e, c in terms]
+
+    for names, d in ((["x1", "x2", "x3", "x4"], 2), (["a", "b", "c"], 2),
+                     (["u", "v", "w", "s", "t"], 3)):
+        ring = RingSignature(names, d, dom)
+        for kind in ("mult", "swap", "invert", "scale", "pscale", "shift"):
+            for seed in range(60):
+                complexity = 1 + seed % 3
+                alpha, alpha_inv = _automorphism_of_kind(
+                    ring, kind, random.Random(seed), complexity)
+                reference = _by_arithmetic(ring, kind, random.Random(seed),
+                                           complexity)
+                for img, ref in zip(alpha.images + alpha_inv.images,
+                                    reference):
+                    case = (dom, names, kind, seed, str(img))
+                    assert img.ring is ring, case
+                    assert typed(img.terms) == typed(
+                        MixedPoly(ring, img.terms).terms), case
+                    assert typed(img.terms) == typed(ref.terms), case

@@ -148,6 +148,7 @@ def test_variables_are_built_once_per_ring():
             assert x._variable_index() == i
             assert R.variable(i) is x
         images = identity(R).images
+        assert images is R.variables() is R.variables()
         assert len(images) == R.n
         assert all(img is R.variable(i) for i, img in enumerate(images))
         # an equal ring built apart holds its own variables, equal to these

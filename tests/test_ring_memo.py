@@ -8,7 +8,8 @@ import os
 from retractlab import QQ, analyze, engine, generator, grammar
 from retractlab.cli import run_cli
 from retractlab.grammar import parse_problem
-from retractlab.ring import RING_MEMO_SIZE, RING_MEMO_WIDTH
+from retractlab.ring import (PRINT_TABLE_SIZE, RING_MEMO_SIZE,
+                             RING_MEMO_WIDTH)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -101,3 +102,26 @@ def test_quotient_ring_is_reused_and_never_the_input_ring():
     for _ in range(2):
         target = analyze(chi).quotient_generators[0].ring
         assert target == chi.ring and target is not chi.ring
+
+
+def test_print_tables_stay_bounded_on_a_shared_ring():
+    # a memoized header's ring lives for the whole process: its printer's
+    # {exponent: text} tables start again once they hold PRINT_TABLE_SIZE
+    # exponents, and every print reads the same as from fresh tables
+    ring = grammar._parse_header("ring QQ[x^±,y]", 1)
+    assert ring is grammar._parse_header("ring QQ[x^±,y]", 1)
+
+    def power(name, e):
+        return "" if not e else name if e == 1 else "%s^%d" % (name, e)
+
+    largest = 0
+    for k in range(10000):
+        for exp in ((k, 0), (-k, k % 3)):
+            expected = "*".join(filter(None, (power("x", exp[0]),
+                                              power("y", exp[1]))))
+            assert str(ring.monomial(exp)) == (expected or "1"), exp
+            largest = max(largest, *map(len, ring._powers))
+            assert largest <= PRINT_TABLE_SIZE, exp
+    assert largest == PRINT_TABLE_SIZE
+    for table, name in zip(ring._powers, ring.names):
+        assert table[0] == "" and table[1] == name
